@@ -5,11 +5,12 @@ The layers, bottom up:
 
     linalg      exact rational echelon forms and solvers
     core        presentations, elements, derivations, morphisms, tensors
-    homology    graded homology, kernels, ideal powers, nilpotency, duality
+    homology    cohomology of any cochain complex (presentations, semifree
+                modules, spans), induced maps, the degreewise hit/kill
+                builder, kernels, ideal powers, nilpotency, duality
     construct   minimal Sullivan models, path fibrations, acyclic closures,
                 fibers, cofibers, pushouts, diagonal surjections
-    semifree    semifree modules, quotient resolutions, join levels,
-                module retractions
+    semifree    semifree modules, quotient resolutions, module retractions
     invariants  the bound chains (toomer/mcat/cat, htc/mtc/tc, sectional)
                 and machine-checkable certificates
     lang, cli   the text format and the command line front end
@@ -21,24 +22,22 @@ from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    NotSurjective, PedigreeMissing, Presentation,
                    PresentationMismatch, RangeExceedsCap, SeriesNonterminating,
                    TopDegreeMismatch, direct_sum, identity_morphism,
-                   linear_part, quotient_by_ideal, sub_presentation, tensor,
+                   quotient_by_ideal, sub_presentation, tensor,
                    tensor_power, word_length_truncation)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        is_quasi_iso, kernel_basis, kernel_ideal_generators,
                        nil_ideal, poincare_duality_check,
-                       positive_part_generators, quasi_iso_failure,
-                       surjectivity_failure)
+                       positive_part_generators, quasi_iso_failure)
 from .construct import (CofiberModel, DiagonalModel, RelativeModel,
                         SullivanModelResult, acyclic_closure,
                         build_minimal_model, cofiber_model, diagonal_model,
                         find_isomorphism, loop_space_model,
                         multiplication_morphism, path_fibration_model,
                         pushout_model, sullivan_model_of)
-from .semifree import (GaneaLevel, ModuleHomology, QuotientResolution,
-                       RetractionResult, SemiFreeModule, find_module_retraction,
-                       ganea_level, resolve_quotient, semifree_from_relative,
-                       verify_module_retraction)
+from .semifree import (QuotientResolution, RetractionResult, SemiFreeModule,
+                       find_module_retraction, resolve_quotient,
+                       semifree_from_relative, verify_module_retraction)
 from .invariants import (Bound, CatReport, Certificate, SurjectionReport,
                          TCReport, augmentation_morphism, cat_bounds,
                          certificate_from_json, certificate_to_json,

@@ -3,7 +3,8 @@
 Everything here is built degreewise with an explicit validity bound:
 
 * build_minimal_model returns a free minimal presentation M together with a
-  quasi-iso M -> A whose homology is matched exactly in degrees <= cap.
+  quasi-iso M -> A whose homology is matched exactly in degrees <= cap; it
+  is built by homology.hit_and_kill.
 * path_fibration_model doubles a Sullivan algebra and adjoins a degree-shifted
   hat generator per original generator, with the hat differential produced by
   the contraction series; the series is evaluated recursively with a re-entry
@@ -22,16 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Echelon, solve_combo, zero_vector
+from .linalg import Echelon, kernel_combos, solve_combo, zero_vector
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, Derivation, Generator,
                    NotFree, NotQuasiIso, NotSimplyConnected, NotSurjective,
                    Presentation, RangeExceedsCap, SeriesNonterminating,
-                   identity_morphism, tensor_power, transport_element)
-from .homology import (HomologyReport, homology, induced_matrix, kernel_basis,
-                       quasi_iso_failure)
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+                   _build_combined, identity_morphism, quotient_by_ideal,
+                   tensor, tensor_power, transport_element)
+from .homology import hit_and_kill, homology, kernel_basis, quasi_iso_failure
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +42,6 @@ class SullivanModelResult:
     morphism: CdgaMorphism          # model -> target, quasi-iso on the range
     valid_up_to: int                # homology matched exactly in degrees <= this
     notes: list[str] = field(default_factory=list)
-
-
-def _rebuild_model(gen_list, diff_raw, cap):
-    return Presentation(gen_list, cap, differentials=diff_raw,
-                        simply_connected=all(d >= 2 for _, d in gen_list),
-                        validate=False)
 
 
 def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
@@ -71,69 +63,16 @@ def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
     if HA.betti(1) != 0:
         raise NotSimplyConnected("H^1 does not vanish")
 
-    gen_list: list[tuple[str, int]] = []
-    diff_raw: dict[str, dict] = {}
-    images: dict[str, AlgebraElement] = {}
     model_cap = cap + 2
-    M = _rebuild_model(gen_list, diff_raw, model_cap)
 
-    def morphism():
-        return CdgaMorphism(M, A, images, check=False)
+    def build(gens, diffs, images):
+        M = Presentation(gens, model_cap, differentials=diffs,
+                         simply_connected=all(d >= 2 for _, d in gens),
+                         validate=False)
+        return M, CdgaMorphism(M, A, images, check=False)
 
-    for k in range(2, cap + 1):
-        # cocycle step: hit a basis of coker H^k(phi)
-        HM = homology(M, k, k)
-        phi = morphism()
-        image_ech = Echelon(HA.betti(k))
-        for rep in HM.representatives(k):
-            image_ech.add(HA.class_coords(phi.apply(rep), k))
-        new_idx = 0
-        for rep in HA.representatives(k):
-            if image_ech.contains(HA.class_coords(rep, k)):
-                continue
-            name = f"v{k}_{new_idx}"
-            new_idx += 1
-            gen_list.append((name, k))
-            images[name] = rep
-            image_ech.add(HA.class_coords(rep, k))
-        M = _rebuild_model(gen_list, diff_raw, model_cap)
-
-        # kernel step: kill ker H^{k+1}(phi) with degree-k generators
-        if k == cap:
-            break
-        HM1 = homology(M, k + 1, k + 1)
-        phi = morphism()
-        reps = HM1.representatives(k + 1)
-        img_coords = [HA.class_coords(phi.apply(r), k + 1) for r in reps]
-        from .linalg import kernel_combos
-        kernel = kernel_combos(img_coords, HA.betti(k + 1))
-        if kernel:
-            dvec_A = []
-            for mono in A.basis(k):
-                img = A.d(AlgebraElement(A, {mono: _F1}))
-                dvec_A.append(A.to_vector(img, k + 1))
-            new_idx = 0
-            for combo in kernel:
-                z = M.zero()
-                for c, r in zip(combo, reps):
-                    if c:
-                        z = z + r * c
-                target = A.to_vector(phi.apply(z), k + 1)
-                u_combo = solve_combo(dvec_A, A.dim(k + 1), target)
-                if u_combo is None:
-                    raise NotQuasiIso(
-                        f"class marked trivial in degree {k + 1} has no primitive")
-                u = A.zero()
-                for c, mono in zip(u_combo, A.basis(k)):
-                    if c:
-                        u = u + AlgebraElement(A, {mono: c})
-                name = f"w{k}_{new_idx}"
-                new_idx += 1
-                gen_list.append((name, k))
-                diff_raw[name] = dict(z.terms)
-                images[name] = u
-            M = _rebuild_model(gen_list, diff_raw, model_cap)
-
+    gen_list, diff_raw, images = hit_and_kill(HA, 2, cap, build, ("v", "w"), {},
+                                              NotQuasiIso)
     M = Presentation(gen_list, model_cap, differentials=diff_raw,
                      simply_connected=all(d >= 2 for _, d in gen_list))
     phi = CdgaMorphism(M, A, images, check=True, name="minimal-model")
@@ -512,7 +451,6 @@ def pushout_model(phi: CdgaMorphism, psi: CdgaMorphism, *, cap: int | None = Non
     """A ox_C B for phi: C -> A, psi: C -> B, with both injections."""
     if phi.source is not psi.source:
         raise CdgaError("pushout legs must share their source")
-    from .core import tensor
     t = tensor(phi.target, psi.target, cap=cap)
     ideal = []
     for g in phi.source.generators:
@@ -520,7 +458,6 @@ def pushout_model(phi: CdgaMorphism, psi: CdgaMorphism, *, cap: int | None = Non
             - t.include_right.apply(psi.image_of(g.name))
         if el.terms:
             ideal.append(el)
-    from .core import quotient_by_ideal
     pushed, proj = quotient_by_ideal(t.pres, ideal)
     inj_a = CdgaMorphism(phi.target, pushed,
                          {g.name: pushed.gen(t.rename_left[g.name])
@@ -578,7 +515,6 @@ def diagonal_model(A: Presentation, n: int, cap: int,
         renames.append(rn)
         parts.append((S, rn))
 
-    from .core import _build_combined
     source = _build_combined(parts, cap,
                              A.simply_connected and S.simply_connected)
     images = {g.name: A.gen(g.name) for g in A.generators}
@@ -645,11 +581,7 @@ def find_isomorphism(M1: Presentation, M2: Presentation, hi: int | None = None):
         names = sorted(degrees1[k])
         basis = M2.basis(k)
         width = len(basis)
-        dvecs = []
-        for mono in basis:
-            img = M2.d(AlgebraElement(M2, {mono: _F1}))
-            dvecs.append(M2.to_vector(img, k + 1))
-        from .linalg import kernel_combos
+        dvecs = M2.differential_vectors(k)
         cycles = kernel_combos(dvecs, M2.dim(k + 1))
         phi = partial()
         lin_positions = [i for i, m in enumerate(basis)

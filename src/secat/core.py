@@ -488,6 +488,16 @@ class Presentation:
                 f"differential of generators {sorted(bad)} is not representable under cap {self.cap}")
         return self.differential.apply(el)
 
+    def differential_vectors(self, d: int) -> list[list[Rational]]:
+        """Images under d of the degree-d basis, as degree-(d+1) vectors."""
+        return [self.to_vector(self.d(AlgebraElement(self, {mono: _F1})), d + 1)
+                for mono in self.basis(d)]
+
+    def check_cycle(self, el: "AlgebraElement") -> None:
+        img = self.d(el)
+        if img.terms:
+            raise CdgaError(f"element {el} is not a cycle: d gives {img}")
+
     def d_raw(self, terms: Mapping) -> dict:
         """Leibniz expansion in the free algebra, no reduction (used for closure checks)."""
         out: dict[Monomial, Rational] = {}
@@ -985,20 +995,14 @@ class TensorResult:
     rename_right: dict
 
 
-def _transport_presentation_data(P: Presentation, rename: Mapping[str, str]):
-    gens = [Generator(rename[g.name], g.degree) for g in P.generators]
-    return gens
-
-
 def _build_combined(parts, cap, simply_connected, extra_relations=()):
     """Shared assembly for tensor-like constructions.
 
     `parts` is a list of (presentation, rename_map).  Relations and
     differentials are transported through the renaming with exact signs.
     """
-    gens = []
-    for P, rename in parts:
-        gens.extend(_transport_presentation_data(P, rename))
+    gens = [Generator(rename[g.name], g.degree) for P, rename in parts
+            for g in P.generators]
     ctx = _SignEngine(tuple(gens))
     relations = []
     diffs = {}
@@ -1081,8 +1085,8 @@ def direct_sum(A: Presentation, B: Presentation, *, cap: int | None = None) -> T
     map_a, map_b = _fresh_names(A.generators, B.generators, "1", "2")
     cap = min(A.cap, B.cap) if cap is None else cap
     sc = A.simply_connected and B.simply_connected
-    gens = (_transport_presentation_data(A, map_a)
-            + _transport_presentation_data(B, map_b))
+    gens = ([Generator(map_a[g.name], g.degree) for g in A.generators]
+            + [Generator(map_b[g.name], g.degree) for g in B.generators])
     ctx = _SignEngine(tuple(gens))
     cross = []
     for ga in A.generators:
@@ -1172,31 +1176,3 @@ def sub_presentation(P: Presentation, names):
     incl = CdgaMorphism(sub, P, {g.name: P.gen(g.name) for g in gens},
                         check=True, name="sub")
     return sub, incl
-
-
-@dataclass
-class LinearPart:
-    """Word-length-one data of a morphism between free presentations."""
-    source: Presentation
-    target: Presentation
-    matrices: dict  # degree -> list over source gens of dicts {target gen: c}
-
-    def matrix(self, d: int):
-        return self.matrices.get(d, [])
-
-
-def linear_part(phi: CdgaMorphism) -> LinearPart:
-    src, tgt = phi.source, phi.target
-    if not src.is_free or not tgt.is_free:
-        raise NotFree("linear part needs free presentations on both sides")
-    matrices: dict[int, list] = {}
-    for g in src.generators:
-        row = {}
-        img = phi.image_of(g.name)
-        for m, c in img.terms.items():
-            if src._ctx.word_length(m) == 0:
-                continue
-            if tgt._ctx.word_length(m) == 1:
-                row[m[0][0]] = c
-        matrices.setdefault(g.degree, []).append(row)
-    return LinearPart(src, tgt, matrices)

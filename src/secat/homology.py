@@ -1,4 +1,20 @@
-"""Cohomology of finitely presented cdgas, induced maps, and ideal nilpotency.
+"""Cohomology of cochain complexes, induced maps, and ideal nilpotency.
+
+HomologyReport is the one place that computes cycles, boundaries and
+canonical representatives.  It works on any cochain complex X with
+
+    X.dim(d)                      dimension of the degree-d piece
+    X.to_vector(x, d)             coordinates of a degree-d element
+    X.from_vector(d, v)           the element with those coordinates
+    X.differential_vectors(d)     images under d of the degree-d basis, as
+                                  degree-(d+1) vectors
+    X.check_cycle(x)              raises CdgaError unless dx = 0
+    X.cap, X.is_free              the window of faithful degrees
+
+Presentations and semifree modules implement it; the span complex behind
+span_complex_homology implements the part that betti numbers need.
+hit_and_kill is the one degreewise "hit the cokernel, kill the kernel"
+builder behind minimal models and quotient resolutions.
 
 Degree conventions: for a presentation with relations the graded pieces are
 faithful only up to the cap, and computing H^d needs the differential into
@@ -15,67 +31,62 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ZERO, Echelon, kernel_combos, zero_vector
+from .linalg import ZERO, Echelon, combine, kernel_combos, solve_combo, zero_vector
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
-                   Presentation, PresentationMismatch, RangeExceedsCap)
+                   Presentation, RangeExceedsCap)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 class HomologyReport:
-    """Cohomology of a presentation over a degree range [lo, hi]."""
+    """Cohomology of a cochain complex over a degree range [lo, hi].
 
-    def __init__(self, pres: Presentation, lo: int, hi: int):
+    The complex X is any object with the small protocol of this module's
+    docstring, such as a Presentation or a SemiFreeModule.
+    """
+
+    def __init__(self, X, lo: int, hi: int):
         if lo < 0 or hi < lo:
             raise CdgaError(f"bad homology range [{lo}, {hi}]")
-        if not pres.is_free and hi + 1 > pres.cap:
+        if not X.is_free and hi + 1 > X.cap:
             raise RangeExceedsCap(
-                f"homology up to degree {hi} needs cap >= {hi + 1}, have {pres.cap}")
-        self.pres = pres
+                f"homology up to degree {hi} needs cap >= {hi + 1}, have {X.cap}")
+        self.complex = X
         self.lo = lo
         self.hi = hi
         self._boundaries: dict[int, Echelon] = {}
         self._classes: dict[int, Echelon] = {}
-        self._reps: dict[int, list[AlgebraElement]] = {}
+        self._reps: dict[int, list] = {}
         for d in range(lo, hi + 1):
             self._compute_degree(d)
-
-    def _differential_vectors(self, d: int):
-        """Images under d of the degree-d basis, as degree-(d+1) vectors."""
-        P = self.pres
-        out = []
-        for mono in P.basis(d):
-            img = P.d(AlgebraElement(P, {mono: _F1}))
-            out.append(P.to_vector(img, d + 1))
-        return out
 
     def _boundary_echelon(self, d: int) -> Echelon:
         ech = self._boundaries.get(d)
         if ech is not None:
             return ech
-        P = self.pres
-        ech = Echelon(P.dim(d))
+        X = self.complex
+        ech = Echelon(X.dim(d))
         if d >= 1:
-            for v in self._differential_vectors(d - 1):
+            for v in X.differential_vectors(d - 1):
                 ech.add(v)
         self._boundaries[d] = ech
         return ech
 
     def _compute_degree(self, d: int):
-        P = self.pres
-        n = P.dim(d)
+        X = self.complex
+        n = X.dim(d)
         if n == 0:
             self._classes[d] = Echelon(0)
             self._reps[d] = []
             return
-        cycles = kernel_combos(self._differential_vectors(d), P.dim(d + 1))
+        cycles = kernel_combos(X.differential_vectors(d), X.dim(d + 1))
         bech = self._boundary_echelon(d)
         hech = Echelon(n)
         for v in cycles:
             hech.add(bech.reduce(v))
         self._classes[d] = hech
-        self._reps[d] = [P.from_vector(d, row) for row in hech.basis()]
+        self._reps[d] = [X.from_vector(d, row) for row in hech.basis()]
 
     def _check_range(self, d: int):
         if d < self.lo or d > self.hi:
@@ -89,45 +100,45 @@ class HomologyReport:
     def betti_table(self) -> dict[int, int]:
         return {d: self._classes[d].rank for d in range(self.lo, self.hi + 1)}
 
-    def representatives(self, d: int) -> list[AlgebraElement]:
+    def representatives(self, d: int) -> list:
         self._check_range(d)
         return list(self._reps[d])
 
-    def _cycle_vector(self, el: AlgebraElement, d: int):
-        P = self.pres
-        if el.pres is not P:
-            raise PresentationMismatch("element belongs to a different presentation")
-        v = P.to_vector(el, d)
-        img = P.d(el)
-        if img.terms:
-            raise CdgaError(f"element {el} is not a cycle: d gives {img}")
+    def _cycle_vector(self, x, d: int):
+        v = self.complex.to_vector(x, d)
+        self.complex.check_cycle(x)
         return v
 
-    def reduce(self, el: AlgebraElement, d: int | None = None) -> AlgebraElement:
+    def reduce(self, x, d: int | None = None):
         """Canonical representative of the class of a cycle."""
-        if not el.terms:
-            return el
-        d = el.degree() if d is None else d
+        if not x:
+            return x
+        d = x.degree() if d is None else d
         self._check_range(d)
-        v = self._cycle_vector(el, d)
-        return self.pres.from_vector(d, self._boundary_echelon(d).reduce(v))
+        v = self._cycle_vector(x, d)
+        return self.complex.from_vector(d, self._boundary_echelon(d).reduce(v))
 
-    def class_coords(self, el: AlgebraElement, d: int | None = None) -> list[Fraction]:
+    def class_coords(self, x, d: int | None = None) -> list[Fraction]:
         """Coordinates of the class of a cycle in the canonical basis of H^d."""
-        d = el.degree() if d is None and el.terms else d
+        d = x.degree() if d is None and x else d
         if d is None:
             raise DegreeMismatch("zero element needs an explicit degree")
         self._check_range(d)
-        if not el.terms:
+        if not x:
             return zero_vector(self._classes[d].rank)
-        v = self._boundary_echelon(d).reduce(self._cycle_vector(el, d))
+        v = self._boundary_echelon(d).reduce(self._cycle_vector(x, d))
         coords = self._classes[d].coordinates(v)
         if coords is None:
             raise CdgaError("cycle does not reduce into the computed class space")
         return coords
 
-    def is_zero_class(self, el: AlgebraElement, d: int | None = None) -> bool:
-        return not self.reduce(el, d).terms
+    def cycle(self, coords, d: int):
+        """The cycle sum_i coords[i] * representatives(d)[i]."""
+        X = self.complex
+        return X.from_vector(d, combine(coords, self._classes[d].basis(), X.dim(d)))
+
+    def is_zero_class(self, x, d: int | None = None) -> bool:
+        return not self.reduce(x, d)
 
     def total_dim(self, positive_only: bool = False) -> int:
         return sum(self._classes[d].rank
@@ -135,26 +146,37 @@ class HomologyReport:
                    if not (positive_only and d == 0))
 
     def __repr__(self):
-        return f"HomologyReport({self.pres!r}, betti={self.betti_table()})"
+        return f"HomologyReport({self.complex!r}, betti={self.betti_table()})"
 
 
-def homology(P: Presentation, lo: int = 0, hi: int | None = None) -> HomologyReport:
+def homology(X, lo: int = 0, hi: int | None = None) -> HomologyReport:
     if hi is None:
-        hi = P.cap - 1 if not P.is_free else P.cap
-    return HomologyReport(P, lo, hi)
+        hi = X.cap - 1 if not X.is_free else X.cap
+    return HomologyReport(X, lo, hi)
 
 
 # ---------------------------------------------------------------------------
 # induced maps
 
 
-def induced_matrix(phi: CdgaMorphism, H_src: HomologyReport, H_tgt: HomologyReport,
+def induced_matrix(phi, H_src: HomologyReport, H_tgt: HomologyReport,
                    d: int) -> list[list[Fraction]]:
-    """Columns are the coordinates of H(phi) of the source basis classes."""
+    """Columns are the coordinates of H(phi) of the source basis classes.
+
+    `phi` is any chain map given as a callable, a CdgaMorphism included.
+    """
     cols = []
     for rep in H_src.representatives(d):
-        cols.append(H_tgt.class_coords(phi.apply(rep), d))
+        cols.append(H_tgt.class_coords(phi(rep), d))
     return cols
+
+
+def induced_kernel(phi, H_src: HomologyReport, H_tgt: HomologyReport, d: int) -> list:
+    """Cycles spanning ker H^d(phi), one per kernel row over the source basis."""
+    if not H_src.betti(d):
+        return []
+    combos = kernel_combos(induced_matrix(phi, H_src, H_tgt, d), H_tgt.betti(d))
+    return [H_src.cycle(combo, d) for combo in combos]
 
 
 def quasi_iso_failure(phi: CdgaMorphism, lo: int, hi: int,
@@ -182,11 +204,74 @@ def is_quasi_iso(phi: CdgaMorphism, lo: int, hi: int, **kw) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# hit the cokernel, kill the kernel
+
+
+def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, build, prefixes,
+                 images: dict, error: type[CdgaError]):
+    """Adjoin generators degree by degree until a map into the complex of
+    H_tgt induces a bijection on H^lo .. H^hi.
+
+    `build(gens, diffs, images)` returns the current source complex and its
+    chain map into the target, as a callable, from the adjoined generators
+    [(name, degree)], their differentials {name: source element} and their
+    images {name: target element}.  `images` holds the images fixed before
+    any generator is adjoined.  In each degree k:
+
+    * hit: each canonical class of H^k of the target outside the image of
+      the source's H^k gets a degree-k generator with zero differential,
+      sent to the class's representative;
+    * kill (k < hi): each source cycle spanning the kernel of the induced
+      map on H^{k+1} gets a degree-k generator x with dx that cycle, sent to
+      a primitive of the cycle's image.
+
+    A generator is named {prefix}{k}_{i}, with prefixes[0] for hit and
+    prefixes[1] for kill generators, and i counting from 0 per prefix and
+    degree.  `error` is raised when a killed class has no primitive.
+    Returns (gens, diffs, images).
+    """
+    T = H_tgt.complex
+    gens: list[tuple[str, int]] = []
+    diffs: dict = {}
+    images = dict(images)
+    counter: dict[tuple[str, int], int] = {}
+
+    def adjoin(prefix, k, image, z=None):
+        i = counter.get((prefix, k), 0)
+        counter[(prefix, k)] = i + 1
+        name = f"{prefix}{k}_{i}"
+        gens.append((name, k))
+        if z is not None:
+            diffs[name] = z
+        images[name] = image
+
+    X, phi = build(gens, diffs, images)
+    for k in range(lo, hi + 1):
+        H_src = homology(X, k, k)
+        hit = Echelon(H_tgt.betti(k))
+        for col in induced_matrix(phi, H_src, H_tgt, k):
+            hit.add(col)
+        for rep in H_tgt.representatives(k):
+            if hit.add(H_tgt.class_coords(rep, k)) is not None:
+                adjoin(prefixes[0], k, rep)
+        X, phi = build(gens, diffs, images)
+        if k == hi:
+            break
+        kernel = induced_kernel(phi, homology(X, k + 1, k + 1), H_tgt, k + 1)
+        if kernel:
+            dvecs = T.differential_vectors(k)
+            for z in kernel:
+                target = T.to_vector(phi(z), k + 1)
+                combo = solve_combo(dvecs, T.dim(k + 1), target)
+                if combo is None:
+                    raise error(f"class killed in degree {k + 1} has no primitive")
+                adjoin(prefixes[1], k, T.from_vector(k, combo), z)
+            X, phi = build(gens, diffs, images)
+    return gens, diffs, images
+
+
+# ---------------------------------------------------------------------------
 # kernels of surjections
-
-
-def surjectivity_failure(phi: CdgaMorphism, hi: int) -> int | None:
-    return phi.is_surjective_up_to(hi)
 
 
 def kernel_basis(phi: CdgaMorphism, d: int) -> list[AlgebraElement]:
@@ -294,7 +379,7 @@ class HomologyView(GradedView):
 
     def __init__(self, H: HomologyReport):
         self.H = H
-        self.pres = H.pres
+        self.pres = H.complex
         self.hi = H.hi
 
     def dim(self, d: int) -> int:
@@ -406,6 +491,14 @@ class IdealPowers:
     def is_zero(self, m: int) -> bool:
         return not self.level(m)
 
+    def nil(self) -> tuple[int, SpanningProduct | None]:
+        """(largest m with a nonzero m-th power in the view, a product of it)."""
+        m, witness = 0, None
+        while lvl := self.level(m + 1):
+            witness = lvl[0]
+            m += 1
+        return m, witness
+
     def contains(self, m: int, el: AlgebraElement, d: int) -> bool:
         return self.span_echelon(m, d).contains(self.view.to_coords(el, d))
 
@@ -428,17 +521,8 @@ class NilpotencyResult:
 def nil_ideal(view: GradedView, generators: list[AlgebraElement],
               *, range_relative: bool = True) -> NilpotencyResult:
     powers = IdealPowers(view, generators)
-    if not powers.generators:
-        return NilpotencyResult(0, view.hi, range_relative, generators=[])
-    m = 1
-    witness = None
-    while True:
-        lvl = powers.level(m)
-        if not lvl:
-            break
-        witness = lvl[0]
-        m += 1
-    return NilpotencyResult(m - 1, view.hi, range_relative,
+    nil, witness = powers.nil()
+    return NilpotencyResult(nil, view.hi, range_relative,
                             witness=witness.element if witness else None,
                             witness_factors=witness.factors if witness else (),
                             generators=list(powers.generators))
@@ -498,6 +582,38 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
 # subcomplexes spanned inside a presentation
 
 
+class _SpanComplex:
+    """The subcomplex of P spanned by echelons, in echelon coordinates.
+
+    Only the part of the protocol that betti numbers need.
+    """
+
+    def __init__(self, P: Presentation, spans: dict[int, Echelon]):
+        self.P = P
+        self.spans = spans
+        self.cap, self.is_free = P.cap, P.is_free
+
+    def _span(self, d: int) -> Echelon:
+        return self.spans.get(d, Echelon(self.P.dim(d)))
+
+    def dim(self, d: int) -> int:
+        return self._span(d).rank
+
+    def from_vector(self, d: int, vec) -> AlgebraElement:
+        return self.P.from_vector(d, combine(vec, self._span(d).basis(), self.P.dim(d)))
+
+    def differential_vectors(self, d: int):
+        P, nxt = self.P, self._span(d + 1)
+        out = []
+        for row in self._span(d).basis():
+            img = P.d(P.from_vector(d, row))
+            v = nxt.coordinates(P.to_vector(img, d + 1))
+            if v is None:
+                raise CdgaError(f"differential leaves the span in degree {d}")
+            out.append(v)
+        return out
+
+
 def span_complex_homology(P: Presentation, spans: dict[int, Echelon],
                           lo: int, hi: int) -> dict[int, int]:
     """Betti numbers of a d-stable span inside P, degrees lo..hi.
@@ -505,23 +621,4 @@ def span_complex_homology(P: Presentation, spans: dict[int, Echelon],
     `spans[d]` is an echelon of degree-d coordinate vectors.  Raises when the
     differential leaves the span, since then it is not a subcomplex.
     """
-    betti = {}
-    for d in range(lo, hi + 1):
-        sp = spans.get(d, Echelon(P.dim(d)))
-        nxt = spans.get(d + 1, Echelon(P.dim(d + 1)))
-        images = []
-        for row in sp.basis():
-            img = P.d(P.from_vector(d, row))
-            v = P.to_vector(img, d + 1) if img.terms else zero_vector(P.dim(d + 1))
-            if img.terms and not nxt.contains(v):
-                raise CdgaError(f"differential leaves the span in degree {d}")
-            images.append(v)
-        cycle_count = len(kernel_combos(images, P.dim(d + 1)))
-        prev = spans.get(d - 1, Echelon(P.dim(d - 1)))
-        bech = Echelon(P.dim(d))
-        for row in prev.basis():
-            img = P.d(P.from_vector(d - 1, row))
-            if img.terms:
-                bech.add(P.to_vector(img, d))
-        betti[d] = cycle_count - bech.rank
-    return betti
+    return HomologyReport(_SpanComplex(P, spans), lo, hi).betti_table()

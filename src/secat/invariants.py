@@ -31,10 +31,10 @@ from .core import (AlgebraElement, CdgaError, CdgaMorphism, NotSurjective,
                    sub_presentation)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
-                       kernel_ideal_generators, nil_ideal,
+                       induced_kernel, kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, positive_part_generators,
-                       span_complex_homology, surjectivity_failure)
-from .linalg import kernel_combos, solve_combo
+                       span_complex_homology)
+from .linalg import solve_combo
 from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
 from .semifree import (UNIT, find_module_retraction, resolve_quotient,
@@ -178,17 +178,9 @@ def _injectivity_failure(phi: CdgaMorphism, H_src: HomologyReport,
                          H_tgt: HomologyReport, lo: int, hi: int):
     """(degree, nonzero source class killed by H(phi)), or None if injective."""
     for d in range(lo, hi + 1):
-        reps = H_src.representatives(d)
-        if not reps:
-            continue
-        cols = [H_tgt.class_coords(phi.apply(z), d) for z in reps]
-        combos = kernel_combos(cols, H_tgt.betti(d))
-        if combos:
-            z = H_src.pres.zero()
-            for ci, rep in zip(combos[0], reps):
-                if ci:
-                    z = z + rep * ci
-            return d, z
+        kernel = induced_kernel(phi, H_src, H_tgt, d)
+        if kernel:
+            return d, kernel[0]
     return None
 
 
@@ -199,8 +191,7 @@ def _into_kernel(phi: CdgaMorphism, z: AlgebraElement, d: int) -> AlgebraElement
         return z
     B = phi.target
     bbasis = B.basis(d - 1)
-    dimgs = [B.to_vector(B.element({m: 1}).d(), d) for m in bbasis]
-    combo = solve_combo(dimgs, B.dim(d), B.to_vector(img, d))
+    combo = solve_combo(B.differential_vectors(d - 1), B.dim(d), B.to_vector(img, d))
     if combo is None:
         raise CdgaError("image class does not bound; kernel adjustment failed")
     b = B.zero()
@@ -226,32 +217,8 @@ def _into_kernel(phi: CdgaMorphism, z: AlgebraElement, d: int) -> AlgebraElement
 def homology_kernel_classes(phi: CdgaMorphism, H_src: HomologyReport,
                             H_tgt: HomologyReport, hi: int):
     """Cycles spanning ker H(phi) in degrees <= hi, adjusted into ker phi."""
-    out = []
-    for d in range(1, hi + 1):
-        reps = H_src.representatives(d)
-        if not reps:
-            continue
-        cols = [H_tgt.class_coords(phi.apply(z), d) for z in reps]
-        for combo in kernel_combos(cols, H_tgt.betti(d)):
-            z = H_src.pres.zero()
-            for ci, rep in zip(combo, reps):
-                if ci:
-                    z = z + rep * ci
-            if z.terms:
-                out.append(_into_kernel(phi, z, d))
-    return out
-
-
-def _ideal_nil(powers: IdealPowers):
-    """(nil, witness SpanningProduct or None) within the powers' view range."""
-    m = 1
-    witness = None
-    while True:
-        lvl = powers.level(m)
-        if not lvl:
-            return m - 1, witness
-        witness = lvl[0]
-        m += 1
+    return [_into_kernel(phi, z, d) for d in range(1, hi + 1)
+            for z in induced_kernel(phi, H_src, H_tgt, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +274,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     if not S.is_free and hi + 1 > cap:
         raise RangeExceedsCap("surjection bounds need hi + 1 <= source cap")
     hi = min(hi, cap - 1, B.cap if B.is_free else B.cap - 1)
-    bad = surjectivity_failure(phi, hi)
+    bad = phi.is_surjective_up_to(hi)
     if bad is not None:
         raise NotSurjective(bad)
 
@@ -355,7 +322,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
 
     # powers of the kernel ideal drive everything else
     powers = IdealPowers(PresentationView(S, view_hi), kernel_gens)
-    nil_k, _ = _ideal_nil(powers)
+    nil_k, _ = powers.nil()
     kernel_absolute = kernel_complete and htop is not None and htop <= view_hi
     cert = Certificate(
         "kernel-power-vanishes", ctx,
@@ -548,7 +515,7 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
     if htop is not None:
         pviewA = PresentationView(A, min(A.cap, htop))
         pgens = [A.gen(g.name) for g in A.generators]
-        nilA, _ = _ideal_nil(IdealPowers(pviewA, pgens))
+        nilA, _ = IdealPowers(pviewA, pgens).nil()
         cert = Certificate(
             "kernel-power-vanishes",
             {"construction": "input-augmentation", "cdga": label},
@@ -641,7 +608,7 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
         if ttop is not None:
             mview = min(T.cap, ttop + 1)
             kg = kernel_ideal_generators(mult.morphism, mview)
-            nil_mult, _ = _ideal_nil(IdealPowers(PresentationView(T, mview), kg))
+            nil_mult, _ = IdealPowers(PresentationView(T, mview), kg).nil()
             mctx = {"construction": "multiplication", "cdga": label,
                     "n": n, "cap": mcap}
             cert = Certificate(

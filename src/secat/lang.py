@@ -174,6 +174,9 @@ class _Parser:
             return node
         if t.kind == "number":
             self.next()
+            den = t.text.partition("/")[2]
+            if den and not int(den):
+                raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col)
             return ("num", Fraction(t.text))
         if t.kind == "name":
             self.next()

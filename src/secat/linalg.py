@@ -102,6 +102,17 @@ class Echelon:
         return coords
 
 
+def combine(coeffs, rows, width: int) -> list[Fraction]:
+    """sum_i coeffs[i] * rows[i], a vector in Q^width."""
+    out = zero_vector(width)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
+    return out
+
+
 def kernel_combos(images, width: int) -> list[list[Fraction]]:
     """Coefficient vectors c with sum_i c_i * images[i] == 0.
 
@@ -162,10 +173,3 @@ def solve_sparse(equations, nunknowns: int):
     free = [j for j in range(nunknowns) if j not in pinned]
     # pinned-to-zero free variables make the recorded pivot values exact
     return solution, free
-
-
-def rank_of(vectors, width: int) -> int:
-    ech = Echelon(width)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank

@@ -6,15 +6,16 @@ generator names to algebra coefficients; the differential acts by
 
     d(c . x) = d(c) . x + (-1)^{|c|} c . d(x)
 
-with coefficients written on the left.  Three constructions live on top:
+with coefficients written on the left.  A module is a cochain complex in
+the sense of homology.HomologyReport, so `homology(M, lo, hi)` computes its
+cohomology.  Three constructions live on top:
 
 * resolve_quotient: a semifree resolution of A / ideal, built degreewise by
-  the cocycle/kill-kernel steps, together with the quasi-iso onto the quotient.
-* ganea_level: the m-th fiberwise-join module of a resolution of A / I; its
-  generators are ordered (m+1)-tuples of the input generators, and its
-  differential collapses all slots to the unit at once or moves one slot.
+  homology.hit_and_kill, together with the quasi-iso onto the quotient.
 * find_module_retraction: one global exact linear solve for a module chain
   retraction onto the base, the decision procedure behind the m-invariants.
+* semifree_from_relative: a relative Sullivan model seen as a semifree
+  module over its base.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Echelon, kernel_combos, solve_combo, solve_sparse, zero_vector
+from .linalg import solve_sparse, zero_vector
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap, quotient_by_ideal)
-from .homology import HomologyReport, homology
+from .homology import hit_and_kill, homology
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -140,7 +141,16 @@ class SemiFreeModule:
                     out = madd(out, mneg(scaled) if deg % 2 else scaled)
         return out
 
-    # -- graded pieces
+    # -- graded pieces: the cochain-complex protocol of homology.HomologyReport
+
+    @property
+    def cap(self) -> int:
+        return self.base.cap
+
+    @property
+    def is_free(self) -> bool:
+        """Graded pieces are exact in every degree when the base is free."""
+        return self.base.is_free
 
     def basis(self, n: int) -> list[tuple[str, tuple]]:
         out = []
@@ -191,6 +201,14 @@ class SemiFreeModule:
     def basis_element(self, name: str, mono) -> ModuleElement:
         return {name: AlgebraElement(self.base, {mono: _F1})}
 
+    def differential_vectors(self, n: int):
+        return [self.to_vector(self.d_element(self.basis_element(name, mono)), n + 1)
+                for name, mono in self.basis(n)]
+
+    def check_cycle(self, mel: ModuleElement) -> None:
+        if self.d_element(mel):
+            raise CdgaError("module element is not a cycle")
+
     def d2_failure(self, up_to: int | None = None):
         """First generator with d(d(gen)) != 0, or None.  Adjudicates signs."""
         cap = self.base.cap
@@ -214,77 +232,6 @@ class SemiFreeModule:
             if name in mel:
                 parts.append(f"({mel[name]}).{name}")
         return " + ".join(parts)
-
-
-class ModuleHomology:
-    """Homology of a semifree module over a degree range."""
-
-    def __init__(self, module: SemiFreeModule, lo: int, hi: int):
-        base = module.base
-        if not base.is_free and hi + 1 > base.cap:
-            raise RangeExceedsCap(
-                f"module homology up to {hi} needs base cap >= {hi + 1}")
-        self.module = module
-        self.lo, self.hi = lo, hi
-        self._boundaries: dict[int, Echelon] = {}
-        self._classes: dict[int, Echelon] = {}
-        self._reps: dict[int, list[ModuleElement]] = {}
-        for n in range(lo, hi + 1):
-            self._compute(n)
-
-    def _dvectors(self, n: int):
-        M = self.module
-        out = []
-        for name, mono in M.basis(n):
-            img = M.d_element(M.basis_element(name, mono))
-            out.append(M.to_vector(img, n + 1))
-        return out
-
-    def _bech(self, n: int) -> Echelon:
-        ech = self._boundaries.get(n)
-        if ech is not None:
-            return ech
-        ech = Echelon(self.module.dim(n))
-        if n >= 1:
-            for v in self._dvectors(n - 1):
-                ech.add(v)
-        self._boundaries[n] = ech
-        return ech
-
-    def _compute(self, n: int):
-        M = self.module
-        dim = M.dim(n)
-        cycles = kernel_combos(self._dvectors(n), M.dim(n + 1))
-        bech = self._bech(n)
-        hech = Echelon(dim)
-        for v in cycles:
-            hech.add(bech.reduce(v))
-        self._classes[n] = hech
-        self._reps[n] = [M.from_vector(n, row) for row in hech.basis()]
-
-    def betti(self, n: int) -> int:
-        return self._classes[n].rank
-
-    def betti_table(self) -> dict[int, int]:
-        return {n: self._classes[n].rank for n in range(self.lo, self.hi + 1)}
-
-    def representatives(self, n: int) -> list[ModuleElement]:
-        return list(self._reps[n])
-
-    def class_coords(self, mel: ModuleElement, n: int):
-        M = self.module
-        if not mel:
-            return zero_vector(self._classes[n].rank)
-        if M.d_element(mel):
-            raise CdgaError("module element is not a cycle")
-        v = self._bech(n).reduce(M.to_vector(mel, n))
-        coords = self._classes[n].coordinates(v)
-        if coords is None:
-            raise CdgaError("cycle does not reduce into the class space")
-        return coords
-
-    def is_zero_class(self, mel: ModuleElement, n: int) -> bool:
-        return not any(self.class_coords(mel, n))
 
 
 # ---------------------------------------------------------------------------
@@ -313,186 +260,27 @@ class QuotientResolution:
 def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolution:
     """Semifree resolution of A/(ideal_elements), exact in degrees <= E.
 
-    Built like a minimal model: in each degree first new generators with zero
-    differential hit unreached quotient classes, then generators are added to
-    kill module classes that die in the quotient.  Generator names are
-    r{degree}_{i}.
+    Built like a minimal model, by homology.hit_and_kill: in each degree
+    first new generators with zero differential hit unreached quotient
+    classes, then generators are added to kill module classes that die in
+    the quotient.  Generator names are r{degree}_{i}.
     """
     if not A.is_free and E + 1 > A.cap:
         raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
     Q, proj = quotient_by_ideal(A, ideal_elements)
-    HQ = homology(Q, 0, E)
+    res = QuotientResolution(None, Q, proj, {UNIT: Q.one()}, E)
 
-    gens: list[tuple[str, int]] = []
-    diffs: dict[str, ModuleElement] = {}
-    eps: dict[str, AlgebraElement] = {UNIT: Q.one()}
-    counter: dict[int, int] = {}
+    def build(gens, diffs, eps):
+        res.eps = eps
+        return SemiFreeModule(A, gens, diffs, check=False), res.eps_apply
 
-    def build():
-        return SemiFreeModule(A, gens, diffs, check=False)
-
-    def fresh(n: int) -> str:
-        i = counter.get(n, 0)
-        counter[n] = i + 1
-        return f"r{n}_{i}"
-
-    M = build()
-    res = QuotientResolution(M, Q, proj, eps, E)
-    for n in range(1, E + 1):
-        # surjectivity of H^n(eps)
-        MH = ModuleHomology(M, n, n)
-        hit = Echelon(HQ.betti(n))
-        for rep in MH.representatives(n):
-            img = res.eps_apply(rep)
-            hit.add(HQ.class_coords(img, n))
-        for qrep in HQ.representatives(n):
-            if hit.contains(HQ.class_coords(qrep, n)):
-                continue
-            name = fresh(n)
-            gens.append((name, n))
-            eps[name] = qrep
-            hit.add(HQ.class_coords(qrep, n))
-        M = build()
-        res.module = M
-
-        # injectivity of H^{n+1}(eps)
-        if n + 1 > E:
-            break
-        MH1 = ModuleHomology(M, n + 1, n + 1)
-        reps = MH1.representatives(n + 1)
-        img_coords = [HQ.class_coords(res.eps_apply(r), n + 1) for r in reps]
-        kernel = kernel_combos(img_coords, HQ.betti(n + 1))
-        if kernel:
-            dvecs = []
-            for mono in Q.basis(n):
-                img = Q.d(AlgebraElement(Q, {mono: _F1}))
-                dvecs.append(Q.to_vector(img, n + 1))
-            for combo in kernel:
-                z: ModuleElement = {}
-                for c, r in zip(combo, reps):
-                    if c:
-                        z = madd(z, mscale(A.one() * c, r))
-                target = Q.to_vector(res.eps_apply(z), n + 1)
-                ucombo = solve_combo(dvecs, Q.dim(n + 1), target)
-                if ucombo is None:
-                    raise CdgaError("class killed in the quotient has no primitive")
-                u = Q.zero()
-                for c, mono in zip(ucombo, Q.basis(n)):
-                    if c:
-                        u = u + AlgebraElement(Q, {mono: c})
-                name = fresh(n)
-                gens.append((name, n))
-                diffs[name] = z
-                eps[name] = u
-            M = build()
-            res.module = M
-
-    M = SemiFreeModule(A, gens, diffs, check=True)
-    res.module = M
-    bad = M.d2_failure(up_to=E + 1)
+    gens, diffs, res.eps = hit_and_kill(homology(Q, 0, E), 1, E, build,
+                                        ("r", "r"), res.eps, CdgaError)
+    res.module = SemiFreeModule(A, gens, diffs, check=True)
+    bad = res.module.d2_failure(up_to=E + 1)
     if bad is not None:
         raise CdgaError(f"resolution differential fails d^2 = 0 on {bad[0]}")
     return res
-
-
-# ---------------------------------------------------------------------------
-# fiberwise join levels
-
-
-def _tuple_name(names) -> str:
-    return "(" + "|".join(names) + ")"
-
-
-@dataclass
-class GaneaLevel:
-    module: SemiFreeModule
-    level: int
-    tuples: dict                        # tuple gen name -> tuple of input names
-    input_gens: list
-
-
-def ganea_level(res_module: SemiFreeModule, m: int, *, cap: int | None = None) -> GaneaLevel:
-    """Level-m join module of a resolution of A/I.
-
-    Input generators x (unit excluded) with d(x) = d0(x).unit + sum a_j x_j.
-    Level m has a generator per ordered (m+1)-tuple; writing |x| for degrees,
-
-      deg (x_0|...|x_m)  =  sum |x_i|  +  m
-      d   (x_0|...|x_m)  =  (-1)^{sum_{k=1}^{m} (k |x_{m-k}| + k - 1)}
-                              d0(x_0) ... d0(x_m) . unit
-                          + sum_{i,j} (-1)^{(|a_ij|+1)(|x_0|+...+|x_{i-1}|+m)}
-                              a_ij . (x_0|...|x_ij|...|x_m)
-
-    d^2 = 0 is checked on every generator.  Level 0 reproduces the input.
-    """
-    if m < 0:
-        raise CdgaError("join level must be >= 0")
-    base = res_module.base
-    cap = base.cap if cap is None else cap
-    inputs = [(n, d) for n, d in res_module.gen_list if n != UNIT]
-    d0: dict[str, AlgebraElement] = {}
-    dmod: dict[str, list] = {}
-    for n, _ in inputs:
-        mel = res_module.d.get(n, {})
-        d0[n] = mel.get(UNIT, base.zero())
-        dmod[n] = [(g, c) for g, c in mel.items() if g != UNIT]
-
-    tuples: dict[str, tuple] = {}
-    gens: list[tuple[str, int]] = []
-
-    def all_tuples(k):
-        if k == 0:
-            yield ()
-            return
-        for rest in all_tuples(k - 1):
-            for n, _ in inputs:
-                yield rest + (n,)
-
-    for tup in all_tuples(m + 1):
-        deg = sum(res_module.degree_of[n] for n in tup) + m
-        if deg > cap:
-            continue
-        name = _tuple_name(tup)
-        tuples[name] = tup
-        gens.append((name, deg))
-
-    diffs: dict[str, ModuleElement] = {}
-    for name, tup in tuples.items():
-        mel: ModuleElement = {}
-        # collapse term: all slots to their unit coefficients at once
-        exp = sum(k * res_module.degree_of[tup[m - k]] + (k - 1)
-                  for k in range(1, m + 1))
-        coeff = base.one() * (-1 if exp % 2 else 1)
-        for n in tup:
-            coeff = coeff * d0[n]
-            if not coeff.terms:
-                break
-        if coeff.terms:
-            mel = madd(mel, {UNIT: coeff})
-        # slot moves
-        prefix_deg = 0
-        for i, n in enumerate(tup):
-            for g, a in dmod[n]:
-                new_tup = tup[:i] + (g,) + tup[i + 1:]
-                new_name = _tuple_name(new_tup)
-                if new_name not in tuples:
-                    continue  # degree fell outside cap
-                adeg = a.degree()
-                sign = -1 if ((adeg + 1) * (prefix_deg + m)) % 2 else 1
-                mel = madd(mel, {new_name: a * sign})
-            prefix_deg += res_module.degree_of[n]
-        if mel:
-            diffs[name] = mel
-
-    module = SemiFreeModule(base, gens, diffs, check=True)
-    # tuples of degree cap carry truncated differentials (targets beyond the
-    # cap were dropped), so the square-zero check stops short of them
-    bad = module.d2_failure(up_to=cap)
-    if bad is not None:
-        raise CdgaError(
-            f"join differential fails d^2 = 0 on {bad[0]}: "
-            f"{module.format(bad[1])}")
-    return GaneaLevel(module, m, tuples, inputs)
 
 
 # ---------------------------------------------------------------------------

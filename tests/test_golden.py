@@ -1,0 +1,85 @@
+"""Byte-identity pins for the command line.
+
+For every cdga in every bundled model file, at its default cap, the exact
+`--json` standard output of `cat`, `tc --n 2` and `minimal-model` is pinned,
+together with every certificate file that `--emit-certs` writes for `cat`
+and `tc`.  A refactor that keeps these bytes keeps the reports and the
+certificate corpus.
+
+Regenerate the pinned data (only for an intended output change) with
+
+    PYTHONPATH=src python3 tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from conftest import MODELS
+
+from secat.cli import main
+from secat.lang import parse_document
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
+COMMANDS = {"cat": ["cat"], "tc": ["tc", "--n", "2"],
+            "minimal-model": ["minimal-model"]}
+
+
+def cases():
+    """(case id, file name, cdga label, command key), in a fixed order."""
+    out = []
+    for path in sorted(MODELS.glob("*.cdga")):
+        doc = parse_document(path.read_text())
+        for kind, label in doc.order:
+            if kind == "cdga":
+                for key in COMMANDS:
+                    out.append((f"{path.name}:{label}:{key}", path.name, label, key))
+    return out
+
+
+def run_case(filename, label, key):
+    """{"stdout": the --json output, "certs": {file name: contents}}."""
+    cmd = COMMANDS[key]
+    argv = [cmd[0], str(MODELS / filename), "--name", label, "--json"] + cmd[1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        if key != "minimal-model":
+            argv += ["--emit-certs", tmp]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0, f"{argv} exited with {code}"
+        certs = {p.name: p.read_text(encoding="utf-8")
+                 for p in sorted(pathlib.Path(tmp).iterdir())}
+    return {"stdout": buf.getvalue(), "certs": certs}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case,filename,label,key", cases(),
+                         ids=[c[0] for c in cases()])
+def test_cli_output_is_byte_identical(golden, case, filename, label, key):
+    assert case in golden, f"no pinned output for {case}; regenerate the data"
+    got = run_case(filename, label, key)
+    want = golden[case]
+    assert got["stdout"] == want["stdout"]
+    assert sorted(got["certs"]) == sorted(want["certs"])
+    for name, text in want["certs"].items():
+        assert got["certs"][name] == text, f"certificate {name} changed"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    data = {case: run_case(f, label, key) for case, f, label, key in cases()}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(data)} cases to {GOLDEN}")

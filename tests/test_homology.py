@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from secat.core import Presentation, quotient_by_ideal
+from secat.core import CdgaError, Presentation, quotient_by_ideal
 from secat.homology import (HomologyView, IdealPowers, PresentationView,
                             homology, induced_matrix, is_quasi_iso,
                             kernel_basis, kernel_ideal_generators, nil_ideal,
@@ -194,6 +194,12 @@ def test_span_complex_homology_detects_acyclic_ideals(models):
     spans2 = {d: p2.span_echelon(1, d) for d in range(9)}
     betti2 = span_complex_homology(T, spans2, 1, 7)
     assert all(b == 0 for b in betti2.values())
+
+    # the ideal (x) is not d-stable: d(x) = a^2 leaves it
+    px = IdealPowers(PresentationView(S2, 8), [S2.gen("x")])
+    spans3 = {d: px.span_echelon(1, d) for d in range(9)}
+    with pytest.raises(CdgaError, match="differential leaves the span in degree 3"):
+        span_complex_homology(S2, spans3, 1, 7)
 
 
 def test_kernel_basis_beyond_target_range_requires_certified_vanishing(models):

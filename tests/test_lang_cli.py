@@ -99,6 +99,11 @@ def test_parse_errors_carry_positions():
         parse_document("cdga A { gen a : 3; rel a^1/2; }")
     assert "exponent must be an integer" in str(exc.value)
 
+    with pytest.raises(ParseError) as exc:
+        parse_document("cdga A {\n  gen a : 2;\n  gen x : 3;\n  d x = 1/0*a^2;\n}")
+    assert "zero denominator" in str(exc.value)
+    assert exc.value.line == 4 and exc.value.col == 9
+
 
 def test_unknown_flag_is_rejected():
     doc = parse_document("cdga A { cap 6; flag mystery; gen a : 2; }")

@@ -14,7 +14,6 @@ from secat.invariants import (
     Certificate, cat_bounds, certificate_from_json, tc_bounds,
     verify_certificate,
 )
-from secat.semifree import ganea_level, resolve_quotient
 
 SEED = 20260815
 BULK_MODELS = ["coformal.cdga", "truncated_mix.cdga", "sum_of_squares.cdga",
@@ -201,23 +200,6 @@ def test_tc_chains(models):
         cat = cat_bounds(models[label], label=label)
         if rep.tc.lower is not None and cat.cat.upper is not None:
             assert (cat.cat.lower or 0) <= (n - 1) * cat.cat.upper + rep.tc.upper
-
-
-# ---------------------------------------------------------------------------
-# join levels carry a differential that squares to zero
-
-
-@pytest.mark.parametrize("filename,gens,E,levels", [
-    ("sphere2.cdga", ["a"], 7, (0, 1, 2)),
-    ("sphere3.cdga", ["u"], 6, (0, 1, 2)),
-    ("sum_of_squares.cdga", ["a", "b"], 6, (0, 1)),
-])
-def test_join_levels_square_to_zero(filename, gens, E, levels):
-    P = _first_cdga(filename)
-    res = resolve_quotient(P, [P.gen(g) for g in gens], E)
-    for m in levels:
-        lvl = ganea_level(res.module, m, cap=E + 2)
-        assert lvl.module.d2_failure(E + 2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
-"""Semifree modules: resolutions, join levels, retraction solving."""
-
-from fractions import Fraction
+"""Semifree modules: resolutions, module homology, retraction solving."""
 
 import pytest
+
+from conftest import MODELS, load_model
 
 from secat.core import (
     CdgaError, DegreeMismatch, Presentation, RangeExceedsCap, sub_presentation,
 )
 from secat.construct import acyclic_closure, path_fibration_model
 from secat.homology import homology
+from secat.linalg import Echelon
 from secat.semifree import (
-    UNIT, GaneaLevel, ModuleHomology, SemiFreeModule, find_module_retraction,
-    ganea_level, resolve_quotient, semifree_from_relative,
-    verify_module_retraction, _tuple_name,
+    UNIT, SemiFreeModule, find_module_retraction, resolve_quotient,
+    semifree_from_relative, verify_module_retraction,
 )
 
 
@@ -111,7 +111,7 @@ def test_resolution_of_the_point_over_an_odd_sphere(models):
     u = S3.gen("u")
     assert res.module.d["r2_0"] == {UNIT: u}
     assert res.module.d["r4_0"] in ({"r2_0": u}, {"r2_0": -u})
-    mh = ModuleHomology(res.module, 0, 6)
+    mh = homology(res.module, 0, 6)
     assert mh.betti_table() == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
 
 
@@ -122,7 +122,7 @@ def test_resolution_of_a_hypersurface_quotient(models):
     gens = [(n, d) for n, d in res.module.gen_list if n != UNIT]
     assert gens == [("r1_0", 1)]
     assert res.module.d["r1_0"] == {UNIT: a}
-    mh = ModuleHomology(res.module, 0, 7)
+    mh = homology(res.module, 0, 7)
     hq = homology(res.quotient, 0, 7)
     assert mh.betti_table() == hq.betti_table()
     # the comparison map matches classes, not just dimensions
@@ -130,72 +130,42 @@ def test_resolution_of_a_hypersurface_quotient(models):
     assert not hq.is_zero_class(res.eps_apply(rep), 3)
 
 
+def _relation_cases():
+    """(model label, ideal generators) for every bundled cdga with relations:
+    each positive generator that is a cycle, and all positive generators."""
+    cases = []
+    for path in sorted(MODELS.glob("*.cdga")):
+        for label, P in load_model(path.name)[0].items():
+            if P.is_free:
+                continue
+            names = [g.name for g in P.generators if g.degree > 0]
+            cases += [(label, (n,)) for n in names if not P.gen(n).d()]
+            if (label, tuple(names)) not in cases:
+                cases.append((label, tuple(names)))
+    return cases
+
+
+@pytest.mark.parametrize("label,gens", _relation_cases(),
+                         ids=[f"{label}-{'+'.join(gens)}"
+                              for label, gens in _relation_cases()])
+def test_resolution_homology_matches_the_quotient(models, label, gens):
+    P = models[label]
+    E = P.cap - 1
+    res = resolve_quotient(P, [P.gen(n) for n in gens], E)
+    hm = homology(res.module, 0, E)
+    hq = homology(res.quotient, 0, E)
+    assert hm.betti_table() == hq.betti_table()
+    # eps carries the module's class basis onto a basis of the quotient's
+    for d in range(E + 1):
+        image = Echelon(hq.betti(d))
+        for rep in hm.representatives(d):
+            assert image.add(hq.class_coords(res.eps_apply(rep), d)) is not None
+        assert image.rank == hq.betti(d)
+
+
 def test_resolution_range_guard(models):
     with pytest.raises(RangeExceedsCap):
         resolve_quotient(models["T"], [models["T"].gen("a")], 14)
-
-
-# ---------------------------------------------------------------------------
-# fiberwise join levels
-
-
-def test_join_level_zero_reproduces_the_input(models):
-    S3 = models["S3"]
-    res = resolve_quotient(S3, [S3.gen("u")], 6)
-    g0 = ganea_level(res.module, 0)
-    for name, deg in res.module.gen_list:
-        if name == UNIT:
-            continue
-        tname = _tuple_name((name,))
-        assert g0.module.degree_of[tname] == deg
-        want = {(_tuple_name((g,)) if g != UNIT else UNIT): c
-                for g, c in res.module.d.get(name, {}).items()}
-        assert g0.module.d.get(tname, {}) == want
-
-
-def test_join_level_collapse_signs(models):
-    S2 = models["S2"]
-    a = S2.gen("a")
-    res = resolve_quotient(S2, [a], 7)
-    g1 = ganea_level(res.module, 1, cap=8)
-    pair = _tuple_name(("r1_0", "r1_0"))
-    assert g1.module.degree_of[pair] == 3
-    assert g1.module.d[pair] == {UNIT: -(a * a)}
-    g2 = ganea_level(res.module, 2, cap=8)
-    triple = _tuple_name(("r1_0",) * 3)
-    assert g2.module.degree_of[triple] == 5
-    assert g2.module.d[triple] == {UNIT: a * a * a}
-
-
-def test_join_level_slot_moves(models):
-    S3 = models["S3"]
-    res = resolve_quotient(S3, [S3.gen("u")], 6)
-    g1 = ganea_level(res.module, 1, cap=10)
-    # the collapse of two odd unit-images u . u vanishes, so only slot moves
-    # survive: (r2_0|r4_0) -> (r2_0|r2_0) with coefficient from d(r4_0)
-    name = _tuple_name(("r2_0", "r4_0"))
-    mel = g1.module.d.get(name, {})
-    assert set(mel) == {_tuple_name(("r2_0", "r2_0"))}
-    coeff = mel[_tuple_name(("r2_0", "r2_0"))]
-    assert coeff in (S3.gen("u"), -S3.gen("u"))
-
-
-def test_join_levels_pass_square_checks(models):
-    # the constructor runs the d^2 check internally; reaching here means it
-    # held for mixed even/odd inputs as well
-    Q = models["Q"]
-    res = resolve_quotient(Q, [Q.gen("a"), Q.gen("b")], 6)
-    for m in (1, 2):
-        lvl = ganea_level(res.module, m, cap=8)
-        assert isinstance(lvl, GaneaLevel)
-        assert lvl.module.d2_failure(up_to=7) is None
-
-
-def test_join_level_rejects_negative_levels(models):
-    S3 = models["S3"]
-    res = resolve_quotient(S3, [S3.gen("u")], 4)
-    with pytest.raises(CdgaError):
-        ganea_level(res.module, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +238,13 @@ def test_retraction_verifier_rejects_corruption(squares_module):
 
 
 def test_retraction_on_a_join_level(models):
-    # level-1 join of the point resolution over an even sphere: the collapse
-    # hits -a^2 = -d(x), so r((r1_0|r1_0)) = x solves the chain equation
+    # level-1 join of the resolution of S2/(a): its one generator p, of
+    # degree 3, collapses onto the unit with d(p) = -a^2 = -d(x), so the
+    # right-hand side comes from a unit coefficient and r(p) = -x
     S2 = models["S2"]
-    res = resolve_quotient(S2, [S2.gen("a")], 7)
-    g1 = ganea_level(res.module, 1, cap=8)
-    ret = find_module_retraction(g1.module, 7)
+    a = S2.gen("a")
+    join = SemiFreeModule(S2, [("p", 3)], {"p": {UNIT: -(a * a)}})
+    ret = find_module_retraction(join, 7)
     assert ret is not None
-    pair = _tuple_name(("r1_0", "r1_0"))
-    assert ret.values[pair] == -S2.gen("x")
-    assert verify_module_retraction(g1.module, ret.values, 7) is None
+    assert ret.values["p"] == -S2.gen("x")
+    assert verify_module_retraction(join, ret.values, 7) is None
