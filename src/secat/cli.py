@@ -24,8 +24,8 @@ from .homology import homology
 from .construct import sullivan_model_of
 from .invariants import (cat_bounds, certificate_from_json, certificate_to_json,
                          surjection_bounds, tc_bounds, verify_certificate)
-from .lang import (default_cap, make_presentation, parse_document,
-                   print_presentation, realize_document)
+from .lang import (make_presentation, parse_document, print_presentation,
+                   realize_document)
 
 
 def _read(path: str) -> str:

@@ -19,7 +19,7 @@ All coefficients are fractions.Fraction; floats never appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 

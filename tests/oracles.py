@@ -147,11 +147,16 @@ def strike(element, rel_words):
 # ---------------------------------------------------------------------------
 # dense rational linear algebra
 
-def rank(rows):
-    """Row rank of a dense matrix of Fractions (destructive on a copy)."""
-    rows = [list(r) for r in rows if any(r)]
+def rref(rows):
+    """Reduced row echelon form of a dense matrix of Fractions.
+
+    Returns the nonzero rows, with unit pivots and ordered by pivot column;
+    each pivot column is zero outside its row.  This is the unique RREF basis
+    of the row space (works on a copy).
+    """
+    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
     r = 0
     for col in range(ncols):
@@ -168,7 +173,12 @@ def rank(rows):
         r += 1
         if r == len(rows):
             break
-    return r
+    return rows[:r]
+
+
+def rank(rows):
+    """Row rank of a dense matrix of Fractions."""
+    return len(rref(rows))
 
 
 def betti_numbers(gens, diffs, rel_words, hi):

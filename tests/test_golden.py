@@ -3,7 +3,8 @@
 For every cdga in every bundled model file, at its default cap, the exact
 `--json` standard output of `cat`, `tc --n 2` and `minimal-model` is pinned,
 together with every certificate file that `--emit-certs` writes for `cat`
-and `tc`.  A refactor that keeps these bytes keeps the reports and the
+and `tc`.  Cases at a raised cap (`RAISED_CAPS`) pin large linear systems
+too.  A refactor that keeps these bytes keeps the reports and the
 certificate corpus.
 
 Regenerate the pinned data (only for an intended output change) with
@@ -28,24 +29,34 @@ from secat.lang import parse_document
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 COMMANDS = {"cat": ["cat"], "tc": ["tc", "--n", "2"],
             "minimal-model": ["minimal-model"]}
+# (file name, cdga label, command key, cap) run above the default cap:
+# cat T at cap 16 solves a 3533 x 3467 module-retraction system.
+RAISED_CAPS = [("truncated_mix.cdga", "T", "cat", 16)]
 
 
 def cases():
-    """(case id, file name, cdga label, command key), in a fixed order."""
+    """(case id, file name, cdga label, command key, cap), in a fixed order.
+
+    The cap is None for the default cap.
+    """
     out = []
     for path in sorted(MODELS.glob("*.cdga")):
         doc = parse_document(path.read_text())
         for kind, label in doc.order:
             if kind == "cdga":
                 for key in COMMANDS:
-                    out.append((f"{path.name}:{label}:{key}", path.name, label, key))
+                    out.append((f"{path.name}:{label}:{key}", path.name, label, key, None))
+    for filename, label, key, cap in RAISED_CAPS:
+        out.append((f"{filename}:{label}:{key}:cap{cap}", filename, label, key, cap))
     return out
 
 
-def run_case(filename, label, key):
+def run_case(filename, label, key, cap=None):
     """{"stdout": the --json output, "certs": {file name: contents}}."""
     cmd = COMMANDS[key]
     argv = [cmd[0], str(MODELS / filename), "--name", label, "--json"] + cmd[1:]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
     with tempfile.TemporaryDirectory() as tmp:
         if key != "minimal-model":
             argv += ["--emit-certs", tmp]
@@ -63,11 +74,11 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case,filename,label,key", cases(),
+@pytest.mark.parametrize("case,filename,label,key,cap", cases(),
                          ids=[c[0] for c in cases()])
-def test_cli_output_is_byte_identical(golden, case, filename, label, key):
+def test_cli_output_is_byte_identical(golden, case, filename, label, key, cap):
     assert case in golden, f"no pinned output for {case}; regenerate the data"
-    got = run_case(filename, label, key)
+    got = run_case(filename, label, key, cap)
     want = golden[case]
     assert got["stdout"] == want["stdout"]
     assert sorted(got["certs"]) == sorted(want["certs"])
@@ -79,7 +90,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    data = {case: run_case(f, label, key) for case, f, label, key in cases()}
+    data = {case: run_case(f, label, key, cap) for case, f, label, key, cap in cases()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(data)} cases to {GOLDEN}")

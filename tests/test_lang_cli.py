@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import MODELS, load_model
+from test_golden import GOLDEN
 
 from secat.cli import main
 from secat.core import CdgaError
@@ -180,10 +181,11 @@ def test_cli_cat_report(capsys):
     assert "cat = 3" in out
 
 
-def test_cli_cat_json_shape(capsys):
-    code, out, _ = run(capsys, "cat", path("truncated_mix.cdga"), "--json")
-    assert code == 0
-    payload = json.loads(out)
+def test_cli_cat_json_shape():
+    """Values in the pinned `cat T --json` output; test_golden checks that
+    the command line still prints exactly that output."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    payload = json.loads(golden["truncated_mix.cdga:T:cat"]["stdout"])
     by_name = {b["name"]: b for b in payload["bounds"]}
     assert by_name["toomer"]["lower"] == by_name["toomer"]["upper"] == 2
     assert by_name["mcat"]["lower"] == 3

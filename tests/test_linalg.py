@@ -1,0 +1,137 @@
+"""The exact linear-algebra kernel against the dense oracle RREF.
+
+Small random rational matrices, with zero rows, repeated rows and zero
+width, are fed to `Echelon` and the solvers in `secat.linalg`; every answer
+is checked against `oracles.rref` / `oracles.rank` or by substitution.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import oracles as orc
+
+from secat.linalg import (
+    Echelon, combine, kernel_combos, solve_combo, solve_sparse, zero_vector,
+)
+
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_width=5):
+    """(width, rows): a few rows in Q^width, some zero, some repeated."""
+    width = draw(st.integers(0, max_width))
+    row = st.lists(ENTRIES, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append(zero_vector(width))
+    return width, draw(st.permutations(rows))
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """(width, rows, v) with v either random or a combination of the rows."""
+    width, rows = draw(matrices())
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+        v = combine(coeffs, rows, width)
+    else:
+        v = draw(st.lists(ENTRIES, min_size=width, max_size=width))
+    return width, rows, v
+
+
+def _echelon(width, rows):
+    ech = Echelon(width)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
+def _pivot_columns(rref_rows):
+    return [next(j for j, c in enumerate(r) if c) for r in rref_rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices(), data=st.data())
+def test_basis_is_the_oracle_rref_in_any_insertion_order(m, data):
+    width, rows = m
+    want = orc.rref(rows)
+    for order in (rows, data.draw(st.permutations(rows))):
+        ech = _echelon(width, order)
+        assert ech.basis() == want
+        assert ech.rank == len(want)
+        assert sorted(ech.pivots) == _pivot_columns(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrix_and_vector())
+def test_contains_coordinates_and_reduce_agree_with_the_oracle(m):
+    width, rows, v = m
+    ech = _echelon(width, rows)
+    basis = orc.rref(rows)
+    inside = orc.rank(rows + [v]) == orc.rank(rows)
+    assert ech.contains(v) == inside
+    coords = ech.coordinates(v)
+    if inside:
+        assert coords == [v[p] for p in _pivot_columns(basis)]
+        assert combine(coords, basis, width) == v
+    else:
+        assert coords is None
+    red = ech.reduce(v)
+    assert all(red[p] == 0 for p in _pivot_columns(basis))
+    assert orc.rank(rows + [[a - b for a, b in zip(v, red)]]) == orc.rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices())
+def test_kernel_combos_span_the_kernel(m):
+    width, images = m
+    combos = kernel_combos(images, width)
+    assert len(combos) == len(images) - orc.rank(images)
+    for c in combos:
+        assert len(c) == len(images)
+        assert combine(c, images, width) == zero_vector(width)
+    assert orc.rref(combos) == combos
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrix_and_vector())
+def test_solve_combo_is_none_exactly_outside_the_span(m):
+    width, images, target = m
+    c = solve_combo(images, width, target)
+    if orc.rank(images + [target]) > orc.rank(images):
+        assert c is None
+    else:
+        assert c is not None and len(c) == len(images)
+        assert combine(c, images, width) == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices(), zero_entry=st.booleans())
+def test_solve_sparse_solves_or_reports_inconsistency(m, zero_entry):
+    """Each row (a_0 .. a_{n-1}, b) is the equation sum_j a_j x_j = b."""
+    width, rows = m
+    if width == 0:
+        return
+    n = width - 1
+    equations = []
+    for row in rows:
+        coeffs = {j: c for j, c in enumerate(row[:n]) if c}
+        if zero_entry and n:
+            coeffs.setdefault(0, Fraction(0))
+        equations.append((coeffs, row[n]))
+    solved = solve_sparse(equations, n)
+    A = [row[:n] for row in rows]
+    if orc.rank(rows) > orc.rank(A):
+        assert solved is None
+        return
+    assert solved is not None
+    solution, free = solved
+    assert sorted(free) == sorted(set(range(n)) - set(solution))
+    assert len(free) == n - orc.rank(A)
+    x = [solution.get(j, Fraction(0)) for j in range(n)]
+    for coeffs, rhs in equations:
+        assert sum((c * x[j] for j, c in coeffs.items()), Fraction(0)) == rhs
