@@ -10,6 +10,10 @@ Representation constraints:
   handled degree by degree: for each degree up to the presentation cap a
   reduced row echelon basis of its graded piece is computed once and cached,
   and reduction is elimination against that basis.  No Groebner machinery.
+* The differential of a monomial is one Leibniz expansion in the free
+  algebra followed by one reduction when the image lies at or under the cap
+  (see Derivation); on a presentation with relations the result is memoised
+  per monomial for the life of the presentation.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -179,6 +183,46 @@ class _SignEngine:
                     out[mono] = c
                 elif mono in out:
                     del out[mono]
+        return out
+
+    def leibniz_terms(self, m: Monomial, values: Mapping[str, Mapping[Monomial, Rational]],
+                      degree: int):
+        """The Leibniz terms of theta(m), m = f1...fs, for the degree-`degree`
+        derivation theta with generator values `values`: one
+        (k, f1..f_{j-1}, theta(f_j), f_{j+1}..fs) per position j with
+        theta(f_j) != 0, where k is the exponent of f_j times the sign
+        (-1)^{degree * |f1..f_{j-1}|}.
+        """
+        prefix_deg = 0
+        for i, (name, exp) in enumerate(m):
+            img = values.get(name)
+            if img:
+                k = exp if (degree * prefix_deg) % 2 == 0 else -exp
+                hole = ((name, exp - 1),) if exp > 1 else ()
+                yield k, m[:i], img, hole + m[i + 1:]
+            prefix_deg += self.degree_of[name] * exp
+
+    def leibniz(self, terms: Mapping[Monomial, Rational],
+                values: Mapping[str, Mapping[Monomial, Rational]], degree: int) -> dict:
+        """Free-algebra image of `terms` under the degree-`degree` derivation
+        with generator values `values`, unreduced."""
+        out: dict[Monomial, Rational] = {}
+        for m, c in terms.items():
+            for k, prefix, img, suffix in self.leibniz_terms(m, values, degree):
+                coeff = c * k
+                for v, cv in img.items():
+                    left = self.mul_mono(prefix, v)
+                    if left is None:
+                        continue
+                    right = self.mul_mono(left[1], suffix)
+                    if right is None:
+                        continue
+                    mono = right[1]
+                    val = out.get(mono, _F0) + left[0] * right[0] * coeff * cv
+                    if val:
+                        out[mono] = val
+                    elif mono in out:
+                        del out[mono]
         return out
 
     # -- free monomial bases
@@ -500,38 +544,7 @@ class Presentation:
 
     def d_raw(self, terms: Mapping) -> dict:
         """Leibniz expansion in the free algebra, no reduction (used for closure checks)."""
-        out: dict[Monomial, Rational] = {}
-        for m, c in terms.items():
-            for mono, cc in self._leibniz_mono(m).items():
-                v = out.get(mono, _F0) + c * cc
-                if v:
-                    out[mono] = v
-                elif mono in out:
-                    del out[mono]
-        return out
-
-    def _leibniz_mono(self, m: Monomial) -> dict:
-        ctx = self._ctx
-        out: dict[Monomial, Rational] = {}
-        prefix_deg = 0
-        for i, (name, exp) in enumerate(m):
-            img = self._diff_raw.get(name)
-            if img:
-                sign = -1 if prefix_deg % 2 else 1
-                coeff = Fraction(exp * sign)
-                prefix = m[:i]
-                hole = ((name, exp - 1),) if exp > 1 else ()
-                suffix = hole + m[i + 1:]
-                part = ctx.raw_mul({prefix: _F1}, img)
-                part = ctx.raw_mul(part, {suffix: _F1})
-                for mono, c in part.items():
-                    v = out.get(mono, _F0) + coeff * c
-                    if v:
-                        out[mono] = v
-                    elif mono in out:
-                        del out[mono]
-            prefix_deg += ctx.degree_of[name] * exp
-        return out
+        return self._ctx.leibniz(terms, self._diff_raw, 1)
 
     # -- validation
 
@@ -780,7 +793,14 @@ class Derivation:
     """A degree-k derivation given by its values on generators.
 
     apply() expands theta(f1...fs) = sum_j +-(f1..f_{j-1}) theta(f_j) (f_{j+1}..fs)
-    with the sign (-1)^{k * deg(prefix)}.
+    with the sign (-1)^{k * deg(prefix)} in the free algebra, then reduces
+    once.  Up to the cap this equals the sum of products of reduced factors,
+    because the relations span an ideal.  Above the cap of a presentation
+    with relations a term is formed factor by factor, reducing after each
+    product: it is 0 if a partial product vanishes at or under the cap and
+    raises RangeExceedsCap otherwise.  On a presentation with relations the
+    reduced image of each monomial is memoised; free presentations reduce
+    nothing and keep no memo, since their graded pieces are unbounded.
     """
 
     def __init__(self, pres: Presentation, degree: int, values: Mapping[str, AlgebraElement],
@@ -802,26 +822,44 @@ class Derivation:
                         f"derivation value for {name} must have degree {want}")
             vals[name] = el
         self.values = vals
+        self._raw = {name: el.terms for name, el in vals.items()}
+        self._memo: dict[Monomial, dict] | None = None if pres.is_free else {}
 
     def apply(self, el: AlgebraElement) -> AlgebraElement:
         if el.pres is not self.pres:
             raise PresentationMismatch("element belongs to a different presentation")
         pres = self.pres
         ctx = pres._ctx
-        out = pres.zero()
+        memo = self._memo
+        if memo is None:
+            return AlgebraElement(pres, ctx.leibniz(el.terms, self._raw, self.degree))
+        top = pres.cap - self.degree
+        out: dict[Monomial, Rational] = {}
         for m, c in el.terms.items():
-            prefix_deg = 0
-            for i, (name, exp) in enumerate(m):
-                img = self.values.get(name)
-                if img is not None:
-                    sign = -1 if (self.degree * prefix_deg) % 2 else 1
-                    prefix = AlgebraElement(pres, pres.reduce_raw({m[:i]: _F1}))
-                    hole = ((name, exp - 1),) if exp > 1 else ()
-                    suffix = AlgebraElement(pres, pres.reduce_raw({hole + m[i + 1:]: _F1}))
-                    term = prefix * img * suffix
-                    out = out + term * Fraction(c * exp * sign)
-                prefix_deg += ctx.degree_of[name] * exp
-        return out
+            img = memo.get(m)
+            if img is None:
+                if ctx.mono_degree(m) > top:
+                    self._check_above_cap(m)
+                    img = {}
+                else:
+                    img = pres.reduce_raw(ctx.leibniz({m: _F1}, self._raw, self.degree))
+                memo[m] = img
+            for mono, v in img.items():
+                val = out.get(mono, _F0) + c * v
+                if val:
+                    out[mono] = val
+                elif mono in out:
+                    del out[mono]
+        return AlgebraElement(pres, out)
+
+    def _check_above_cap(self, m: Monomial):
+        """Raise RangeExceedsCap unless every term of theta(m), whose degree
+        is above the cap, vanishes as a product of reduced factors."""
+        pres = self.pres
+        ctx = pres._ctx
+        for _, prefix, img, suffix in ctx.leibniz_terms(m, self._raw, self.degree):
+            left = pres.reduce_raw(ctx.raw_mul(pres.reduce_raw({prefix: _F1}), img))
+            pres.reduce_raw(ctx.raw_mul(left, pres.reduce_raw({suffix: _F1})))
 
 
 # ---------------------------------------------------------------------------

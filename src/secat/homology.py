@@ -58,35 +58,34 @@ class HomologyReport:
         self._boundaries: dict[int, Echelon] = {}
         self._classes: dict[int, Echelon] = {}
         self._reps: dict[int, list] = {}
+        below = None  # the differential matrix of degree d - 1, once built
         for d in range(lo, hi + 1):
-            self._compute_degree(d)
+            below = self._compute_degree(d, below)
 
-    def _boundary_echelon(self, d: int) -> Echelon:
-        ech = self._boundaries.get(d)
-        if ech is not None:
-            return ech
-        X = self.complex
-        ech = Echelon(X.dim(d))
-        if d >= 1:
-            for v in X.differential_vectors(d - 1):
-                ech.add(v)
-        self._boundaries[d] = ech
-        return ech
-
-    def _compute_degree(self, d: int):
+    def _compute_degree(self, d: int, below: list | None) -> list:
+        """Fill in degree d from the degree-(d-1) matrix `below` (None when
+        not yet built); return the degree-d differential matrix."""
         X = self.complex
         n = X.dim(d)
         if n == 0:
+            self._boundaries[d] = Echelon(0)
             self._classes[d] = Echelon(0)
             self._reps[d] = []
-            return
-        cycles = kernel_combos(X.differential_vectors(d), X.dim(d + 1))
-        bech = self._boundary_echelon(d)
+            return []
+        matrix = X.differential_vectors(d)
+        cycles = kernel_combos(matrix, X.dim(d + 1))
+        if below is None and d >= 1:
+            below = X.differential_vectors(d - 1)
+        bech = Echelon(n)
+        for v in below or ():
+            bech.add(v)
+        self._boundaries[d] = bech
         hech = Echelon(n)
         for v in cycles:
             hech.add(bech.reduce(v))
         self._classes[d] = hech
         self._reps[d] = [X.from_vector(d, row) for row in hech.basis()]
+        return matrix
 
     def _check_range(self, d: int):
         if d < self.lo or d > self.hi:
@@ -116,7 +115,7 @@ class HomologyReport:
         d = x.degree() if d is None else d
         self._check_range(d)
         v = self._cycle_vector(x, d)
-        return self.complex.from_vector(d, self._boundary_echelon(d).reduce(v))
+        return self.complex.from_vector(d, self._boundaries[d].reduce(v))
 
     def class_coords(self, x, d: int | None = None) -> list[Fraction]:
         """Coordinates of the class of a cycle in the canonical basis of H^d."""
@@ -126,7 +125,7 @@ class HomologyReport:
         self._check_range(d)
         if not x:
             return zero_vector(self._classes[d].rank)
-        v = self._boundary_echelon(d).reduce(self._cycle_vector(x, d))
+        v = self._boundaries[d].reduce(self._cycle_vector(x, d))
         coords = self._classes[d].coordinates(v)
         if coords is None:
             raise CdgaError("cycle does not reduce into the computed class space")

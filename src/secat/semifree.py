@@ -101,6 +101,7 @@ class SemiFreeModule:
                 clean[g] = c
             if clean:
                 self.d[name] = clean
+        self._blocks: dict[int, tuple[dict[str, tuple[int, int]], int]] = {}
 
     # -- elements
 
@@ -162,23 +163,34 @@ class SemiFreeModule:
                 out.append((name, mono))
         return out
 
+    def _layout(self, n: int):
+        """(generator -> (offset, width) of its block, total dimension) in
+        degree n; generators above n have no block.  The module is immutable
+        after construction, so each degree's layout is computed once."""
+        layout = self._blocks.get(n)
+        if layout is None:
+            blocks = {}
+            total = 0
+            for name, deg in self.gen_list:
+                if n - deg >= 0:
+                    width = self.base.dim(n - deg)
+                    blocks[name] = (total, width)
+                    total += width
+            layout = self._blocks[n] = (blocks, total)
+        return layout
+
     def dim(self, n: int) -> int:
-        return len(self.basis(n))
+        return self._layout(n)[1]
 
     def to_vector(self, mel: ModuleElement, n: int):
-        offsets = {}
-        total = 0
-        for name, deg in self.gen_list:
-            rem = n - deg
-            offsets[name] = total
-            total += self.base.dim(rem) if rem >= 0 else 0
+        blocks, total = self._layout(n)
         vec = zero_vector(total)
         for g, c in mel.items():
             rem = n - self.degree_of[g]
             if not c.terms:
                 continue
             sub = self.base.to_vector(c, rem)
-            off = offsets[g]
+            off = blocks[g][0]
             for i, val in enumerate(sub):
                 if val:
                     vec[off + i] = val
@@ -186,16 +198,10 @@ class SemiFreeModule:
 
     def from_vector(self, n: int, vec) -> ModuleElement:
         out: ModuleElement = {}
-        pos = 0
-        for name, deg in self.gen_list:
-            rem = n - deg
-            if rem < 0:
-                continue
-            width = self.base.dim(rem)
-            chunk = vec[pos:pos + width]
-            pos += width
+        for name, (off, width) in self._layout(n)[0].items():
+            chunk = vec[off:off + width]
             if any(chunk):
-                out[name] = self.base.from_vector(rem, chunk)
+                out[name] = self.base.from_vector(n - self.degree_of[name], chunk)
         return out
 
     def basis_element(self, name: str, mono) -> ModuleElement:

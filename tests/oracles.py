@@ -74,8 +74,9 @@ def differentiate(element, diffs, odd_of, deg_of):
     """Extend generator images by the graded Leibniz rule.
 
     diffs maps a generator name to a {word: coeff} element (absent = zero).
-    The sign in front of d(g_i) inside a word is the parity of the odd
-    letters strictly before position i.
+    d(g_i) takes the place of g_i inside the word, and the sign in front of
+    it is the parity of the odd letters strictly before position i (the
+    rule for any derivation of odd degree).
     """
     out = {}
     for word, coeff in element.items():
@@ -87,9 +88,9 @@ def differentiate(element, diffs, odd_of, deg_of):
             for left in word[:i]:
                 if odd_of[left]:
                     sign = -sign
-            rest = word[:i] + word[i + 1:]
+            before, after = word[:i], word[i + 1:]
             for w2, c2 in dg.items():
-                s2, w = mul_words(rest, w2, odd_of)
+                s2, w = sort_word(before + tuple(w2) + after, odd_of)
                 if not s2:
                     continue
                 c = out.get(w, Fraction(0)) + sign * s2 * coeff * c2

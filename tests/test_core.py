@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from secat.core import (CdgaError, CdgaMorphism, DegreeMismatch, Inhomogeneous,
+from secat.core import (CdgaError, CdgaMorphism, DegreeMismatch, Derivation, Inhomogeneous,
                         NotSquareZero, Presentation, RangeExceedsCap,
                         direct_sum, identity_morphism, quotient_by_ideal,
                         sub_presentation, tensor, tensor_power,
                         word_length_truncation)
 from secat.lang import parse_element
 
+from conftest import load_model
 import oracles as orc
 
 
@@ -81,19 +82,66 @@ COFORMAL = Presentation(
     differentials={"x": {(("a", 1), ("b", 1)): Fraction(1)}})
 
 
-@pytest.mark.parametrize("P", [
-    COFORMAL,
-    Presentation([("a", 2), ("x", 3)], 12,
-                 differentials={"x": {(("a", 2),): Fraction(1)}}),
-])
-def test_differential_matches_oracle(P):
+# a free workspace with generator-to-generator values of degree -1, the shape
+# of the homotopy derivations that construct builds for path fibrations
+HATS = Presentation([("a", 2), ("b", 3), ("x", 5), ("ah", 1), ("bh", 2), ("xh", 4)],
+                    12, simply_connected=False)
+
+
+@pytest.mark.parametrize("P, hats", [
+    (COFORMAL, None),
+    (Presentation([("a", 2), ("x", 3)], 12,
+                  differentials={"x": {(("a", 2),): Fraction(1)}}), None),
+    (Presentation([("a", 2), ("u", 3), ("v", 3), ("c", 4)], 12,
+                  differentials={"c": {(("a", 1), ("v", 1)): Fraction(1)}}), None),
+    (load_model("truncated_mix.cdga")[0]["T"], None),
+    (load_model("wedge.cdga")[0]["W"], None),
+    (HATS, {"a": "ah", "b": "bh", "x": "xh"}),
+], ids=["P0", "P1", "even-generator", "T", "W", "degree-minus-one"])
+def test_differential_matches_oracle(P, hats):
+    """d, or the degree -1 derivation g -> hats[g], against the word oracle.
+
+    Both have odd degree, so the oracle's sign is the parity of the odd
+    letters before each position.  Monomial relations are struck out.
+    """
     rng = random.Random(17)
-    diffs = orc.diffs_of(P)
     odd, deg = orc.odd_map(P), orc.deg_map(P)
+    if hats is None:
+        theta, diffs = P.d, orc.diffs_of(P)
+    else:
+        theta = Derivation(P, -1, {g: P.gen(h) for g, h in hats.items()}).apply
+        diffs = {g: {(h,): Fraction(1)} for g, h in hats.items()}
+    rel_words = [tuple(n for n, e in mono for _ in range(e))
+                 for rel in P.relations for mono in rel]
+    assert all(len(rel) == 1 for rel in P.relations)
     for _ in range(150):
         x = random_element(P, rng.randint(2, 9), rng)
-        assert as_words(P.d(x), P) == orc.differentiate(as_words(x, P),
-                                                        diffs, odd, deg)
+        want = orc.strike(orc.differentiate(as_words(x, P), diffs, odd, deg), rel_words)
+        assert as_words(theta(x), P) == want
+
+
+def test_differential_at_the_cap_raises_and_results_are_fresh():
+    """d of a degree-cap monomial lands above the cap of a presentation with
+    relations: it raises unless each Leibniz term, formed factor by factor,
+    already vanishes at or under the cap.  The memo of reduced images must
+    neither hide a raise nor be handed out."""
+    T = load_model("truncated_mix.cdga", cap=8)[0]["T"]
+    bx = T.monomial((("b", 1), ("x", 1)))  # d(bx) = -b a^3 in degree 9, nonzero freely
+    for _ in range(2):
+        with pytest.raises(RangeExceedsCap):
+            T.d(bx)
+    x = T.gen("x")
+    first = T.d(x)
+    assert first == T.gen("a") ** 3
+    first.terms.clear()
+    second = T.d(x)
+    assert second == T.gen("a") ** 3
+    assert second.terms is not T.d(x).terms
+    P = Presentation([("a", 2), ("x", 3), ("y", 4)], 9,
+                     relations=[{(("a", 3),): Fraction(1)}],
+                     differentials={"x": {(("a", 2),): Fraction(1)}})
+    # d(axy) = a a^2 y: the partial product a^3 is 0 in degree 6, so no raise
+    assert not P.d(P.monomial((("a", 1), ("x", 1), ("y", 1)))).terms
 
 
 def test_leibniz_rule(models):

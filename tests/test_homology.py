@@ -1,5 +1,6 @@
 """Homology reports, induced maps, kernels, ideal powers, nilpotency."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from secat.homology import (HomologyView, IdealPowers, PresentationView,
                             span_complex_homology)
 from secat.construct import (acyclic_closure, build_minimal_model,
                              multiplication_morphism)
+from secat.semifree import resolve_quotient
 from secat.lang import parse_element
 
 import oracles as orc
@@ -36,6 +38,34 @@ def test_betti_numbers_match_oracle(models, name):
     want = oracle_betti(P, hi)
     for d in range(hi + 1):
         assert H.betti(d) == want[d], (name, d)
+
+
+class CountingComplex:
+    """A complex that forwards to X and counts differential matrices built."""
+
+    def __init__(self, X):
+        self.X = X
+        self.built = collections.Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.X, name)
+
+    def differential_vectors(self, d):
+        self.built[d] += 1
+        return self.X.differential_vectors(d)
+
+
+@pytest.mark.parametrize("name, lo, hi", [("C", 0, 11), ("T", 0, 11), ("W", 2, 11),
+                                          ("resolution", 0, 6)])
+def test_homology_builds_each_differential_matrix_once(models, name, lo, hi):
+    if name in models:
+        X = models[name]
+    else:
+        X = resolve_quotient(models["S2"], [models["S2"].gen("a")], 7).module
+    counting = CountingComplex(X)
+    H = homology(counting, lo, hi)
+    assert counting.built and max(counting.built.values()) == 1
+    assert H.betti_table() == homology(X, lo, hi).betti_table()
 
 
 def test_representatives_are_independent_nonzero_cycles(models):
