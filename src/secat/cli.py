@@ -56,7 +56,8 @@ def _build(args):
     elif spec.cap is not None:
         origin = "from the file"
     else:
-        origin = "default rule: 2 * max generator degree + 2"
+        origin = ("default rule: 2 * max generator degree + 2, or the sum "
+                  "of the degrees + 1 if larger and all are odd")
     return label, P, origin
 
 
@@ -70,17 +71,22 @@ def _emit(args, lines, payload):
 
 def _report_lines(label, P, origin, bounds, notes):
     lines = [f"cdga {label} (cap {P.cap}, {origin})"]
-    for b in bounds:
-        lines.append("  " + b.summary())
-    shown = []
-    for n in notes:
-        if n not in shown:
-            shown.append(n)
-    for n in shown:
-        lines.append(f"  note: {n}")
+    lines += ["  " + b.summary() for b in bounds]
+    lines += [f"  note: {n}" for n in dict.fromkeys(notes)]
     ncerts = sum(len(b.certificates) for b in bounds)
     lines.append(f"  certificates: {ncerts}")
     return lines
+
+
+def _finish_bounds(args, lines, rep, payload):
+    """Write the report's certificates, then emit it with its bounds and notes."""
+    bounds = rep.bounds()
+    if args.emit_certs:
+        for f in _write_certs(args.emit_certs, bounds):
+            lines.append(f"  wrote {f}")
+    payload.update(bounds=[b.as_dict() for b in bounds], notes=rep.notes)
+    _emit(args, lines, payload)
+    return 0
 
 
 def _write_certs(dirpath, bounds):
@@ -157,29 +163,17 @@ def cmd_minimal_model(args):
 def cmd_cat(args):
     label, P, origin = _build(args)
     rep = cat_bounds(P, with_m=not args.no_m, label=label)
-    bounds = rep.bounds()
-    lines = _report_lines(label, P, origin, bounds, rep.notes)
-    if args.emit_certs:
-        for f in _write_certs(args.emit_certs, bounds):
-            lines.append(f"  wrote {f}")
-    _emit(args, lines, {"command": "cat", "cdga": label, "cap": P.cap,
-                        "bounds": [b.as_dict() for b in bounds],
-                        "notes": rep.notes})
-    return 0
+    lines = _report_lines(label, P, origin, rep.bounds(), rep.notes)
+    return _finish_bounds(args, lines, rep,
+                          {"command": "cat", "cdga": label, "cap": P.cap})
 
 
 def cmd_tc(args):
     label, P, origin = _build(args)
     rep = tc_bounds(P, n=args.n, with_m=not args.no_m, label=label)
-    bounds = rep.bounds()
-    lines = _report_lines(label, P, origin, bounds, rep.notes)
-    if args.emit_certs:
-        for f in _write_certs(args.emit_certs, bounds):
-            lines.append(f"  wrote {f}")
-    _emit(args, lines, {"command": "tc", "cdga": label, "n": args.n,
-                        "cap": P.cap, "bounds": [b.as_dict() for b in bounds],
-                        "notes": rep.notes})
-    return 0
+    lines = _report_lines(label, P, origin, rep.bounds(), rep.notes)
+    return _finish_bounds(args, lines, rep, {"command": "tc", "cdga": label,
+                                             "n": args.n, "cap": P.cap})
 
 
 def cmd_secat(args):
@@ -198,19 +192,10 @@ def cmd_secat(args):
     rep = surjection_bounds(phi, with_m=not args.no_m,
                             context={"construction": "morphism",
                                      "morphism": name})
-    bounds = rep.bounds()
     lines = [f"morphism {name} (source cap {phi.source.cap})"]
-    for b in bounds:
-        lines.append("  " + b.summary())
-    for n in rep.notes:
-        lines.append(f"  note: {n}")
-    if args.emit_certs:
-        for f in _write_certs(args.emit_certs, bounds):
-            lines.append(f"  wrote {f}")
-    _emit(args, lines, {"command": "secat", "morphism": name,
-                        "bounds": [b.as_dict() for b in bounds],
-                        "notes": rep.notes})
-    return 0
+    lines += ["  " + b.summary() for b in rep.bounds()]
+    lines += [f"  note: {n}" for n in rep.notes]
+    return _finish_bounds(args, lines, rep, {"command": "secat", "morphism": name})
 
 
 def cmd_verify_cert(args):
@@ -239,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_name=True):
         p.add_argument("--cap", type=int, default=None,
-                       help="degree cap (default: 2 * max generator degree + 2)")
+                       help="degree cap (default: 2 * max generator degree + "
+                            "2, or the sum of the degrees + 1 if larger and "
+                            "all are odd)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.add_argument("--timings", action="store_true",
@@ -259,34 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_minimal_model)
 
-    p = sub.add_parser("cat", help="category-style bounds")
-    p.add_argument("file")
-    p.add_argument("--no-m", action="store_true",
-                   help="skip the module-retraction invariant")
-    p.add_argument("--emit-certs", default=None, metavar="DIR",
-                   help="write certificates as JSON files")
-    common(p)
-    p.set_defaults(func=cmd_cat)
+    def bound_command(name, help_text, func, with_name=True):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.add_argument("--no-m", action="store_true",
+                       help="skip the module-retraction invariant")
+        p.add_argument("--emit-certs", default=None, metavar="DIR",
+                       help="write certificates as JSON files")
+        common(p, with_name)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("tc", help="topological-complexity style bounds")
-    p.add_argument("file")
+    bound_command("cat", "category-style bounds", cmd_cat)
+    p = bound_command("tc", "topological-complexity style bounds", cmd_tc)
     p.add_argument("--n", type=int, default=2, help="number of factors")
-    p.add_argument("--no-m", action="store_true",
-                   help="skip the module-retraction invariant")
-    p.add_argument("--emit-certs", default=None, metavar="DIR",
-                   help="write certificates as JSON files")
-    common(p)
-    p.set_defaults(func=cmd_tc)
-
-    p = sub.add_parser("secat", help="sectional bounds for a file morphism")
-    p.add_argument("file")
+    p = bound_command("secat", "sectional bounds for a file morphism",
+                      cmd_secat, with_name=False)
     p.add_argument("--map", default=None, help="which morphism to use")
-    p.add_argument("--no-m", action="store_true",
-                   help="skip the module-retraction invariant")
-    p.add_argument("--emit-certs", default=None, metavar="DIR",
-                   help="write certificates as JSON files")
-    common(p, with_name=False)
-    p.set_defaults(func=cmd_secat)
 
     p = sub.add_parser("verify-cert", help="re-check a certificate")
     p.add_argument("cert")

@@ -15,6 +15,10 @@ and the sectional invariant of the map itself is bounded above by the least m
 with I^{m+1} = 0.  Specializing phi to the augmentation of a minimal Sullivan
 presentation gives cup length <= toomer <= mcat <= cat <= nil of positives;
 specializing to a diagonal surjection gives the topological-complexity chain.
+One `SurjectionReport` holds the three ends under their names; its `settle`
+lifts lower ends to the map bound and descends that bound's upper end to h and
+m.  A `Bound` refuses a crossed interval: an internal error when both ends are
+absolute, RangeExceedsCap when one is range-qualified.
 
 Certificates are small JSON documents ("secat-cert/1"): a context recipe that
 rebuilds the construction deterministically plus the data needed to re-check
@@ -100,7 +104,7 @@ def certificate_from_json(text: str) -> Certificate:
 
 @dataclass
 class Bound:
-    """An interval verdict; merge_* only ever tightens it."""
+    """An interval verdict; merge_* only ever tightens it and refuses a cross."""
     name: str
     lower: int | None = None
     upper: int | None = None
@@ -111,34 +115,37 @@ class Bound:
     notes: list = field(default_factory=list)
 
     def merge_lower(self, value, absolute=False, cert=None, note=None):
-        if value is None:
-            return
-        improved = self.lower is None or value > self.lower
-        upgraded = (not improved and value == self.lower
-                    and absolute and not self.lower_absolute)
-        if not improved and not upgraded:
-            return
-        self.lower = value
-        self.lower_absolute = absolute or (upgraded and True)
-        if cert is not None:
-            self.certificates.append(cert)
-        if note:
-            self.notes.append(note)
+        self._merge("lower", value, absolute, cert, note)
 
     def merge_upper(self, value, absolute=False, cert=None, note=None):
+        self._merge("upper", value, absolute, cert, note)
+
+    def _merge(self, side, value, absolute, cert, note):
+        """Take `value` for one end if it is tighter, or equal and absolute
+        where the end was not; refuse an interval whose ends cross."""
         if value is None:
             return
-        improved = self.upper is None or value < self.upper
-        upgraded = (not improved and value == self.upper
-                    and absolute and not self.upper_absolute)
-        if not improved and not upgraded:
+        old = getattr(self, side)
+        tighter = old is None or (value > old if side == "lower" else value < old)
+        upgraded = (value == old and absolute
+                    and not getattr(self, f"{side}_absolute"))
+        if not tighter and not upgraded:
             return
-        self.upper = value
-        self.upper_absolute = absolute or (upgraded and True)
+        setattr(self, side, value)
+        setattr(self, f"{side}_absolute", absolute)
         if cert is not None:
             self.certificates.append(cert)
         if note:
             self.notes.append(note)
+        if (self.lower is not None and self.upper is not None
+                and self.lower > self.upper):
+            if self.lower_absolute and self.upper_absolute:
+                raise AssertionError(f"{self.name}: absolute ends cross at "
+                                     f"[{self.lower}, {self.upper}]")
+            raise RangeExceedsCap(
+                f"{self.name} in [{self.lower}, {self.upper}] crosses: its "
+                "range-qualified end holds only in degrees <= "
+                f"{self.verified_up_to}; raise the cap")
 
     @property
     def exact(self) -> bool:
@@ -190,25 +197,16 @@ def _into_kernel(phi: CdgaMorphism, z: AlgebraElement, d: int) -> AlgebraElement
     if not img.terms:
         return z
     B = phi.target
-    bbasis = B.basis(d - 1)
     combo = solve_combo(B.differential_vectors(d - 1), B.dim(d), B.to_vector(img, d))
     if combo is None:
         raise CdgaError("image class does not bound; kernel adjustment failed")
-    b = B.zero()
-    for ci, m in zip(combo, bbasis):
-        if ci:
-            b = b + B.element({m: ci})
     S = phi.source
-    sbasis = S.basis(d - 1)
-    phimgs = [B.to_vector(phi.apply(S.element({m: 1})), d - 1) for m in sbasis]
-    lift = solve_combo(phimgs, B.dim(d - 1), B.to_vector(b, d - 1))
+    phimgs = [B.to_vector(phi.apply(S.element({m: 1})), d - 1)
+              for m in S.basis(d - 1)]
+    lift = solve_combo(phimgs, B.dim(d - 1), combo)
     if lift is None:
         raise CdgaError("surjection failed to lift a boundary")
-    c = S.zero()
-    for ci, m in zip(lift, sbasis):
-        if ci:
-            c = c + S.element({m: ci})
-    z2 = z - c.d()
+    z2 = z - S.from_vector(d - 1, lift).d()
     if phi.apply(z2).terms:
         raise CdgaError("kernel adjustment did not land in the kernel")
     return z2
@@ -239,20 +237,34 @@ class SurjectionReport:
     notes: list = field(default_factory=list)
 
     def bounds(self):
-        out = [self.h_bound]
-        if self.m_bound is not None:
-            out.append(self.m_bound)
-        out.append(self.map_bound)
-        return out
+        """The chain h <= m <= map, without m when it was skipped."""
+        return [b for b in (self.h_bound, self.m_bound, self.map_bound)
+                if b is not None]
+
+    def settle(self, with_notes: bool = False):
+        """Enforce the chain: the highest lower end lifts to the map bound and
+        the map bound's upper end descends to h and m."""
+        top = self.m_bound if self.m_bound is not None else self.h_bound
+        self.map_bound.merge_lower(
+            top.lower, top.lower_absolute,
+            note="lower bounds lift along the chain" if with_notes else None)
+        for b in self.bounds()[:-1]:
+            b.merge_upper(
+                self.map_bound.upper, self.map_bound.upper_absolute,
+                note="upper bounds descend along the chain"
+                if with_notes else None)
 
 
 def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                       kernel_gens=None, kernel_complete: bool | None = None,
                       context: dict | None = None, pedigree: str | None = None,
                       with_m: bool = True, pd_space=None,
-                      content_top: int | None = None) -> SurjectionReport:
+                      content_top: int | None = None,
+                      names=("h-invariant", "m-invariant", "sectional")
+                      ) -> SurjectionReport:
     """Run the full chain of bounds for a degree-wise surjection.
 
+    `names` names the three ends of the chain h <= m <= map in the report.
     `kernel_gens` must generate ker phi as an ideal when given; set
     `kernel_complete` accordingly.  When omitted they are derived degree by
     degree, which is complete exactly when the source has a certified top
@@ -299,12 +311,11 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     H_S = homology(S, 0, hi)
     H_B = homology(B, 0, hi)
 
-    h_bound = Bound("h-invariant", verified_up_to=hi)
-    m_bound = Bound("m-invariant", verified_up_to=hi) if with_m else None
-    map_bound = Bound("sectional", verified_up_to=hi)
-    for b in (h_bound, m_bound, map_bound):
-        if b is not None:
-            b.merge_lower(0, True)
+    h_bound, m_bound, map_bound = (
+        Bound(name, lower=0, lower_absolute=True, verified_up_to=hi)
+        for name in names)
+    if not with_m:
+        m_bound = None
 
     # nil of the kernel of the induced map on homology: a lower bound
     kclasses = homology_kernel_classes(phi, H_S, H_B, hi)
@@ -329,12 +340,11 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         {"m": nil_k, "hi": view_hi,
          "generators": [str(g) for g in kernel_gens]},
         claim=f"(ker phi)^{nil_k + 1} = 0, so the sectional invariant is <= {nil_k}")
-    if kernel_absolute:
-        map_bound.merge_upper(nil_k, True, cert,
-                              note=f"(ker phi)^{nil_k + 1} = 0 with certified top degree {htop}")
-    else:
-        map_bound.merge_upper(nil_k, False, cert,
-                              note=f"(ker phi)^{nil_k + 1} has no nonzero part in degrees <= {view_hi}")
+    map_bound.merge_upper(
+        nil_k, kernel_absolute, cert,
+        note=f"(ker phi)^{nil_k + 1} = 0 with certified top degree {htop}"
+        if kernel_absolute else
+        f"(ker phi)^{nil_k + 1} has no nonzero part in degrees <= {view_hi}")
 
     # h-invariant: least m with H(S) -> H(S / I^{m+1}) injective on the range
     m = h_bound.lower or 0
@@ -368,8 +378,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         E = hi
         mm = m_bound.lower or 0
         while True:
-            elements = [p.element for p in powers.level(mm + 1)
-                        if p.degree <= E + 1]
+            elements = [p.element for p in powers.level(mm + 1)]
             res = resolve_quotient(S, elements, E)
             ret = find_module_retraction(res.module, E)
             if ret is not None:
@@ -410,20 +419,9 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
             h_bound.merge_lower(m_bound.lower, m_bound.lower_absolute,
                                 note="duality collapse")
 
-    # chain wiring
-    best_lower = m_bound if with_m else h_bound
-    map_bound.merge_lower(best_lower.lower, best_lower.lower_absolute,
-                          note="lower bounds lift along the chain")
-    h_bound.merge_upper(map_bound.upper, map_bound.upper_absolute,
-                        note="upper bounds descend along the chain")
-    if with_m:
-        m_bound.merge_upper(map_bound.upper, map_bound.upper_absolute,
-                            note="upper bounds descend along the chain")
-        map_bound.merge_lower(m_bound.lower, m_bound.lower_absolute)
-        h_bound.merge_lower(0, True)
-
     report = SurjectionReport(phi, hi, list(kernel_gens), bool(kernel_complete),
                               h_bound, m_bound, map_bound, nil_h, nil_k, notes)
+    report.settle(with_notes=True)
     return report
 
 
@@ -444,11 +442,7 @@ class CatReport:
     notes: list = field(default_factory=list)
 
     def bounds(self):
-        out = [self.toomer]
-        if self.mcat is not None:
-            out.append(self.mcat)
-        out.append(self.cat)
-        return out
+        return self.surjection.bounds()
 
 
 def cat_bounds(A: Presentation, cap: int | None = None, *,
@@ -478,11 +472,8 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
         augmentation_morphism(M), hi=hi,
         kernel_gens=[M.gen(g.name) for g in M.generators],
         kernel_complete=True, context=ctx, pedigree="augmentation",
-        with_m=with_m, pd_space=pd_space, content_top=htop)
-    rep.h_bound.name = "toomer"
-    if rep.m_bound is not None:
-        rep.m_bound.name = "mcat"
-    rep.map_bound.name = "cat"
+        with_m=with_m, pd_space=pd_space, content_top=htop,
+        names=("toomer", "mcat", "cat"))
     cat = rep.map_bound
 
     # cup length: nil of the positive part of homology
@@ -511,25 +502,20 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
         cat.merge_upper(len(gens), True)
         cat.certificates.append(cert)
 
-    # nil of the positive part of the input algebra bounds cat above
-    if htop is not None:
-        pviewA = PresentationView(A, min(A.cap, htop))
+    # nil of the positive part of the input algebra bounds cat above; the
+    # bound is absolute only from a window that reaches the certified top
+    if htop is not None and htop <= A.cap:
         pgens = [A.gen(g.name) for g in A.generators]
-        nilA, _ = IdealPowers(pviewA, pgens).nil()
+        nilA, _ = IdealPowers(PresentationView(A, htop), pgens).nil()
         cert = Certificate(
             "kernel-power-vanishes",
             {"construction": "input-augmentation", "cdga": label},
-            {"m": nilA, "hi": min(A.cap, htop),
-             "generators": [str(g) for g in pgens]},
+            {"m": nilA, "hi": htop, "generators": [str(g) for g in pgens]},
             claim=f"the positive part of the input satisfies (A+)^{nilA + 1} = 0")
         cat.merge_upper(nilA, True, cert,
                         note=f"nil of the input positive part is {nilA}")
 
-    # propagate the final upper bound back down the chain
-    rep.h_bound.merge_upper(cat.upper, cat.upper_absolute)
-    if rep.m_bound is not None:
-        rep.m_bound.merge_upper(cat.upper, cat.upper_absolute)
-
+    rep.settle()
     return CatReport(A, model_res, hi, cup, rep.h_bound, rep.m_bound, cat,
                      rep, notes + rep.notes)
 
@@ -557,11 +543,7 @@ class TCReport:
     notes: list = field(default_factory=list)
 
     def bounds(self):
-        out = [self.htc]
-        if self.mtc is not None:
-            out.append(self.mtc)
-        out.append(self.tc)
-        return out
+        return self.surjection.bounds()
 
 
 def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
@@ -581,16 +563,13 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
     if htop is not None and htop <= (A.cap if A.is_free else A.cap - 1):
         pd_space = (homology(A, 0, htop), htop, label)
 
+    suffix = "" if n == 2 else str(n)
     rep = surjection_bounds(dm.morphism, kernel_gens=dm.kernel_generators,
                             kernel_complete=True, context=ctx,
                             pedigree=dm.pedigree, with_m=with_m,
                             pd_space=pd_space,
-                            content_top=n * htop if htop is not None else None)
-    suffix = "" if n == 2 else str(n)
-    rep.h_bound.name = f"htc{suffix}"
-    if rep.m_bound is not None:
-        rep.m_bound.name = f"mtc{suffix}"
-    rep.map_bound.name = f"tc{suffix}"
+                            content_top=n * htop if htop is not None else None,
+                            names=(f"htc{suffix}", f"mtc{suffix}", f"tc{suffix}"))
     tc = rep.map_bound
     notes = list(dm.notes)
     if not A.simply_connected:
@@ -618,10 +597,8 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
                 claim=f"(ker mult)^{nil_mult + 1} = 0 with certified top degree {ttop}")
             tc.merge_upper(nil_mult, True, cert,
                            note=f"multiplication kernel has nil {nil_mult}")
-            rep.h_bound.merge_upper(tc.upper, tc.upper_absolute)
-            if rep.m_bound is not None:
-                rep.m_bound.merge_upper(tc.upper, tc.upper_absolute)
 
+    rep.settle()
     return TCReport(A, n, cap, rep.hi, dm, rep, rep.h_bound, rep.m_bound, tc,
                     notes + rep.notes)
 
@@ -710,6 +687,24 @@ def _checked_kernel_gens(phi: CdgaMorphism, exprs) -> list[AlgebraElement]:
     return gens
 
 
+def _kernel_power(phi: CdgaMorphism, listed, pedigreed, m: int, view_hi: int):
+    """Spanning elements of (ker phi)^(m+1) in degrees <= view_hi.
+
+    The kernel generators are the `listed` expressions, checked to map to
+    zero, else the pedigreed ones, else those derived up to view_hi.  Only a
+    lower-bound claim may pass `listed`: listed elements need not generate
+    the whole kernel, and a smaller ideal only makes such a claim harder.
+    """
+    if listed is not None:
+        kgens = _checked_kernel_gens(phi, listed)
+    elif pedigreed is not None:
+        kgens = pedigreed
+    else:
+        kgens = kernel_ideal_generators(phi, view_hi)
+    powers = IdealPowers(PresentationView(phi.source, view_hi), kgens)
+    return [p.element for p in powers.level(m + 1)]
+
+
 def verify_certificate(cert: Certificate, presentations: dict,
                        morphisms: dict | None = None):
     """Re-check a certificate from scratch; returns (accepted, detail).
@@ -774,14 +769,8 @@ def verify_certificate(cert: Certificate, presentations: dict,
             return False, "witness is not a cycle"
         if homology(S, deg, deg).is_zero_class(z, deg):
             return False, "witness class is zero before passing to the quotient"
-        if "kernel_generators" in data:
-            kgens = _checked_kernel_gens(phi, data["kernel_generators"])
-        elif pedigreed is not None:
-            kgens = pedigreed
-        else:
-            kgens = kernel_ideal_generators(phi, deg + 1)
-        powers = IdealPowers(PresentationView(S, deg + 1), kgens)
-        elements = [p.element for p in powers.level(m + 1)]
+        elements = _kernel_power(phi, data.get("kernel_generators"),
+                                 pedigreed, m, deg + 1)
         Q, proj = quotient_by_ideal(S, elements)
         if not homology(Q, deg, deg).is_zero_class(proj.apply(z), deg):
             return False, "witness class survives in the quotient"
@@ -793,11 +782,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
         hi = int(data["hi"])
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
-        view_hi = min(S.cap, hi + 1)
-        kgens = pedigreed if pedigreed is not None else \
-            kernel_ideal_generators(phi, view_hi)
-        powers = IdealPowers(PresentationView(S, view_hi), kgens)
-        elements = [p.element for p in powers.level(m + 1)]
+        elements = _kernel_power(phi, None, pedigreed, m, min(S.cap, hi + 1))
         Q, proj = quotient_by_ideal(S, elements)
         fail = _injectivity_failure(proj, homology(S, 0, hi),
                                     homology(Q, 0, hi), 1, hi)
@@ -880,14 +865,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
         E = int(data["E"])
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
-        if "kernel_generators" in data:
-            kgens = _checked_kernel_gens(phi, data["kernel_generators"])
-        elif pedigreed is not None:
-            kgens = pedigreed
-        else:
-            kgens = kernel_ideal_generators(phi, min(S.cap, E + 1))
-        powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)), kgens)
-        elements = [p.element for p in powers.level(m + 1) if p.degree <= E + 1]
+        elements = _kernel_power(phi, None, pedigreed, m, min(S.cap, E + 1))
         res = resolve_quotient(S, elements, E)
         values = {g: parse_element(e, S) for g, e in data["values"].items()}
         values.setdefault(UNIT, S.one())

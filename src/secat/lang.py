@@ -332,8 +332,13 @@ KNOWN_FLAGS = {"non_simply_connected"}
 
 
 def default_cap(gens) -> int:
-    top = max((d for _, d in gens), default=1)
-    return 2 * top + 2
+    """2 * max degree + 2; when every generator is odd, at least one above
+    the sum of the degrees, so the window reaches the certified top degree."""
+    degrees = [d for _, d in gens]
+    cap = 2 * max(degrees, default=1) + 2
+    if degrees and all(d % 2 for d in degrees):
+        cap = max(cap, sum(degrees) + 1)
+    return cap
 
 
 def make_presentation(spec: CdgaSpec, cap: int | None = None) -> Presentation:

@@ -2,10 +2,11 @@
 
 For every cdga in every bundled model file, at its default cap, the exact
 `--json` standard output of `cat`, `tc --n 2` and `minimal-model` is pinned,
-together with every certificate file that `--emit-certs` writes for `cat`
-and `tc`.  Cases at a raised cap (`RAISED_CAPS`) pin large linear systems
-too.  A refactor that keeps these bytes keeps the reports and the
-certificate corpus.
+and so is that of `secat` for every morphism, together with every
+certificate file that `--emit-certs` writes for `cat`, `tc` and `secat`.
+Cases at a raised cap (`RAISED_CAPS`) pin large linear systems too.  A
+refactor that keeps these bytes keeps the reports and the certificate
+corpus.
 
 Regenerate the pinned data (only for an intended output change) with
 
@@ -29,13 +30,16 @@ from secat.lang import parse_document
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 COMMANDS = {"cat": ["cat"], "tc": ["tc", "--n", "2"],
             "minimal-model": ["minimal-model"]}
+# the command run on each morphism of a document
+MORPHISM_COMMAND = "secat"
 # (file name, cdga label, command key, cap) run above the default cap:
 # cat T at cap 16 solves a 3533 x 3467 module-retraction system.
 RAISED_CAPS = [("truncated_mix.cdga", "T", "cat", 16)]
 
 
 def cases():
-    """(case id, file name, cdga label, command key, cap), in a fixed order.
+    """(case id, file name, cdga or morphism label, command key, cap), in a
+    fixed order.
 
     The cap is None for the default cap.
     """
@@ -46,6 +50,9 @@ def cases():
             if kind == "cdga":
                 for key in COMMANDS:
                     out.append((f"{path.name}:{label}:{key}", path.name, label, key, None))
+            else:
+                key = MORPHISM_COMMAND
+                out.append((f"{path.name}:{label}:{key}", path.name, label, key, None))
     for filename, label, key, cap in RAISED_CAPS:
         out.append((f"{filename}:{label}:{key}:cap{cap}", filename, label, key, cap))
     return out
@@ -53,8 +60,11 @@ def cases():
 
 def run_case(filename, label, key, cap=None):
     """{"stdout": the --json output, "certs": {file name: contents}}."""
-    cmd = COMMANDS[key]
-    argv = [cmd[0], str(MODELS / filename), "--name", label, "--json"] + cmd[1:]
+    if key == MORPHISM_COMMAND:
+        cmd, pick = [key], "--map"
+    else:
+        cmd, pick = COMMANDS[key], "--name"
+    argv = [cmd[0], str(MODELS / filename), pick, label, "--json"] + cmd[1:]
     if cap is not None:
         argv += ["--cap", str(cap)]
     with tempfile.TemporaryDirectory() as tmp:

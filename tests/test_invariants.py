@@ -6,8 +6,10 @@ import pytest
 
 from conftest import MODELS
 
-from secat.core import CdgaError, Presentation
+from secat.cli import main
+from secat.core import CdgaError, Presentation, RangeExceedsCap
 from secat.homology import homology
+from secat.lang import make_presentation, parse_document
 from secat.invariants import (
     Bound, CERT_FORMAT, Certificate, augmentation_morphism, cat_bounds,
     certificate_from_json, certificate_to_json, split_retraction_certificate,
@@ -47,6 +49,21 @@ def test_bound_summary_shows_range_qualifier():
     assert c.summary() == "y in [1, ?] (verified in degrees <= 5)"
 
 
+def test_bound_refuses_a_crossed_interval():
+    b = Bound("x")
+    b.merge_upper(2, absolute=True)
+    with pytest.raises(AssertionError):
+        b.merge_lower(3, absolute=True)     # two absolute ends: a bug
+    c = Bound("y", verified_up_to=7)
+    c.merge_upper(2)
+    with pytest.raises(RangeExceedsCap, match=r"y in \[3, 2\].*<= 7"):
+        c.merge_lower(3, absolute=True)     # the upper end is range-qualified
+    d = Bound("z")
+    d.merge_lower(3)
+    with pytest.raises(RangeExceedsCap):
+        d.merge_upper(2, absolute=True)     # the lower end is range-qualified
+
+
 def test_bound_certificates_attach_on_merge():
     b = Bound("x")
     cert = Certificate("nil-witness", {}, {})
@@ -83,6 +100,29 @@ def test_odd_sphere_category(models):
         assert b.lower_absolute and b.upper_absolute
     assert rep.cup.nil == 1
     assert any(c.kind == "odd-generated" for c in rep.cat.certificates)
+
+
+def test_three_odd_spheres_never_cross(tmp_path):
+    text = "cdga S { gen a : 3; gen b : 3; gen c : 3; }"
+    spec = parse_document(text).cdgas["S"]
+    # the default cap reaches past the certified top degree 9
+    A = make_presentation(spec)
+    assert A.cap == 10
+    rep = cat_bounds(A, label="S")
+    for b in rep.bounds():
+        assert b.exact and b.lower == 3
+        assert b.lower_absolute and b.upper_absolute
+    # at cap 9 the chain is seen only through degree 8
+    rep = cat_bounds(make_presentation(spec, 9), label="S")
+    for b in (rep.toomer, rep.mcat):
+        assert b.exact and b.lower == 2 and not b.upper_absolute
+    assert rep.cat.exact and rep.cat.lower == 3
+    assert rep.cat.lower_absolute and rep.cat.upper_absolute
+    # at cap 8 the range-qualified kernel power meets the absolute
+    # odd-generated lower end: a semantic limit, not a crossed report
+    f = tmp_path / "s3cubed.cdga"
+    f.write_text(text)
+    assert main(["cat", str(f), "--cap", "8"]) == 3
 
 
 def test_even_sphere_category_is_range_qualified(models):
@@ -446,6 +486,20 @@ def test_module_retraction_certificate_rejection(models, truncated_report):
         values[victim] = "1"      # wrong degree
     bad = Certificate(cert.kind, cert.context, dict(cert.data, values=values))
     ok, detail = _verify(bad, models)
+    assert not ok and "retraction equations fail" in detail
+
+
+def test_module_retraction_reads_the_whole_kernel(models, morphisms):
+    # listing no kernel generators would make the quotient S itself, which
+    # retracts at level 0, below the witnessed h-invariant 1
+    rep = surjection_bounds(morphisms["q"],
+                            context={"construction": "morphism", "morphism": "q"})
+    good = next(c for c in rep.m_bound.certificates
+                if c.kind == "module-retraction")
+    forged = Certificate(good.kind, good.context,
+                         dict(good.data, m=0, values={"1": "1"},
+                              kernel_generators=[]))
+    ok, detail = _verify(forged, models, morphisms)
     assert not ok and "retraction equations fail" in detail
 
 

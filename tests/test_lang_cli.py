@@ -115,6 +115,7 @@ def test_unknown_flag_is_rejected():
 
 def test_cap_precedence():
     assert default_cap([("a", 3), ("x", 5)]) == 12
+    assert default_cap([("a", 3), ("b", 3), ("c", 3)]) == 10
     doc = parse_document("cdga A { gen a : 3; gen x : 5; }")
     assert make_presentation(doc.cdgas["A"]).cap == 12
     doc = parse_document("cdga A { cap 9; gen a : 3; gen x : 5; }")
