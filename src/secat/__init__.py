@@ -3,7 +3,7 @@ differential graded algebras over the rationals.
 
 The layers, bottom up:
 
-    linalg      exact rational echelon forms and solvers
+    linalg      exact echelon forms and solvers on integer rows
     core        presentations, elements, derivations, morphisms, tensors
     homology    cohomology of any cochain complex (presentations, semifree
                 modules, spans), induced maps, the degreewise hit/kill

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Echelon, kernel_combos, solve_combo, zero_vector
+from .linalg import Echelon, kernel_combos, solve_combo
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, Derivation, Generator,
                    NotFree, NotQuasiIso, NotSimplyConnected, NotSurjective,
                    Presentation, RangeExceedsCap, SeriesNonterminating,
@@ -385,11 +385,11 @@ def cofiber_model(phi: CdgaMorphism, cap: int) -> CofiberModel:
         ech = Echelon(A.dim(d))
         order = []
         for name, b in zip(gen_names[d], kb):
-            row = ech.add(A.to_vector(b, d))
+            row = ech.add(A.to_sparse(b, d))
             if row is None:
                 raise CdgaError("kernel basis is not independent")
             order.append(name)
-        coords = ech.coordinates(A.to_vector(el, d))
+        coords = ech.coordinates(A.to_sparse(el, d))
         if coords is None:
             raise CdgaError("product of kernel elements left the kernel")
         out = free.zero()
@@ -589,24 +589,26 @@ def find_isomorphism(M1: Presentation, M2: Presentation, hi: int | None = None):
         lin_ech = Echelon(width)
         for name in names:
             rhs_el = phi.apply_raw(M1._diff_raw.get(name, {}))
-            target = M2.to_vector(rhs_el, k + 1)
+            target = M2.to_sparse(rhs_el, k + 1)
             part = solve_combo(dvecs, M2.dim(k + 1), target)
             if part is None:
                 return None
 
             def lin_row(vec):
-                row = zero_vector(width)
-                for i in lin_positions:
-                    row[i] = vec[i]
-                return row
+                return {i: vec[i] for i in lin_positions if i in vec}
+
+            def shifted(z, sign):
+                cols = sorted(part.keys() | z.keys())
+                out = {j: part.get(j, 0) + sign * z.get(j, 0) for j in cols}
+                return {j: c for j, c in out.items() if c}
 
             candidates = [part]
             for z in cycles:
-                candidates.append([p + c for p, c in zip(part, z)])
-                candidates.append([p - c for p, c in zip(part, z)])
+                candidates.append(shifted(z, 1))
+                candidates.append(shifted(z, -1))
             chosen = None
             for cand in candidates:
-                if lin_ech.reduce(lin_row(cand)) != zero_vector(width):
+                if not lin_ech.contains(lin_row(cand)):
                     chosen = cand
                     break
             if chosen is None:
@@ -622,7 +624,7 @@ def find_isomorphism(M1: Presentation, M2: Presentation, hi: int | None = None):
         ech = Echelon(len(degrees2.get(k, [])))
         order = {n: i for i, n in enumerate(sorted(degrees2.get(k, [])))}
         for name in names:
-            row = zero_vector(len(order))
+            row = {}
             for m, c in iso.image_of(name).terms.items():
                 if len(m) == 1 and m[0][1] == 1 and M2._ctx.degree_of[m[0][0]] == k:
                     row[order[m[0][0]]] = c

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Echelon, zero_vector
+from .linalg import Echelon, dense, entries
 
 Rational = Fraction
 Monomial = tuple  # tuple[tuple[str, int], ...]
@@ -127,6 +127,7 @@ class _SignEngine:
         self.degree_of = {g.name: g.degree for g in generators}
         self.odd_of = {g.name: g.degree % 2 == 1 for g in generators}
         self._monomials: dict[int, tuple[Monomial, ...]] = {}
+        self._positions: dict[int, dict[Monomial, int]] = {}
 
     # -- basic monomial data
 
@@ -255,6 +256,14 @@ class _SignEngine:
         result = tuple(acc)
         self._monomials[d] = result
         return result
+
+    def monomial_index(self, d: int) -> dict[Monomial, int]:
+        """Position of each monomial in free_monomials(d)."""
+        index = self._positions.get(d)
+        if index is None:
+            index = {m: i for i, m in enumerate(self.free_monomials(d))}
+            self._positions[d] = index
+        return index
 
 
 _F0 = Fraction(0)
@@ -404,21 +413,17 @@ class Presentation:
         ech = self._ideal.get(d)
         if ech is not None:
             return ech
-        monos = self._ctx.free_monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        ech = Echelon(len(monos))
+        ctx = self._ctx
+        index = ctx.monomial_index(d)
+        ech = Echelon(len(index))
         for rel in self.relations:
-            e = self._ctx.mono_degree(next(iter(rel)))
+            e = ctx.mono_degree(next(iter(rel)))
             if e > d:
                 continue
-            for m in self._ctx.free_monomials(d - e):
-                prod = self._ctx.raw_mul({m: _F1}, rel)
-                if not prod:
-                    continue
-                vec = zero_vector(len(monos))
-                for mono, c in prod.items():
-                    vec[index[mono]] = c
-                ech.add(vec)
+            for m in ctx.free_monomials(d - e):
+                prod = ctx.raw_mul({m: _F1}, rel)
+                if prod:
+                    ech.add({index[mono]: c for mono, c in prod.items()})
         self._ideal[d] = ech
         return ech
 
@@ -439,13 +444,14 @@ class Presentation:
             return result
         monos = self._ctx.free_monomials(d)
         if self.is_free:
-            result = monos
-        else:
-            if d > self.cap:
-                raise RangeExceedsCap(
-                    f"degree {d} exceeds cap {self.cap} of a presentation with relations")
-            pivots = self._ideal_echelon(d).pivots
-            result = tuple(m for i, m in enumerate(monos) if i not in pivots)
+            self._basis[d] = monos
+            self._index[d] = self._ctx.monomial_index(d)
+            return monos
+        if d > self.cap:
+            raise RangeExceedsCap(
+                f"degree {d} exceeds cap {self.cap} of a presentation with relations")
+        pivots = self._ideal_echelon(d).pivots
+        result = tuple(m for i, m in enumerate(monos) if i not in pivots)
         self._basis[d] = result
         self._index[d] = {m: i for i, m in enumerate(result)}
         return result
@@ -466,14 +472,10 @@ class Presentation:
                 raise RangeExceedsCap(
                     f"degree {d} exceeds cap {self.cap} of a presentation with relations")
             monos = self._ctx.free_monomials(d)
-            index = {m: i for i, m in enumerate(monos)}
-            vec = zero_vector(len(monos))
-            for m, c in part.items():
-                vec[index[m]] = c
-            vec = self._ideal_echelon(d).reduce(vec)
-            for i, c in enumerate(vec):
-                if c:
-                    out[monos[i]] = c
+            index = self._ctx.monomial_index(d)
+            red = self._ideal_echelon(d).reduce({index[m]: c for m, c in part.items()})
+            for i, c in red.items():
+                out[monos[i]] = c
         return out
 
     # -- element factory
@@ -497,21 +499,31 @@ class Presentation:
         return AlgebraElement(self, self.reduce_raw({m: Fraction(sign)}))
 
     def from_vector(self, d: int, vec) -> "AlgebraElement":
+        """The degree-d element with coordinates `vec`, a dict from basis
+        index to coefficient or a dense list."""
         basis = self.basis(d)
-        terms = {basis[i]: _coerce_coeff(c) for i, c in enumerate(vec) if c}
-        return AlgebraElement(self, terms)
+        return AlgebraElement(self, {basis[i]: _coerce_coeff(c) for i, c in entries(vec) if c})
 
-    def to_vector(self, el: "AlgebraElement", d: int) -> list[Rational]:
+    def to_sparse(self, el: "AlgebraElement", d: int) -> dict[int, Rational]:
+        """The nonzero coordinates of a degree-d element, by basis index."""
         if el.pres is not self:
             raise PresentationMismatch("element belongs to a different presentation")
         self.basis(d)
         index = self._index[d]
-        vec = zero_vector(len(index))
+        out = {}
         for m, c in el.terms.items():
-            if self._ctx.mono_degree(m) != d:
-                raise DegreeMismatch(f"element is not concentrated in degree {d}")
-            vec[index[m]] = c
-        return vec
+            i = index.get(m)
+            if i is None:
+                if self._ctx.mono_degree(m) != d:
+                    raise DegreeMismatch(f"element is not concentrated in degree {d}")
+                i = index[m]
+            out[i] = c
+        return out
+
+    def to_vector(self, el: "AlgebraElement", d: int) -> list[Rational]:
+        """to_sparse as a dense list."""
+        sparse = self.to_sparse(el, d)
+        return dense(sparse, self.dim(d))
 
     # -- differential
 
@@ -532,9 +544,9 @@ class Presentation:
                 f"differential of generators {sorted(bad)} is not representable under cap {self.cap}")
         return self.differential.apply(el)
 
-    def differential_vectors(self, d: int) -> list[list[Rational]]:
-        """Images under d of the degree-d basis, as degree-(d+1) vectors."""
-        return [self.to_vector(self.d(AlgebraElement(self, {mono: _F1})), d + 1)
+    def differential_vectors(self, d: int) -> list[dict[int, Rational]]:
+        """Images under d of the degree-d basis, as sparse degree-(d+1) vectors."""
+        return [self.to_sparse(self.d(AlgebraElement(self, {mono: _F1})), d + 1)
                 for mono in self.basis(d)]
 
     def check_cycle(self, el: "AlgebraElement") -> None:
@@ -966,7 +978,7 @@ class CdgaMorphism:
             for m in self.source.basis(d):
                 img = self.apply_raw({m: _F1})
                 if img:
-                    ech.add(self.target.to_vector(img, d))
+                    ech.add(self.target.to_sparse(img, d))
                 if ech.rank == tdim:
                     break
             if ech.rank < tdim:

@@ -4,10 +4,12 @@ HomologyReport is the one place that computes cycles, boundaries and
 canonical representatives.  It works on any cochain complex X with
 
     X.dim(d)                      dimension of the degree-d piece
-    X.to_vector(x, d)             coordinates of a degree-d element
-    X.from_vector(d, v)           the element with those coordinates
+    X.to_sparse(x, d)             coordinates of a degree-d element, as a
+                                  dict from basis index to coefficient
+    X.from_vector(d, v)           the element with coordinates v (a dict
+                                  or a dense list)
     X.differential_vectors(d)     images under d of the degree-d basis, as
-                                  degree-(d+1) vectors
+                                  sparse degree-(d+1) vectors
     X.check_cycle(x)              raises CdgaError unless dx = 0
     X.cap, X.is_free              the window of faithful degrees
 
@@ -57,6 +59,7 @@ class HomologyReport:
         self.hi = hi
         self._boundaries: dict[int, Echelon] = {}
         self._classes: dict[int, Echelon] = {}
+        self._class_rows: dict[int, list] = {}  # _classes[d].basis(), built once
         self._reps: dict[int, list] = {}
         below = None  # the differential matrix of degree d - 1, once built
         for d in range(lo, hi + 1):
@@ -70,6 +73,7 @@ class HomologyReport:
         if n == 0:
             self._boundaries[d] = Echelon(0)
             self._classes[d] = Echelon(0)
+            self._class_rows[d] = []
             self._reps[d] = []
             return []
         matrix = X.differential_vectors(d)
@@ -84,7 +88,8 @@ class HomologyReport:
         for v in cycles:
             hech.add(bech.reduce(v))
         self._classes[d] = hech
-        self._reps[d] = [X.from_vector(d, row) for row in hech.basis()]
+        self._class_rows[d] = hech.basis()
+        self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
         return matrix
 
     def _check_range(self, d: int):
@@ -104,7 +109,7 @@ class HomologyReport:
         return list(self._reps[d])
 
     def _cycle_vector(self, x, d: int):
-        v = self.complex.to_vector(x, d)
+        v = self.complex.to_sparse(x, d)
         self.complex.check_cycle(x)
         return v
 
@@ -134,7 +139,7 @@ class HomologyReport:
     def cycle(self, coords, d: int):
         """The cycle sum_i coords[i] * representatives(d)[i]."""
         X = self.complex
-        return X.from_vector(d, combine(coords, self._classes[d].basis(), X.dim(d)))
+        return X.from_vector(d, combine(coords, self._class_rows[d], X.dim(d)))
 
     def is_zero_class(self, x, d: int | None = None) -> bool:
         return not self.reduce(x, d)
@@ -260,7 +265,7 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, build, prefixes,
         if kernel:
             dvecs = T.differential_vectors(k)
             for z in kernel:
-                target = T.to_vector(phi(z), k + 1)
+                target = T.to_sparse(phi(z), k + 1)
                 combo = solve_combo(dvecs, T.dim(k + 1), target)
                 if combo is None:
                     raise error(f"class killed in degree {k + 1} has no primitive")
@@ -285,7 +290,7 @@ def kernel_basis(phi: CdgaMorphism, d: int) -> list[AlgebraElement]:
             return [AlgebraElement(P, {m: _F1}) for m in monos]
         raise RangeExceedsCap(
             f"kernel in degree {d} needs the target evaluable there")
-    images = [B.to_vector(phi.apply_raw({m: _F1}), d) for m in monos]
+    images = [B.to_sparse(phi.apply_raw({m: _F1}), d) for m in monos]
     return [P.from_vector(d, combo) for combo in kernel_combos(images, B.dim(d))]
 
 
@@ -311,9 +316,9 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
             for mono in P.basis(d - e):
                 prod = g * AlgebraElement(P, {mono: _F1})
                 if prod.terms:
-                    span.add(P.to_vector(prod, d))
+                    span.add(P.to_sparse(prod, d))
         for el in kernel_basis(phi, d):
-            v = span.reduce(P.to_vector(el, d))
+            v = span.reduce(P.to_sparse(el, d))
             red = P.from_vector(d, v)
             if red.terms:
                 # beyond b_hi the target vanishes (kernel_basis checked), so
@@ -321,7 +326,7 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
                 if d <= b_hi and phi.apply(red).terms:
                     raise CdgaError("kernel reduction produced a non-kernel element")
                 gens.append(red)
-                span.add(P.to_vector(red, d))
+                span.add(P.to_sparse(red, d))
     return gens
 
 
@@ -340,7 +345,9 @@ class GradedView:
     def basis_elements(self, d: int) -> list[AlgebraElement]:
         raise NotImplementedError
 
-    def to_coords(self, el: AlgebraElement, d: int) -> list[Fraction]:
+    def to_coords(self, el: AlgebraElement, d: int):
+        """Coordinates of a degree-d element: a dict from basis index to
+        coefficient, or a dense list."""
         raise NotImplementedError
 
     def mul(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -364,7 +371,7 @@ class PresentationView(GradedView):
         return [AlgebraElement(self.pres, {m: _F1}) for m in self.pres.basis(d)]
 
     def to_coords(self, el, d):
-        return self.pres.to_vector(el, d)
+        return self.pres.to_sparse(el, d)
 
     def mul(self, a, b):
         return a * b
@@ -606,10 +613,10 @@ class _SpanComplex:
         out = []
         for row in self._span(d).basis():
             img = P.d(P.from_vector(d, row))
-            v = nxt.coordinates(P.to_vector(img, d + 1))
+            v = nxt.coordinates(P.to_sparse(img, d + 1))
             if v is None:
                 raise CdgaError(f"differential leaves the span in degree {d}")
-            out.append(v)
+            out.append({i: c for i, c in enumerate(v) if c})
         return out
 
 

@@ -197,11 +197,11 @@ def _into_kernel(phi: CdgaMorphism, z: AlgebraElement, d: int) -> AlgebraElement
     if not img.terms:
         return z
     B = phi.target
-    combo = solve_combo(B.differential_vectors(d - 1), B.dim(d), B.to_vector(img, d))
+    combo = solve_combo(B.differential_vectors(d - 1), B.dim(d), B.to_sparse(img, d))
     if combo is None:
         raise CdgaError("image class does not bound; kernel adjustment failed")
     S = phi.source
-    phimgs = [B.to_vector(phi.apply(S.element({m: 1})), d - 1)
+    phimgs = [B.to_sparse(phi.apply(S.element({m: 1})), d - 1)
               for m in S.basis(d - 1)]
     lift = solve_combo(phimgs, B.dim(d - 1), combo)
     if lift is None:

@@ -1,83 +1,153 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer rows.
 
 Everything downstream (ideal reduction, homology, retraction solving) runs on
-these routines, so they are kept deliberately small: sparse rows (one dict
-from column to nonzero Fraction per row), reduced row echelon form
-everywhere.  The systems are large and mostly zero, and elimination touches
-only the nonzeros.  Because the reduced echelon basis of a subspace is
-unique, representatives extracted from an `Echelon` are canonical for the
-span regardless of the order rows were fed in or of how the rows are stored.
+these routines, so they are kept deliberately small: one reduced row echelon
+store, and the solvers built on it.
+
+* Sparse in and out.  A vector is a dict from column to nonzero rational.
+  A dense sequence is accepted too, and then a vector-valued answer
+  (`Echelon.reduce`, `kernel_combos`, `solve_combo`) comes back dense.
+  Answers indexed by an echelon's own basis (`basis`, `coordinates`) are
+  lists.  Sparse answers list their columns in ascending order.
+* Integer rows inside.  An incoming vector is cleared to one common
+  denominator once; each stored row is the primitive integer multiple of its
+  canonical reduced row, with a positive pivot.  The systems are mostly +-1,
+  so elimination is integer addition, and a Fraction is formed only where a
+  value leaves the module.
+
+Because the reduced echelon basis of a subspace is unique, representatives
+extracted from an `Echelon` are canonical for the span regardless of the
+order rows were fed in or of how the rows are stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def zero_vector(width: int) -> list[Fraction]:
     return [ZERO] * width
 
 
-def _sparse(v) -> dict[int, Fraction]:
-    """The nonzero entries of a dense vector, by column.
+def entries(v):
+    """The (index, value) pairs of a vector, sparse (a dict) or dense."""
+    return v.items() if isinstance(v, dict) else enumerate(v)
 
-    Dense vectors are mostly the shared ZERO of `zero_vector`; the identity
-    test skips those without a call to `Fraction.__bool__`.
-    """
-    return {j: c for j, c in enumerate(v) if c is not ZERO and c}
+
+def dense(v: dict, width: int) -> list:
+    """The sparse vector v as a dense list of `width` entries."""
+    out = zero_vector(width)
+    for j, c in v.items():
+        out[j] = c
+    return out
+
+
+def _integer_row(v) -> tuple[dict[int, int], int]:
+    """(w, den) with v == w / den: w holds v's nonzero entries as ints, and
+    den is the least common denominator of v's entries."""
+    w = {}
+    den = 1
+    for j, c in entries(v):
+        a = c.numerator
+        if a:
+            w[j] = a
+            q = c.denominator
+            if q != 1:
+                den = lcm(den, q)
+    if den != 1:
+        w = {j: c.numerator * (den // c.denominator) for j, c in entries(v) if j in w}
+    return w, den
+
+
+def _fraction(a: int, den: int) -> Fraction:
+    return Fraction(a) if den == 1 else Fraction(a, den)
+
+
+def _rational(w: dict[int, int], den: int, width: int | None):
+    """The vector w / den as it leaves the module: a dict in ascending column
+    order, or a dense list when `width` is given."""
+    out = {j: _fraction(w[j], den) for j in sorted(w)}
+    return out if width is None else dense(out, width)
+
+
+def _dense_width(v, width: int) -> int | None:
+    """`width` when the caller handed in a dense vector, else None."""
+    return None if isinstance(v, dict) else width
+
+
+def _scale(row: dict[int, int], m: int) -> None:
+    for j in row:
+        row[j] *= m
 
 
 class Echelon:
     """Incremental reduced-row-echelon store for a subspace of Q^width.
 
-    Rows keep unit pivots and every pivot column is eliminated from all other
-    rows, so `rows` is always the canonical RREF basis of the span.  Each row
-    is a dict holding only its nonzero entries; `add`, `reduce`, `contains`,
-    `coordinates` and `basis` take and return dense vectors, and the module's
-    own solvers feed dict rows to `_add` and `_reduce` directly.
+    Every pivot column is eliminated from all other rows, and each row is
+    kept as a dict of nonzero ints, the primitive multiple of its canonical
+    reduced row with a positive pivot; so `rows[i] / rows[i][lead]` is the
+    canonical RREF basis of the span.  `add`, `reduce`, `contains` and
+    `coordinates` take rational vectors (see the module docstring); the
+    module's own solvers feed integer rows to `_add` and `_reduce` directly.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[dict[int, int]] = []
         self.pivots: dict[int, int] = {}  # pivot column -> row index
+        self._leads: list[int] = []       # row index -> pivot column
         # non-pivot column -> rows that may hold it (a superset: entries
         # that cancel are not removed)
         self._holders: dict[int, set[int]] = {}
 
-    def _reduce(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
-        """A new dict: v with the span projected out.
+    def _reduce(self, v: dict[int, int]) -> tuple[dict[int, int], int]:
+        """(w, s): a new dict w = s * v minus a combination of the rows, zero
+        at every pivot, with the integer s >= 1.
 
-        Subtracting a row changes v only at its pivot and at non-pivot
-        columns, so the coefficient of each row is v's original entry at the
-        row's pivot and the rows can be subtracted in any order.
+        Subtracting a row changes w only at its pivot and at non-pivot
+        columns, so the pivots of v can be cleared in any order, each with
+        w's current entry there.  A pivot other than 1 scales w first.
         """
         out = dict(v)
+        scale = 1
         pivots, rows = self.pivots, self.rows
-        for col, c in v.items():
+        for col in v:
             ri = pivots.get(col)
             if ri is None:
                 continue
-            for j, rj in rows[ri].items():
-                x = out.get(j, ZERO) - c * rj
+            row = rows[ri]
+            c = out[col]
+            p = row[col]
+            if p != 1:
+                g = gcd(p, c)
+                m, c = p // g, c // g
+                if m != 1:
+                    _scale(out, m)
+                    scale *= m
+            for j, rj in row.items():
+                x = out.get(j, 0) - c * rj
                 if x:
                     out[j] = x
                 else:
                     del out[j]
-        return out
+        return out, scale
 
-    def _add(self, v: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """Insert v; return the new canonical row if the rank grew, else None."""
-        r = self._reduce(v)
+    def _add(self, v: dict[int, int]) -> int | None:
+        """Insert v; return the new row's pivot column if the rank grew, else None."""
+        r, _ = self._reduce(v)
         if not r:
             return None
         lead = min(r)
-        inv = ONE / r[lead]
-        r = {j: c * inv for j, c in r.items()}
-        rows, holders = self.rows, self._holders
+        g = gcd(*r.values())
+        if r[lead] < 0:
+            g = -g
+        if g != 1:
+            r = {j: c // g for j, c in r.items()}
+        p = r[lead]
+        rows, holders, leads = self.rows, self._holders, self._leads
         new = len(rows)
         for j in r:
             if j != lead:
@@ -87,6 +157,11 @@ class Echelon:
             c = row.get(lead)
             if c is None:
                 continue
+            if p != 1:
+                g = gcd(p, c)
+                m, c = p // g, c // g
+                if m != 1:
+                    _scale(row, m)
             for j, rj in r.items():
                 x = row.get(j)
                 if x is None:
@@ -98,35 +173,37 @@ class Echelon:
                         row[j] = x
                     else:
                         del row[j]
+            if row[leads[ri]] != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
         self.pivots[lead] = new
+        leads.append(lead)
         rows.append(r)
-        return r
+        return lead
 
-    def _dense(self, v: dict[int, Fraction]) -> list[Fraction]:
-        out = zero_vector(self.width)
-        for j, c in v.items():
-            out[j] = c
-        return out
+    def reduce(self, v):
+        """v with the span projected out (zero at every pivot)."""
+        w, den = _integer_row(v)
+        r, scale = self._reduce(w)
+        return _rational(r, den * scale, _dense_width(v, self.width))
 
-    def reduce(self, v) -> list[Fraction]:
-        """Return a copy of v with the span projected out."""
-        return self._dense(self._reduce(_sparse(v)))
-
-    def add(self, v) -> list[Fraction] | None:
-        """Insert v; return the new canonical row if the rank grew, else None."""
-        r = self._add(_sparse(v))
-        return None if r is None else self._dense(r)
+    def add(self, v) -> int | None:
+        """Insert v; return the new row's pivot column if the rank grew, else None."""
+        return self._add(_integer_row(v)[0])
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        return not self._reduce(_sparse(v))
+        return not self._reduce(_integer_row(v)[0])[0]
 
     def basis(self) -> list[list[Fraction]]:
-        """Canonical basis rows ordered by pivot column."""
-        return [self._dense(self.rows[ri]) for _, ri in sorted(self.pivots.items())]
+        """Canonical basis rows ordered by pivot column, as dense lists."""
+        return [_rational(self.rows[ri], self.rows[ri][col], self.width)
+                for col, ri in sorted(self.pivots.items())]
 
     def coordinates(self, v) -> list[Fraction] | None:
         """Coefficients of v in basis() order, or None when v is not in the span.
@@ -134,17 +211,19 @@ class Echelon:
         Rows are RREF, so the coefficient of a basis row is just the entry of v
         at that row's pivot column.
         """
-        v = _sparse(v)
-        if self._reduce(v):
+        w, den = _integer_row(v)
+        if self._reduce(w)[0]:
             return None
-        return [v.get(col, ZERO) for col in sorted(self.pivots)]
+        return [_fraction(w[col], den) if col in w else ZERO for col in sorted(self.pivots)]
 
 
 def combine(coeffs, rows, width: int) -> list[Fraction]:
-    """sum_i coeffs[i] * rows[i], a vector in Q^width."""
+    """sum_i coeffs[i] * rows[i], a dense vector in Q^width, for dense rows
+    and coefficients given as a dict or a dense list."""
     out = zero_vector(width)
-    for c, row in zip(coeffs, rows):
+    for i, c in entries(coeffs):
         if c:
+            row = rows[i]
             for j, r in enumerate(row):
                 if r:
                     out[j] += c * r
@@ -154,58 +233,70 @@ def combine(coeffs, rows, width: int) -> list[Fraction]:
 def _combination_echelon(images, width: int) -> Echelon:
     """Echelon of the rows (images[i], e_i) in Q^(width + n).
 
-    The combination column width + i starts as the single entry 1 of row i,
-    so it is stored sparsely like every other column.
+    Each row is cleared to integers, so its combination column width + i is
+    the single entry den_i.
     """
     ech = Echelon(width + len(images))
     for i, img in enumerate(images):
-        row = _sparse(img)
-        row[width + i] = ONE
+        row, den = _integer_row(img)
+        row[width + i] = den
         ech._add(row)
     return ech
 
 
-def kernel_combos(images, width: int) -> list[list[Fraction]]:
+def kernel_combos(images, width: int) -> list:
     """Coefficient vectors c with sum_i c_i * images[i] == 0.
 
     `images` is a list of vectors in Q^width; the kernel of the linear map
-    e_i -> images[i] is returned as echelonized combination rows.
+    e_i -> images[i] is returned as echelonized combination rows, each a
+    vector in Q^n in the shape of the images.
     """
     n = len(images)
     ech = _combination_echelon(images, width)
-    return [[ech.rows[ri].get(width + k, ZERO) for k in range(n)]
-            for col, ri in sorted(ech.pivots.items()) if col >= width]
+    shape = _dense_width(images[0], n) if images else None
+    out = []
+    for col, ri in sorted(ech.pivots.items()):
+        if col >= width:
+            # the pivot is the least column, so the whole row lies past width
+            row = ech.rows[ri]
+            out.append(_rational({j - width: a for j, a in row.items()}, row[col], shape))
+    return out
 
 
-def solve_combo(images, width: int, target) -> list[Fraction] | None:
-    """One c with sum_i c_i * images[i] == target, or None if unsolvable.
+def solve_combo(images, width: int, target):
+    """One c with sum_i c_i * images[i] == target, or None if unsolvable; c
+    has the shape of `target`.
 
     Deterministic: the same echelon path always yields the same solution.
     """
-    n = len(images)
-    r = _combination_echelon(images, width)._reduce(_sparse(target))
+    w, den = _integer_row(target)
+    r, scale = _combination_echelon(images, width)._reduce(w)
     if any(j < width for j in r):
         return None
-    return [-r.get(width + k, ZERO) for k in range(n)]
+    return _rational({j - width: -a for j, a in r.items()}, den * scale,
+                     _dense_width(target, len(images)))
 
 
 def solve_sparse(equations, nunknowns: int):
     """Solve a sparse rational linear system.
 
     `equations` is an iterable of (coeffs, rhs) with coeffs a dict
-    {unknown_index: Fraction}.  Returns (solution_dict, free_indices) with
+    {unknown_index: rational}.  Returns (solution_dict, free_indices) with
     free unknowns pinned to 0, or None when inconsistent.
     """
     ech = Echelon(nunknowns + 1)
     for coeffs, rhs in equations:
-        row = {j: Fraction(c) for j, c in coeffs.items() if c}
+        row = dict(coeffs)
         if rhs:
-            row[nunknowns] = Fraction(rhs)
-        ech._add(row)
+            row[nunknowns] = rhs
+        ech._add(_integer_row(row)[0])
     if nunknowns in ech.pivots:
         return None
-    solution = {col: ech.rows[ri].get(nunknowns, ZERO)
-                for col, ri in sorted(ech.pivots.items())}
+    solution = {}
+    for col, ri in sorted(ech.pivots.items()):
+        row = ech.rows[ri]
+        b = row.get(nunknowns)
+        solution[col] = ZERO if b is None else _fraction(b, row[col])
     free = [j for j in range(nunknowns) if j not in ech.pivots]
     # pinned-to-zero free variables make the recorded pivot values exact
     return solution, free

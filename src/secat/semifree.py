@@ -20,10 +20,11 @@ cohomology.  Three constructions live on top:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import solve_sparse, zero_vector
+from .linalg import dense, entries, solve_sparse
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap, quotient_by_ideal)
 from .homology import hit_and_kill, homology
@@ -182,33 +183,41 @@ class SemiFreeModule:
     def dim(self, n: int) -> int:
         return self._layout(n)[1]
 
-    def to_vector(self, mel: ModuleElement, n: int):
-        blocks, total = self._layout(n)
-        vec = zero_vector(total)
+    def to_sparse(self, mel: ModuleElement, n: int) -> dict[int, Fraction]:
+        """The nonzero coordinates of a degree-n element, by basis index."""
+        blocks = self._layout(n)[0]
+        out = {}
         for g, c in mel.items():
-            rem = n - self.degree_of[g]
             if not c.terms:
                 continue
-            sub = self.base.to_vector(c, rem)
+            sub = self.base.to_sparse(c, n - self.degree_of[g])
             off = blocks[g][0]
-            for i, val in enumerate(sub):
-                if val:
-                    vec[off + i] = val
-        return vec
+            for i, val in sub.items():
+                out[off + i] = val
+        return out
+
+    def to_vector(self, mel: ModuleElement, n: int):
+        """to_sparse as a dense list."""
+        return dense(self.to_sparse(mel, n), self.dim(n))
 
     def from_vector(self, n: int, vec) -> ModuleElement:
+        """The degree-n element with coordinates `vec`, a dict from basis
+        index to coefficient or a dense list."""
+        vec = {j: c for j, c in entries(vec) if c}
+        cols = sorted(vec)
         out: ModuleElement = {}
         for name, (off, width) in self._layout(n)[0].items():
-            chunk = vec[off:off + width]
-            if any(chunk):
-                out[name] = self.base.from_vector(n - self.degree_of[name], chunk)
+            lo, hi = bisect_left(cols, off), bisect_left(cols, off + width)
+            if lo < hi:
+                out[name] = self.base.from_vector(n - self.degree_of[name],
+                                                  {j - off: vec[j] for j in cols[lo:hi]})
         return out
 
     def basis_element(self, name: str, mono) -> ModuleElement:
         return {name: AlgebraElement(self.base, {mono: _F1})}
 
     def differential_vectors(self, n: int):
-        return [self.to_vector(self.d_element(self.basis_element(name, mono)), n + 1)
+        return [self.to_sparse(self.d_element(self.basis_element(name, mono)), n + 1)
                 for name, mono in self.basis(n)]
 
     def check_cycle(self, mel: ModuleElement) -> None:
@@ -312,7 +321,6 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
     base = module.base
     if not base.is_free:
         E = min(E, base.cap - 1)
-    index: dict[tuple[str, int], int] = {}
     slots: dict[str, tuple[int, int]] = {}
     n_unknowns = 0
     for name, deg in module.gen_list:
@@ -320,8 +328,6 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
             continue
         width = base.dim(deg)
         slots[name] = (n_unknowns, width)
-        for i in range(width):
-            index[(name, i)] = n_unknowns + i
         n_unknowns += width
 
     equations = []
@@ -329,41 +335,37 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
         if name == UNIT or deg + 1 > E:
             continue
         tdeg = deg + 1
-        width_t = base.dim(tdeg)
-        rows: list[dict] = [dict() for _ in range(width_t)]
-        rhs = zero_vector(width_t)
+        # degree-tdeg basis index -> the equation's unknowns and right side
+        rows: dict[int, dict] = {}
+        rhs: dict[int, Fraction] = {}
         # d(r(x)): coefficients of the unknowns of x through the differential
         off, width = slots[name]
         for i, mono in enumerate(base.basis(deg)):
             img = base.d(AlgebraElement(base, {mono: _F1}))
-            if not img.terms:
-                continue
-            for j, val in enumerate(base.to_vector(img, tdeg)):
-                if val:
-                    rows[j][off + i] = rows[j].get(off + i, _F0) - val
+            for j, val in base.to_sparse(img, tdeg).items():
+                row = rows.setdefault(j, {})
+                row[off + i] = row.get(off + i, _F0) - val
         # r(d x) = sum over d(x) entries
         for g, c in module.d.get(name, {}).items():
             if g == UNIT:
                 # r(c . unit) = c, a known contribution
-                for j, val in enumerate(base.to_vector(c, tdeg)):
-                    if val:
-                        rhs[j] -= val
+                for j, val in base.to_sparse(c, tdeg).items():
+                    rhs[j] = rhs.get(j, _F0) - val
                 continue
             gdeg = module.degree_of[g]
             if gdeg > E:
                 raise RangeExceedsCap(
                     f"retraction system reaches generator {g} beyond degree {E}")
-            goff, gwidth = slots[g]
+            goff = slots[g][0]
             for i, mono in enumerate(base.basis(gdeg)):
                 prod = c * AlgebraElement(base, {mono: _F1})
-                if not prod.terms:
-                    continue
-                for j, val in enumerate(base.to_vector(prod, tdeg)):
-                    if val:
-                        rows[j][goff + i] = rows[j].get(goff + i, _F0) + val
-        for j in range(width_t):
-            if rows[j] or rhs[j]:
-                equations.append((rows[j], rhs[j]))
+                for j, val in base.to_sparse(prod, tdeg).items():
+                    row = rows.setdefault(j, {})
+                    row[goff + i] = row.get(goff + i, _F0) + val
+        for j in sorted(rows.keys() | rhs.keys()):
+            row, b = rows.get(j, {}), rhs.get(j, _F0)
+            if row or b:
+                equations.append((row, b))
 
     solved = solve_sparse(equations, n_unknowns)
     if solved is None:
@@ -372,8 +374,8 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
     values = {UNIT: base.one()}
     for name, (off, width) in slots.items():
         deg = module.degree_of[name]
-        vec = [solution.get(off + i, _F0) for i in range(width)]
-        values[name] = base.from_vector(deg, vec)
+        values[name] = base.from_vector(
+            deg, {i: solution[off + i] for i in range(width) if off + i in solution})
     return RetractionResult(values, len(free), len(equations), E)
 
 

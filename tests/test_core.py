@@ -206,6 +206,29 @@ def test_monomial_relations_reduce_to_zero(models):
     assert parse_element("a^3", T).terms
 
 
+def test_reduce_raw_lists_terms_in_ascending_column_order(models):
+    """reduce_raw answers degree by degree, each degree in the order of the
+    free monomial basis, with only quotient basis monomials left."""
+    binomial = Presentation([("a", 2), ("b", 2), ("x", 3)], 12,
+                            relations=[{(("a", 2),): 1, (("b", 2),): 1}])
+    rng = random.Random(11)
+    for P in (models["T"], models["W"], models["CP2"], models["S4"], binomial):
+        for d in range(1, P.cap):
+            terms = {}
+            for e in (d, d + 1):
+                monos = P.free_monomials(e)
+                for m in rng.sample(monos, min(len(monos), 6)):
+                    terms[m] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+            red = P.reduce_raw(terms)
+            degrees = [P._ctx.mono_degree(m) for m in red]
+            assert all(m in P.basis(e) for m, e in zip(red, degrees))
+            key = [(e, P.free_monomials(e).index(m)) for m, e in zip(red, degrees)]
+            assert key == sorted(key)
+    # a^4 = b^4 in the binomial quotient: one term survives, after a reordering
+    assert binomial.reduce_raw({(("a", 4),): Fraction(1), (("b", 4),): Fraction(1)}) \
+        == {(("b", 4),): Fraction(2)}
+
+
 def test_top_degree_detection(models):
     assert models["T"].top_degree_if_finite() == 8
     assert models["W"].top_degree_if_finite() == 8

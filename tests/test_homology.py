@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from secat.core import CdgaError, Presentation, quotient_by_ideal
+from secat.core import AlgebraElement, CdgaError, Presentation, quotient_by_ideal
 from secat.homology import (HomologyView, IdealPowers, PresentationView,
-                            homology, induced_matrix, is_quasi_iso,
+                            _SpanComplex, homology, induced_matrix, is_quasi_iso,
                             kernel_basis, kernel_ideal_generators, nil_ideal,
                             poincare_duality_check, positive_part_generators,
                             span_complex_homology)
@@ -53,6 +53,57 @@ class CountingComplex:
     def differential_vectors(self, d):
         self.built[d] += 1
         return self.X.differential_vectors(d)
+
+
+def _nonzeros(vec):
+    return {j: c for j, c in enumerate(vec) if c}
+
+
+def _check_sparse_rows(X, n, images, dense):
+    """X.differential_vectors(n) against `dense`, the dense coordinates of
+    each of `images`, the differentials of the degree-n basis; and
+    from_vector reads a sparse row back as the same element."""
+    rows = X.differential_vectors(n)
+    assert len(rows) == len(images) == X.dim(n)
+    for row, img, vec in zip(rows, images, dense):
+        assert isinstance(row, dict)
+        assert row == _nonzeros(vec)
+        assert X.from_vector(n + 1, row) == X.from_vector(n + 1, vec)
+        if img is not None:
+            assert X.from_vector(n + 1, row) == img
+            assert X.to_sparse(img, n + 1) == row
+
+
+def test_differential_vectors_are_the_nonzeros_of_to_vector(models):
+    """The sparse protocol on every bundled model, free or with relations."""
+    for name, P in models.items():
+        for d in range(min(P.cap, 12)):
+            images = [P.d(AlgebraElement(P, {m: Fraction(1)})) for m in P.basis(d)]
+            _check_sparse_rows(P, d, images, [P.to_vector(img, d + 1) for img in images])
+
+
+@pytest.mark.parametrize("label, gens", [("S2", ("a",)), ("T", ("a", "b"))])
+def test_module_differential_vectors_are_the_nonzeros_of_to_vector(models, label, gens):
+    """The sparse protocol on a quotient resolution, over a free base and
+    over a base with relations."""
+    P = models[label]
+    M = resolve_quotient(P, [P.gen(n) for n in gens], 7).module
+    for n in range(7):
+        images = [M.d_element(M.basis_element(g, m)) for g, m in M.basis(n)]
+        _check_sparse_rows(M, n, images, [M.to_vector(img, n + 1) for img in images])
+
+
+def test_span_differential_vectors_are_the_nonzeros_of_dense_coordinates(models):
+    """The sparse protocol on a span complex: its rows are the nonzero echelon
+    coordinates of the differential of each span basis row."""
+    S2 = models["S2"]
+    powers = IdealPowers(PresentationView(S2, 8), [S2.gen("a")])
+    spans = {d: powers.span_echelon(1, d) for d in range(9)}
+    X = _SpanComplex(S2, spans)
+    for d in range(8):
+        dense = [spans[d + 1].coordinates(S2.to_vector(S2.d(S2.from_vector(d, row)), d + 1))
+                 for row in spans[d].basis()]
+        _check_sparse_rows(X, d, [None] * len(dense), dense)
 
 
 @pytest.mark.parametrize("name, lo, hi", [("C", 0, 11), ("T", 0, 11), ("W", 2, 11),

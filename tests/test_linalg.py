@@ -2,7 +2,10 @@
 
 Small random rational matrices, with zero rows, repeated rows and zero
 width, are fed to `Echelon` and the solvers in `secat.linalg`; every answer
-is checked against `oracles.rref` / `oracles.rank` or by substitution.
+is checked against `oracles.rref` / `oracles.rank` or by substitution.  A
+second family of entries (non-unit pivots, coprime denominators, a 10^12
+numerator) checks exact values, so integer row scaling and the clearing of
+denominators cannot drift from the rational answer.
 """
 
 from fractions import Fraction
@@ -19,10 +22,10 @@ ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_width=5):
+def matrices(draw, entries=ENTRIES, max_rows=6, max_width=5):
     """(width, rows): a few rows in Q^width, some zero, some repeated."""
     width = draw(st.integers(0, max_width))
-    row = st.lists(ENTRIES, min_size=width, max_size=width)
+    row = st.lists(entries, min_size=width, max_size=width)
     rows = draw(st.lists(row, max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
@@ -135,3 +138,80 @@ def test_solve_sparse_solves_or_reports_inconsistency(m, zero_entry):
     x = [solution.get(j, Fraction(0)) for j in range(n)]
     for coeffs, rhs in equations:
         assert sum((c * x[j] for j, c in coeffs.items()), Fraction(0)) == rhs
+
+
+# ---------------------------------------------------------------------------
+# exact values on rows that are not +-1: non-unit pivots, coprime
+# denominators and large numerators, against values read off the oracle RREF
+
+WIDE_ENTRIES = st.sampled_from([0, 0, 0, 3, -2, 6, Fraction(7, 5), Fraction(-10**12, 7),
+                                Fraction(5, 3), Fraction(-11, 13), 1]).map(Fraction)
+
+
+@st.composite
+def wide_matrix_and_vector(draw):
+    """(width, rows, v) over WIDE_ENTRIES, v random or a combination of rows."""
+    width, rows = draw(matrices(entries=WIDE_ENTRIES, max_rows=7, max_width=6))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(WIDE_ENTRIES, min_size=len(rows), max_size=len(rows)))
+        v = combine(coeffs, rows, width)
+    else:
+        v = draw(st.lists(WIDE_ENTRIES, min_size=width, max_size=width))
+    return width, rows, v
+
+
+def _oracle_reduce(basis, v):
+    """v minus its projection on the span: the RREF rows weighted by v's
+    entries at their pivots."""
+    out = list(v)
+    for row, p in zip(basis, _pivot_columns(basis)):
+        f = v[p]
+        out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=wide_matrix_and_vector(), data=st.data())
+def test_echelon_on_wide_entries_matches_the_oracle_exactly(m, data):
+    width, rows, v = m
+    want = orc.rref(rows)
+    pivots = _pivot_columns(want)
+    for order in (rows, data.draw(st.permutations(rows))):
+        ech = _echelon(width, order)
+        assert ech.basis() == want
+        assert sorted(ech.pivots) == pivots
+    reduced = _oracle_reduce(want, v)
+    assert ech.reduce(v) == reduced
+    inside = not any(reduced)
+    assert ech.contains(v) == inside
+    assert ech.coordinates(v) == ([v[p] for p in pivots] if inside else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=wide_matrix_and_vector())
+def test_solvers_on_wide_entries_match_the_oracle_exactly(m):
+    width, images, target = m
+    n = len(images)
+    # the RREF of the rows (images[i], e_i): its rows past `width` are the
+    # canonical kernel basis, and reducing (target, 0) gives minus a solution
+    aug = orc.rref([img + [Fraction(int(i == k)) for k in range(n)]
+                    for i, img in enumerate(images)])
+    assert kernel_combos(images, width) == [
+        row[width:] for row, p in zip(aug, _pivot_columns(aug)) if p >= width]
+    rest = _oracle_reduce(aug, target + [Fraction(0)] * n)
+    want = None if any(rest[:width]) else [-c for c in rest[width:]]
+    assert solve_combo(images, width, target) == want
+
+    # the rows read as equations sum_j a_j x_j = b, b the last entry
+    if width == 0:
+        return
+    nx = width - 1
+    equations = [({j: c for j, c in enumerate(row[:nx]) if c}, row[nx]) for row in images]
+    basis = orc.rref(images)
+    lead = _pivot_columns(basis)
+    if nx in lead:
+        assert solve_sparse(equations, nx) is None
+    else:
+        solution = {p: row[nx] for row, p in zip(basis, lead)}
+        free = [j for j in range(nx) if j not in solution]
+        assert solve_sparse(equations, nx) == (solution, free)

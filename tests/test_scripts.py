@@ -1,0 +1,34 @@
+"""The two script-level byte-identity gates.
+
+`scripts/run_worked_examples.py --json` must print exactly the pinned tables
+in `tests/golden/worked_examples.json`, and `scripts/fuzz_certificates.py`
+must reject every one of its corruptions.  Both run as their own processes,
+as they are run by hand.  Regenerate the pinned tables (only for an intended
+output change) with
+
+    python3 scripts/run_worked_examples.py --json > tests/golden/worked_examples.json
+"""
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKED = ROOT / "tests" / "golden" / "worked_examples.json"
+
+
+def _run(script, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, cwd=ROOT, check=False)
+
+
+def test_worked_examples_json_is_byte_identical():
+    out = _run("run_worked_examples.py", "--json")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == WORKED.read_text(encoding="utf-8")
+
+
+def test_fuzz_certificates_rejects_every_corruption():
+    out = _run("fuzz_certificates.py")
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "RESULT: all 104 corruptions rejected (100%)" in out.stdout
