@@ -5,7 +5,7 @@ Representation constraints:
 * A monomial is a tuple ((name, exp), ...) with generators sorted by the
   canonical order (degree, name); odd generators carry exponent 1 and the
   Koszul sign of sorting a product is absorbed into the coefficient, so two
-  equal elements always have literally equal term dictionaries.
+  equal elements always have equal term dictionaries.
 * Elements are reduced eagerly modulo the relation ideal.  The ideal is
   handled degree by degree: for each degree up to the presentation cap a
   reduced row echelon basis of its graded piece is computed once and cached,
@@ -18,7 +18,11 @@ Representation constraints:
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
 
-All coefficients are fractions.Fraction; floats never appear.
+A coefficient is an int when it is integral and a fractions.Fraction when
+its reduced denominator is above 1; floats never appear.  Coefficients enter
+in that form (`_coerce_coeff`, the parser, linalg's exits), and the hot loops
+do no normalisation pass, so an int times a Fraction that happens to be
+integral may stay a Fraction: it compares, hashes and prints like the int.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Echelon, dense, entries
+from .linalg import Echelon, Rational, dense, entries
 
-Rational = Fraction
 Monomial = tuple  # tuple[tuple[str, int], ...]
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,7 @@ class _SignEngine:
                 if sm is None:
                     continue
                 sign, mono = sm
-                c = out.get(mono, _F0) + sign * c1 * c2
+                c = out.get(mono, 0) + sign * c1 * c2
                 if c:
                     out[mono] = c
                 elif mono in out:
@@ -219,7 +222,7 @@ class _SignEngine:
                     if right is None:
                         continue
                     mono = right[1]
-                    val = out.get(mono, _F0) + left[0] * right[0] * coeff * cv
+                    val = out.get(mono, 0) + left[0] * right[0] * coeff * cv
                     if val:
                         out[mono] = val
                     elif mono in out:
@@ -252,6 +255,9 @@ class _SignEngine:
                     prefix.pop()
 
         rec(d, 0, [])
+        # rec refers to itself through a closure cell; unbinding it frees the
+        # closure (and self) now, not at the cycle collector's next full pass
+        del rec
         acc.sort(key=self.mono_key)
         result = tuple(acc)
         self._monomials[d] = result
@@ -266,15 +272,13 @@ class _SignEngine:
         return index
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 def _coerce_coeff(c) -> Rational:
+    """c in the coefficient normal form: an int, or a Fraction whose
+    denominator is above 1."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise CdgaError(f"coefficient {c!r} is not an exact rational")
 
 
@@ -348,6 +352,11 @@ class Presentation:
             else:
                 self._diff_raw[name] = self.reduce_raw(raw)
         self.d_unknown = frozenset(unknown)
+        # d's values and memo are plain data, not a Derivation pointing back
+        # here, so no reference cycle keeps a presentation alive after its
+        # last use
+        self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
+        self._d_memo: dict[Monomial, dict] | None = None if self.is_free else {}
         self.validated_notes: list[str] = []
         if validate:
             self._validate()
@@ -365,7 +374,7 @@ class Presentation:
                 c = sign * _coerce_coeff(c)
                 if not c:
                     continue
-                out[mono] = out.get(mono, _F0) + c
+                out[mono] = out.get(mono, 0) + c
             return {m: c for m, c in out.items() if c}
         raise CdgaError(f"cannot interpret {x!r} as an algebra element")
 
@@ -421,7 +430,7 @@ class Presentation:
             if e > d:
                 continue
             for m in ctx.free_monomials(d - e):
-                prod = ctx.raw_mul({m: _F1}, rel)
+                prod = ctx.raw_mul({m: 1}, rel)
                 if prod:
                     ech.add({index[mono]: c for mono, c in prod.items()})
         self._ideal[d] = ech
@@ -484,19 +493,19 @@ class Presentation:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(): _F1})
+        return AlgebraElement(self, {(): 1})
 
     def gen(self, name: str) -> "AlgebraElement":
         if name not in self._ctx.degree_of:
             raise CdgaError(f"unknown generator {name!r}")
-        return AlgebraElement(self, self.reduce_raw({((name, 1),): _F1}))
+        return AlgebraElement(self, self.reduce_raw({((name, 1),): 1}))
 
     def element(self, spec) -> "AlgebraElement":
         return AlgebraElement(self, self.reduce_raw(self._coerce_terms(spec)))
 
     def monomial(self, mono) -> "AlgebraElement":
         sign, m = self._coerce_mono(mono)
-        return AlgebraElement(self, self.reduce_raw({m: Fraction(sign)}))
+        return AlgebraElement(self, self.reduce_raw({m: sign}))
 
     def from_vector(self, d: int, vec) -> "AlgebraElement":
         """The degree-d element with coordinates `vec`, a dict from basis
@@ -527,26 +536,18 @@ class Presentation:
 
     # -- differential
 
-    @property
-    def differential(self) -> "Derivation":
-        der = getattr(self, "_derivation", None)
-        if der is None:
-            values = {n: AlgebraElement(self, dict(t))
-                      for n, t in self._diff_raw.items() if n not in self.d_unknown}
-            der = Derivation(self, 1, values, check=False)
-            self._derivation = der
-        return der
-
     def d(self, el: "AlgebraElement") -> "AlgebraElement":
         bad = {n for m, _ in el.terms.items() for n, _e in m if n in self.d_unknown}
         if bad:
             raise RangeExceedsCap(
                 f"differential of generators {sorted(bad)} is not representable under cap {self.cap}")
-        return self.differential.apply(el)
+        if el.pres is not self:
+            raise PresentationMismatch("element belongs to a different presentation")
+        return AlgebraElement(self, _derive(self, self._d_values, 1, self._d_memo, el.terms))
 
     def differential_vectors(self, d: int) -> list[dict[int, Rational]]:
         """Images under d of the degree-d basis, as sparse degree-(d+1) vectors."""
-        return [self.to_sparse(self.d(AlgebraElement(self, {mono: _F1})), d + 1)
+        return [self.to_sparse(self.d(AlgebraElement(self, {mono: 1})), d + 1)
                 for mono in self.basis(d)]
 
     def check_cycle(self, el: "AlgebraElement") -> None:
@@ -680,7 +681,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, _F0) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             elif m in out:
@@ -691,7 +692,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, _F0) - c
+            v = out.get(m, 0) - c
             if v:
                 out[m] = v
             elif m in out:
@@ -840,38 +841,45 @@ class Derivation:
     def apply(self, el: AlgebraElement) -> AlgebraElement:
         if el.pres is not self.pres:
             raise PresentationMismatch("element belongs to a different presentation")
-        pres = self.pres
-        ctx = pres._ctx
-        memo = self._memo
-        if memo is None:
-            return AlgebraElement(pres, ctx.leibniz(el.terms, self._raw, self.degree))
-        top = pres.cap - self.degree
-        out: dict[Monomial, Rational] = {}
-        for m, c in el.terms.items():
-            img = memo.get(m)
-            if img is None:
-                if ctx.mono_degree(m) > top:
-                    self._check_above_cap(m)
-                    img = {}
-                else:
-                    img = pres.reduce_raw(ctx.leibniz({m: _F1}, self._raw, self.degree))
-                memo[m] = img
-            for mono, v in img.items():
-                val = out.get(mono, _F0) + c * v
-                if val:
-                    out[mono] = val
-                elif mono in out:
-                    del out[mono]
-        return AlgebraElement(pres, out)
+        return AlgebraElement(self.pres, _derive(self.pres, self._raw, self.degree,
+                                                 self._memo, el.terms))
 
-    def _check_above_cap(self, m: Monomial):
-        """Raise RangeExceedsCap unless every term of theta(m), whose degree
-        is above the cap, vanishes as a product of reduced factors."""
-        pres = self.pres
-        ctx = pres._ctx
-        for _, prefix, img, suffix in ctx.leibniz_terms(m, self._raw, self.degree):
-            left = pres.reduce_raw(ctx.raw_mul(pres.reduce_raw({prefix: _F1}), img))
-            pres.reduce_raw(ctx.raw_mul(left, pres.reduce_raw({suffix: _F1})))
+
+def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]], degree: int,
+            memo: dict | None, terms: Mapping[Monomial, Rational]) -> dict:
+    """The terms of theta(terms) for the degree-`degree` derivation theta of
+    `pres` with generator values `raw`, as Derivation.apply describes it;
+    `memo` (None on a free presentation) keeps each monomial's image."""
+    ctx = pres._ctx
+    if memo is None:
+        return ctx.leibniz(terms, raw, degree)
+    top = pres.cap - degree
+    out: dict[Monomial, Rational] = {}
+    for m, c in terms.items():
+        img = memo.get(m)
+        if img is None:
+            if ctx.mono_degree(m) > top:
+                _check_above_cap(pres, raw, degree, m)
+                img = {}
+            else:
+                img = pres.reduce_raw(ctx.leibniz({m: 1}, raw, degree))
+            memo[m] = img
+        for mono, v in img.items():
+            val = out.get(mono, 0) + c * v
+            if val:
+                out[mono] = val
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def _check_above_cap(pres: Presentation, raw, degree: int, m: Monomial):
+    """Raise RangeExceedsCap unless every term of theta(m), whose degree
+    is above the cap, vanishes as a product of reduced factors."""
+    ctx = pres._ctx
+    for _, prefix, img, suffix in ctx.leibniz_terms(m, raw, degree):
+        left = pres.reduce_raw(ctx.raw_mul(pres.reduce_raw({prefix: 1}), img))
+        pres.reduce_raw(ctx.raw_mul(left, pres.reduce_raw({suffix: 1})))
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +984,7 @@ class CdgaMorphism:
                 continue
             ech = Echelon(tdim)
             for m in self.source.basis(d):
-                img = self.apply_raw({m: _F1})
+                img = self.apply_raw({m: 1})
                 if img:
                     ech.add(self.target.to_sparse(img, d))
                 if ech.rank == tdim:
@@ -1071,7 +1079,7 @@ def _build_combined(parts, cap, simply_connected, extra_relations=()):
                           if odd_seq[i] > odd_seq[j])
                 if inv % 2:
                     sign = -sign
-                out[resorted] = out.get(resorted, _F0) + sign * c
+                out[resorted] = out.get(resorted, 0) + sign * c
             return {m: c for m, c in out.items() if c}
 
         for rel in P.relations:
@@ -1143,7 +1151,7 @@ def direct_sum(A: Presentation, B: Presentation, *, cap: int | None = None) -> T
         for gb in B.generators:
             pair = [(map_a[ga.name], 1), (map_b[gb.name], 1)]
             pair.sort(key=lambda p: ctx.rank[p[0]])
-            cross.append({tuple(pair): _F1})
+            cross.append({tuple(pair): 1})
     combined = _build_combined([(A, map_a), (B, map_b)], cap, sc,
                                extra_relations=cross)
     inc_a = CdgaMorphism(A, combined, {n: combined.gen(m) for n, m in map_a.items()},

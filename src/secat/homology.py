@@ -31,14 +31,10 @@ again, so the chosen basis of H^d does not depend on enumeration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import ZERO, Echelon, combine, kernel_combos, solve_combo, zero_vector
+from .linalg import Echelon, Rational, combine, kernel_combos, solve_combo
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap)
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class HomologyReport:
@@ -122,14 +118,14 @@ class HomologyReport:
         v = self._cycle_vector(x, d)
         return self.complex.from_vector(d, self._boundaries[d].reduce(v))
 
-    def class_coords(self, x, d: int | None = None) -> list[Fraction]:
+    def class_coords(self, x, d: int | None = None) -> list[Rational]:
         """Coordinates of the class of a cycle in the canonical basis of H^d."""
         d = x.degree() if d is None and x else d
         if d is None:
             raise DegreeMismatch("zero element needs an explicit degree")
         self._check_range(d)
         if not x:
-            return zero_vector(self._classes[d].rank)
+            return [0] * self._classes[d].rank
         v = self._boundaries[d].reduce(self._cycle_vector(x, d))
         coords = self._classes[d].coordinates(v)
         if coords is None:
@@ -164,7 +160,7 @@ def homology(X, lo: int = 0, hi: int | None = None) -> HomologyReport:
 
 
 def induced_matrix(phi, H_src: HomologyReport, H_tgt: HomologyReport,
-                   d: int) -> list[list[Fraction]]:
+                   d: int) -> list[list[Rational]]:
     """Columns are the coordinates of H(phi) of the source basis classes.
 
     `phi` is any chain map given as a callable, a CdgaMorphism included.
@@ -287,10 +283,10 @@ def kernel_basis(phi: CdgaMorphism, d: int) -> list[AlgebraElement]:
         # when the target provably vanishes there; then it is everything
         btop = B.top_degree_if_finite()
         if btop is not None and d > btop:
-            return [AlgebraElement(P, {m: _F1}) for m in monos]
+            return [AlgebraElement(P, {m: 1}) for m in monos]
         raise RangeExceedsCap(
             f"kernel in degree {d} needs the target evaluable there")
-    images = [B.to_sparse(phi.apply_raw({m: _F1}), d) for m in monos]
+    images = [B.to_sparse(phi.apply_raw({m: 1}), d) for m in monos]
     return [P.from_vector(d, combo) for combo in kernel_combos(images, B.dim(d))]
 
 
@@ -314,7 +310,7 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
             if e is None or e > d:
                 continue
             for mono in P.basis(d - e):
-                prod = g * AlgebraElement(P, {mono: _F1})
+                prod = g * AlgebraElement(P, {mono: 1})
                 if prod.terms:
                     span.add(P.to_sparse(prod, d))
         for el in kernel_basis(phi, d):
@@ -368,7 +364,7 @@ class PresentationView(GradedView):
         return self.pres.dim(d)
 
     def basis_elements(self, d: int) -> list[AlgebraElement]:
-        return [AlgebraElement(self.pres, {m: _F1}) for m in self.pres.basis(d)]
+        return [AlgebraElement(self.pres, {m: 1}) for m in self.pres.basis(d)]
 
     def to_coords(self, el, d):
         return self.pres.to_sparse(el, d)
@@ -576,7 +572,7 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
             row = []
             for s in H.representatives(top - k):
                 prod = r * s
-                row.append(H.class_coords(prod, top)[0] if prod.terms else ZERO)
+                row.append(H.class_coords(prod, top)[0] if prod.terms else 0)
             ech.add(row)
         if ech.rank != bk:
             return DualityResult(False, top,

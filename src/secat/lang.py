@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import AlgebraElement, CdgaError, CdgaMorphism, Presentation
+from .core import AlgebraElement, CdgaError, CdgaMorphism, Presentation, _coerce_coeff
 
 
 class ParseError(CdgaError):
@@ -105,8 +105,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# expression ASTs: ('num', Fraction) ('gen', name) ('add', l, r) ('sub', l, r)
-#                  ('mul', l, r) ('pow', base, int) ('neg', x)
+# expression ASTs: ('num', int | Fraction) ('gen', name) ('add', l, r)
+#                  ('sub', l, r) ('mul', l, r) ('pow', base, int) ('neg', x)
 
 
 class _Parser:
@@ -177,7 +177,7 @@ class _Parser:
             den = t.text.partition("/")[2]
             if den and not int(den):
                 raise ParseError(f"zero denominator in {t.text!r}", t.line, t.col)
-            return ("num", Fraction(t.text))
+            return ("num", _coerce_coeff(Fraction(t.text)))
         if t.kind == "name":
             self.next()
             return ("gen", t.text)

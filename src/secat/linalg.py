@@ -12,8 +12,10 @@ store, and the solvers built on it.
 * Integer rows inside.  An incoming vector is cleared to one common
   denominator once; each stored row is the primitive integer multiple of its
   canonical reduced row, with a positive pivot.  The systems are mostly +-1,
-  so elimination is integer addition, and a Fraction is formed only where a
-  value leaves the module.
+  so elimination is integer addition.
+* One coefficient normal form out.  A value leaving the module is an int
+  when it is integral, and a Fraction only where a denominator remains;
+  floats never appear.
 
 Because the reduced echelon basis of a subspace is unique, representatives
 extracted from an `Echelon` are canonical for the span regardless of the
@@ -25,11 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-ZERO = Fraction(0)
-
-
-def zero_vector(width: int) -> list[Fraction]:
-    return [ZERO] * width
+Rational = int | Fraction
 
 
 def entries(v):
@@ -39,7 +37,7 @@ def entries(v):
 
 def dense(v: dict, width: int) -> list:
     """The sparse vector v as a dense list of `width` entries."""
-    out = zero_vector(width)
+    out = [0] * width
     for j, c in v.items():
         out[j] = c
     return out
@@ -62,8 +60,9 @@ def _integer_row(v) -> tuple[dict[int, int], int]:
     return w, den
 
 
-def _fraction(a: int, den: int) -> Fraction:
-    return Fraction(a) if den == 1 else Fraction(a, den)
+def _fraction(a: int, den: int) -> Rational:
+    """a / den in the normal form: an int when den divides a."""
+    return a // den if a % den == 0 else Fraction(a, den)
 
 
 def _rational(w: dict[int, int], den: int, width: int | None):
@@ -200,12 +199,12 @@ class Echelon:
     def contains(self, v) -> bool:
         return not self._reduce(_integer_row(v)[0])[0]
 
-    def basis(self) -> list[list[Fraction]]:
+    def basis(self) -> list[list[Rational]]:
         """Canonical basis rows ordered by pivot column, as dense lists."""
         return [_rational(self.rows[ri], self.rows[ri][col], self.width)
                 for col, ri in sorted(self.pivots.items())]
 
-    def coordinates(self, v) -> list[Fraction] | None:
+    def coordinates(self, v) -> list[Rational] | None:
         """Coefficients of v in basis() order, or None when v is not in the span.
 
         Rows are RREF, so the coefficient of a basis row is just the entry of v
@@ -214,13 +213,13 @@ class Echelon:
         w, den = _integer_row(v)
         if self._reduce(w)[0]:
             return None
-        return [_fraction(w[col], den) if col in w else ZERO for col in sorted(self.pivots)]
+        return [_fraction(w[col], den) if col in w else 0 for col in sorted(self.pivots)]
 
 
-def combine(coeffs, rows, width: int) -> list[Fraction]:
+def combine(coeffs, rows, width: int) -> list[Rational]:
     """sum_i coeffs[i] * rows[i], a dense vector in Q^width, for dense rows
     and coefficients given as a dict or a dense list."""
-    out = zero_vector(width)
+    out = [0] * width
     for i, c in entries(coeffs):
         if c:
             row = rows[i]
@@ -296,7 +295,7 @@ def solve_sparse(equations, nunknowns: int):
     for col, ri in sorted(ech.pivots.items()):
         row = ech.rows[ri]
         b = row.get(nunknowns)
-        solution[col] = ZERO if b is None else _fraction(b, row[col])
+        solution[col] = 0 if b is None else _fraction(b, row[col])
     free = [j for j in range(nunknowns) if j not in ech.pivots]
     # pinned-to-zero free variables make the recorded pivot values exact
     return solution, free

@@ -22,15 +22,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import dense, entries, solve_sparse
+from .linalg import Rational, dense, entries, solve_sparse
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap, quotient_by_ideal)
 from .homology import hit_and_kill, homology
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 ModuleElement = dict  # generator name -> AlgebraElement coefficient
 
@@ -183,7 +179,7 @@ class SemiFreeModule:
     def dim(self, n: int) -> int:
         return self._layout(n)[1]
 
-    def to_sparse(self, mel: ModuleElement, n: int) -> dict[int, Fraction]:
+    def to_sparse(self, mel: ModuleElement, n: int) -> dict[int, Rational]:
         """The nonzero coordinates of a degree-n element, by basis index."""
         blocks = self._layout(n)[0]
         out = {}
@@ -214,7 +210,7 @@ class SemiFreeModule:
         return out
 
     def basis_element(self, name: str, mono) -> ModuleElement:
-        return {name: AlgebraElement(self.base, {mono: _F1})}
+        return {name: AlgebraElement(self.base, {mono: 1})}
 
     def differential_vectors(self, n: int):
         return [self.to_sparse(self.d_element(self.basis_element(name, mono)), n + 1)
@@ -331,26 +327,29 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
         n_unknowns += width
 
     equations = []
+    dvecs: dict[int, list] = {}  # degree -> the base's differential rows
     for name, deg in module.gen_list:
         if name == UNIT or deg + 1 > E:
             continue
         tdeg = deg + 1
         # degree-tdeg basis index -> the equation's unknowns and right side
         rows: dict[int, dict] = {}
-        rhs: dict[int, Fraction] = {}
+        rhs: dict[int, Rational] = {}
         # d(r(x)): coefficients of the unknowns of x through the differential
-        off, width = slots[name]
-        for i, mono in enumerate(base.basis(deg)):
-            img = base.d(AlgebraElement(base, {mono: _F1}))
-            for j, val in base.to_sparse(img, tdeg).items():
+        off = slots[name][0]
+        dv = dvecs.get(deg)
+        if dv is None:
+            dv = dvecs[deg] = base.differential_vectors(deg)
+        for i, img in enumerate(dv):
+            for j, val in img.items():
                 row = rows.setdefault(j, {})
-                row[off + i] = row.get(off + i, _F0) - val
+                row[off + i] = row.get(off + i, 0) - val
         # r(d x) = sum over d(x) entries
         for g, c in module.d.get(name, {}).items():
             if g == UNIT:
                 # r(c . unit) = c, a known contribution
                 for j, val in base.to_sparse(c, tdeg).items():
-                    rhs[j] = rhs.get(j, _F0) - val
+                    rhs[j] = rhs.get(j, 0) - val
                 continue
             gdeg = module.degree_of[g]
             if gdeg > E:
@@ -358,12 +357,12 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
                     f"retraction system reaches generator {g} beyond degree {E}")
             goff = slots[g][0]
             for i, mono in enumerate(base.basis(gdeg)):
-                prod = c * AlgebraElement(base, {mono: _F1})
+                prod = c * AlgebraElement(base, {mono: 1})
                 for j, val in base.to_sparse(prod, tdeg).items():
                     row = rows.setdefault(j, {})
-                    row[goff + i] = row.get(goff + i, _F0) + val
+                    row[goff + i] = row.get(goff + i, 0) + val
         for j in sorted(rows.keys() | rhs.keys()):
-            row, b = rows.get(j, {}), rhs.get(j, _F0)
+            row, b = rows.get(j, {}), rhs.get(j, 0)
             if row or b:
                 equations.append((row, b))
 
@@ -483,7 +482,7 @@ def semifree_from_relative(total: Presentation, base_names, hat_names,
             continue
         if d + 1 > cap:
             continue  # the image would need hat monomials beyond the cap
-        el = AlgebraElement(total, {mono: _F1})
+        el = AlgebraElement(total, {mono: 1})
         img = total.d(el)
         if img.terms:
             diffs[hat_gen_name(mono)] = to_module(img)

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from secat.core import (CdgaError, CdgaMorphism, DegreeMismatch, Derivation, Inhomogeneous,
-                        NotSquareZero, Presentation, RangeExceedsCap,
-                        direct_sum, identity_morphism, quotient_by_ideal,
+from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch, Derivation,
+                        Inhomogeneous, NotSquareZero, Presentation, RangeExceedsCap,
+                        direct_sum, format_element, identity_morphism, quotient_by_ideal,
                         sub_presentation, tensor, tensor_power,
                         word_length_truncation)
-from secat.lang import parse_element
+from secat.lang import parse_document, parse_element, realize_document
 
 from conftest import load_model
 import oracles as orc
@@ -337,3 +337,65 @@ def test_element_introspection(models):
     assert el.max_word_length() == 2
     assert parse_element("a*x", S2).degree() == 5
     assert el.word_part(2) == el
+
+
+# ---------------------------------------------------------------------------
+# the coefficient normal form: an int when integral, else a Fraction
+
+
+def _normal_coefficients(P, hi):
+    """Every coefficient, in degrees <= hi, of each basis monomial, its
+    differential, that differential read back through to_sparse/from_vector,
+    each free monomial reduced by reduce_raw and each product of two basis
+    monomials."""
+    for d in range(hi + 1):
+        for fm in P.free_monomials(d):
+            yield from P.reduce_raw({fm: 1}).values()
+        for m in P.basis(d):
+            x = P.monomial(m)
+            yield from x.terms.values()
+            if d < hi and not any(n in P.d_unknown for n, _ in m):
+                dx = P.d(x)
+                vec = P.to_sparse(dx, d + 1)
+                back = P.from_vector(d + 1, vec)
+                assert back == dx
+                yield from dx.terms.values()
+                yield from vec.values()
+                yield from back.terms.values()
+            for e in range(hi - d + 1):
+                for m2 in P.basis(e):
+                    yield from (x * P.monomial(m2)).terms.values()
+
+
+def test_integer_models_keep_int_coefficients(models):
+    """Every bundled model has integer coefficients, so no Fraction appears."""
+    for name, P in models.items():
+        coeffs = list(_normal_coefficients(P, min(P.cap - 1, 10)))
+        assert coeffs, name
+        assert all(type(c) is int for c in coeffs), (name, {type(c) for c in coeffs})
+
+
+def test_a_true_denominator_keeps_its_fraction():
+    doc = parse_document("""
+        cdga H { gen a : 2; gen b : 2; gen x : 3;
+                 d x = 1/2*a^2 + b^2; rel a*b - 1/2*a^2; }""")
+    H = realize_document(doc, cap=10)[0]["H"]
+    coeffs = list(_normal_coefficients(H, 9))
+    assert not any(isinstance(c, float) for c in coeffs)
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in coeffs)
+    assert any(type(c) is Fraction for c in coeffs)
+    assert H.d(H.gen("x")) == parse_element("1/2*a^2 + b^2", H)
+
+
+def test_an_integral_fraction_is_the_int(models):
+    W = models["W"]
+    mono = (("a", 1), ("b", 1))
+    two = W.element({mono: 2})
+    assert [type(c) for c in two.terms.values()] == [int]
+    for same in (W.element({mono: Fraction(2, 1)}), W.element({mono: Fraction(4, 2)}),
+                 W.monomial(mono) * Fraction(2), Fraction(6, 3) * W.monomial(mono),
+                 AlgebraElement(W, {mono: Fraction(2)})):
+        assert same == two
+        assert format_element(same) == format_element(two) == "2*a*b"
+    assert [type(c) for c in W.element({mono: Fraction(2, 1)}).terms.values()] == [int]

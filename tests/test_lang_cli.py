@@ -1,6 +1,7 @@
 """Input language round-trips and command-line behaviour."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from secat.cli import main
 from secat.core import CdgaError
 from secat.lang import (
     ParseError, default_cap, make_presentation, parse_document, parse_element,
-    print_morphism, print_presentation, realize_document,
+    parse_expression, print_morphism, print_presentation, realize_document,
 )
 
 
@@ -328,3 +329,16 @@ def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_number_literals_parse_to_the_coefficient_normal_form(models):
+    assert parse_expression("4/2*a") == ("mul", ("num", 2), ("gen", "a"))
+    assert type(parse_expression("4/2")[1]) is int
+    assert type(parse_expression("3")[1]) is int
+    assert parse_expression("1/2") == ("num", Fraction(1, 2))
+    assert parse_expression("6/4")[1] == Fraction(3, 2)
+    el = parse_element("4/2*a", models["T"])
+    assert el.terms == {(("a", 1),): 2}
+    assert [type(c) for c in el.terms.values()] == [int]
+    half = parse_element("1/2*a - 3/3*a", models["T"])
+    assert half.terms == {(("a", 1),): Fraction(-1, 2)}

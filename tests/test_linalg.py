@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles as orc
 
 from secat.linalg import (
-    Echelon, combine, kernel_combos, solve_combo, solve_sparse, zero_vector,
+    Echelon, combine, kernel_combos, solve_combo, solve_sparse,
 )
 
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
@@ -30,7 +30,7 @@ def matrices(draw, entries=ENTRIES, max_rows=6, max_width=5):
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
     if draw(st.booleans()):
-        rows.append(zero_vector(width))
+        rows.append([0] * width)
     return width, draw(st.permutations(rows))
 
 
@@ -96,7 +96,7 @@ def test_kernel_combos_span_the_kernel(m):
     assert len(combos) == len(images) - orc.rank(images)
     for c in combos:
         assert len(c) == len(images)
-        assert combine(c, images, width) == zero_vector(width)
+        assert combine(c, images, width) == [0] * width
     assert orc.rref(combos) == combos
 
 
@@ -215,3 +215,64 @@ def test_solvers_on_wide_entries_match_the_oracle_exactly(m):
         solution = {p: row[nx] for row, p in zip(basis, lead)}
         free = [j for j in range(nx) if j not in solution]
         assert solve_sparse(equations, nx) == (solution, free)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient normal form at linalg's exits
+
+def _normal(c) -> bool:
+    """An int, or a Fraction with a denominator above 1: never Fraction(a)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _sparse(row):
+    return {j: c for j, c in enumerate(row) if c}
+
+
+def _values(vec):
+    return vec.values() if isinstance(vec, dict) else vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(matrix_and_vector(), wide_matrix_and_vector()), sparse=st.booleans())
+def test_exits_give_ints_unless_a_denominator_remains(m, sparse):
+    """Every value returned by reduce, basis, coordinates, kernel_combos,
+    solve_combo and solve_sparse is in the normal form, for dense and sparse
+    inputs alike, and still equals the value read off the oracle RREF."""
+    width, rows, v = m
+    shape = _sparse if sparse else list
+    want = orc.rref(rows)
+    pivots = _pivot_columns(want)
+    ech = _echelon(width, [shape(r) for r in rows])
+    reduced = _oracle_reduce(want, v)
+    n = len(rows)
+    aug = orc.rref([r + [Fraction(int(i == k)) for k in range(n)] for i, r in enumerate(rows)])
+    rest = _oracle_reduce(aug, v + [Fraction(0)] * n)
+    images = [shape(r) for r in rows]
+
+    exits = {
+        "basis": (ech.basis(), want),
+        "reduce": (ech.reduce(shape(v)), shape(reduced)),
+        "coordinates": (ech.coordinates(shape(v)),
+                        [v[p] for p in pivots] if not any(reduced) else None),
+        "kernel_combos": (kernel_combos(images, width),
+                          [shape(r[width:]) for r, p in zip(aug, _pivot_columns(aug))
+                           if p >= width]),
+        "solve_combo": (solve_combo(images, width, shape(v)),
+                        None if any(rest[:width]) else shape([-c for c in rest[width:]])),
+    }
+    if width:
+        nx = width - 1
+        equations = [(_sparse(r[:nx]), r[nx]) for r in rows]
+        exits["solve_sparse"] = (
+            solve_sparse(equations, nx),
+            None if nx in pivots else ({p: r[nx] for r, p in zip(want, pivots)},
+                                       [j for j in range(nx) if j not in pivots]))
+    for name, (got, expected) in exits.items():
+        assert got == expected, name
+        if name == "solve_sparse" and got is not None:
+            got = got[0]
+        vectors = got if name in ("basis", "kernel_combos") else [got]
+        for vec in vectors:
+            if vec is not None:
+                assert all(_normal(c) for c in _values(vec)), (name, vec)
