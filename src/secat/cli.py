@@ -15,6 +15,7 @@ deterministic; wall-clock timings go to stderr and only under --timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -215,7 +216,11 @@ def cmd_verify_cert(args):
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and then shared:
+    its actions and help formatters form reference cycles, which a parser
+    per call would leave to the cycle collector."""
     parser = argparse.ArgumentParser(
         prog="secat",
         description="sectional-category invariants of finitely presented "

@@ -63,18 +63,12 @@ def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
     if HA.betti(1) != 0:
         raise NotSimplyConnected("H^1 does not vanish")
 
-    model_cap = cap + 2
-
-    def build(gens, diffs, images):
-        M = Presentation(gens, model_cap, differentials=diffs,
-                         simply_connected=all(d >= 2 for _, d in gens),
-                         validate=False)
-        return M, CdgaMorphism(M, A, images, check=False)
-
-    gen_list, diff_raw, images = hit_and_kill(HA, 2, cap, build, ("v", "w"), {},
-                                              NotQuasiIso)
-    M = Presentation(gen_list, model_cap, differentials=diff_raw,
-                     simply_connected=all(d >= 2 for _, d in gen_list))
+    M, images = hit_and_kill(
+        HA, 2, cap, Presentation((), cap + 2),
+        lambda X, images: CdgaMorphism(X, A, images, check=False),
+        ("v", "w"), {}, NotQuasiIso)
+    # hit_and_kill adjoins without validating; check d*d = 0 once on the result
+    M._validate()
     phi = CdgaMorphism(M, A, images, check=True, name="minimal-model")
     if not M.is_minimal_sullivan:
         raise CdgaError("construction produced a non-minimal differential")

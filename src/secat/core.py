@@ -12,8 +12,10 @@ Representation constraints:
   and reduction is elimination against that basis.  No Groebner machinery.
 * The differential of a monomial is one Leibniz expansion in the free
   algebra followed by one reduction when the image lies at or under the cap
-  (see Derivation); on a presentation with relations the result is memoised
-  per monomial for the life of the presentation.
+  (see Derivation); the result is memoised per monomial for the life of the
+  presentation.  Presentation.adjoin extends a free presentation by new
+  generators; the old monomials keep their d, so the extension shares the
+  memo and the monomial tables below its lowest new degree.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -356,7 +358,7 @@ class Presentation:
         # here, so no reference cycle keeps a presentation alive after its
         # last use
         self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
-        self._d_memo: dict[Monomial, dict] | None = None if self.is_free else {}
+        self._d_memo: dict[Monomial, dict] = {}
         self.validated_notes: list[str] = []
         if validate:
             self._validate()
@@ -544,6 +546,31 @@ class Presentation:
         if el.pres is not self:
             raise PresentationMismatch("element belongs to a different presentation")
         return AlgebraElement(self, _derive(self, self._d_values, 1, self._d_memo, el.terms))
+
+    def adjoin(self, gens, diffs) -> "Presentation":
+        """This free presentation with the generators `gens` [(name, degree)]
+        and their differentials `diffs` {name: element} added, unvalidated.
+
+        Adjoining generators changes neither the d of an old monomial nor the
+        monomials below the lowest new degree, so the result shares this
+        presentation's memo of d and starts from its monomial tables there.
+        """
+        if not self.is_free:
+            raise NotFree("only a free presentation can be extended")
+        gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in gens)
+        if not gens:
+            return self
+        ext = Presentation(self.generators + gens, self.cap,
+                           differentials={**self._diff_raw, **diffs},
+                           simply_connected=all(g.degree >= 2 for g in gens)
+                           and self.simply_connected,
+                           validate=False, extra_d_unknown=self.d_unknown)
+        ext._d_memo = self._d_memo
+        low = min(g.degree for g in gens)
+        old, new = self._ctx, ext._ctx
+        new._monomials = {d: t for d, t in old._monomials.items() if d < low}
+        new._positions = {d: t for d, t in old._positions.items() if d < low}
+        return ext
 
     def differential_vectors(self, d: int) -> list[dict[int, Rational]]:
         """Images under d of the degree-d basis, as sparse degree-(d+1) vectors."""
@@ -811,9 +838,8 @@ class Derivation:
     because the relations span an ideal.  Above the cap of a presentation
     with relations a term is formed factor by factor, reducing after each
     product: it is 0 if a partial product vanishes at or under the cap and
-    raises RangeExceedsCap otherwise.  On a presentation with relations the
-    reduced image of each monomial is memoised; free presentations reduce
-    nothing and keep no memo, since their graded pieces are unbounded.
+    raises RangeExceedsCap otherwise.  The reduced image of each monomial is
+    memoised for the life of the derivation, on free presentations too.
     """
 
     def __init__(self, pres: Presentation, degree: int, values: Mapping[str, AlgebraElement],
@@ -836,7 +862,7 @@ class Derivation:
             vals[name] = el
         self.values = vals
         self._raw = {name: el.terms for name, el in vals.items()}
-        self._memo: dict[Monomial, dict] | None = None if pres.is_free else {}
+        self._memo: dict[Monomial, dict] = {}
 
     def apply(self, el: AlgebraElement) -> AlgebraElement:
         if el.pres is not self.pres:
@@ -846,19 +872,18 @@ class Derivation:
 
 
 def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]], degree: int,
-            memo: dict | None, terms: Mapping[Monomial, Rational]) -> dict:
+            memo: dict, terms: Mapping[Monomial, Rational]) -> dict:
     """The terms of theta(terms) for the degree-`degree` derivation theta of
     `pres` with generator values `raw`, as Derivation.apply describes it;
-    `memo` (None on a free presentation) keeps each monomial's image."""
+    `memo` keeps each monomial's image."""
     ctx = pres._ctx
-    if memo is None:
-        return ctx.leibniz(terms, raw, degree)
-    top = pres.cap - degree
+    # free graded pieces are exact in every degree, so no term is above a cap
+    top = None if pres.is_free else pres.cap - degree
     out: dict[Monomial, Rational] = {}
     for m, c in terms.items():
         img = memo.get(m)
         if img is None:
-            if ctx.mono_degree(m) > top:
+            if top is not None and ctx.mono_degree(m) > top:
                 _check_above_cap(pres, raw, degree, m)
                 img = {}
             else:

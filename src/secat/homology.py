@@ -16,7 +16,11 @@ canonical representatives.  It works on any cochain complex X with
 Presentations and semifree modules implement it; the span complex behind
 span_complex_homology implements the part that betti numbers need.
 hit_and_kill is the one degreewise "hit the cokernel, kill the kernel"
-builder behind minimal models and quotient resolutions.
+builder behind minimal models and quotient resolutions.  It grows one
+source complex through X.adjoin(gens, diffs), which keeps the old basis
+and shares its memo of d, and it reuses the kill step's H^{k+1} for the
+next hit step whenever the kill generators leave the degree-(k+1) piece
+the same size.  That holds unless the source has degree-1 elements.
 
 Degree conventions: for a presentation with relations the graded pieces are
 faithful only up to the cap, and computing H^d needs the differential into
@@ -207,16 +211,18 @@ def is_quasi_iso(phi: CdgaMorphism, lo: int, hi: int, **kw) -> bool:
 # hit the cokernel, kill the kernel
 
 
-def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, build, prefixes,
+def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes,
                  images: dict, error: type[CdgaError]):
     """Adjoin generators degree by degree until a map into the complex of
     H_tgt induces a bijection on H^lo .. H^hi.
 
-    `build(gens, diffs, images)` returns the current source complex and its
-    chain map into the target, as a callable, from the adjoined generators
-    [(name, degree)], their differentials {name: source element} and their
-    images {name: target element}.  `images` holds the images fixed before
-    any generator is adjoined.  In each degree k:
+    `X` is the source complex before any generator is adjoined, and
+    `X.adjoin(gens, diffs)` returns it with the generators [(name, degree)]
+    and their differentials {name: source element} added.
+    `chain_map(X, images)` returns the chain map from a source complex into
+    the target, as a callable, given the images {name: target element} of
+    the adjoined generators; `images` holds the images fixed before any
+    generator is adjoined.  In each degree k:
 
     * hit: each canonical class of H^k of the target outside the image of
       the source's H^k gets a degree-k generator with zero differential,
@@ -225,13 +231,20 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, build, prefixes,
       map on H^{k+1} gets a degree-k generator x with dx that cycle, sent to
       a primitive of the cycle's image.
 
+    The source grows, it is never rebuilt: each adjoin keeps the old basis
+    and its differentials.  The kill step's H^{k+1} is reused by the next
+    hit step when the kill generators leave the degree-(k+1) piece the same
+    size: then its cycles and boundaries grow only by the killed classes,
+    which map to zero, so the induced columns span the same image.  Only a
+    source with degree-1 elements can grow there.
+
     A generator is named {prefix}{k}_{i}, with prefixes[0] for hit and
     prefixes[1] for kill generators, and i counting from 0 per prefix and
     degree.  `error` is raised when a killed class has no primitive.
-    Returns (gens, diffs, images).
+    Returns the final source complex and the images of its generators.
     """
     T = H_tgt.complex
-    gens: list[tuple[str, int]] = []
+    gens: list[tuple[str, int]] = []  # adjoined to X at the end of a step
     diffs: dict = {}
     images = dict(images)
     counter: dict[tuple[str, int], int] = {}
@@ -245,19 +258,27 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, build, prefixes,
             diffs[name] = z
         images[name] = image
 
-    X, phi = build(gens, diffs, images)
+    phi = chain_map(X, images)
+    cols = None  # the induced columns on H^k, when the kill step left them
     for k in range(lo, hi + 1):
-        H_src = homology(X, k, k)
+        if cols is None:
+            cols = induced_matrix(phi, homology(X, k, k), H_tgt, k)
         hit = Echelon(H_tgt.betti(k))
-        for col in induced_matrix(phi, H_src, H_tgt, k):
+        for col in cols:
             hit.add(col)
         for rep in H_tgt.representatives(k):
             if hit.add(H_tgt.class_coords(rep, k)) is not None:
                 adjoin(prefixes[0], k, rep)
-        X, phi = build(gens, diffs, images)
+        if gens:
+            X = X.adjoin(gens, diffs)
+            phi = chain_map(X, images)
+            gens, diffs = [], {}
         if k == hi:
             break
-        kernel = induced_kernel(phi, homology(X, k + 1, k + 1), H_tgt, k + 1)
+        H_src = homology(X, k + 1, k + 1)
+        cols = induced_matrix(phi, H_src, H_tgt, k + 1)
+        kernel = [H_src.cycle(combo, k + 1)
+                  for combo in kernel_combos(cols, H_tgt.betti(k + 1))]
         if kernel:
             dvecs = T.differential_vectors(k)
             for z in kernel:
@@ -266,8 +287,13 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, build, prefixes,
                 if combo is None:
                     raise error(f"class killed in degree {k + 1} has no primitive")
                 adjoin(prefixes[1], k, T.from_vector(k, combo), z)
-            X, phi = build(gens, diffs, images)
-    return gens, diffs, images
+            size = X.dim(k + 1)
+            X = X.adjoin(gens, diffs)
+            phi = chain_map(X, images)
+            gens, diffs = [], {}
+            if X.dim(k + 1) != size:
+                cols = None
+    return X, images
 
 
 # ---------------------------------------------------------------------------

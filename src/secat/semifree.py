@@ -99,6 +99,20 @@ class SemiFreeModule:
             if clean:
                 self.d[name] = clean
         self._blocks: dict[int, tuple[dict[str, tuple[int, int]], int]] = {}
+        # d of each basis element (name, monomial), for differential_vectors
+        self._d_memo: dict[tuple[str, tuple], ModuleElement] = {}
+
+    def adjoin(self, gens, diffs) -> "SemiFreeModule":
+        """This module with the generators `gens` [(name, degree)] and their
+        differentials `diffs` {name: ModuleElement} added, unchecked.
+
+        The old basis elements keep their d, so the result shares this
+        module's memo of it.
+        """
+        ext = SemiFreeModule(self.base, self.gen_list[1:] + list(gens),
+                             {**self.d, **diffs}, check=False)
+        ext._d_memo = self._d_memo
+        return ext
 
     # -- elements
 
@@ -213,8 +227,13 @@ class SemiFreeModule:
         return {name: AlgebraElement(self.base, {mono: 1})}
 
     def differential_vectors(self, n: int):
-        return [self.to_sparse(self.d_element(self.basis_element(name, mono)), n + 1)
-                for name, mono in self.basis(n)]
+        out = []
+        for key in self.basis(n):
+            img = self._d_memo.get(key)
+            if img is None:
+                img = self._d_memo[key] = self.d_element(self.basis_element(*key))
+            out.append(self.to_sparse(img, n + 1))
+        return out
 
     def check_cycle(self, mel: ModuleElement) -> None:
         if self.d_element(mel):
@@ -281,13 +300,14 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
     Q, proj = quotient_by_ideal(A, ideal_elements)
     res = QuotientResolution(None, Q, proj, {UNIT: Q.one()}, E)
 
-    def build(gens, diffs, eps):
+    def chain_map(X, eps):
         res.eps = eps
-        return SemiFreeModule(A, gens, diffs, check=False), res.eps_apply
+        return res.eps_apply
 
-    gens, diffs, res.eps = hit_and_kill(homology(Q, 0, E), 1, E, build,
-                                        ("r", "r"), res.eps, CdgaError)
-    res.module = SemiFreeModule(A, gens, diffs, check=True)
+    M, res.eps = hit_and_kill(homology(Q, 0, E), 1, E,
+                              SemiFreeModule(A, (), {}), chain_map,
+                              ("r", "r"), res.eps, CdgaError)
+    res.module = SemiFreeModule(A, M.gen_list[1:], M.d, check=True)
     bad = res.module.d2_failure(up_to=E + 1)
     if bad is not None:
         raise CdgaError(f"resolution differential fails d^2 = 0 on {bad[0]}")
@@ -328,6 +348,9 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
 
     equations = []
     dvecs: dict[int, list] = {}  # degree -> the base's differential rows
+    # (coefficient c, degree e) -> c times each degree-e basis monomial, as
+    # vectors; many generators share a coefficient in their differentials
+    products: dict[tuple, list] = {}
     for name, deg in module.gen_list:
         if name == UNIT or deg + 1 > E:
             continue
@@ -356,9 +379,14 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
                 raise RangeExceedsCap(
                     f"retraction system reaches generator {g} beyond degree {E}")
             goff = slots[g][0]
-            for i, mono in enumerate(base.basis(gdeg)):
-                prod = c * AlgebraElement(base, {mono: 1})
-                for j, val in base.to_sparse(prod, tdeg).items():
+            key = (frozenset(c.terms.items()), gdeg)
+            prods = products.get(key)
+            if prods is None:
+                prods = products[key] = [
+                    base.to_sparse(c * AlgebraElement(base, {mono: 1}), tdeg)
+                    for mono in base.basis(gdeg)]
+            for i, prod in enumerate(prods):
+                for j, val in prod.items():
                     row = rows.setdefault(j, {})
                     row[goff + i] = row.get(goff + i, 0) + val
         for j in sorted(rows.keys() | rhs.keys()):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch, Derivation,
-                        Inhomogeneous, NotSquareZero, Presentation, RangeExceedsCap,
+                        Inhomogeneous, NotFree, NotSquareZero, Presentation,
+                        RangeExceedsCap,
                         direct_sum, format_element, identity_morphism, quotient_by_ideal,
                         sub_presentation, tensor, tensor_power,
                         word_length_truncation)
@@ -142,6 +143,24 @@ def test_differential_at_the_cap_raises_and_results_are_fresh():
                      differentials={"x": {(("a", 2),): Fraction(1)}})
     # d(axy) = a a^2 y: the partial product a^3 is 0 in degree 6, so no raise
     assert not P.d(P.monomial((("a", 1), ("x", 1), ("y", 1)))).terms
+
+
+def test_adjoin_matches_the_presentation_built_at_once():
+    """adjoin hands the extension the memo of d and the low-degree monomial
+    tables of the presentation it extends; the result must equal a fresh
+    build, and only a free presentation can be extended."""
+    S2 = load_model("sphere2.cdga")[0]["S2"]
+    for d in range(10):
+        S2.differential_vectors(d)
+    a2 = {(("a", 2),): 1}
+    ext = S2.adjoin([("y", 3), ("z", 4)], {"y": a2})
+    fresh = Presentation([("a", 2), ("x", 3), ("y", 3), ("z", 4)], S2.cap,
+                         differentials={"x": a2, "y": a2})
+    for d in range(10):
+        assert ext.basis(d) == fresh.basis(d)
+        assert ext.differential_vectors(d) == fresh.differential_vectors(d)
+    with pytest.raises(NotFree):
+        load_model("truncated_mix.cdga")[0]["T"].adjoin([("y", 3)], {})
 
 
 def test_leibniz_rule(models):

@@ -1,21 +1,27 @@
 """Homology reports, induced maps, kernels, ideal powers, nilpotency."""
 
 import collections
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from secat.core import AlgebraElement, CdgaError, Presentation, quotient_by_ideal
-from secat.homology import (HomologyView, IdealPowers, PresentationView,
+from conftest import load_model
+
+from secat.core import (AlgebraElement, CdgaError, Presentation, _SignEngine,
+                        quotient_by_ideal)
+from secat.homology import (HomologyReport, HomologyView, IdealPowers,
+                            PresentationView,
                             _SpanComplex, homology, induced_matrix, is_quasi_iso,
                             kernel_basis, kernel_ideal_generators, nil_ideal,
                             poincare_duality_check, positive_part_generators,
                             span_complex_homology)
 from secat.construct import (acyclic_closure, build_minimal_model,
                              multiplication_morphism)
-from secat.semifree import resolve_quotient
-from secat.lang import parse_element
+from secat.semifree import SemiFreeModule, resolve_quotient
+from secat.lang import parse_document, parse_element, realize_document
 
 import oracles as orc
 
@@ -291,3 +297,119 @@ def test_kernel_basis_beyond_target_range_requires_certified_vanishing(models):
     # so the kernel there is everything
     kb = kernel_basis(mult.morphism, 16)
     assert len(kb) == GG.dim(16) > 0
+
+
+# ---------------------------------------------------------------------------
+# hit_and_kill grows one source complex
+
+
+def _census(monkeypatch, target=None):
+    """Count what a construction computes on its source complexes: the
+    single-degree homology reports by degree (both builders ask for target
+    homology over a range), the Leibniz expansions of monomials of
+    presentations other than `target` by monomial, and the differentials of
+    module basis elements by (generator, monomial).  The final _validate
+    and d2_failure checks recompute d on purpose and are left out."""
+    reports, monomials, basis_elements = (collections.Counter() for _ in range(3))
+    checking = []
+
+    def counted_report(init):
+        def report(self, X, lo, hi):
+            if lo == hi:
+                reports[lo] += 1
+            init(self, X, lo, hi)
+        return report
+
+    def counted_leibniz(leibniz):
+        def expand(self, terms, values, degree):
+            if not checking and self is not getattr(target, "_ctx", None):
+                monomials.update(terms.keys())
+            return leibniz(self, terms, values, degree)
+        return expand
+
+    def counted_d(d_element):
+        def d(self, mel):
+            if not checking and len(mel) == 1:
+                (name, coeff), = mel.items()
+                if len(coeff.terms) == 1 and 1 in coeff.terms.values():
+                    basis_elements[(name, *coeff.terms)] += 1
+            return d_element(self, mel)
+        return d
+
+    def uncounted(check):
+        def run(self, *args, **kw):
+            checking.append(check)
+            try:
+                return check(self, *args, **kw)
+            finally:
+                checking.pop()
+        return run
+
+    for cls, name, wrap in [(HomologyReport, "__init__", counted_report),
+                            (_SignEngine, "leibniz", counted_leibniz),
+                            (SemiFreeModule, "d_element", counted_d),
+                            (Presentation, "_validate", uncounted),
+                            (SemiFreeModule, "d2_failure", uncounted)]:
+        monkeypatch.setattr(cls, name, wrap(getattr(cls, name)))
+    return reports, monomials, basis_elements
+
+
+@pytest.mark.parametrize("filename,label", [("truncated_mix.cdga", "T"),
+                                            ("wedge.cdga", "W")])
+def test_minimal_model_computes_each_differential_once(monkeypatch, filename, label):
+    A = load_model(filename)[0][label]
+    reports, monomials, _ = _census(monkeypatch, A)
+    model = build_minimal_model(A, A.cap - 1).model
+    assert len(model.generators) > 5
+    # the hit step in each degree reuses the kill step's report
+    assert set(reports) == set(range(2, A.cap)) and max(reports.values()) == 1
+    assert monomials and max(monomials.values()) == 1
+
+
+@pytest.mark.parametrize("filename,label,ideal,E", [
+    ("sphere2.cdga", "S2", ("a",), 7),
+    ("truncated_mix.cdga", "T", ("a", "b"), 13),
+])
+def test_resolution_computes_each_differential_once(monkeypatch, filename, label,
+                                                    ideal, E):
+    A = load_model(filename)[0][label]
+    reports, _, basis_elements = _census(monkeypatch)
+    res = resolve_quotient(A, [A.gen(n) for n in ideal], E)
+    assert len(res.module.gen_list) > 1
+    assert set(reports) == set(range(1, E + 1)) and max(reports.values()) == 1
+    assert basis_elements and max(basis_elements.values()) == 1
+
+
+# Written from the builder that rebuilt the source in every step: the
+# generator census per degree and a digest of the generators and their
+# differentials as printed.  `recomputed` counts the degrees whose kill
+# generators grew the next degree's piece, so that the hit step there needed
+# a new homology report.
+RECOMPUTE_CASES = [
+    ("abc/(a,b)", "gen a : 1; gen b : 1; gen c : 1; d a = b*c; d b = a*c; d c = a*b;",
+     ("a", "b"), 6, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, "9c0f4a3bfb747b67", 4),
+    ("tx/(x)", "gen t : 1; gen x : 2;",
+     ("x",), 7, {0: 1, 1: 1}, "6eb4f9b7fc34d99d", 1),
+    ("tx/(t)", "gen t : 1; gen x : 2;",
+     ("t",), 7, {0: 1, 2: 1, 4: 1, 6: 1}, "5e0574836e2c51e6", 3),
+    ("tux/(t)", "gen t : 1; gen u : 1; gen x : 1; d x = t*u;",
+     ("t",), 7, {0: 1, 1: 4, 2: 7, 3: 14, 4: 28, 5: 56, 6: 112}, "9e4cef2a8e8639ca", 6),
+]
+
+
+@pytest.mark.parametrize("label,body,ideal,E,census,digest,recomputed",
+                         RECOMPUTE_CASES, ids=[case[0] for case in RECOMPUTE_CASES])
+def test_resolution_over_degree_one_recomputes_and_keeps_its_output(
+        monkeypatch, label, body, ideal, E, census, digest, recomputed):
+    text = f"cdga A {{ cap 8; flag non_simply_connected; {body} }}"
+    A = realize_document(parse_document(text))[0]["A"]
+    reports, _, basis_elements = _census(monkeypatch)
+    res = resolve_quotient(A, [A.gen(n) for n in ideal], E)
+    M = res.module
+    assert sum(reports.values()) - E == recomputed
+    assert max(basis_elements.values()) == 1
+    assert collections.Counter(d for _, d in M.gen_list) == census
+    printed = {"gens": [[n, d] for n, d in M.gen_list],
+               "d": {n: M.format(M.d[n]) for n, _ in M.gen_list if n in M.d}}
+    blob = json.dumps(printed, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest

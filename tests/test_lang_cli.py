@@ -1,6 +1,8 @@
 """Input language round-trips and command-line behaviour."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,12 @@ from conftest import MODELS, load_model
 from test_golden import GOLDEN
 
 from secat.cli import main
-from secat.core import CdgaError
+from secat.core import CdgaError, Presentation
 from secat.lang import (
     ParseError, default_cap, make_presentation, parse_document, parse_element,
     parse_expression, print_morphism, print_presentation, realize_document,
 )
+from secat.semifree import SemiFreeModule
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,47 @@ def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+QUERIES = [("cat", path("truncated_mix.cdga")),
+           ("tc", path("truncated_mix.cdga"), "--n", "2"),
+           ("minimal-model", path("truncated_mix.cdga"))]
+
+
+def test_cli_queries_leave_no_cyclic_garbage(capsys):
+    run(capsys, *QUERIES[0])  # warm-up: first-call work is not per query
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in QUERIES:
+            assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        leaked = {f"{type(o).__module__}.{type(o).__qualname__}" for o in gc.garbage
+                  if type(o).__module__.split(".")[0] in ("secat", "argparse")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not leaked
+
+
+def test_cli_queries_free_their_constructions_by_reference_counting(capsys,
+                                                                      monkeypatch):
+    """Every presentation and module a query builds is gone when it returns,
+    without the cycle collector: the memos that the complexes of one
+    construction share die with that construction."""
+    alive = weakref.WeakSet()
+    for cls in (Presentation, SemiFreeModule):
+        def tracked(self, *args, _init=cls.__init__, **kw):
+            _init(self, *args, **kw)
+            alive.add(self)
+        monkeypatch.setattr(cls, "__init__", tracked)
+    gc.disable()
+    try:
+        for argv in QUERIES:
+            assert run(capsys, *argv)[0] == 0
+            assert not list(alive), argv
+    finally:
+        gc.enable()
 
 
 def test_number_literals_parse_to_the_coefficient_normal_form(models):
