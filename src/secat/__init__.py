@@ -4,12 +4,13 @@ differential graded algebras over the rationals.
 The layers, bottom up:
 
     linalg      exact echelon forms and solvers on integer rows
-    core        presentations, elements, derivations, morphisms, tensors
+    core        presentations, elements, the differential, morphisms,
+                tensors, quotients
     homology    cohomology of any cochain complex (presentations, semifree
                 modules, spans), induced maps, the degreewise hit/kill
                 builder, kernels, ideal powers, nilpotency, duality
-    construct   minimal Sullivan models, path fibrations, acyclic closures,
-                fibers, cofibers, pushouts, diagonal surjections
+    construct   minimal Sullivan models, multiplication and diagonal
+                surjections
     semifree    semifree modules, quotient resolutions, module retractions
     invariants  the bound chains (toomer/mcat/cat, htc/mtc/tc, sectional)
                 and machine-checkable certificates
@@ -17,24 +18,19 @@ The layers, bottom up:
 """
 
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
-                   Derivation, Generator, IdealNotClosed, Inhomogeneous,
-                   NotFree, NotQuasiIso, NotSimplyConnected, NotSquareZero,
-                   NotSurjective, PedigreeMissing, Presentation,
-                   PresentationMismatch, RangeExceedsCap, SeriesNonterminating,
-                   TopDegreeMismatch, direct_sum, identity_morphism,
-                   quotient_by_ideal, sub_presentation, tensor,
-                   tensor_power, word_length_truncation)
+                   Generator, IdealNotClosed, Inhomogeneous, NotFree,
+                   NotQuasiIso, NotSimplyConnected, NotSquareZero,
+                   NotSurjective, Presentation, PresentationMismatch,
+                   RangeExceedsCap, identity_morphism, quotient_by_ideal,
+                   sub_presentation, tensor, tensor_power)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
-                       is_quasi_iso, kernel_basis, kernel_ideal_generators,
-                       nil_ideal, poincare_duality_check,
-                       positive_part_generators, quasi_iso_failure)
-from .construct import (CofiberModel, DiagonalModel, RelativeModel,
-                        SullivanModelResult, acyclic_closure,
-                        build_minimal_model, cofiber_model, diagonal_model,
-                        find_isomorphism, loop_space_model,
-                        multiplication_morphism, path_fibration_model,
-                        pushout_model, sullivan_model_of)
+                       kernel_basis, kernel_ideal_generators, nil_ideal,
+                       poincare_duality_check, positive_part_generators,
+                       quasi_iso_failure)
+from .construct import (DiagonalModel, SullivanModelResult,
+                        build_minimal_model, diagonal_model,
+                        multiplication_morphism, sullivan_model_of)
 from .semifree import (QuotientResolution, RetractionResult, SemiFreeModule,
                        find_module_retraction, resolve_quotient,
                        semifree_from_relative, verify_module_retraction)

@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .core import (CdgaError, RangeExceedsCap, SeriesNonterminating)
+from .core import CdgaError, RangeExceedsCap
 from .homology import homology
 from .construct import sullivan_model_of
 from .invariants import (cat_bounds, certificate_from_json, certificate_to_json,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code = args.func(args)
-    except (RangeExceedsCap, SeriesNonterminating) as exc:
+    except RangeExceedsCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CdgaError as exc:

@@ -12,7 +12,7 @@ Representation constraints:
   and reduction is elimination against that basis.  No Groebner machinery.
 * The differential of a monomial is one Leibniz expansion in the free
   algebra followed by one reduction when the image lies at or under the cap
-  (see Derivation); the result is memoised per monomial for the life of the
+  (see _derive); the result is memoised per monomial for the life of the
   presentation.  Presentation.adjoin extends a free presentation by new
   generators; the old monomials keep their d, so the extension shares the
   memo and the monomial tables below its lowest new degree.
@@ -88,18 +88,6 @@ class NotSurjective(CdgaError):
 
 
 class NotQuasiIso(CdgaError):
-    pass
-
-
-class PedigreeMissing(CdgaError):
-    pass
-
-
-class SeriesNonterminating(CdgaError):
-    pass
-
-
-class TopDegreeMismatch(CdgaError):
     pass
 
 
@@ -191,30 +179,28 @@ class _SignEngine:
                     del out[mono]
         return out
 
-    def leibniz_terms(self, m: Monomial, values: Mapping[str, Mapping[Monomial, Rational]],
-                      degree: int):
-        """The Leibniz terms of theta(m), m = f1...fs, for the degree-`degree`
-        derivation theta with generator values `values`: one
-        (k, f1..f_{j-1}, theta(f_j), f_{j+1}..fs) per position j with
-        theta(f_j) != 0, where k is the exponent of f_j times the sign
-        (-1)^{degree * |f1..f_{j-1}|}.
+    def leibniz_terms(self, m: Monomial, values: Mapping[str, Mapping[Monomial, Rational]]):
+        """The Leibniz terms of d(m), m = f1...fs, for the differential d
+        with generator values `values`: one (k, f1..f_{j-1}, d(f_j),
+        f_{j+1}..fs) per position j with d(f_j) != 0, where k is the exponent
+        of f_j times the sign (-1)^{|f1..f_{j-1}|}.
         """
         prefix_deg = 0
         for i, (name, exp) in enumerate(m):
             img = values.get(name)
             if img:
-                k = exp if (degree * prefix_deg) % 2 == 0 else -exp
+                k = exp if prefix_deg % 2 == 0 else -exp
                 hole = ((name, exp - 1),) if exp > 1 else ()
                 yield k, m[:i], img, hole + m[i + 1:]
             prefix_deg += self.degree_of[name] * exp
 
     def leibniz(self, terms: Mapping[Monomial, Rational],
-                values: Mapping[str, Mapping[Monomial, Rational]], degree: int) -> dict:
-        """Free-algebra image of `terms` under the degree-`degree` derivation
-        with generator values `values`, unreduced."""
+                values: Mapping[str, Mapping[Monomial, Rational]]) -> dict:
+        """Free-algebra image of `terms` under the differential with
+        generator values `values`, unreduced."""
         out: dict[Monomial, Rational] = {}
         for m, c in terms.items():
-            for k, prefix, img, suffix in self.leibniz_terms(m, values, degree):
+            for k, prefix, img, suffix in self.leibniz_terms(m, values):
                 coeff = c * k
                 for v, cv in img.items():
                     left = self.mul_mono(prefix, v)
@@ -354,9 +340,8 @@ class Presentation:
             else:
                 self._diff_raw[name] = self.reduce_raw(raw)
         self.d_unknown = frozenset(unknown)
-        # d's values and memo are plain data, not a Derivation pointing back
-        # here, so no reference cycle keeps a presentation alive after its
-        # last use
+        # d's values and memo are plain data with no reference back here, so
+        # no reference cycle keeps a presentation alive after its last use
         self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
         self._d_memo: dict[Monomial, dict] = {}
         self.validated_notes: list[str] = []
@@ -545,7 +530,7 @@ class Presentation:
                 f"differential of generators {sorted(bad)} is not representable under cap {self.cap}")
         if el.pres is not self:
             raise PresentationMismatch("element belongs to a different presentation")
-        return AlgebraElement(self, _derive(self, self._d_values, 1, self._d_memo, el.terms))
+        return AlgebraElement(self, _derive(self, self._d_values, self._d_memo, el.terms))
 
     def adjoin(self, gens, diffs) -> "Presentation":
         """This free presentation with the generators `gens` [(name, degree)]
@@ -584,7 +569,7 @@ class Presentation:
 
     def d_raw(self, terms: Mapping) -> dict:
         """Leibniz expansion in the free algebra, no reduction (used for closure checks)."""
-        return self._ctx.leibniz(terms, self._diff_raw, 1)
+        return self._ctx.leibniz(terms, self._diff_raw)
 
     # -- validation
 
@@ -766,35 +751,12 @@ class AlgebraElement:
         """Degree of a homogeneous element (None for 0)."""
         return self.pres._homogeneous_degree(self.terms)
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.degree()
-            return True
-        except Inhomogeneous:
-            return False
-
-    def homogeneous_part(self, d: int) -> "AlgebraElement":
-        ctx = self.pres._ctx
-        return AlgebraElement(self.pres,
-                              {m: c for m, c in self.terms.items()
-                               if ctx.mono_degree(m) == d})
-
     def homogeneous_components(self) -> dict:
         ctx = self.pres._ctx
         out: dict[int, dict] = {}
         for m, c in self.terms.items():
             out.setdefault(ctx.mono_degree(m), {})[m] = c
         return {d: AlgebraElement(self.pres, t) for d, t in sorted(out.items())}
-
-    def max_word_length(self) -> int:
-        ctx = self.pres._ctx
-        return max((ctx.word_length(m) for m in self.terms), default=0)
-
-    def word_part(self, length_min: int) -> "AlgebraElement":
-        ctx = self.pres._ctx
-        return AlgebraElement(self.pres,
-                              {m: c for m, c in self.terms.items()
-                               if ctx.word_length(m) >= length_min})
 
     def d(self) -> "AlgebraElement":
         return self.pres.d(self)
@@ -826,68 +788,34 @@ def format_element(el: AlgebraElement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# derivations
+# the differential
 
 
-class Derivation:
-    """A degree-k derivation given by its values on generators.
-
-    apply() expands theta(f1...fs) = sum_j +-(f1..f_{j-1}) theta(f_j) (f_{j+1}..fs)
-    with the sign (-1)^{k * deg(prefix)} in the free algebra, then reduces
-    once.  Up to the cap this equals the sum of products of reduced factors,
-    because the relations span an ideal.  Above the cap of a presentation
-    with relations a term is formed factor by factor, reducing after each
-    product: it is 0 if a partial product vanishes at or under the cap and
-    raises RangeExceedsCap otherwise.  The reduced image of each monomial is
-    memoised for the life of the derivation, on free presentations too.
-    """
-
-    def __init__(self, pres: Presentation, degree: int, values: Mapping[str, AlgebraElement],
-                 *, check: bool = True):
-        self.pres = pres
-        self.degree = int(degree)
-        vals: dict[str, AlgebraElement] = {}
-        for name, el in values.items():
-            if name not in pres._ctx.degree_of:
-                raise CdgaError(f"derivation value for unknown generator {name!r}")
-            if el.pres is not pres:
-                raise PresentationMismatch("derivation values must live in the presentation")
-            if not el:
-                continue
-            if check:
-                want = pres._ctx.degree_of[name] + self.degree
-                if el.degree() != want:
-                    raise DegreeMismatch(
-                        f"derivation value for {name} must have degree {want}")
-            vals[name] = el
-        self.values = vals
-        self._raw = {name: el.terms for name, el in vals.items()}
-        self._memo: dict[Monomial, dict] = {}
-
-    def apply(self, el: AlgebraElement) -> AlgebraElement:
-        if el.pres is not self.pres:
-            raise PresentationMismatch("element belongs to a different presentation")
-        return AlgebraElement(self.pres, _derive(self.pres, self._raw, self.degree,
-                                                 self._memo, el.terms))
-
-
-def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]], degree: int,
+def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
             memo: dict, terms: Mapping[Monomial, Rational]) -> dict:
-    """The terms of theta(terms) for the degree-`degree` derivation theta of
-    `pres` with generator values `raw`, as Derivation.apply describes it;
-    `memo` keeps each monomial's image."""
+    """The terms of d(terms) for the differential of `pres` with generator
+    values `raw`; `memo` keeps each monomial's image.
+
+    d(f1...fs) = sum_j (-1)^{|f1..f_{j-1}|} (f1..f_{j-1}) d(f_j) (f_{j+1}..fs)
+    is expanded in the free algebra, then reduced once.  Up to the cap this
+    equals the sum of products of reduced factors, because the relations
+    span an ideal.  Above the cap of a presentation with relations a term is
+    formed factor by factor, reducing after each product: it is 0 if a
+    partial product vanishes at or under the cap and raises RangeExceedsCap
+    otherwise.
+    """
     ctx = pres._ctx
     # free graded pieces are exact in every degree, so no term is above a cap
-    top = None if pres.is_free else pres.cap - degree
+    top = None if pres.is_free else pres.cap - 1
     out: dict[Monomial, Rational] = {}
     for m, c in terms.items():
         img = memo.get(m)
         if img is None:
             if top is not None and ctx.mono_degree(m) > top:
-                _check_above_cap(pres, raw, degree, m)
+                _check_above_cap(pres, raw, m)
                 img = {}
             else:
-                img = pres.reduce_raw(ctx.leibniz({m: 1}, raw, degree))
+                img = pres.reduce_raw(ctx.leibniz({m: 1}, raw))
             memo[m] = img
         for mono, v in img.items():
             val = out.get(mono, 0) + c * v
@@ -898,11 +826,11 @@ def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]], 
     return out
 
 
-def _check_above_cap(pres: Presentation, raw, degree: int, m: Monomial):
-    """Raise RangeExceedsCap unless every term of theta(m), whose degree
-    is above the cap, vanishes as a product of reduced factors."""
+def _check_above_cap(pres: Presentation, raw, m: Monomial):
+    """Raise RangeExceedsCap unless every term of d(m), whose degree is
+    above the cap, vanishes as a product of reduced factors."""
     ctx = pres._ctx
-    for _, prefix, img, suffix in ctx.leibniz_terms(m, raw, degree):
+    for _, prefix, img, suffix in ctx.leibniz_terms(m, raw):
         left = pres.reduce_raw(ctx.raw_mul(pres.reduce_raw({prefix: 1}), img))
         pres.reduce_raw(ctx.raw_mul(left, pres.reduce_raw({suffix: 1})))
 
@@ -959,15 +887,6 @@ class CdgaMorphism:
 
     def __call__(self, el: AlgebraElement) -> AlgebraElement:
         return self.apply(el)
-
-    def compose(self, inner: "CdgaMorphism") -> "CdgaMorphism":
-        """self o inner."""
-        if inner.target is not self.source:
-            raise PresentationMismatch("composition mismatch")
-        images = {n: self.apply(inner.image_of(n))
-                  for n in inner.source._ctx.degree_of}
-        return CdgaMorphism(inner.source, self.target, images, check=False,
-                            name=f"{self.name}o{inner.name}")
 
     def _validate(self):
         src, tgt = self.source, self.target
@@ -1078,7 +997,7 @@ class TensorResult:
     rename_right: dict
 
 
-def _build_combined(parts, cap, simply_connected, extra_relations=()):
+def _build_combined(parts, cap, simply_connected):
     """Shared assembly for tensor-like constructions.
 
     `parts` is a list of (presentation, rename_map).  Relations and
@@ -1111,7 +1030,6 @@ def _build_combined(parts, cap, simply_connected, extra_relations=()):
             relations.append(subst(rel))
         for n, raw in P._diff_raw.items():
             diffs[rename[n]] = subst(raw)
-    relations.extend(extra_relations)
     combined = Presentation(gens, cap, relations=relations, differentials=diffs,
                             simply_connected=simply_connected,
                             extra_d_unknown=unknown)
@@ -1163,29 +1081,6 @@ def tensor_power(A: Presentation, n: int, *, cap: int | None = None) -> TensorPo
     return TensorPowerResult(combined, injections, tuple(renames))
 
 
-def direct_sum(A: Presentation, B: Presentation, *, cap: int | None = None) -> TensorResult:
-    """Direct sum amalgamated over Q: cross products of the two sides vanish."""
-    map_a, map_b = _fresh_names(A.generators, B.generators, "1", "2")
-    cap = min(A.cap, B.cap) if cap is None else cap
-    sc = A.simply_connected and B.simply_connected
-    gens = ([Generator(map_a[g.name], g.degree) for g in A.generators]
-            + [Generator(map_b[g.name], g.degree) for g in B.generators])
-    ctx = _SignEngine(tuple(gens))
-    cross = []
-    for ga in A.generators:
-        for gb in B.generators:
-            pair = [(map_a[ga.name], 1), (map_b[gb.name], 1)]
-            pair.sort(key=lambda p: ctx.rank[p[0]])
-            cross.append({tuple(pair): 1})
-    combined = _build_combined([(A, map_a), (B, map_b)], cap, sc,
-                               extra_relations=cross)
-    inc_a = CdgaMorphism(A, combined, {n: combined.gen(m) for n, m in map_a.items()},
-                         check=False, name="inl")
-    inc_b = CdgaMorphism(B, combined, {n: combined.gen(m) for n, m in map_b.items()},
-                         check=False, name="inr")
-    return TensorResult(combined, inc_a, inc_b, map_a, map_b)
-
-
 def quotient_by_ideal(P: Presentation, ideal_gens: Iterable[AlgebraElement]):
     """Quotient presentation plus the projection morphism."""
     extra = []
@@ -1208,18 +1103,6 @@ def quotient_by_ideal(P: Presentation, ideal_gens: Iterable[AlgebraElement]):
     proj = CdgaMorphism(P, Q, {g.name: Q.gen(g.name) for g in P.generators},
                         check=False, name="proj")
     return Q, proj
-
-
-def word_length_truncation(P: Presentation, m: int):
-    """Quotient by all words of length > m (generated by length m+1 monomials)."""
-    if m < 0:
-        raise CdgaError("word length must be >= 0")
-    gens = []
-    for d in range(1, P.cap + 1):
-        for mono in P.free_monomials(d):
-            if P._ctx.word_length(mono) == m + 1:
-                gens.append(P.element({mono: 1}))
-    return quotient_by_ideal(P, gens)
 
 
 def sub_presentation(P: Presentation, names):

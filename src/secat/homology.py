@@ -144,11 +144,6 @@ class HomologyReport:
     def is_zero_class(self, x, d: int | None = None) -> bool:
         return not self.reduce(x, d)
 
-    def total_dim(self, positive_only: bool = False) -> int:
-        return sum(self._classes[d].rank
-                   for d in range(self.lo, self.hi + 1)
-                   if not (positive_only and d == 0))
-
     def __repr__(self):
         return f"HomologyReport({self.complex!r}, betti={self.betti_table()})"
 
@@ -201,10 +196,6 @@ def quasi_iso_failure(phi: CdgaMorphism, lo: int, hi: int,
         if ech.rank != bs:
             return d, f"induced map not injective in degree {d}"
     return None
-
-
-def is_quasi_iso(phi: CdgaMorphism, lo: int, hi: int, **kw) -> bool:
-    return quasi_iso_failure(phi, lo, hi, **kw) is None
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +506,6 @@ class IdealPowers:
                 if el.terms:
                     ech.add(self.view.to_coords(el, d))
         return ech
-
-    def is_zero(self, m: int) -> bool:
-        return not self.level(m)
 
     def nil(self) -> tuple[int, SpanningProduct | None]:
         """(largest m with a nonzero m-th power in the view, a product of it)."""

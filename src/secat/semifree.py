@@ -119,26 +119,10 @@ class SemiFreeModule:
     def zero(self) -> ModuleElement:
         return {}
 
-    def unit_element(self) -> ModuleElement:
-        return {UNIT: self.base.one()}
-
     def gen(self, name: str) -> ModuleElement:
         if name not in self.degree_of:
             raise CdgaError(f"unknown module generator {name!r}")
         return {name: self.base.one()}
-
-    def element_degree(self, mel: ModuleElement) -> int | None:
-        degs = set()
-        for g, c in mel.items():
-            base_deg = c.degree()
-            if base_deg is None:
-                continue
-            degs.add(base_deg + self.degree_of[g])
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise DegreeMismatch(f"module element mixes degrees {sorted(degs)}")
-        return degs.pop()
 
     def d_element(self, mel: ModuleElement) -> ModuleElement:
         out: ModuleElement = {}
@@ -288,12 +272,16 @@ class QuotientResolution:
 
 
 def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolution:
-    """Semifree resolution of A/(ideal_elements), exact in degrees <= E.
+    """Semifree resolution of A/(ideal_elements), exact in degrees <= E
+    when A has no degree-1 elements.
 
     Built like a minimal model, by homology.hit_and_kill: in each degree
     first new generators with zero differential hit unreached quotient
     classes, then generators are added to kill module classes that die in
-    the quotient.  Generator names are r{degree}_{i}.
+    the quotient.  Generator names are r{degree}_{i}.  The builder starts
+    at degree 1, so a degree-0 kill generator is never adjoined: over a
+    base with degree-1 elements a class such as t.1 in Lambda(t: 1, x: 2)/(t)
+    can survive in the module although it dies in the quotient.
     """
     if not A.is_free and E + 1 > A.cap:
         raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")

@@ -1,21 +1,19 @@
-"""Construction layer: minimal models, path fibrations, closures, (co)fibers."""
+"""Construction layer: minimal models, multiplication and diagonal surjections."""
+
+from fractions import Fraction
 
 import pytest
 
 from conftest import load_model
 
 from secat.core import (
-    CdgaError, CdgaMorphism, NotFree, NotSimplyConnected, NotSurjective,
-    Presentation, RangeExceedsCap, SeriesNonterminating, identity_morphism,
-    tensor_power,
+    CdgaMorphism, NotSimplyConnected, Presentation, RangeExceedsCap,
 )
 from secat.construct import (
-    RelativeModel, SullivanModelResult, acyclic_closure, build_minimal_model,
-    cofiber_model, diagonal_model, find_isomorphism, loop_space_model,
-    multiplication_morphism, path_fibration_model, pushout_model,
-    sullivan_model_of,
+    SullivanModelResult, build_minimal_model, diagonal_model,
+    multiplication_morphism, sullivan_model_of,
 )
-from secat.homology import homology, is_quasi_iso, kernel_ideal_generators
+from secat.homology import homology, kernel_ideal_generators, quasi_iso_failure
 
 
 # ---------------------------------------------------------------------------
@@ -46,19 +44,22 @@ def test_even_sphere_model_has_two_generators(models, sphere4_model):
 
 
 def test_even_sphere_model_matches_free_reference(models, sphere4_model):
-    iso = find_isomorphism(sphere4_model.model, models["A"])
-    assert iso is not None
-    assert iso.image_of("v4_0") == models["A"].gen("a")
-    assert iso.image_of("w7_0") == models["A"].gen("x")
+    # the renaming onto the reference is a checked chain map that is
+    # bijective on homology, so the two models are isomorphic
+    A = models["A"]
+    iso = CdgaMorphism(sphere4_model.model, A,
+                       {"v4_0": A.gen("a"), "w7_0": A.gen("x")}, check=True)
+    assert quasi_iso_failure(iso, 0, 15) is None
 
 
 def test_minimal_models_are_unique_up_to_isomorphism(models):
-    # a rescaled reference with different names is still recognised
+    # a rescaled reference with different names is reached by rescaling w
     ref = Presentation([("p", 4), ("q", 7)], 16,
                        differentials={"q": {(("p", 2),): 3}})
-    iso = find_isomorphism(build_minimal_model(models["S4"], 10).model, ref)
-    assert iso is not None
     p = ref.gen("p")
+    iso = CdgaMorphism(build_minimal_model(models["S4"], 10).model, ref,
+                       {"v4_0": p, "w7_0": ref.gen("q") * Fraction(1, 3)}, check=True)
+    assert quasi_iso_failure(iso, 0, 15) is None
     assert iso.image_of("v4_0") == p
     assert iso.image_of("w7_0").d() == p * p
 
@@ -69,7 +70,7 @@ def test_projective_plane_model(models):
     assert [(g.name, g.degree) for g in M.generators] == [("v2_0", 2), ("w5_0", 5)]
     v = M.gen("v2_0")
     assert M.gen("w5_0").d() == v * v * v
-    assert is_quasi_iso(mm.morphism, 0, 10)
+    assert quasi_iso_failure(mm.morphism, 0, 10) is None
 
 
 def test_truncated_quotient_model_differentials(truncated_model):
@@ -83,7 +84,6 @@ def test_truncated_quotient_model_differentials(truncated_model):
     assert w4.d() == v2 * v3
     assert M.gen("w5_0").d() == v2 * v2 * v2
     assert w6.d() == v3 * w4
-    from fractions import Fraction
     assert M.gen("w7_0").d() == v2 * w6 - w4 * w4 * Fraction(1, 2)
     assert M.gen("w8_0").d() == v3 * w6
 
@@ -137,240 +137,7 @@ def test_multiplication_on_the_unit_algebra_is_iso():
     Q0 = Presentation([], 6)
     mm = multiplication_morphism(Q0, 2)
     assert kernel_ideal_generators(mm.morphism, 5) == []
-    assert is_quasi_iso(mm.morphism, 0, 5)
-
-
-# ---------------------------------------------------------------------------
-# path fibration models
-
-
-def test_path_model_even_sphere_hat_differentials(models):
-    rm = path_fibration_model(models["S2"])
-    T = rm.total
-    a1, a2 = T.gen("a1"), T.gen("a2")
-    x1, x2 = T.gen("x1"), T.gen("x2")
-    a_h, x_h = T.gen("a_h"), T.gen("x_h")
-    assert a_h.d() == a2 - a1
-    assert x_h.d() == x2 - x1 - a_h * a1 - a_h * a2
-    assert rm.added == ("a_h", "x_h")
-
-
-def test_path_model_odd_sphere_series_vanishes(models):
-    rm = path_fibration_model(models["S3"])
-    T = rm.total
-    assert T.gen("u_h").d() == T.gen("u2") - T.gen("u1")
-
-
-def test_path_model_fiber_shifts_degrees_down(models):
-    rm = path_fibration_model(models["S2"])
-    fib = rm.fiber_model()
-    assert [(g.name, g.degree) for g in fib.generators] == [("a_h", 1), ("x_h", 2)]
-    for g in fib.generators:
-        assert fib.gen(g.name).d() == fib.zero()
-
-
-def test_path_model_comparison_is_quasi_iso(models):
-    rm = path_fibration_model(models["S2"])
-    assert is_quasi_iso(rm.comparison, 0, 8)
-
-
-def test_path_model_with_three_copies(models):
-    rm = path_fibration_model(models["S2"], 3)
-    T = rm.total
-    names = [g.name for g in T.generators]
-    assert names == ["a1", "x1", "a2", "x2", "a3", "x3",
-                     "a_h1", "x_h1", "a_h2", "x_h2"]
-    a2, a3 = T.gen("a2"), T.gen("a3")
-    a_h2, x_h2 = T.gen("a_h2"), T.gen("x_h2")
-    assert a_h2.d() == a3 - a2
-    assert x_h2.d() == T.gen("x3") - T.gen("x2") - a_h2 * a2 - a_h2 * a3
-    assert is_quasi_iso(rm.comparison, 0, 7)
-    fib = rm.fiber_model()
-    assert sorted((g.name, g.degree) for g in fib.generators) == [
-        ("a_h1", 1), ("a_h2", 1), ("x_h1", 2), ("x_h2", 2)]
-
-
-def test_path_model_for_three_copies_as_iterated_pushout(models):
-    S3 = models["S3"]
-    rm2 = path_fibration_model(S3)
-    triple = tensor_power(S3, 3)
-    leg1 = CdgaMorphism(rm2.base, triple.pres,
-                        {"u1": triple.pres.gen("u1"), "u2": triple.pres.gen("u2")},
-                        check=True)
-    P1, _, injB = pushout_model(rm2.inclusion, leg1)
-    leg2 = CdgaMorphism(rm2.base, P1,
-                        {"u1": injB.image_of("u2"), "u2": injB.image_of("u3")},
-                        check=True)
-    P2, _, _ = pushout_model(rm2.inclusion, leg2)
-    direct = path_fibration_model(S3, 3).total
-    hi = min(P2.cap, direct.cap) - 1
-    for d in range(hi + 1):
-        assert P2.dim(d) == direct.dim(d)
-    assert homology(P2, 0, 6).betti_table() == homology(direct, 0, 6).betti_table()
-
-
-def test_path_model_rejects_bad_inputs(models):
-    with pytest.raises(NotFree):
-        path_fibration_model(models["CP2"])
-    with pytest.raises(CdgaError):
-        path_fibration_model(models["G"])      # degree-1 generators
-    with pytest.raises(CdgaError):
-        path_fibration_model(models["S3"], 1)
-    with pytest.raises(SeriesNonterminating):
-        path_fibration_model(models["S2"], series_bound=0)
-
-
-# ---------------------------------------------------------------------------
-# acyclic closures and loop space models
-
-
-def test_acyclic_closure_of_an_odd_sphere(models):
-    ac = acyclic_closure(models["S3"], 6)
-    assert ac.added == ("h2_0",)
-    assert ac.total.gen("h2_0").d() == ac.total.gen("u")
-    assert homology(ac.total, 0, 6).betti_table() == {
-        0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
-
-
-def test_acyclic_closure_of_an_even_sphere(models):
-    ac = acyclic_closure(models["A"], 8)
-    T = ac.total
-    assert ac.added[:2] == ("h3_0", "h6_0")
-    assert T.gen("h3_0").d() == T.gen("a")
-    assert T.gen("h6_0").d() == T.gen("x") - T.gen("h3_0") * T.gen("a")
-    assert all(homology(T, d, d).betti(d) == 0 for d in range(1, 9))
-    loops = loop_space_model(models["A"], 8)
-    assert [(g.name, g.degree) for g in loops.generators] == [
-        ("h3_0", 3), ("h6_0", 6)]
-    assert all(loops.gen(g.name).d() == loops.zero() for g in loops.generators)
-
-
-def test_acyclic_closure_of_a_presented_quotient(models):
-    ac = acyclic_closure(models["CP2"], 6)
-    assert ac.total.gen(ac.added[0]).d() == ac.total.gen("a")
-    assert all(homology(ac.total, d, d).betti(d) == 0 for d in range(1, 7))
-    loops = loop_space_model(models["CP2"], 6)
-    assert sorted(g.degree for g in loops.generators) == [1, 4]
-
-
-def test_acyclic_closure_needs_room_above_the_cap():
-    pres, _ = load_model("proj2.cdga", cap=6)
-    with pytest.raises(RangeExceedsCap):
-        acyclic_closure(pres["CP2"], 6)
-
-
-# ---------------------------------------------------------------------------
-# fiber models of relative extensions
-
-
-def hopf_relative_model(models):
-    A, B = models["A"], models["B"]
-    total = Presentation([("a", 4), ("x", 7), ("y", 3)], A.cap,
-                         differentials={"x": {(("a", 2),): 1},
-                                        "y": {(("a", 1),): 1}})
-    incl = CdgaMorphism(A, total, {"a": total.gen("a"), "x": total.gen("x")},
-                        check=True)
-    comp = CdgaMorphism(total, B, {"a": B.zero(), "x": B.gen("x"),
-                                   "y": B.zero()}, check=True)
-    return RelativeModel(A, total, incl, ("y",), comparison=comp)
-
-
-def test_hopf_fiber_model_is_an_odd_sphere(models):
-    rm = hopf_relative_model(models)
-    assert is_quasi_iso(rm.comparison, 0, 12)
-    fib = rm.fiber_model()
-    assert [(g.name, g.degree) for g in fib.generators] == [("y", 3)]
-    assert fib.gen("y").d() == fib.zero()
-
-
-def test_trivial_relative_model_has_point_fiber(models):
-    A = models["A"]
-    rm = RelativeModel(A, A, identity_morphism(A), ())
-    fib = rm.fiber_model()
-    assert fib.dim(0) == 1
-    assert all(fib.dim(d) == 0 for d in range(1, 10))
-
-
-# ---------------------------------------------------------------------------
-# cofiber models
-
-
-def les_rank_bounds(bK, bA, bB, d):
-    """Exactness constraints from K >-> A ->> B in one degree."""
-    ok = bA[d] <= bK[d] + bB[d]
-    ok = ok and bB[d] <= bA[d] + bK.get(d + 1, 0)
-    ok = ok and bK[d] <= bA[d] + bB.get(d - 1, 0)
-    return ok
-
-
-def test_hopf_cofiber_model(models, morphisms):
-    q = morphisms["q"]
-    cm = cofiber_model(q, 16)
-    assert q.apply(cm.kernel_elements["k4_0"]) == models["B"].zero()
-    mm = build_minimal_model(cm.pres, 14)
-    assert [(g.name, g.degree) for g in mm.model.generators] == [
-        ("v4_0", 4), ("w11_0", 11)]
-    v = mm.model.gen("v4_0")
-    assert mm.model.gen("w11_0").d() == v * v * v
-    bK = homology(cm.pres, 0, 15).betti_table()
-    bA = homology(models["A"], 0, 15).betti_table()
-    bB = homology(models["B"], 0, 15).betti_table()
-    assert all(les_rank_bounds(bK, bA, bB, d) for d in range(1, 15))
-
-
-def test_cofiber_of_the_identity_is_trivial(models):
-    cm = cofiber_model(identity_morphism(models["S3"]), 6)
-    assert cm.pres.dim(0) == 1
-    assert all(cm.pres.dim(d) == 0 for d in range(1, 7))
-
-
-def test_cofiber_of_sphere_multiplication(models):
-    mm = multiplication_morphism(models["S3"], 2)
-    cm = cofiber_model(mm.morphism, 6)
-    assert [(g.name, g.degree) for g in cm.pres.generators] == [
-        ("k3_0", 3), ("k6_0", 6)]
-    src = mm.power.pres
-    assert cm.kernel_elements["k3_0"] == src.gen("u1") - src.gen("u2")
-    assert cm.kernel_elements["k6_0"] == src.gen("u1") * src.gen("u2")
-    k3 = cm.pres.gen("k3_0")
-    assert k3 * k3 == cm.pres.zero()
-
-
-def test_cofiber_needs_a_surjection(models):
-    S2 = models["S2"]
-    sub = Presentation([("a", 2)], 10)
-    incl = CdgaMorphism(sub, S2, {"a": S2.gen("a")}, check=True)
-    with pytest.raises(NotSurjective):
-        cofiber_model(incl, 6)
-
-
-# ---------------------------------------------------------------------------
-# pushouts
-
-
-def test_pushout_of_acyclic_closure_recovers_the_fiber(models, morphisms):
-    ac = acyclic_closure(models["A"], 10)
-    pushed, _, _ = pushout_model(ac.inclusion, morphisms["q"], cap=10)
-    betti = homology(pushed, 0, 9).betti_table()
-    assert betti == {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0}
-    mm = build_minimal_model(pushed, 8)
-    assert [(g.name, g.degree) for g in mm.model.generators] == [("v3_0", 3)]
-
-
-def test_pushout_along_identity_preserves_the_total(models):
-    rm = path_fibration_model(models["S3"])
-    pushed, _, _ = pushout_model(rm.inclusion, identity_morphism(rm.base))
-    hi = min(pushed.cap, rm.total.cap) - 1
-    for d in range(hi + 1):
-        assert pushed.dim(d) == rm.total.dim(d)
-    assert (homology(pushed, 0, 6).betti_table()
-            == homology(rm.total, 0, 6).betti_table())
-
-
-def test_pushout_legs_must_share_a_source(models):
-    with pytest.raises(CdgaError):
-        pushout_model(identity_morphism(models["S3"]),
-                      identity_morphism(models["S2"]))
+    assert quasi_iso_failure(mm.morphism, 0, 5) is None
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +172,7 @@ def test_diagonal_model_accepts_a_supplied_model(models):
                                          "y": {(("a", 1), ("b", 1), ("x", 1)): 1}})
     theta = CdgaMorphism(manual, W, {"a": W.gen("a"), "b": W.gen("b"),
                                      "x": W.gen("x"), "y": W.zero()}, check=True)
-    assert is_quasi_iso(theta, 0, 12)
+    assert quasi_iso_failure(theta, 0, 12) is None
     dm = diagonal_model(W, 2, 14, model=SullivanModelResult(manual, theta, 12))
     names = [g.name for g in dm.source.generators]
     assert names == ["a", "b", "x", "a_2", "b_2", "x_2", "y_2"]
@@ -413,26 +180,3 @@ def test_diagonal_model_accepts_a_supplied_model(models):
     assert "y_2" in {str(g).lstrip("- ") for g in dm.kernel_generators} or \
         any("y_2" in str(g) for g in dm.kernel_generators)
 
-
-# ---------------------------------------------------------------------------
-# isomorphism search
-
-
-def test_isomorphism_absorbs_scaling():
-    M1 = Presentation([("a", 4), ("x", 7)], 16,
-                      differentials={"x": {(("a", 2),): 1}})
-    M2 = Presentation([("p", 4), ("q", 7)], 16,
-                      differentials={"q": {(("p", 2),): 3}})
-    iso = find_isomorphism(M1, M2)
-    assert iso is not None
-    assert iso.image_of("a") == M2.gen("p")
-    assert iso.image_of("x").d() == M2.gen("p") * M2.gen("p")
-
-
-def test_isomorphism_rejects_degree_mismatch(models):
-    assert find_isomorphism(models["S3"], models["S2"]) is None
-
-
-def test_isomorphism_rejects_different_differentials(models):
-    flat = Presentation([("a", 3), ("b", 3), ("x", 5)], 12)
-    assert find_isomorphism(models["C"], flat) is None

@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch, Derivation,
+from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                         Inhomogeneous, NotFree, NotSquareZero, Presentation,
-                        RangeExceedsCap,
-                        direct_sum, format_element, identity_morphism, quotient_by_ideal,
-                        sub_presentation, tensor, tensor_power,
-                        word_length_truncation)
+                        RangeExceedsCap, format_element, identity_morphism,
+                        quotient_by_ideal, sub_presentation, tensor, tensor_power)
 from secat.lang import parse_document, parse_element, realize_document
 
 from conftest import load_model
@@ -83,42 +81,31 @@ COFORMAL = Presentation(
     differentials={"x": {(("a", 1), ("b", 1)): Fraction(1)}})
 
 
-# a free workspace with generator-to-generator values of degree -1, the shape
-# of the homotopy derivations that construct builds for path fibrations
-HATS = Presentation([("a", 2), ("b", 3), ("x", 5), ("ah", 1), ("bh", 2), ("xh", 4)],
-                    12, simply_connected=False)
+@pytest.mark.parametrize("P", [
+    COFORMAL,
+    Presentation([("a", 2), ("x", 3)], 12,
+                 differentials={"x": {(("a", 2),): Fraction(1)}}),
+    Presentation([("a", 2), ("u", 3), ("v", 3), ("c", 4)], 12,
+                 differentials={"c": {(("a", 1), ("v", 1)): Fraction(1)}}),
+    load_model("truncated_mix.cdga")[0]["T"],
+    load_model("wedge.cdga")[0]["W"],
+], ids=["P0", "P1", "even-generator", "T", "W"])
+def test_differential_matches_oracle(P):
+    """d against the word oracle.
 
-
-@pytest.mark.parametrize("P, hats", [
-    (COFORMAL, None),
-    (Presentation([("a", 2), ("x", 3)], 12,
-                  differentials={"x": {(("a", 2),): Fraction(1)}}), None),
-    (Presentation([("a", 2), ("u", 3), ("v", 3), ("c", 4)], 12,
-                  differentials={"c": {(("a", 1), ("v", 1)): Fraction(1)}}), None),
-    (load_model("truncated_mix.cdga")[0]["T"], None),
-    (load_model("wedge.cdga")[0]["W"], None),
-    (HATS, {"a": "ah", "b": "bh", "x": "xh"}),
-], ids=["P0", "P1", "even-generator", "T", "W", "degree-minus-one"])
-def test_differential_matches_oracle(P, hats):
-    """d, or the degree -1 derivation g -> hats[g], against the word oracle.
-
-    Both have odd degree, so the oracle's sign is the parity of the odd
-    letters before each position.  Monomial relations are struck out.
+    d has odd degree, so the oracle's sign is the parity of the odd letters
+    before each position.  Monomial relations are struck out.
     """
     rng = random.Random(17)
     odd, deg = orc.odd_map(P), orc.deg_map(P)
-    if hats is None:
-        theta, diffs = P.d, orc.diffs_of(P)
-    else:
-        theta = Derivation(P, -1, {g: P.gen(h) for g, h in hats.items()}).apply
-        diffs = {g: {(h,): Fraction(1)} for g, h in hats.items()}
+    diffs = orc.diffs_of(P)
     rel_words = [tuple(n for n, e in mono for _ in range(e))
                  for rel in P.relations for mono in rel]
     assert all(len(rel) == 1 for rel in P.relations)
     for _ in range(150):
         x = random_element(P, rng.randint(2, 9), rng)
         want = orc.strike(orc.differentiate(as_words(x, P), diffs, odd, deg), rel_words)
-        assert as_words(theta(x), P) == want
+        assert as_words(P.d(x), P) == want
 
 
 def test_differential_at_the_cap_raises_and_results_are_fresh():
@@ -197,6 +184,13 @@ def test_inhomogeneous_differential_rejected():
         Presentation([("a", 2), ("x", 5)], 12,
                      differentials={"x": {(("a", 1),): Fraction(1),
                                           (("a", 3),): Fraction(1)}})
+    # an element reports its degree, and refuses to when it mixes degrees
+    P = Presentation([("a", 2), ("x", 3)], 12,
+                     differentials={"x": {(("a", 2),): Fraction(1)}})
+    a, x = P.gen("a"), P.gen("x")
+    assert (a * x).degree() == 5
+    with pytest.raises(Inhomogeneous):
+        (a * a + a * x).degree()
 
 
 def test_cap_semantics():
@@ -277,14 +271,6 @@ def test_tensor_power_naming(models):
     assert tp.pres.dim(9) == 1        # u1 u2 u3
 
 
-def test_word_length_truncation(models):
-    S2 = models["S2"]
-    trunc, proj = word_length_truncation(S2, 1)
-    assert trunc.dim(2) == 1 and trunc.dim(3) == 1
-    assert trunc.dim(4) == 0          # a^2 has word length 2
-    assert not proj.apply(parse_element("a^2", S2)).terms
-
-
 def test_quotient_by_ideal_commutes_with_d(models):
     S2 = models["S2"]
     Q, proj = quotient_by_ideal(S2, [parse_element("a^2", S2)])
@@ -332,30 +318,7 @@ def test_identity_and_composition(models):
     x = random_element(S2, 5, rng)
     assert ident.apply(x) == x
     Q, proj = quotient_by_ideal(S2, [parse_element("a^3", S2)])
-    comp = proj.compose(ident)
-    assert comp.apply(x) == proj.apply(x)
-
-
-def test_direct_sum_dims(models):
-    S3, CP2 = models["S3"], models["CP2"]
-    s = direct_sum(S3, CP2, cap=6)
-    for d in range(1, 7):
-        assert s.pres.dim(d) == S3.dim(d) + CP2.dim(d)
-    assert s.pres.dim(0) == 1
-    # cross products vanish
-    u = s.include_left.apply(S3.gen("u"))
-    a = s.include_right.apply(CP2.gen("a"))
-    assert not (u * a).terms
-
-
-def test_element_introspection(models):
-    S2 = models["S2"]
-    el = parse_element("a^2 + a*x", S2)
-    assert not el.is_homogeneous()
-    assert el.homogeneous_part(4) == parse_element("a^2", S2)
-    assert el.max_word_length() == 2
-    assert parse_element("a*x", S2).degree() == 5
-    assert el.word_part(2) == el
+    assert proj.apply(ident.apply(x)) == proj.apply(x)
 
 
 # ---------------------------------------------------------------------------

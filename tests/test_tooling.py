@@ -1,5 +1,6 @@
 """Tooling guards: the benchmark's tracer patches secat by dotted names,
-which must resolve, and no float may enter the exact arithmetic."""
+which must resolve, no float may enter the exact arithmetic, and every
+definition in the package has a caller outside tests."""
 
 import ast
 import importlib
@@ -55,3 +56,71 @@ def test_float_scan_sees_division_and_float_calls():
     tree = ast.parse("x = a / b\ny /= 2\nz = float(c)\nw = a // b\n")
     assert sorted(_float_sources(tree)) == [
         (1, "true division"), (2, "true division"), (3, "float() call")]
+
+
+ROOT = PACKAGE.parent.parent
+
+# Definitions kept on purpose although no package, script or benchmark code
+# calls them, each with the reason.
+KEPT_UNCALLED = {
+    "to_vector": "Presentation and SemiFreeModule: dense reference views "
+                 "that tests compare the sparse coordinates against",
+    "monomial": "Presentation.monomial: the element factory that tests use",
+    "tensor": "products of presentations for tests and for the metamorphic "
+              "suite of ROADMAP item 3",
+    "print_morphism": "the writer half of the text format's morphism syntax",
+    "split_retraction_certificate": "the only producer of relative-split "
+                                    "certificates; models/stanley_retraction.cert "
+                                    "is its frozen output",
+}
+
+
+def _definitions(tree):
+    """(name, line) of each module-level def/class and each non-dunder
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item.lineno
+
+
+def _references(tree):
+    """Every name a module uses: names, attributes, imported names, and the
+    dotted parts of string constants (the tracer's TARGETS keys)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def _callers():
+    return ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+            + list((ROOT / "scripts").glob("*.py"))
+            + list((ROOT / "perfbench").glob("*.py")))
+
+
+def test_every_definition_has_a_caller():
+    """Code that no pipeline, script or benchmark reaches leaves the package:
+    an export from __init__ or a test alone does not keep it."""
+    used = set()
+    for path in _callers():
+        used.update(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    defined = [(path.name, line, name)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for name, line in _definitions(ast.parse(path.read_text(encoding="utf-8")))]
+    uncalled = [f"{file}:{line} {name}" for file, line, name in defined
+                if name not in used and name not in KEPT_UNCALLED]
+    assert not uncalled, uncalled
+    # an allow-list entry whose definition is gone is stale
+    assert set(KEPT_UNCALLED) <= {name for _, _, name in defined}
