@@ -10,12 +10,21 @@ Representation constraints:
   handled degree by degree: for each degree up to the presentation cap a
   reduced row echelon basis of its graded piece is computed once and cached,
   and reduction is elimination against that basis.  No Groebner machinery.
+* Free monomials come from tables built degree by degree, never by
+  recursion: the monomials of degree n whose first factor is the rank-r
+  generator g are g^e times those of degree n - e|g| whose first rank is
+  above r, kept by word length so that the canonical order (word length,
+  then the (rank, exponent) pairs) needs no sort (see _SignEngine._grow).
+  The tables live on the sign engine, which holds no presentation; the
+  presentations on one generator tuple in one construction share it (a
+  quotient shares its source's, a tensor assembly and a parsed model their
+  scratch engine's).
 * The differential of a monomial is one Leibniz expansion in the free
   algebra followed by one reduction when the image lies at or under the cap
   (see _derive); the result is memoised per monomial for the life of the
   presentation.  Presentation.adjoin extends a free presentation by new
   generators; the old monomials keep their d, so the extension shares the
-  memo and the monomial tables below its lowest new degree.
+  memo and starts from the monomial tables below its lowest new degree.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -119,7 +128,9 @@ class _SignEngine:
         self.rank = {g.name: i for i, g in enumerate(by_rank)}
         self.degree_of = {g.name: g.degree for g in generators}
         self.odd_of = {g.name: g.degree % 2 == 1 for g in generators}
-        self._monomials: dict[int, tuple[Monomial, ...]] = {}
+        # degree -> per rank, its group {word length: monomials}; None until built
+        self._groups: dict[int, list] = {}
+        self._monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
         self._positions: dict[int, dict[Monomial, int]] = {}
 
     # -- basic monomial data
@@ -217,39 +228,76 @@ class _SignEngine:
                         del out[mono]
         return out
 
-    # -- free monomial bases
+    # -- free monomial tables
 
     def free_monomials(self, d: int) -> tuple[Monomial, ...]:
         """All normal-form monomials of degree d, canonically ordered."""
         if d < 0:
             return ()
         cached = self._monomials.get(d)
-        if cached is not None:
-            return cached
-        acc: list[Monomial] = []
+        if cached is None:
+            self._grow(d)
+            groups = self._groups[d]
+            lengths = sorted({w for group in groups for w in group})
+            cached = tuple(m for w in lengths for group in groups for m in group.get(w, ()))
+            self._monomials[d] = cached
+        return cached
 
-        def rec(remaining: int, start: int, prefix: list):
-            if remaining == 0:
-                acc.append(tuple(prefix))
-                return
-            for r in range(start, len(self.by_rank)):
-                g = self.by_rank[r]
-                if g.degree > remaining:
-                    break  # ranks are degree-sorted
-                emax = 1 if g.odd else remaining // g.degree
-                for e in range(1, emax + 1):
-                    prefix.append((g.name, e))
-                    rec(remaining - e * g.degree, r + 1, prefix)
-                    prefix.pop()
+    def _grow(self, d: int) -> None:
+        """Build every group that degree d's monomials are made of.
 
-        rec(d, 0, [])
-        # rec refers to itself through a closure cell; unbinding it frees the
-        # closure (and self) now, not at the cycle collector's next full pass
-        del rec
-        acc.sort(key=self.mono_key)
-        result = tuple(acc)
-        self._monomials[d] = result
-        return result
+        Group (n, r) holds the monomials of degree n whose first factor is a
+        power g^e of the rank-r generator, by word length, each list in the
+        canonical order: g^e times each monomial of degree n - e|g| whose
+        first rank is above r, for e ascending and those monomials in their
+        own order.  So a group is built from groups of higher ranks only, and
+        degree n's canonical order is its groups' lists by word length, then
+        by rank.  The first loop collects the missing groups rank by rank,
+        the second builds them from the highest rank down: no recursion, no
+        dead ends, and only the degrees that d reaches.  At each degree the
+        built groups are those of the highest ranks.
+        """
+        rows, gens = self._groups, self.by_rank
+        size = len(gens)
+        rows.setdefault(d, [None] * size)
+        pending, degrees = [], {d}
+        for r, g in enumerate(gens):
+            degrees = {n for n in degrees if rows[n][r] is None}
+            pending.append(degrees)
+            lower = {n - e * g.degree for n in degrees for e in _exponents(g, n)} - {0}
+            for m in lower:
+                if m not in rows:
+                    rows[m] = [None] * size
+            degrees = degrees | lower
+        for r in reversed(range(size)):
+            g = gens[r]
+            for n in pending[r]:
+                group: dict[int, list] = {}
+                for e in _exponents(g, n):
+                    head, rest = (g.name, e), n - e * g.degree
+                    if not rest:
+                        group.setdefault(e, []).append((head,))
+                        continue
+                    tails = rows[rest]
+                    for s in range(r + 1, size):
+                        for length, monos in tails[s].items():
+                            group.setdefault(length + e, []).extend(
+                                [(head,) + m for m in monos])
+                rows[n][r] = group
+
+    def extended(self, gens: tuple[Generator, ...]) -> "_SignEngine":
+        """The engine on these generators followed by `gens`, starting from
+        this engine's tables below the lowest new degree.  There no new
+        generator appears and the old ranks are unchanged, so the groups,
+        orders and positions carry over as they are."""
+        ext = _SignEngine(self.generators + gens)
+        low = min(g.degree for g in gens)
+        keep = sum(1 for g in self.generators if g.degree < low)
+        empty = [{}] * (len(ext.by_rank) - keep)
+        ext._groups = {n: row[:keep] + empty for n, row in self._groups.items() if n < low}
+        ext._monomials = {d: t for d, t in self._monomials.items() if d < low}
+        ext._positions = {d: t for d, t in self._positions.items() if d < low}
+        return ext
 
     def monomial_index(self, d: int) -> dict[Monomial, int]:
         """Position of each monomial in free_monomials(d)."""
@@ -258,6 +306,12 @@ class _SignEngine:
             index = {m: i for i, m in enumerate(self.free_monomials(d))}
             self._positions[d] = index
         return index
+
+
+def _exponents(g: Generator, n: int) -> range:
+    """The exponents e >= 1 with g^e nonzero and of degree <= n."""
+    top = n // g.degree
+    return range(1, (min(top, 1) if g.odd else top) + 1)
 
 
 def _coerce_coeff(c) -> Rational:
@@ -286,7 +340,7 @@ class Presentation:
 
     def __init__(self, generators, cap: int, *, relations=(), differentials=None,
                  simply_connected: bool = True, validate: bool = True,
-                 extra_d_unknown=()):
+                 extra_d_unknown=(), _engine: _SignEngine | None = None):
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
@@ -296,7 +350,9 @@ class Presentation:
         self.generators = gens
         self.cap = int(cap)
         self.simply_connected = bool(simply_connected)
-        self._ctx = _SignEngine(gens)
+        # presentations on one generator tuple may share one engine, and so
+        # its monomial tables; the engine holds no presentation
+        self._ctx = _SignEngine(gens) if _engine is None else _engine
         if simply_connected:
             low = [g.name for g in gens if g.degree < 2]
             if low:
@@ -549,12 +605,9 @@ class Presentation:
                            differentials={**self._diff_raw, **diffs},
                            simply_connected=all(g.degree >= 2 for g in gens)
                            and self.simply_connected,
-                           validate=False, extra_d_unknown=self.d_unknown)
+                           validate=False, extra_d_unknown=self.d_unknown,
+                           _engine=self._ctx.extended(gens))
         ext._d_memo = self._d_memo
-        low = min(g.degree for g in gens)
-        old, new = self._ctx, ext._ctx
-        new._monomials = {d: t for d, t in old._monomials.items() if d < low}
-        new._positions = {d: t for d, t in old._positions.items() if d < low}
         return ext
 
     def differential_vectors(self, d: int) -> list[dict[int, Rational]]:
@@ -993,8 +1046,6 @@ class TensorResult:
     pres: Presentation
     include_left: CdgaMorphism
     include_right: CdgaMorphism
-    rename_left: dict
-    rename_right: dict
 
 
 def _build_combined(parts, cap, simply_connected):
@@ -1032,7 +1083,7 @@ def _build_combined(parts, cap, simply_connected):
             diffs[rename[n]] = subst(raw)
     combined = Presentation(gens, cap, relations=relations, differentials=diffs,
                             simply_connected=simply_connected,
-                            extra_d_unknown=unknown)
+                            extra_d_unknown=unknown, _engine=ctx)
     return combined
 
 
@@ -1047,7 +1098,7 @@ def tensor(A: Presentation, B: Presentation, *,
                          check=False, name="inl")
     inc_b = CdgaMorphism(B, combined, {n: combined.gen(m) for n, m in map_b.items()},
                          check=False, name="inr")
-    return TensorResult(combined, inc_a, inc_b, map_a, map_b)
+    return TensorResult(combined, inc_a, inc_b)
 
 
 @dataclass
@@ -1099,7 +1150,8 @@ def quotient_by_ideal(P: Presentation, ideal_gens: Iterable[AlgebraElement]):
                      differentials=P._diff_raw,
                      simply_connected=P.simply_connected,
                      extra_d_unknown=sorted(n for n in P.d_unknown
-                                            if n not in P._diff_raw))
+                                            if n not in P._diff_raw),
+                     _engine=P._ctx)
     proj = CdgaMorphism(P, Q, {g.name: Q.gen(g.name) for g in P.generators},
                         check=False, name="proj")
     return Q, proj

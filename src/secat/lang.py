@@ -354,7 +354,7 @@ def make_presentation(spec: CdgaSpec, cap: int | None = None) -> Presentation:
     rels = [dict(evaluate(ast, scratch).terms) for ast in spec.rels]
     diffs = {g: dict(evaluate(ast, scratch).terms) for g, ast in spec.diffs.items()}
     return Presentation(spec.gens, use_cap, relations=rels, differentials=diffs,
-                        simply_connected=simply_connected)
+                        simply_connected=simply_connected, _engine=scratch._ctx)
 
 
 def make_morphism(doc: Document, name: str, presentations: dict) -> CdgaMorphism:

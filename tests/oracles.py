@@ -51,26 +51,7 @@ def mul_elements(e1, e2, odd_of):
     return out
 
 
-def add_elements(e1, e2):
-    out = dict(e1)
-    for w, c in e2.items():
-        s = out.get(w, Fraction(0)) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def scale_element(c, e):
-    return {w: c * v for w, v in e.items()} if c else {}
-
-
-def word_degree(word, deg_of):
-    return sum(deg_of[n] for n in word)
-
-
-def differentiate(element, diffs, odd_of, deg_of):
+def differentiate(element, diffs, odd_of):
     """Extend generator images by the graded Leibniz rule.
 
     diffs maps a generator name to a {word: coeff} element (absent = zero).
@@ -146,6 +127,29 @@ def strike(element, rel_words):
 
 
 # ---------------------------------------------------------------------------
+# free monomials in the engine's form
+
+def free_monomials(gens, d):
+    """The engine's canonical degree-d monomials on gens [(name, degree)].
+
+    Brute force over exponent vectors (odd exponents at most 1).  A
+    generator's rank is its place in the (degree, name) order; a monomial is
+    ((name, exponent), ...) by rank, and the list is sorted by word length,
+    then by the tuple of (rank, exponent) pairs.
+    """
+    ranked = sorted(gens, key=lambda g: (g[1], g[0]))
+    ranges = [range(2 if deg % 2 else d // deg + 1) for _, deg in ranked]
+    found = []
+    for exps in product(*ranges):
+        if sum(e * deg for e, (_, deg) in zip(exps, ranked)) != d:
+            continue
+        pairs = [(r, e) for r, e in enumerate(exps) if e]
+        found.append(((sum(exps), tuple(pairs)),
+                      tuple((ranked[r][0], e) for r, e in pairs)))
+    return [mono for _, mono in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
 # dense rational linear algebra
 
 def rref(rows):
@@ -190,7 +194,6 @@ def betti_numbers(gens, diffs, rel_words, hi):
     faithful piece of the quotient, which holds for monomial relations.
     """
     odd_of = {n: o for n, _, o in gens}
-    deg_of = {n: d for n, d, _ in gens}
     bases = {d: quotient_basis(gens, rel_words, d) for d in range(hi + 2)}
 
     def d_matrix(d):
@@ -199,7 +202,7 @@ def betti_numbers(gens, diffs, rel_words, hi):
         index = {w: i for i, w in enumerate(tgt)}
         rows = []
         for w in src:
-            img = strike(differentiate({w: Fraction(1)}, diffs, odd_of, deg_of),
+            img = strike(differentiate({w: Fraction(1)}, diffs, odd_of),
                          rel_words)
             row = [Fraction(0)] * len(tgt)
             for w2, c in img.items():
@@ -245,10 +248,6 @@ def engine_to_words(terms, odd_of):
 
 def odd_map(pres):
     return {g.name: g.degree % 2 == 1 for g in pres.generators}
-
-
-def deg_map(pres):
-    return {g.name: g.degree for g in pres.generators}
 
 
 def gen_triples(pres):

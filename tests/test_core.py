@@ -1,17 +1,21 @@
 """Graded arithmetic, differentials, presentations, morphisms."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from secat.cli import main
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                         Inhomogeneous, NotFree, NotSquareZero, Presentation,
-                        RangeExceedsCap, format_element, identity_morphism,
-                        quotient_by_ideal, sub_presentation, tensor, tensor_power)
+                        RangeExceedsCap, _SignEngine, format_element,
+                        identity_morphism, quotient_by_ideal, sub_presentation,
+                        tensor, tensor_power)
 from secat.lang import parse_document, parse_element, realize_document
 
-from conftest import load_model
+from conftest import MODELS, load_model
 import oracles as orc
 
 
@@ -97,14 +101,14 @@ def test_differential_matches_oracle(P):
     before each position.  Monomial relations are struck out.
     """
     rng = random.Random(17)
-    odd, deg = orc.odd_map(P), orc.deg_map(P)
+    odd = orc.odd_map(P)
     diffs = orc.diffs_of(P)
     rel_words = [tuple(n for n, e in mono for _ in range(e))
                  for rel in P.relations for mono in rel]
     assert all(len(rel) == 1 for rel in P.relations)
     for _ in range(150):
         x = random_element(P, rng.randint(2, 9), rng)
-        want = orc.strike(orc.differentiate(as_words(x, P), diffs, odd, deg), rel_words)
+        want = orc.strike(orc.differentiate(as_words(x, P), diffs, odd), rel_words)
         assert as_words(P.d(x), P) == want
 
 
@@ -148,6 +152,61 @@ def test_adjoin_matches_the_presentation_built_at_once():
         assert ext.differential_vectors(d) == fresh.differential_vectors(d)
     with pytest.raises(NotFree):
         load_model("truncated_mix.cdga")[0]["T"].adjoin([("y", 3)], {})
+
+
+@st.composite
+def generator_lists(draw):
+    """Up to five generators of degrees 1-4; the names sort against the
+    degrees, so rank order is neither name order nor list order."""
+    names = draw(st.lists(st.sampled_from(["z", "y", "b", "a1", "m", "c0"]),
+                          unique=True, min_size=1, max_size=5))
+    return [(n, draw(st.integers(1, 4))) for n in names]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_lists(), data=st.data())
+def test_monomial_tables_match_the_brute_force_oracle(gens, data):
+    """The tables give the oracle's monomials in every degree, whatever
+    degrees were asked for before; after adjoin, which starts from the
+    tables built so far, every degree equals a fresh build."""
+    top = 8
+    split = data.draw(st.integers(0, len(gens) - 1))
+    old, new = gens[:split], gens[split:]
+    P = Presentation(old, top, simply_connected=False, validate=False)
+    for d in data.draw(st.lists(st.integers(-1, top), max_size=4)):
+        assert list(P.free_monomials(d)) == orc.free_monomials(old, d)
+    ext = P.adjoin(new, {})
+    fresh = Presentation(gens, top, simply_connected=False, validate=False)
+    for d in data.draw(st.permutations(range(-1, top + 1))):
+        assert ext.free_monomials(d) == fresh.free_monomials(d)
+        assert list(fresh.free_monomials(d)) == orc.free_monomials(gens, d)
+
+
+def test_monomial_tables_are_not_built_by_recursion_over_degrees():
+    """Degree 3000 of Lambda(x: 2, y: 4) reaches 1,500 lower degrees; a
+    table built by recursing once per degree would exceed Python's stack."""
+    monomials = Presentation([("x", 2), ("y", 4)], 4000).free_monomials(3000)
+    assert len(monomials) == 751
+    assert monomials[0] == (("y", 750),) and monomials[-1] == (("x", 1500),)
+
+
+def test_one_query_enumerates_each_degree_of_each_generator_tuple_once(
+        monkeypatch, capsys):
+    """Presentations on one generator tuple share its monomial tables: the
+    quotients of the surjection bounds and of the resolutions, the
+    tensor power and the parsed model."""
+    enumerated = collections.Counter()
+    free_monomials = _SignEngine.free_monomials
+
+    def counted(self, d):
+        if d >= 0 and d not in self._monomials:
+            enumerated[(self.generators, d)] += 1
+        return free_monomials(self, d)
+
+    monkeypatch.setattr(_SignEngine, "free_monomials", counted)
+    assert main(["tc", str(MODELS / "truncated_mix.cdga"), "--n", "2"]) == 0
+    capsys.readouterr()
+    assert enumerated and max(enumerated.values()) == 1
 
 
 def test_leibniz_rule(models):

@@ -3,15 +3,13 @@
 import collections
 import hashlib
 import json
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import load_model
 
-from secat.core import (AlgebraElement, CdgaError, Presentation, _SignEngine,
-                        quotient_by_ideal)
+from secat.core import AlgebraElement, CdgaError, Presentation, _SignEngine
 from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             PresentationView,
                             _SpanComplex, homology, induced_matrix,

@@ -7,7 +7,7 @@ import pytest
 from conftest import MODELS
 
 from secat.cli import main
-from secat.core import CdgaError, Presentation, RangeExceedsCap
+from secat.core import CdgaError, RangeExceedsCap
 from secat.homology import homology
 from secat.lang import make_presentation, parse_document
 from secat.invariants import (

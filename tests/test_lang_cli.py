@@ -11,7 +11,7 @@ from conftest import MODELS, load_model
 from test_golden import GOLDEN
 
 from secat.cli import main
-from secat.core import CdgaError, Presentation
+from secat.core import Presentation
 from secat.lang import (
     ParseError, default_cap, make_presentation, parse_document, parse_element,
     parse_expression, print_morphism, print_presentation, realize_document,

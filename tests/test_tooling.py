@@ -1,6 +1,7 @@
 """Tooling guards: the benchmark's tracer patches secat by dotted names,
-which must resolve, no float may enter the exact arithmetic, and every
-definition in the package has a caller outside tests."""
+which must resolve, no float may enter the exact arithmetic, every
+definition in the package has a caller outside tests, and no module imports
+a name it does not use."""
 
 import ast
 import importlib
@@ -124,3 +125,33 @@ def test_every_definition_has_a_caller():
     assert not uncalled, uncalled
     # an allow-list entry whose definition is gone is stale
     assert set(KEPT_UNCALLED) <= {name for _, _, name in defined}
+
+
+def _unused_imports(tree):
+    """(line, name) of each imported name that the module never uses as a
+    name; `from __future__` imports are directives, not names."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    """Package modules, tests and scripts import only what they use
+    (`__init__` re-exports on purpose and is left out)."""
+    paths = ([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+             + list((ROOT / "tests").glob("*.py"))
+             + list((ROOT / "scripts").glob("*.py")))
+    found = [f"{path.relative_to(ROOT)}:{line} {name}" for path in sorted(paths)
+             for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_unused_import_scan_sees_plain_from_and_aliased_imports():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import json as j\nfrom a import b, c\nb(os)\n")
+    assert _unused_imports(tree) == [(3, "j"), (4, "c")]
