@@ -54,10 +54,11 @@ def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
     if HA.betti(1) != 0:
         raise NotSimplyConnected("H^1 does not vanish")
 
-    M, images = hit_and_kill(
-        HA, 2, cap, Presentation((), cap + 2),
-        lambda X, images: CdgaMorphism(X, A, images, check=False),
-        ("v", "w"), {}, NotQuasiIso)
+    for M, images in hit_and_kill(
+            HA, 2, cap, Presentation((), cap + 2),
+            lambda X, images: CdgaMorphism(X, A, images, check=False),
+            ("v", "w"), {}, NotQuasiIso):
+        pass  # the whole model: keep the last degree's
     # hit_and_kill adjoins without validating; check d*d = 0 once on the result
     M._validate()
     phi = CdgaMorphism(M, A, images, check=True, name="minimal-model")

@@ -16,7 +16,8 @@ canonical representatives.  It works on any cochain complex X with
 Presentations and semifree modules implement it; the span complex behind
 span_complex_homology implements the part that betti numbers need.
 hit_and_kill is the one degreewise "hit the cokernel, kill the kernel"
-builder behind minimal models and quotient resolutions.  It grows one
+builder behind minimal models and quotient resolutions.  It hands back the
+source after each finished degree, so a caller can stop early.  It grows one
 source complex through X.adjoin(gens, diffs), which keeps the old basis
 and shares its memo of d, and it reuses the kill step's H^{k+1} for the
 next hit step whenever the kill generators leave the degree-(k+1) piece
@@ -232,7 +233,12 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
     A generator is named {prefix}{k}_{i}, with prefixes[0] for hit and
     prefixes[1] for kill generators, and i counting from 0 per prefix and
     degree.  `error` is raised when a killed class has no primitive.
-    Returns the final source complex and the images of its generators.
+
+    This is a generator: after each finished degree k it yields the source
+    complex and the images of its generators, so a caller can look at the
+    generators of degree <= k before anything above k is computed, and
+    stop there.  A caller that wants the whole construction drains it and
+    keeps the last pair.
     """
     T = H_tgt.complex
     gens: list[tuple[str, int]] = []  # adjoined to X at the end of a step
@@ -265,7 +271,8 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
             phi = chain_map(X, images)
             gens, diffs = [], {}
         if k == hi:
-            break
+            yield X, images
+            return
         H_src = homology(X, k + 1, k + 1)
         cols = induced_matrix(phi, H_src, H_tgt, k + 1)
         kernel = [H_src.cycle(combo, k + 1)
@@ -284,7 +291,7 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
             gens, diffs = [], {}
             if X.dim(k + 1) != size:
                 cols = None
-    return X, images
+        yield X, images
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ from .homology import (HomologyReport, HomologyView, IdealPowers,
 from .linalg import solve_combo
 from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
-from .semifree import (UNIT, find_module_retraction, resolve_quotient,
-                       semifree_from_relative, verify_module_retraction)
+from .semifree import (UNIT, find_module_retraction, resolve_and_retract,
+                       resolve_quotient, semifree_from_relative,
+                       verify_module_retraction)
 from .lang import parse_element
 
 CERT_FORMAT = "secat-cert/1"
@@ -379,10 +380,9 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         mm = m_bound.lower or 0
         while True:
             elements = [p.element for p in powers.level(mm + 1)]
-            res = resolve_quotient(S, elements, E)
-            ret = find_module_retraction(res.module, E)
+            module, ret = resolve_and_retract(S, elements, E)
             if ret is not None:
-                check = verify_module_retraction(res.module, ret.values, E)
+                check = verify_module_retraction(module, ret.values, E)
                 if check is not None:
                     raise CdgaError(f"retraction failed its re-check: {check}")
                 cert = Certificate(

@@ -276,26 +276,59 @@ def solve_combo(images, width: int, target):
                      _dense_width(target, len(images)))
 
 
+class LinearSystem:
+    """A sparse rational linear system, solved as its equations arrive.
+
+    Each equation sum_j coeffs[j] x_j = rhs goes into one `Echelon` as the
+    row (coeffs, rhs), the right-hand side in the column `RHS`, which sorts
+    after every unknown.  An echelon depends only on the relative order of
+    its columns, so the pivots, rows and solution do not depend on how many
+    unknowns there are, and unknowns may be numbered as equations arrive.
+    The system is inconsistent exactly when the right-hand-side column is a
+    pivot, that is, when an equation reduces to 0 = nonzero.
+    """
+
+    RHS = 1 << 62  # above any unknown's index
+
+    def __init__(self):
+        # nothing dense is read back, so the width is only a bound
+        self._ech = Echelon(self.RHS + 1)
+        self.equations = 0
+
+    def add(self, coeffs: dict, rhs: Rational) -> bool:
+        """Feed one equation; False when the system has become inconsistent
+        (it stays so, whatever comes after)."""
+        self.equations += 1
+        row = dict(coeffs)
+        if rhs:
+            row[self.RHS] = rhs
+        return self._ech._add(_integer_row(row)[0]) != self.RHS
+
+    def solution(self, nunknowns: int) -> tuple[dict, list]:
+        """(solution_dict, free_indices) of the consistent system over the
+        unknowns 0 .. nunknowns - 1, with free unknowns pinned to 0."""
+        ech = self._ech
+        solution = {}
+        for col, ri in sorted(ech.pivots.items()):
+            row = ech.rows[ri]
+            b = row.get(self.RHS)
+            solution[col] = 0 if b is None else _fraction(b, row[col])
+        free = [j for j in range(nunknowns) if j not in ech.pivots]
+        # pinned-to-zero free variables make the recorded pivot values exact
+        return solution, free
+
+
 def solve_sparse(equations, nunknowns: int):
     """Solve a sparse rational linear system.
 
     `equations` is an iterable of (coeffs, rhs) with coeffs a dict
     {unknown_index: rational}.  Returns (solution_dict, free_indices) with
-    free unknowns pinned to 0, or None when inconsistent.
+    free unknowns pinned to 0, or None when inconsistent.  The equations are
+    fed to one `LinearSystem` in order, and the first one that reduces to
+    0 = nonzero ends the solve: the rest are never read.
     """
-    ech = Echelon(nunknowns + 1)
+    system = LinearSystem()
     for coeffs, rhs in equations:
-        row = dict(coeffs)
-        if rhs:
-            row[nunknowns] = rhs
-        ech._add(_integer_row(row)[0])
-    if nunknowns in ech.pivots:
-        return None
-    solution = {}
-    for col, ri in sorted(ech.pivots.items()):
-        row = ech.rows[ri]
-        b = row.get(nunknowns)
-        solution[col] = 0 if b is None else _fraction(b, row[col])
-    free = [j for j in range(nunknowns) if j not in ech.pivots]
-    # pinned-to-zero free variables make the recorded pivot values exact
-    return solution, free
+        if not system.add(coeffs, rhs):
+            return None
+    return system.solution(nunknowns)

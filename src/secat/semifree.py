@@ -12,8 +12,13 @@ cohomology.  Three constructions live on top:
 
 * resolve_quotient: a semifree resolution of A / ideal, built degreewise by
   homology.hit_and_kill, together with the quasi-iso onto the quotient.
-* find_module_retraction: one global exact linear solve for a module chain
-  retraction onto the base, the decision procedure behind the m-invariants.
+* find_module_retraction: a module chain retraction onto the base, the
+  decision procedure behind the m-invariants.  RetractionSearch feeds the
+  chain equations generator by generator to one incremental exact
+  elimination, which stops at the first equation that reduces to
+  0 = nonzero.  resolve_and_retract builds a resolution one finished degree
+  at a time and feeds each degree's equations as soon as its generators
+  exist, so an infeasible level stops there and builds nothing above.
 * semifree_from_relative: a relative Sullivan model seen as a semifree
   module over its base.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .linalg import Rational, dense, entries, solve_sparse
+from .linalg import LinearSystem, Rational, dense, entries
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap, quotient_by_ideal)
 from .homology import hit_and_kill, homology
@@ -271,6 +276,38 @@ class QuotientResolution:
         return out
 
 
+def _resolution_by_degree(A: Presentation, ideal_elements, E: int):
+    """resolve_quotient's construction, one finished degree at a time.
+
+    Yields the resolution once before degree 1 and then after each finished
+    degree, with `module` the module built so far, unchecked.
+    """
+    if not A.is_free and E + 1 > A.cap:
+        raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
+    Q, proj = quotient_by_ideal(A, ideal_elements)
+    res = QuotientResolution(SemiFreeModule(A, (), {}), Q, proj, {UNIT: Q.one()}, E)
+
+    def chain_map(X, eps):
+        res.eps = eps
+        return res.eps_apply
+
+    yield res
+    for res.module, res.eps in hit_and_kill(homology(Q, 0, E), 1, E, res.module,
+                                            chain_map, ("r", "r"), res.eps, CdgaError):
+        yield res
+
+
+def _checked(res: QuotientResolution) -> QuotientResolution:
+    """res with every generator built so far checked: its module is rebuilt
+    with the coefficient-degree check, and d^2 = 0 is checked."""
+    M = res.module
+    res.module = SemiFreeModule(M.base, M.gen_list[1:], M.d, check=True)
+    bad = res.module.d2_failure(up_to=res.valid_up_to + 1)
+    if bad is not None:
+        raise CdgaError(f"resolution differential fails d^2 = 0 on {bad[0]}")
+    return res
+
+
 def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolution:
     """Semifree resolution of A/(ideal_elements), exact in degrees <= E
     when A has no degree-1 elements.
@@ -283,23 +320,9 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
     base with degree-1 elements a class such as t.1 in Lambda(t: 1, x: 2)/(t)
     can survive in the module although it dies in the quotient.
     """
-    if not A.is_free and E + 1 > A.cap:
-        raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
-    Q, proj = quotient_by_ideal(A, ideal_elements)
-    res = QuotientResolution(None, Q, proj, {UNIT: Q.one()}, E)
-
-    def chain_map(X, eps):
-        res.eps = eps
-        return res.eps_apply
-
-    M, res.eps = hit_and_kill(homology(Q, 0, E), 1, E,
-                              SemiFreeModule(A, (), {}), chain_map,
-                              ("r", "r"), res.eps, CdgaError)
-    res.module = SemiFreeModule(A, M.gen_list[1:], M.d, check=True)
-    bad = res.module.d2_failure(up_to=E + 1)
-    if bad is not None:
-        raise CdgaError(f"resolution differential fails d^2 = 0 on {bad[0]}")
-    return res
+    for res in _resolution_by_degree(A, ideal_elements, E):
+        pass  # the whole resolution: keep the last degree's
+    return _checked(res)
 
 
 # ---------------------------------------------------------------------------
@@ -314,43 +337,66 @@ class RetractionResult:
     checked_up_to: int
 
 
-def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult | None:
-    """A module chain map r: module -> base with r(unit) = 1, or None.
+class RetractionSearch:
+    """The chain equations of a module chain map r: module -> base with
+    r(unit) = 1, fed to one `LinearSystem` generator by generator.
 
     Unknowns are the coefficients of r(x) over the degree-|x| basis of the
-    base for every generator of degree <= E; the chain equations r(d x) =
-    d(r(x)) are imposed for every generator with |x| + 1 <= E.  Free unknowns
-    are pinned to zero, so the answer is deterministic.
+    base for every generator of degree <= E; the chain equations r(dx) =
+    d(r(x)) are imposed for every generator with |x| + 1 <= E, one equation
+    per degree-(|x|+1) basis monomial.  Generators are fed in `gen_list`
+    order, each batch numbering its unknowns before it builds its
+    equations.  A module fed after another must extend it (adjoin does), so
+    feeding a module all at once or a growing module batch by batch gives
+    the same system in the same order.
     """
-    base = module.base
-    if not base.is_free:
-        E = min(E, base.cap - 1)
-    slots: dict[str, tuple[int, int]] = {}
-    n_unknowns = 0
-    for name, deg in module.gen_list:
-        if name == UNIT or deg > E:
-            continue
-        width = base.dim(deg)
-        slots[name] = (n_unknowns, width)
-        n_unknowns += width
 
-    equations = []
-    dvecs: dict[int, list] = {}  # degree -> the base's differential rows
-    # (coefficient c, degree e) -> c times each degree-e basis monomial, as
-    # vectors; many generators share a coefficient in their differentials
-    products: dict[tuple, list] = {}
-    for name, deg in module.gen_list:
-        if name == UNIT or deg + 1 > E:
-            continue
+    def __init__(self, base: Presentation, E: int):
+        if not base.is_free:
+            E = min(E, base.cap - 1)
+        self.base = base
+        self.E = E
+        self.system = LinearSystem()
+        self.slots: dict[str, tuple[int, int, int]] = {}  # name -> (degree, offset, width)
+        self.n_unknowns = 0
+        self._fed = 1  # gen_list entries already fed; the unit has no unknowns
+        self._dvecs: dict[int, list] = {}  # degree -> the base's differential rows
+        # (coefficient c, degree e) -> c times each degree-e basis monomial, as
+        # vectors; many generators share a coefficient in their differentials
+        self._products: dict[tuple, list] = {}
+
+    def extend(self, module: SemiFreeModule) -> bool:
+        """Feed the generators of `module` that come after those fed before:
+        first their unknowns, then their equations.  False at the first
+        equation that reduces to 0 = nonzero: then no retraction exists, and
+        no later equation is built."""
+        new = module.gen_list[self._fed:]
+        self._fed = len(module.gen_list)
+        for name, deg in new:
+            if deg <= self.E:
+                width = self.base.dim(deg)
+                self.slots[name] = (deg, self.n_unknowns, width)
+                self.n_unknowns += width
+        for name, deg in new:
+            if deg + 1 <= self.E:
+                for row, b in self._equations(module, name, deg):
+                    if not self.system.add(row, b):
+                        return False
+        return True
+
+    def _equations(self, module: SemiFreeModule, name: str, deg: int):
+        """The equations (coefficients, right side) of generator `name`, in
+        the order of the degree-(deg+1) basis."""
+        base, E = self.base, self.E
         tdeg = deg + 1
         # degree-tdeg basis index -> the equation's unknowns and right side
         rows: dict[int, dict] = {}
         rhs: dict[int, Rational] = {}
         # d(r(x)): coefficients of the unknowns of x through the differential
-        off = slots[name][0]
-        dv = dvecs.get(deg)
+        off = self.slots[name][1]
+        dv = self._dvecs.get(deg)
         if dv is None:
-            dv = dvecs[deg] = base.differential_vectors(deg)
+            dv = self._dvecs[deg] = base.differential_vectors(deg)
         for i, img in enumerate(dv):
             for j, val in img.items():
                 row = rows.setdefault(j, {})
@@ -366,11 +412,11 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
             if gdeg > E:
                 raise RangeExceedsCap(
                     f"retraction system reaches generator {g} beyond degree {E}")
-            goff = slots[g][0]
+            goff = self.slots[g][1]
             key = (frozenset(c.terms.items()), gdeg)
-            prods = products.get(key)
+            prods = self._products.get(key)
             if prods is None:
-                prods = products[key] = [
+                prods = self._products[key] = [
                     base.to_sparse(c * AlgebraElement(base, {mono: 1}), tdeg)
                     for mono in base.basis(gdeg)]
             for i, prod in enumerate(prods):
@@ -380,18 +426,49 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
         for j in sorted(rows.keys() | rhs.keys()):
             row, b = rows.get(j, {}), rhs.get(j, 0)
             if row or b:
-                equations.append((row, b))
+                yield row, b
 
-    solved = solve_sparse(equations, n_unknowns)
-    if solved is None:
-        return None
-    solution, free = solved
-    values = {UNIT: base.one()}
-    for name, (off, width) in slots.items():
-        deg = module.degree_of[name]
-        values[name] = base.from_vector(
-            deg, {i: solution[off + i] for i in range(width) if off + i in solution})
-    return RetractionResult(values, len(free), len(equations), E)
+    def result(self) -> RetractionResult:
+        """The retraction of the consistent system fed so far, free unknowns
+        pinned to zero, so the answer is deterministic."""
+        base = self.base
+        solution, free = self.system.solution(self.n_unknowns)
+        values = {UNIT: base.one()}
+        for name, (deg, off, width) in self.slots.items():
+            values[name] = base.from_vector(
+                deg, {i: solution[off + i] for i in range(width) if off + i in solution})
+        return RetractionResult(values, len(free), self.system.equations, self.E)
+
+
+def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult | None:
+    """A module chain map r: module -> base with r(unit) = 1, or None.
+
+    The chain equations of every generator (see `RetractionSearch`) are fed
+    to one exact elimination in `gen_list` order, and the first equation
+    that reduces to 0 = nonzero ends the search with None.
+    """
+    search = RetractionSearch(module.base, E)
+    return search.result() if search.extend(module) else None
+
+
+def resolve_and_retract(A: Presentation, ideal_elements, E: int
+                        ) -> tuple[SemiFreeModule, RetractionResult | None]:
+    """find_module_retraction(resolve_quotient(A, ideal_elements, E).module, E),
+    stopped at the first contradiction.
+
+    The resolution is built one finished degree at a time, and after each
+    degree the equations of its new generators are fed to the search.  When
+    one reduces to 0 = nonzero, nothing above that degree is built.  Returns
+    the module as far as it was built, whole when a retraction was found,
+    with every generator checked as resolve_quotient checks them, and the
+    retraction or None.  A feasible level feeds the same equations in the
+    same order as the two calls, so its retraction is the same.
+    """
+    search = RetractionSearch(A, E)
+    for res in _resolution_by_degree(A, ideal_elements, E):
+        if not search.extend(res.module):
+            return _checked(res).module, None
+    return _checked(res).module, search.result()
 
 
 def verify_module_retraction(module: SemiFreeModule, values: dict, E: int):

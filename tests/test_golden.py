@@ -33,8 +33,10 @@ COMMANDS = {"cat": ["cat"], "tc": ["tc", "--n", "2"],
 # the command run on each morphism of a document
 MORPHISM_COMMAND = "secat"
 # (file name, cdga label, command key, cap) run above the default cap:
-# cat T at cap 16 solves a 3533 x 3467 module-retraction system.
-RAISED_CAPS = [("truncated_mix.cdga", "T", "cat", 16)]
+# cat T at cap 16 solves a 3533 x 3467 module-retraction system; at cap 18
+# its full level-2 system would be 13476 x 12799 and level 3 is 6681 x 6549.
+RAISED_CAPS = [("truncated_mix.cdga", "T", "cat", 16),
+               ("truncated_mix.cdga", "T", "cat", 18)]
 
 
 def cases():

@@ -187,6 +187,27 @@ def test_echelon_on_wide_entries_matches_the_oracle_exactly(m, data):
     assert ech.coordinates(v) == ([v[p] for p in pivots] if inside else None)
 
 
+def test_solve_sparse_stops_at_the_first_contradiction(monkeypatch):
+    """x0 + x1 = 1 and then x0 + x1 = 2: the second row already reduces to
+    0 = 1, so the rows after it are never eliminated."""
+    calls = []
+    add = Echelon._add
+
+    def counted(self, v):
+        calls.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(Echelon, "_add", counted)
+    equations = [({0: 1, 1: 1}, 1), ({0: 1, 1: 1}, 2), ({1: 1, 2: 1}, 3),
+                 ({2: 1}, -1), ({0: 2, 2: Fraction(1, 2)}, Fraction(-13, 2))]
+    assert solve_sparse(equations, 3) is None
+    assert len(calls) == 2
+    # without the contradiction every row is fed and the system solves
+    calls.clear()
+    assert solve_sparse(equations[:1] + equations[2:], 3) == ({0: -3, 1: 4, 2: -1}, [])
+    assert len(calls) == 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=wide_matrix_and_vector())
 def test_solvers_on_wide_entries_match_the_oracle_exactly(m):

@@ -1,17 +1,23 @@
 """Semifree modules: resolutions, module homology, retraction solving."""
 
+import json
+
 import pytest
 
 from conftest import MODELS, load_model
 
+import secat.semifree
+from secat.cli import main
+
 from secat.core import (
     CdgaError, DegreeMismatch, Presentation, RangeExceedsCap, sub_presentation,
 )
-from secat.homology import homology
+from secat.homology import IdealPowers, PresentationView, homology
+from secat.invariants import cat_bounds, tc_bounds
 from secat.linalg import Echelon
 from secat.semifree import (
-    UNIT, SemiFreeModule, find_module_retraction, resolve_quotient,
-    semifree_from_relative, verify_module_retraction,
+    UNIT, SemiFreeModule, find_module_retraction, resolve_and_retract,
+    resolve_quotient, semifree_from_relative, verify_module_retraction,
 )
 
 
@@ -266,3 +272,70 @@ def test_retraction_on_a_join_level(models):
     assert ret is not None
     assert ret.values["p"] == -S2.gen("x")
     assert verify_module_retraction(join, ret.values, 7) is None
+
+
+# ---------------------------------------------------------------------------
+# the m-loop's search, stopped at the first contradiction
+
+
+@pytest.mark.parametrize("label,invariant", [("T", "cat"), ("W", "cat"),
+                                             ("S2", "cat"), ("T", "tc")])
+def test_streamed_search_matches_the_full_solve_at_every_level(models, label,
+                                                               invariant):
+    """At every level m from 0 to nil + 1 of the surjection behind cat or tc
+    (n = 2), resolve_and_retract gives the verdict, and where one exists
+    the retraction, of find_module_retraction on the whole resolution."""
+    A = models[label]
+    report = cat_bounds(A) if invariant == "cat" else tc_bounds(A, 2)
+    surj = report.surjection
+    S, E = surj.morphism.source, surj.hi
+    powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)),
+                         surj.kernel_generators)
+    verdicts = {}
+    for m in range(surj.nil_kernel + 2):
+        elements = [p.element for p in powers.level(m + 1)]
+        full = resolve_quotient(S, elements, E)
+        want = find_module_retraction(full.module, E)
+        module, got = resolve_and_retract(S, elements, E)
+        verdicts[m] = got is not None
+        assert verdicts[m] == (want is not None), m
+        if got is None:
+            continue
+        assert got == want, m
+        assert module.gen_list == full.module.gen_list
+        assert module.d == full.module.d
+    assert True in verdicts.values()
+    if (label, invariant) == ("T", "cat"):
+        assert verdicts[2] is False
+
+
+def test_an_infeasible_level_builds_nothing_above_its_contradiction(monkeypatch,
+                                                                   capsys):
+    """In `secat cat` on T at cap 15 the m-loop tries level 2 and then level
+    3.  Level 2 has no retraction, and its 5th equation already reduces to
+    0 = 1: r5_0 and r6_0 give three equations, and the second of
+    d(r7_0) = (v3_0*w5_0 + v2_0^2*w4_0).1 - v3_0.r5_0 contradicts the
+    first of r5_0.  So that level adjoins 4 generators, none above degree
+    7, where the whole resolution has 113."""
+    levels = []  # the generators adjoined in each resolution, in order
+    quotient = secat.semifree.quotient_by_ideal
+    adjoin = SemiFreeModule.adjoin
+
+    def new_level(*args):
+        levels.append([])
+        return quotient(*args)
+
+    def counted(self, gens, diffs):
+        levels[-1].extend(gens)
+        return adjoin(self, gens, diffs)
+
+    monkeypatch.setattr(secat.semifree, "quotient_by_ideal", new_level)
+    monkeypatch.setattr(SemiFreeModule, "adjoin", counted)
+    assert main(["cat", str(MODELS / "truncated_mix.cdga"), "--name", "T",
+                 "--cap", "15", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    mcat = next(b for b in report["bounds"] if b["name"] == "mcat")
+    assert (mcat["lower"], mcat["upper"]) == (3, 3)
+    assert len(levels) == 2
+    assert levels[0] == [("r5_0", 5), ("r6_0", 6), ("r7_0", 7), ("r7_1", 7)]
+    assert len(levels[1]) > 10
