@@ -400,6 +400,8 @@ class Presentation:
         # no reference cycle keeps a presentation alive after its last use
         self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
         self._d_memo: dict[Monomial, dict] = {}
+        # the factors of a tensor-like assembly (_build_combined), else ()
+        self._parts: tuple[Presentation, ...] = ()
         self.validated_notes: list[str] = []
         if validate:
             self._validate()
@@ -697,6 +699,12 @@ class Presentation:
         Free and all generators odd certifies top = sum of degrees.  Otherwise a
         window of empty graded pieces of length max generator degree, fully
         inside the cap, certifies that everything above the window vanishes.
+
+        A tensor-like assembly of parts (_build_combined) whose tops are all
+        certified has dims the convolution of theirs, so its top t is their
+        sum, and no gap below t is as long as the largest generator degree.
+        The window scan then returns t exactly when t plus that degree is at
+        most the cap, and there t is returned without building the pieces.
         """
         if not self.generators:
             return 0
@@ -706,6 +714,10 @@ class Presentation:
                 return sum(degs)
             return None
         maxdeg = max(degs)
+        if self._parts:
+            tops = [P.top_degree_if_finite() for P in self._parts]
+            if None not in tops and sum(tops) + maxdeg <= self.cap:
+                return sum(tops)
         top = 0
         run = 0
         for d in range(1, self.cap + 1):
@@ -912,6 +924,9 @@ class CdgaMorphism:
             if el:
                 imgs[n] = el
         self.images = imgs
+        # source monomial -> its image; (generator, exponent) -> the power
+        self._memo: dict[Monomial, AlgebraElement] = {}
+        self._powers: dict[tuple[str, int], AlgebraElement] = {}
         self.checked_notes: list[str] = []
         if check:
             self._validate()
@@ -920,18 +935,42 @@ class CdgaMorphism:
         return self.images.get(name, self.target.zero())
 
     def apply_raw(self, terms: Mapping[Monomial, Rational]) -> AlgebraElement:
+        """The image of the free-algebra element `terms`.
+
+        A monomial's image is formed factor by factor, reducing after each
+        product: image(m[:j+1]) = image(m[:j]) * image(g_j)^{e_j}, with the
+        power formed as img**e.  Each is memoised on the morphism, so a
+        monomial, a prefix of one or a power is multiplied out once.  Above
+        the target's cap a product is 0 when a partial product vanished at
+        or under the cap, and raises RangeExceedsCap otherwise; a generator
+        with no image ends the product before its later factors are formed.
+        A product that raised is not memoised, so it raises again.
+        """
         out = self.target.zero()
         for m, c in terms.items():
-            piece = self.target.one()
-            for n, e in m:
-                img = self.images.get(n)
-                if img is None:
-                    piece = self.target.zero()
-                    break
-                piece = piece * img ** e
+            piece = self._monomial_image(m)
             if piece:
                 out = out + piece * c
         return out
+
+    def _monomial_image(self, m: Monomial) -> AlgebraElement:
+        img = self._memo.get(m)
+        if img is not None:
+            return img
+        if not m:
+            return self.target.one()
+        prefix = self._monomial_image(m[:-1])
+        n, e = m[-1]
+        gen = self.images.get(n)
+        if gen is None or any(k not in self.images for k, _ in m[:-1]):
+            img = self.target.zero()
+        else:
+            power = self._powers.get((n, e))
+            if power is None:
+                power = self._powers[(n, e)] = gen ** e
+            img = prefix * power
+        self._memo[m] = img
+        return img
 
     def apply(self, el: AlgebraElement) -> AlgebraElement:
         if el.pres is not self.source:
@@ -1084,6 +1123,7 @@ def _build_combined(parts, cap, simply_connected):
     combined = Presentation(gens, cap, relations=relations, differentials=diffs,
                             simply_connected=simply_connected,
                             extra_d_unknown=unknown, _engine=ctx)
+    combined._parts = tuple(P for P, _ in parts)
     return combined
 
 

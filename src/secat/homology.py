@@ -320,6 +320,10 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
     Degrees ascend; in each degree the span of products of the generators
     found so far is eliminated first, so only genuinely new kernel directions
     become generators.  Every returned element is verified to map to zero.
+
+    The products lie in ker phi, an ideal, so once their span has the rank of
+    ker_d it is ker_d: no further product is formed, and every kernel basis
+    element reduces to 0 as it would against the full span.
     """
     P, B = phi.source, phi.target
     b_hi = B.cap if B.is_free else B.cap - 1
@@ -328,8 +332,11 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
         n = P.dim(d)
         if n == 0:
             continue
+        kernel = kernel_basis(phi, d)
         span = Echelon(n)
         for g in gens:
+            if span.rank == len(kernel):
+                break
             e = g.degree()
             if e is None or e > d:
                 continue
@@ -337,7 +344,9 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
                 prod = g * AlgebraElement(P, {mono: 1})
                 if prod.terms:
                     span.add(P.to_sparse(prod, d))
-        for el in kernel_basis(phi, d):
+                    if span.rank == len(kernel):
+                        break
+        for el in kernel:
             v = span.reduce(P.to_sparse(el, d))
             red = P.from_vector(d, v)
             if red.terms:

@@ -279,6 +279,12 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     sits inside the range, injectivity verdicts extend to all degrees: the
     quotient complexes in degrees <= hi are insensitive to generators above
     hi, and above content_top the source homology is zero.
+
+    Each level m is the quotient S/I^{m+1} with its homology in degrees <=
+    hi.  The h-loop tries levels upward from nil ker H(phi) and stops at the
+    h-invariant's upper end; the m-loop starts at that same level, so it
+    resolves the quotient the h-loop built last and builds only the levels
+    above.
     """
     S, B = phi.source, phi.target
     cap = S.cap
@@ -347,12 +353,15 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         if kernel_absolute else
         f"(ker phi)^{nil_k + 1} has no nonzero part in degrees <= {view_hi}")
 
+    def level_quotient(level):
+        """S -> S/I^{level+1} and the quotient's homology in degrees <= hi."""
+        Q, proj = quotient_by_ideal(S, [p.element for p in powers.level(level + 1)])
+        return proj, homology(Q, 0, hi)
+
     # h-invariant: least m with H(S) -> H(S / I^{m+1}) injective on the range
     m = h_bound.lower or 0
     while True:
-        elements = [p.element for p in powers.level(m + 1)]
-        Q, proj = quotient_by_ideal(S, elements)
-        H_Q = homology(Q, 0, hi)
+        proj, H_Q = level_quotient(m)
         fail = _injectivity_failure(proj, H_S, H_Q, 1, hi)
         if fail is None:
             cert = Certificate(
@@ -379,8 +388,10 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         E = hi
         mm = m_bound.lower or 0
         while True:
-            elements = [p.element for p in powers.level(mm + 1)]
-            module, ret = resolve_and_retract(S, elements, E)
+            # the first level is the h-loop's last: its quotient is reused
+            if mm != m:
+                proj, H_Q = level_quotient(mm)
+            module, ret = resolve_and_retract(proj, H_Q, E)
             if ret is not None:
                 check = verify_module_retraction(module, ret.values, E)
                 if check is not None:

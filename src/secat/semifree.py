@@ -16,9 +16,10 @@ cohomology.  Three constructions live on top:
   decision procedure behind the m-invariants.  RetractionSearch feeds the
   chain equations generator by generator to one incremental exact
   elimination, which stops at the first equation that reduces to
-  0 = nonzero.  resolve_and_retract builds a resolution one finished degree
-  at a time and feeds each degree's equations as soon as its generators
-  exist, so an infeasible level stops there and builds nothing above.
+  0 = nonzero.  resolve_and_retract builds a resolution of a quotient its
+  caller built, one finished degree at a time, and feeds each degree's
+  equations as soon as its generators exist, so an infeasible level stops
+  there and builds nothing above.
 * semifree_from_relative: a relative Sullivan model seen as a semifree
   module over its base.
 """
@@ -276,23 +277,23 @@ class QuotientResolution:
         return out
 
 
-def _resolution_by_degree(A: Presentation, ideal_elements, E: int):
-    """resolve_quotient's construction, one finished degree at a time.
+def _resolution_by_degree(proj: CdgaMorphism, H_Q, E: int):
+    """resolve_quotient's construction, one finished degree at a time, for
+    the projection proj: A -> Q onto the quotient and H_Q = homology(Q, 0, E).
 
     Yields the resolution once before degree 1 and then after each finished
     degree, with `module` the module built so far, unchecked.
     """
-    if not A.is_free and E + 1 > A.cap:
-        raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
-    Q, proj = quotient_by_ideal(A, ideal_elements)
-    res = QuotientResolution(SemiFreeModule(A, (), {}), Q, proj, {UNIT: Q.one()}, E)
+    Q = proj.target
+    res = QuotientResolution(SemiFreeModule(proj.source, (), {}), Q, proj,
+                             {UNIT: Q.one()}, E)
 
     def chain_map(X, eps):
         res.eps = eps
         return res.eps_apply
 
     yield res
-    for res.module, res.eps in hit_and_kill(homology(Q, 0, E), 1, E, res.module,
+    for res.module, res.eps in hit_and_kill(H_Q, 1, E, res.module,
                                             chain_map, ("r", "r"), res.eps, CdgaError):
         yield res
 
@@ -320,7 +321,10 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
     base with degree-1 elements a class such as t.1 in Lambda(t: 1, x: 2)/(t)
     can survive in the module although it dies in the quotient.
     """
-    for res in _resolution_by_degree(A, ideal_elements, E):
+    if not A.is_free and E + 1 > A.cap:
+        raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
+    Q, proj = quotient_by_ideal(A, ideal_elements)
+    for res in _resolution_by_degree(proj, homology(Q, 0, E), E):
         pass  # the whole resolution: keep the last degree's
     return _checked(res)
 
@@ -451,11 +455,14 @@ def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult |
     return search.result() if search.extend(module) else None
 
 
-def resolve_and_retract(A: Presentation, ideal_elements, E: int
+def resolve_and_retract(proj: CdgaMorphism, H_Q, E: int
                         ) -> tuple[SemiFreeModule, RetractionResult | None]:
     """find_module_retraction(resolve_quotient(A, ideal_elements, E).module, E),
-    stopped at the first contradiction.
+    stopped at the first contradiction, where proj: A -> Q is the projection
+    onto Q = A/(ideal_elements) and H_Q = homology(Q, 0, E).
 
+    The caller builds the quotient and its homology, so a level whose
+    quotient was already built for another question is not built again.
     The resolution is built one finished degree at a time, and after each
     degree the equations of its new generators are fed to the search.  When
     one reduces to 0 = nonzero, nothing above that degree is built.  Returns
@@ -464,8 +471,8 @@ def resolve_and_retract(A: Presentation, ideal_elements, E: int
     retraction or None.  A feasible level feeds the same equations in the
     same order as the two calls, so its retraction is the same.
     """
-    search = RetractionSearch(A, E)
-    for res in _resolution_by_degree(A, ideal_elements, E):
+    search = RetractionSearch(proj.source, E)
+    for res in _resolution_by_degree(proj, H_Q, E):
         if not search.extend(res.module):
             return _checked(res).module, None
     return _checked(res).module, search.result()

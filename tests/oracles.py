@@ -1,13 +1,21 @@
 """Independent naive reimplementations used to cross-check the engine.
 
-Everything here works on explicit words (tuples of generator names with
-repetition) and dense Fraction matrices, sharing no code with the package.
-Quotients are supported for monomial relations only, which covers every
-model file in the repository that has relations at all.
+Everything up to the last section works on explicit words (tuples of
+generator names with repetition) and dense Fraction matrices, sharing no
+code with the package.  Quotients are supported for monomial relations
+only, which covers every model file in the repository that has relations
+at all.
+
+The last section keeps plain loops that the engine has since shortened:
+they call the engine's arithmetic, but none of its memos or early exits.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from secat.core import AlgebraElement
+from secat.homology import kernel_basis
+from secat.linalg import Echelon
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +267,65 @@ def diffs_of(pres):
     odd = odd_map(pres)
     return {name: engine_to_words(raw, odd)
             for name, raw in pres._diff_raw.items() if raw}
+
+
+# ---------------------------------------------------------------------------
+# the engine's plain loops, without their memos and early exits
+
+def apply_raw_unmemoised(phi, terms):
+    """CdgaMorphism.apply_raw formed afresh: each monomial factor by factor,
+    piece * image(g)**e, reducing after each product."""
+    out = phi.target.zero()
+    for m, c in terms.items():
+        piece = phi.target.one()
+        for n, e in m:
+            img = phi.images.get(n)
+            if img is None:
+                piece = phi.target.zero()
+                break
+            piece = piece * img ** e
+        if piece:
+            out = out + piece * c
+    return out
+
+
+def kernel_ideal_generators_full_span(phi, hi):
+    """homology.kernel_ideal_generators with every product g * m in each
+    degree's span, however early that span fills ker phi."""
+    P = phi.source
+    gens = []
+    for d in range(1, hi + 1):
+        n = P.dim(d)
+        if n == 0:
+            continue
+        span = Echelon(n)
+        for g in gens:
+            e = g.degree()
+            if e is None or e > d:
+                continue
+            for mono in P.basis(d - e):
+                prod = g * AlgebraElement(P, {mono: 1})
+                if prod.terms:
+                    span.add(P.to_sparse(prod, d))
+        for el in kernel_basis(phi, d):
+            red = P.from_vector(d, span.reduce(P.to_sparse(el, d)))
+            if red.terms:
+                gens.append(red)
+                span.add(P.to_sparse(red, d))
+    return gens
+
+
+def window_scan_top(P):
+    """The top degree of a presentation with relations, from its dims: the
+    last nonzero degree before a run of empty degrees as long as the largest
+    generator degree, or None when no such run fits under the cap."""
+    maxdeg = max(g.degree for g in P.generators)
+    top, run = 0, 0
+    for d in range(1, P.cap + 1):
+        if P.dim(d):
+            top, run = d, 0
+        else:
+            run += 1
+            if run >= maxdeg:
+                return top
+    return None

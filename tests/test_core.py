@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secat.cli import main
+from secat.construct import multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                         Inhomogeneous, NotFree, NotSquareZero, Presentation,
                         RangeExceedsCap, _SignEngine, format_element,
@@ -323,6 +324,22 @@ def test_tensor_dimensions_convolve(models):
     u = S3.gen("u")
     assert t.include_left.apply(u).degree() == 3
 
+    # so a product's top degree is its parts' tops added, where the window
+    # scan finds one, and None where it finds none
+    T, W, S2 = models["T"], models["W"], models["S2"]
+    for P, top in ((tensor_power(T, 2, cap=21).pres, 16),
+                   (tensor_power(W, 3, cap=29).pres, 24)):
+        assert P.top_degree_if_finite() == top
+        assert orc.window_scan_top(P) == top
+    for P in (tensor(T, S2, cap=16).pres,           # S2 has an even free part
+              tensor_power(T, 2, cap=20).pres):     # 16 + 5 > 20: no window
+        assert P.top_degree_if_finite() is None
+        assert orc.window_scan_top(P) is None
+    # a quotient of a product is not a product of its parts' tops
+    TT = tensor_power(T, 2, cap=21).pres
+    Q, _ = quotient_by_ideal(TT, [TT.gen("b1")])
+    assert Q.top_degree_if_finite() == orc.window_scan_top(Q) == 14
+
 
 def test_tensor_power_naming(models):
     tp = tensor_power(models["S3"], 3, cap=9)
@@ -378,6 +395,81 @@ def test_identity_and_composition(models):
     assert ident.apply(x) == x
     Q, proj = quotient_by_ideal(S2, [parse_element("a^3", S2)])
     assert proj.apply(ident.apply(x)) == proj.apply(x)
+
+
+# ---------------------------------------------------------------------------
+# morphisms form each monomial's image once
+
+
+def test_apply_raw_above_the_cap_vanishes_where_a_partial_product_does():
+    """In T at cap 9, a*b = 0 by a relation, so the identity maps a*b*x, of
+    degree 10, to 0 on every call, although the monomial itself cannot be
+    reduced above the cap."""
+    T = load_model("truncated_mix.cdga", cap=9)[0]["T"]
+    ident = identity_morphism(T)
+    abx = (("a", 1), ("b", 1), ("x", 1))
+    assert ident.apply_raw({abx: 1}) == T.zero()
+    assert ident.apply_raw({abx: 1}) == T.zero()
+    with pytest.raises(RangeExceedsCap):
+        T.element({abx: 1})
+    # a^3 is not 0, so a^3*x is formed above the cap and raises every time
+    for _ in range(2):
+        with pytest.raises(RangeExceedsCap):
+            ident.apply_raw({(("a", 3), ("x", 1)): 1})
+
+
+def test_a_power_above_the_cap_raises_on_every_call():
+    P = Presentation([("a", 2), ("b", 3)], 5,
+                     relations=({(("a", 1), ("b", 1)): 1},))
+    ident = identity_morphism(P)
+    for _ in range(2):
+        with pytest.raises(RangeExceedsCap):
+            ident.apply_raw({(("a", 3),): 1})
+    assert ident.apply_raw({(("a", 2),): 1}) == P.element({(("a", 2),): 1})
+    # a generator with no image ends a product before a later power raises
+    Pab = Presentation([("a", 2), ("b", 2)], 5,
+                       relations=({(("a", 1), ("b", 1)): 1},))
+    kill_a = CdgaMorphism(Pab, Pab, {"b": Pab.gen("b")})
+    for _ in range(2):
+        assert kill_a.apply_raw({(("a", 1), ("b", 3)): 1}) == Pab.zero()
+    with pytest.raises(RangeExceedsCap):
+        kill_a.apply_raw({(("b", 3),): 1})
+
+
+@pytest.fixture(scope="module")
+def memo_morphisms(models):
+    """One morphism each, kept across examples so that later calls meet
+    memoised monomials, prefixes and powers."""
+    T, W = models["T"], models["W"]
+    return {"T -> T/(b)": quotient_by_ideal(T, [T.gen("b")])[1],  # b has no image
+            "id W": identity_morphism(W),
+            # products of degree 10 and 11 are formed above the cap: some raise
+            "id T at cap 9": identity_morphism(
+                load_model("truncated_mix.cdga", cap=9)[0]["T"]),
+            "T (x) T -> T": multiplication_morphism(T, 2).morphism}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_memoised_apply_raw_matches_the_unmemoised_oracle(memo_morphisms, data):
+    """apply_raw gives the image that the oracle forms afresh, or raises
+    RangeExceedsCap exactly when the oracle does, on random free-algebra
+    elements up to two degrees above the source's cap."""
+    phi = memo_morphisms[data.draw(st.sampled_from(sorted(memo_morphisms)))]
+    P = phi.source
+    degrees = [d for d in range(P.cap + 3) if P.free_monomials(d)]
+    monos = P.free_monomials(data.draw(st.sampled_from(degrees)))
+    chosen = data.draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+    coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool),
+                                min_size=len(chosen), max_size=len(chosen)))
+    terms = dict(zip(chosen, coeffs))
+    try:
+        want = orc.apply_raw_unmemoised(phi, terms)
+    except RangeExceedsCap:
+        with pytest.raises(RangeExceedsCap):
+            phi.apply_raw(terms)
+        return
+    assert phi.apply_raw(terms) == want
 
 
 # ---------------------------------------------------------------------------

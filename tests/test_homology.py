@@ -16,7 +16,8 @@ from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             kernel_basis, kernel_ideal_generators, nil_ideal,
                             poincare_duality_check, positive_part_generators,
                             quasi_iso_failure, span_complex_homology)
-from secat.construct import build_minimal_model, multiplication_morphism
+from secat.construct import (build_minimal_model, diagonal_model,
+                             multiplication_morphism)
 from secat.semifree import SemiFreeModule, resolve_quotient
 from secat.lang import parse_document, parse_element, realize_document
 
@@ -189,6 +190,20 @@ def test_kernel_generators_map_to_zero_and_span_kernel(models):
         kb = kernel_basis(mult2.morphism, d)
         for el in kb:
             assert powers.contains(1, el, d), d
+
+
+def test_kernel_generators_match_the_full_span_oracle(models):
+    """A degree's product span stops growing once it fills ker phi there;
+    the generators and their order stay those of the full span."""
+    T, W, S2 = models["T"], models["W"], models["S2"]
+    for phi, hi in ((multiplication_morphism(T, 2, cap=22).morphism, 17),
+                    (multiplication_morphism(W, 3, cap=30).morphism, 25),
+                    (multiplication_morphism(S2, 2).morphism, 9),
+                    (diagonal_model(T, 2, 22).morphism, 13),
+                    (diagonal_model(W, 2, 22).morphism, 13)):
+        gens = kernel_ideal_generators(phi, hi)
+        assert gens, phi
+        assert gens == orc.kernel_ideal_generators_full_span(phi, hi), phi
 
 
 def test_nil_ideal_values(models):

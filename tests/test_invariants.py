@@ -1,11 +1,13 @@
 """Invariant bounds, worked examples, and certificate verification."""
 
 import json
+import sys
 
 import pytest
 
 from conftest import MODELS
 
+import secat.core
 from secat.cli import main
 from secat.core import CdgaError, RangeExceedsCap
 from secat.homology import homology
@@ -247,6 +249,31 @@ def test_quotient_surjection_is_model_relative(morphisms):
     assert any(n.startswith("model-relative") for n in rep.notes)
     assert rep.h_bound.lower == 1 and rep.h_bound.lower_absolute
     assert rep.h_bound.upper == 1 and not rep.h_bound.upper_absolute
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["cat", "--cap", "15"], 2),   # h stops at level 2; m tries 2, then 3
+    (["tc", "--n", "2"], 1),       # h and m both stop at level 1
+])
+def test_each_level_quotient_is_built_once(monkeypatch, capsys, argv, built):
+    """The m-loop starts at the level where the h-loop stopped and resolves
+    the quotient the h-loop built there, so a query builds each S/I^{m+1}
+    once."""
+    quotient = secat.core.quotient_by_ideal
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("secat") and \
+                getattr(module, "quotient_by_ideal", None) is quotient:
+            monkeypatch.setattr(module, "quotient_by_ideal", counted)
+    assert main(argv[:1] + [str(MODELS / "truncated_mix.cdga"), "--name", "T"]
+                + argv[1:] + ["--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == built
 
 
 def test_bound_chain_is_consistent_everywhere(models, coformal_report,

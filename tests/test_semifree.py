@@ -10,7 +10,8 @@ import secat.semifree
 from secat.cli import main
 
 from secat.core import (
-    CdgaError, DegreeMismatch, Presentation, RangeExceedsCap, sub_presentation,
+    CdgaError, DegreeMismatch, Presentation, RangeExceedsCap, quotient_by_ideal,
+    sub_presentation,
 )
 from secat.homology import IdealPowers, PresentationView, homology
 from secat.invariants import cat_bounds, tc_bounds
@@ -296,7 +297,8 @@ def test_streamed_search_matches_the_full_solve_at_every_level(models, label,
         elements = [p.element for p in powers.level(m + 1)]
         full = resolve_quotient(S, elements, E)
         want = find_module_retraction(full.module, E)
-        module, got = resolve_and_retract(S, elements, E)
+        Q, proj = quotient_by_ideal(S, elements)
+        module, got = resolve_and_retract(proj, homology(Q, 0, E), E)
         verdicts[m] = got is not None
         assert verdicts[m] == (want is not None), m
         if got is None:
@@ -318,18 +320,18 @@ def test_an_infeasible_level_builds_nothing_above_its_contradiction(monkeypatch,
     first of r5_0.  So that level adjoins 4 generators, none above degree
     7, where the whole resolution has 113."""
     levels = []  # the generators adjoined in each resolution, in order
-    quotient = secat.semifree.quotient_by_ideal
+    resolution = secat.semifree._resolution_by_degree
     adjoin = SemiFreeModule.adjoin
 
     def new_level(*args):
         levels.append([])
-        return quotient(*args)
+        return resolution(*args)
 
     def counted(self, gens, diffs):
         levels[-1].extend(gens)
         return adjoin(self, gens, diffs)
 
-    monkeypatch.setattr(secat.semifree, "quotient_by_ideal", new_level)
+    monkeypatch.setattr(secat.semifree, "_resolution_by_degree", new_level)
     monkeypatch.setattr(SemiFreeModule, "adjoin", counted)
     assert main(["cat", str(MODELS / "truncated_mix.cdga"), "--name", "T",
                  "--cap", "15", "--json"]) == 0
