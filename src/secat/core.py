@@ -128,6 +128,7 @@ class _SignEngine:
         self.rank = {g.name: i for i, g in enumerate(by_rank)}
         self.degree_of = {g.name: g.degree for g in generators}
         self.odd_of = {g.name: g.degree % 2 == 1 for g in generators}
+        self._degrees: dict[Monomial, int] = {}
         # degree -> per rank, its group {word length: monomials}; None until built
         self._groups: dict[int, list] = {}
         self._monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
@@ -136,7 +137,11 @@ class _SignEngine:
     # -- basic monomial data
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(self.degree_of[n] * e for n, e in m)
+        """The degree of m, memoised per monomial for the life of the engine."""
+        d = self._degrees.get(m)
+        if d is None:
+            d = self._degrees[m] = sum(self.degree_of[n] * e for n, e in m)
+        return d
 
     def word_length(self, m: Monomial) -> int:
         return sum(e for _, e in m)
@@ -150,30 +155,50 @@ class _SignEngine:
     # -- multiplication with Koszul signs
 
     def mul_mono(self, m1: Monomial, m2: Monomial):
-        """Product of normal-form monomials: (sign, monomial) or None if zero."""
+        """Product of normal-form monomials: (sign, monomial) or None if zero.
+
+        One merge of the two rank-sorted tuples.  Each odd factor of m2 moves
+        left past the odd factors of m1 of higher rank, one sign flip per
+        such pair.  The pairs are counted as the merge places each odd factor
+        of m1: it flips the sign once per odd factor of m2 placed before it,
+        and `below` is the parity of those.  A generator in both is added
+        up, or ends the product when it is odd.
+        """
         if not m1:
             return 1, m2
         if not m2:
             return 1, m1
-        odds1 = [self.rank[n] for n, _ in m1 if self.odd_of[n]]
+        rank, odd_of = self.rank, self.odd_of
+        below = 0
         sign = 1
-        if odds1:
-            for n2, _ in m2:
-                if self.odd_of[n2]:
-                    r2 = self.rank[n2]
-                    k = sum(1 for r1 in odds1 if r1 > r2)
-                    if k & 1:
-                        sign = -sign
-        merged: dict[str, int] = dict(m1)
-        for n, e in m2:
-            if n in merged:
-                if self.odd_of[n]:
+        out = []
+        i, size = 0, len(m1)
+        for n2, e2 in m2:
+            r2 = rank[n2]
+            while i < size:
+                f = m1[i]
+                if rank[f[0]] >= r2:
+                    break
+                out.append(f)
+                if below and odd_of[f[0]]:
+                    sign = -sign
+                i += 1
+            if i < size and m1[i][0] == n2:
+                if odd_of[n2]:
                     return None
-                merged[n] += e
+                out.append((n2, m1[i][1] + e2))
+                i += 1
             else:
-                merged[n] = e
-        mono = tuple(sorted(merged.items(), key=lambda p: self.rank[p[0]]))
-        return sign, mono
+                if odd_of[n2]:
+                    below ^= 1
+                out.append((n2, e2))
+        if i < size:
+            if below:
+                for n1, _ in m1[i:]:
+                    if odd_of[n1]:
+                        sign = -sign
+            out.extend(m1[i:])
+        return sign, tuple(out)
 
     def raw_mul(self, t1: Mapping[Monomial, Rational], t2: Mapping[Monomial, Rational]):
         out: dict[Monomial, Rational] = {}
@@ -514,9 +539,38 @@ class Presentation:
         return len(self.basis(d))
 
     def reduce_raw(self, terms: Mapping[Monomial, Rational]) -> dict:
-        """Canonical representative of a free-algebra element modulo the ideal."""
+        """Canonical representative of a free-algebra element modulo the ideal.
+
+        The terms come out degree by degree, each degree in the order of its
+        free monomials, as elimination against each degree's ideal echelon
+        leaves them.  When no term sits at a pivot of its degree's echelon
+        and none lies above the cap, elimination would change no
+        coefficient, so the terms are only put in that order: zero
+        coefficients dropped and an integral Fraction written as its int,
+        as the elimination writes them.
+        """
         if self.is_free or not terms:
             return dict(terms)
+        ctx, cap = self._ctx, self.cap
+        seen: dict[int, tuple] = {}  # degree -> (monomial index, ideal pivots)
+        keyed = []
+        for m, c in terms.items():
+            d = ctx.mono_degree(m)
+            look = seen.get(d)
+            if look is None:
+                if d > cap:
+                    return self._eliminate(terms)
+                look = seen[d] = (ctx.monomial_index(d), self._ideal_echelon(d).pivots)
+            i = look[0][m]
+            if i in look[1]:
+                return self._eliminate(terms)
+            if c:
+                keyed.append((d, i, m, c))
+        keyed.sort()  # (degree, index) is one monomial's, so m is never compared
+        return {m: c.numerator if c.denominator == 1 else c for _, _, m, c in keyed}
+
+    def _eliminate(self, terms: Mapping[Monomial, Rational]) -> dict:
+        """reduce_raw by elimination in every degree of the terms."""
         by_degree: dict[int, dict] = {}
         for m, c in terms.items():
             by_degree.setdefault(self._ctx.mono_degree(m), {})[m] = c
@@ -584,8 +638,7 @@ class Presentation:
     def d(self, el: "AlgebraElement") -> "AlgebraElement":
         bad = {n for m, _ in el.terms.items() for n, _e in m if n in self.d_unknown}
         if bad:
-            raise RangeExceedsCap(
-                f"differential of generators {sorted(bad)} is not representable under cap {self.cap}")
+            raise self._d_unknown_error(bad)
         if el.pres is not self:
             raise PresentationMismatch("element belongs to a different presentation")
         return AlgebraElement(self, _derive(self, self._d_values, self._d_memo, el.terms))
@@ -613,9 +666,35 @@ class Presentation:
         return ext
 
     def differential_vectors(self, d: int) -> list[dict[int, Rational]]:
-        """Images under d of the degree-d basis, as sparse degree-(d+1) vectors."""
-        return [self.to_sparse(self.d(AlgebraElement(self, {mono: 1})), d + 1)
-                for mono in self.basis(d)]
+        """Images under d of the degree-d basis, as sparse degree-(d+1) vectors.
+
+        Each row is the memoised image of its basis monomial (see _derive),
+        read into basis indices in the image's own term order, as
+        to_sparse(self.d(monomial), d + 1) gives it, and with the same
+        errors in the same order: a generator in d_unknown raises d's
+        RangeExceedsCap, then the image, then the degree-(d+1) basis may
+        raise theirs.
+        """
+        memo, unknown = self._d_memo, self.d_unknown
+        index = None
+        rows = []
+        for mono in self.basis(d):
+            if unknown:
+                bad = {n for n, _ in mono if n in unknown}
+                if bad:
+                    raise self._d_unknown_error(bad)
+            img = memo.get(mono)
+            if img is None:
+                img = _derive(self, self._d_values, memo, {mono: 1})
+            if index is None:
+                self.basis(d + 1)
+                index = self._index[d + 1]
+            rows.append({index[m]: c for m, c in img.items()})
+        return rows
+
+    def _d_unknown_error(self, names) -> RangeExceedsCap:
+        return RangeExceedsCap(f"differential of generators {sorted(names)} "
+                               f"is not representable under cap {self.cap}")
 
     def check_cycle(self, el: "AlgebraElement") -> None:
         img = self.d(el)
@@ -705,6 +784,9 @@ class Presentation:
         sum, and no gap below t is as long as the largest generator degree.
         The window scan then returns t exactly when t plus that degree is at
         most the cap, and there t is returned without building the pieces.
+        A part that is free on an even generator of degree e makes every
+        e-th piece of the assembly nonzero, and e is at most the window, so
+        no window is empty and the answer is None before any piece is built.
         """
         if not self.generators:
             return 0
@@ -714,6 +796,8 @@ class Presentation:
                 return sum(degs)
             return None
         maxdeg = max(degs)
+        if any(P.is_free and any(not g.odd for g in P.generators) for P in self._parts):
+            return None
         if self._parts:
             tops = [P.top_degree_if_finite() for P in self._parts]
             if None not in tops and sum(tops) + maxdeg <= self.cap:

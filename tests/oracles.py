@@ -13,7 +13,7 @@ they call the engine's arithmetic, but none of its memos or early exits.
 from fractions import Fraction
 from itertools import product
 
-from secat.core import AlgebraElement
+from secat.core import AlgebraElement, RangeExceedsCap
 from secat.homology import kernel_basis
 from secat.linalg import Echelon
 
@@ -329,3 +329,53 @@ def window_scan_top(P):
             if run >= maxdeg:
                 return top
     return None
+
+
+def mul_mono_sorted(ctx, m1, m2):
+    """_SignEngine.mul_mono by a dict and a sort: the sign counts, for each
+    odd factor of m2, the odd factors of m1 of higher rank; the factors are
+    merged in a dict and sorted by rank."""
+    if not m1:
+        return 1, m2
+    if not m2:
+        return 1, m1
+    odds1 = [ctx.rank[n] for n, _ in m1 if ctx.odd_of[n]]
+    sign = 1
+    if odds1:
+        for n2, _ in m2:
+            if ctx.odd_of[n2]:
+                r2 = ctx.rank[n2]
+                k = sum(1 for r1 in odds1 if r1 > r2)
+                if k & 1:
+                    sign = -sign
+    merged = dict(m1)
+    for n, e in m2:
+        if n in merged:
+            if ctx.odd_of[n]:
+                return None
+            merged[n] += e
+        else:
+            merged[n] = e
+    return sign, tuple(sorted(merged.items(), key=lambda p: ctx.rank[p[0]]))
+
+
+def reduce_raw_eliminated(P, terms):
+    """Presentation.reduce_raw with elimination against the ideal echelon of
+    every degree of the terms, whether or not a term sits at a pivot."""
+    if P.is_free or not terms:
+        return dict(terms)
+    ctx = P._ctx
+    by_degree = {}
+    for m, c in terms.items():
+        by_degree.setdefault(ctx.mono_degree(m), {})[m] = c
+    out = {}
+    for d, part in sorted(by_degree.items()):
+        if d > P.cap:
+            raise RangeExceedsCap(
+                f"degree {d} exceeds cap {P.cap} of a presentation with relations")
+        monos = ctx.free_monomials(d)
+        index = ctx.monomial_index(d)
+        red = P._ideal_echelon(d).reduce({index[m]: c for m, c in part.items()})
+        for i, c in red.items():
+            out[monos[i]] = c
+    return out

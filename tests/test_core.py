@@ -2,16 +2,18 @@
 
 import collections
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secat import invariants
 from secat.cli import main
-from secat.construct import multiplication_morphism
+from secat.construct import diagonal_model, multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
-                        Inhomogeneous, NotFree, NotSquareZero, Presentation,
-                        RangeExceedsCap, _SignEngine, format_element,
+                        Generator, Inhomogeneous, NotFree, NotSquareZero,
+                        Presentation, RangeExceedsCap, _SignEngine, format_element,
                         identity_morphism, quotient_by_ideal, sub_presentation,
                         tensor, tensor_power)
 from secat.lang import parse_document, parse_element, realize_document
@@ -137,6 +139,28 @@ def test_differential_at_the_cap_raises_and_results_are_fresh():
     assert not P.d(P.monomial((("a", 1), ("x", 1), ("y", 1)))).terms
 
 
+def test_differential_vectors_are_d_read_into_the_basis(models):
+    """Each row is to_sparse of d of its basis monomial, keys in the same
+    order; a generator whose d is unknown raises d's own RangeExceedsCap."""
+    for name in ("T", "W", "S2", "CP2"):
+        P = models[name]
+        for d in range(P.cap - 1):
+            rows = P.differential_vectors(d)
+            want = [P.to_sparse(P.d(P.monomial(m)), d + 1) for m in P.basis(d)]
+            assert [list(r.items()) for r in rows] == [list(w.items()) for w in want]
+    unknown = Presentation([("a", 2), ("x", 5)], 5, relations=[{(("a", 2),): 1}],
+                           differentials={"x": {(("a", 3),): 1}})
+    assert unknown.d_unknown == {"x"}
+    free = Presentation([("a", 2), ("x", 5)], 12, extra_d_unknown=["x"])
+    for P in (unknown, free):
+        with pytest.raises(RangeExceedsCap) as from_d:
+            P.d(P.gen("x"))
+        with pytest.raises(RangeExceedsCap) as from_rows:
+            P.differential_vectors(5)
+        assert str(from_rows.value) == str(from_d.value)
+        assert "['x']" in str(from_rows.value)
+
+
 def test_adjoin_matches_the_presentation_built_at_once():
     """adjoin hands the extension the memo of d and the low-degree monomial
     tables of the presentation it extends; the result must equal a fresh
@@ -181,6 +205,27 @@ def test_monomial_tables_match_the_brute_force_oracle(gens, data):
     for d in data.draw(st.permutations(range(-1, top + 1))):
         assert ext.free_monomials(d) == fresh.free_monomials(d)
         assert list(fresh.free_monomials(d)) == orc.free_monomials(gens, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=generator_lists())
+def test_mul_mono_matches_the_sorting_oracle(gens):
+    """The one-pass merge gives the dict-and-sort product on every pair of
+    monomials up to degree 6: the same sign and monomial, and None exactly
+    where an odd generator repeats.  The names sort against the degrees, so
+    the merge cannot lean on name order."""
+    ctx = _SignEngine(tuple(Generator(n, d) for n, d in gens))
+    monos = [m for d in range(7) for m in ctx.free_monomials(d)]
+    products = []
+    for m1 in monos:
+        for m2 in monos:
+            got = ctx.mul_mono(m1, m2)
+            assert got == orc.mul_mono_sorted(ctx, m1, m2), (m1, m2)
+            products.append(got)
+    odd = [g for g in ctx.by_rank if g.odd]
+    # g * g for an odd g, and h * g for odd g below h in rank
+    assert (None in products) == bool(odd)
+    assert any(p is not None and p[0] == -1 for p in products) == (len(odd) > 1)
 
 
 def test_monomial_tables_are_not_built_by_recursion_over_degrees():
@@ -302,6 +347,52 @@ def test_reduce_raw_lists_terms_in_ascending_column_order(models):
         == {(("b", 4),): Fraction(2)}
 
 
+@pytest.fixture(scope="module")
+def reduce_presentations(models):
+    """Quotients whose ideal echelons have pivots in several degrees; in
+    "skew" the names sort against the degrees and the parities mix."""
+    skew = Presentation([("z", 2), ("y", 3), ("b", 2), ("a", 5), ("c", 3)], 14,
+                        relations=[{(("z", 1), ("b", 1)): 1, (("b", 2),): -1},
+                                   {(("y", 1), ("c", 1)): 1},
+                                   {(("z", 3),): 1},
+                                   {(("a", 1), ("b", 1)): 1}])
+    return {"T": models["T"], "W": models["W"], "CP2": models["CP2"], "skew": skew}
+
+
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reduce_raw_matches_full_elimination(reduce_presentations, data):
+    """reduce_raw, which skips elimination when no term sits at a pivot,
+    gives what elimination in every degree gives: the same terms in the
+    same key order, with the same coefficient types (an integral Fraction
+    comes out as its int), or the same RangeExceedsCap above the cap."""
+    P = reduce_presentations[data.draw(st.sampled_from(sorted(reduce_presentations)))]
+    degrees = data.draw(st.lists(st.integers(0, P.cap + 1), min_size=1, max_size=3,
+                                 unique=True))
+    # quotient basis monomials only reach the shortcut; free ones hit pivots
+    basis_only = data.draw(st.booleans())
+    pool = [m for d in degrees
+            for m in (P.basis(d) if basis_only and d <= P.cap else P.free_monomials(d))]
+    chosen = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=8)
+                       if pool else st.just([]))
+    coeffs = data.draw(st.lists(_coefficients, min_size=len(chosen), max_size=len(chosen)))
+    terms = dict(zip(chosen, coeffs))
+    try:
+        want = orc.reduce_raw_eliminated(P, terms)
+    except RangeExceedsCap as exc:
+        with pytest.raises(RangeExceedsCap, match=re.escape(str(exc))):
+            P.reduce_raw(terms)
+        return
+    got = P.reduce_raw(terms)
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
 def test_top_degree_detection(models):
     assert models["T"].top_degree_if_finite() == 8
     assert models["W"].top_degree_if_finite() == 8
@@ -339,6 +430,36 @@ def test_tensor_dimensions_convolve(models):
     TT = tensor_power(T, 2, cap=21).pres
     Q, _ = quotient_by_ideal(TT, [TT.gen("b1")])
     assert Q.top_degree_if_finite() == orc.window_scan_top(Q) == 14
+
+
+def test_a_product_with_an_even_free_part_has_no_top_before_any_piece(models):
+    """The source T (x) M (x) M of tc T --n 3 has T's minimal model M, free
+    with even generators, among its parts: top_degree_if_finite answers None
+    without building one graded piece, as the window scan over all 30 does."""
+    source = diagonal_model(models["T"], 3, 30).source
+    built = len(source._ideal)
+    assert source.top_degree_if_finite() is None
+    assert len(source._ideal) == built
+    assert orc.window_scan_top(source) is None
+
+
+def test_tc_n3_builds_the_diagonal_source_only_up_to_degree_14(monkeypatch, capsys):
+    """tc T --n 3 reaches the diagonal source's ideal echelon in degrees
+    1-14 only, none of the 16 above them up to its cap of 30."""
+    sources = []
+    build = invariants.diagonal_model
+
+    def recorded(*args, **kwargs):
+        dm = build(*args, **kwargs)
+        sources.append(dm.source)
+        return dm
+
+    monkeypatch.setattr(invariants, "diagonal_model", recorded)
+    assert main(["tc", str(MODELS / "truncated_mix.cdga"), "--n", "3"]) == 0
+    capsys.readouterr()
+    [source] = sources
+    assert source.cap == 30
+    assert source._ideal and max(source._ideal) <= 14
 
 
 def test_tensor_power_naming(models):

@@ -4,9 +4,9 @@ For every cdga in every bundled model file, at its default cap, the exact
 `--json` standard output of `cat`, `tc --n 2` and `minimal-model` is pinned,
 and so is that of `secat` for every morphism, together with every
 certificate file that `--emit-certs` writes for `cat`, `tc` and `secat`.
-Cases at a raised cap (`RAISED_CAPS`) pin large linear systems too.  A
-refactor that keeps these bytes keeps the reports and the certificate
-corpus.
+Cases away from the defaults (`EXTRA_CASES`) pin large linear systems and
+the n = 3 diagonal too.  A refactor that keeps these bytes keeps the
+reports and the certificate corpus.
 
 Regenerate the pinned data (only for an intended output change) with
 
@@ -28,22 +28,25 @@ from secat.cli import main
 from secat.lang import parse_document
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
-COMMANDS = {"cat": ["cat"], "tc": ["tc", "--n", "2"],
-            "minimal-model": ["minimal-model"]}
+# command key -> its options {flag name: value} at the defaults
+COMMANDS = {"cat": {}, "tc": {"n": 2}, "minimal-model": {}}
 # the command run on each morphism of a document
 MORPHISM_COMMAND = "secat"
-# (file name, cdga label, command key, cap) run above the default cap:
+# (file name, cdga label, command key, options) run away from the defaults:
 # cat T at cap 16 solves a 3533 x 3467 module-retraction system; at cap 18
 # its full level-2 system would be 13476 x 12799 and level 3 is 6681 x 6549.
-RAISED_CAPS = [("truncated_mix.cdga", "T", "cat", 16),
-               ("truncated_mix.cdga", "T", "cat", 18)]
+# tc T at n = 3 works on the diagonal T (x) M (x) M of T's minimal model M.
+EXTRA_CASES = [("truncated_mix.cdga", "T", "cat", {"cap": 16}),
+               ("truncated_mix.cdga", "T", "cat", {"cap": 18}),
+               ("truncated_mix.cdga", "T", "tc", {"n": 3})]
 
 
 def cases():
-    """(case id, file name, cdga or morphism label, command key, cap), in a
-    fixed order.
+    """(case id, file name, cdga or morphism label, command key, options),
+    in a fixed order.
 
-    The cap is None for the default cap.
+    The options are {} for a run at the defaults; each names a flag and its
+    value, and appears in the case id as flag name then value ("cap18").
     """
     out = []
     for path in sorted(MODELS.glob("*.cdga")):
@@ -51,24 +54,25 @@ def cases():
         for kind, label in doc.order:
             if kind == "cdga":
                 for key in COMMANDS:
-                    out.append((f"{path.name}:{label}:{key}", path.name, label, key, None))
+                    out.append((f"{path.name}:{label}:{key}", path.name, label, key, {}))
             else:
                 key = MORPHISM_COMMAND
-                out.append((f"{path.name}:{label}:{key}", path.name, label, key, None))
-    for filename, label, key, cap in RAISED_CAPS:
-        out.append((f"{filename}:{label}:{key}:cap{cap}", filename, label, key, cap))
+                out.append((f"{path.name}:{label}:{key}", path.name, label, key, {}))
+    for filename, label, key, options in EXTRA_CASES:
+        tag = ":".join(f"{flag}{value}" for flag, value in options.items())
+        out.append((f"{filename}:{label}:{key}:{tag}", filename, label, key, options))
     return out
 
 
-def run_case(filename, label, key, cap=None):
+def run_case(filename, label, key, options):
     """{"stdout": the --json output, "certs": {file name: contents}}."""
     if key == MORPHISM_COMMAND:
-        cmd, pick = [key], "--map"
+        defaults, pick = {}, "--map"
     else:
-        cmd, pick = COMMANDS[key], "--name"
-    argv = [cmd[0], str(MODELS / filename), pick, label, "--json"] + cmd[1:]
-    if cap is not None:
-        argv += ["--cap", str(cap)]
+        defaults, pick = COMMANDS[key], "--name"
+    argv = [key, str(MODELS / filename), pick, label, "--json"]
+    for flag, value in {**defaults, **options}.items():
+        argv += [f"--{flag}", str(value)]
     with tempfile.TemporaryDirectory() as tmp:
         if key != "minimal-model":
             argv += ["--emit-certs", tmp]
@@ -86,11 +90,11 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case,filename,label,key,cap", cases(),
+@pytest.mark.parametrize("case,filename,label,key,options", cases(),
                          ids=[c[0] for c in cases()])
-def test_cli_output_is_byte_identical(golden, case, filename, label, key, cap):
+def test_cli_output_is_byte_identical(golden, case, filename, label, key, options):
     assert case in golden, f"no pinned output for {case}; regenerate the data"
-    got = run_case(filename, label, key, cap)
+    got = run_case(filename, label, key, options)
     want = golden[case]
     assert got["stdout"] == want["stdout"]
     assert sorted(got["certs"]) == sorted(want["certs"])
@@ -102,7 +106,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    data = {case: run_case(f, label, key, cap) for case, f, label, key, cap in cases()}
+    data = {case: run_case(f, label, key, options)
+            for case, f, label, key, options in cases()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(data)} cases to {GOLDEN}")
