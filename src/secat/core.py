@@ -15,6 +15,8 @@ Representation constraints:
   generator g are g^e times those of degree n - e|g| whose first rank is
   above r, kept by word length so that the canonical order (word length,
   then the (rank, exponent) pairs) needs no sort (see _SignEngine._grow).
+  Only nonempty groups are stored or read, and only the groups that a
+  requested degree reaches are built.
   The tables live on the sign engine, which holds no presentation; the
   presentations on one generator tuple in one construction share it (a
   quotient shares its source's, a tensor assembly and a parsed model their
@@ -24,7 +26,9 @@ Representation constraints:
   (see _derive); the result is memoised per monomial for the life of the
   presentation.  Presentation.adjoin extends a free presentation by new
   generators; the old monomials keep their d, so the extension shares the
-  memo and starts from the monomial tables below its lowest new degree.
+  memo, takes the old differentials as they are (only the new ones are
+  coerced and checked) and starts from the monomial tables below its
+  lowest new degree.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -38,6 +42,7 @@ integral may stay a Fraction: it compares, hashes and prints like the int.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -129,8 +134,14 @@ class _SignEngine:
         self.degree_of = {g.name: g.degree for g in generators}
         self.odd_of = {g.name: g.degree % 2 == 1 for g in generators}
         self._degrees: dict[Monomial, int] = {}
-        # degree -> per rank, its group {word length: monomials}; None until built
-        self._groups: dict[int, list] = {}
+        self._rank_degrees = tuple(g.degree for g in by_rank)
+        # rank r -> the least degree of a monomial g_r * (higher ranks)
+        self._pair_degrees = tuple(a + b for a, b in zip(self._rank_degrees,
+                                                          self._rank_degrees[1:]))
+        # degree -> its nonempty groups (rank, {word length: monomials}),
+        # highest rank first; degree -> the lowest rank built there
+        self._groups: dict[int, list[tuple[int, dict]]] = {}
+        self._low: dict[int, int] = {}
         self._monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
         self._positions: dict[int, dict[Monomial, int]] = {}
 
@@ -262,9 +273,10 @@ class _SignEngine:
         cached = self._monomials.get(d)
         if cached is None:
             self._grow(d)
-            groups = self._groups[d]
-            lengths = sorted({w for group in groups for w in group})
-            cached = tuple(m for w in lengths for group in groups for m in group.get(w, ()))
+            built = self._groups.get(d, ())
+            lengths = sorted({w for _, group in built for w in group})
+            cached = tuple(m for w in lengths for _, group in reversed(built)
+                           for m in group.get(w, ()))
             self._monomials[d] = cached
         return cached
 
@@ -277,49 +289,89 @@ class _SignEngine:
         first rank is above r, for e ascending and those monomials in their
         own order.  So a group is built from groups of higher ranks only, and
         degree n's canonical order is its groups' lists by word length, then
-        by rank.  The first loop collects the missing groups rank by rank,
-        the second builds them from the highest rank down: no recursion, no
-        dead ends, and only the degrees that d reaches.  At each degree the
-        built groups are those of the highest ranks.
+        by rank.
+
+        Ranks are sorted by degree, so g^e has a tail of first rank above r
+        only when n - e|g| is at least the degree of rank r + 1
+        (_tail_exponents), and a rank r with |g_r| + |g_{r+1}| > n holds at
+        most g^e alone (_power): no other rank or exponent is looked at.  A
+        degree keeps only its nonempty groups, highest rank first, and the
+        lowest rank built there (at each degree the built groups are those
+        of the highest ranks, and ranks whose generator lies above the
+        degree count as built), so a group reads only nonempty tails.  The
+        degrees are scheduled from d downwards, each with the lowest rank it
+        is asked for, and built upwards: no recursion, no dead ends, and
+        only the (degree, rank) groups that d reaches.
         """
-        rows, gens = self._groups, self.by_rank
-        size = len(gens)
-        rows.setdefault(d, [None] * size)
-        pending, degrees = [], {d}
-        for r, g in enumerate(gens):
-            degrees = {n for n in degrees if rows[n][r] is None}
-            pending.append(degrees)
-            lower = {n - e * g.degree for n in degrees for e in _exponents(g, n)} - {0}
-            for m in lower:
-                if m not in rows:
-                    rows[m] = [None] * size
-            degrees = degrees | lower
-        for r in reversed(range(size)):
-            g = gens[r]
-            for n in pending[r]:
-                group: dict[int, list] = {}
-                for e in _exponents(g, n):
-                    head, rest = (g.name, e), n - e * g.degree
-                    if not rest:
-                        group.setdefault(e, []).append((head,))
-                        continue
-                    tails = rows[rest]
-                    for s in range(r + 1, size):
-                        for length, monos in tails[s].items():
-                            group.setdefault(length + e, []).extend(
-                                [(head,) + m for m in monos])
-                rows[n][r] = group
+        gens, groups, low = self.by_rank, self._groups, self._low
+        want = {d: 0}
+        for n in range(d, 0, -1):
+            if n not in want:
+                continue
+            cut = min(bisect_right(self._pair_degrees, n), self._built_from(n))
+            for r in range(want[n], cut):
+                for e in self._tail_exponents(r, n):
+                    m = n - e * gens[r].degree
+                    want[m] = min(want.get(m, r + 1), r + 1)
+        for n in sorted(want):
+            top, bottom = self._built_from(n), want[n]
+            if bottom >= top:
+                continue
+            built = groups.get(n, [])
+            cut = bisect_right(self._pair_degrees, n)
+            for r in reversed(range(bottom, top)):
+                if r >= cut and _power(gens[r], n) is None:
+                    continue
+                group = self._group(n, r)
+                if group:
+                    built.append((r, group))
+            if built:
+                groups[n] = built
+            low[n] = bottom
+
+    def _built_from(self, n: int) -> int:
+        """The lowest rank whose group of degree n is built (or empty
+        because its generator lies above n); groups of higher rank are too."""
+        top = self._low.get(n)
+        return bisect_right(self._rank_degrees, n) if top is None else top
+
+    def _tail_exponents(self, r: int, n: int) -> range:
+        """The exponents e >= 1 of the rank-r generator g whose tail degree
+        n - e|g| is at least the degree of rank r + 1, the least degree with
+        a monomial of first rank above r (none for the last rank)."""
+        degrees = self._rank_degrees
+        if r + 1 == len(degrees):
+            return range(0)
+        return _exponents(self.by_rank[r], n - degrees[r + 1])
+
+    def _group(self, n: int, r: int) -> dict[int, list]:
+        """Group (n, r), from the nonempty groups of rank above r at its tail
+        degrees, which are built (see _grow)."""
+        g = self.by_rank[r]
+        group: dict[int, list] = {}
+        for e in self._tail_exponents(r, n):
+            head = (g.name, e)
+            for s, tails in reversed(self._groups.get(n - e * g.degree, ())):
+                if s > r:
+                    for length, monos in tails.items():
+                        group.setdefault(length + e, []).extend([(head,) + m for m in monos])
+        e = _power(g, n)
+        if e is not None:
+            group.setdefault(e, []).append(((g.name, e),))
+        return group
 
     def extended(self, gens: tuple[Generator, ...]) -> "_SignEngine":
         """The engine on these generators followed by `gens`, starting from
         this engine's tables below the lowest new degree.  There no new
         generator appears and the old ranks are unchanged, so the groups,
-        orders and positions carry over as they are."""
+        orders and positions carry over as they are; each degree's list of
+        groups is copied, since either engine may add lower ranks to it.
+        The new generators' monomials are built by _grow, which visits only
+        nonempty groups, so it costs what it outputs."""
         ext = _SignEngine(self.generators + gens)
         low = min(g.degree for g in gens)
-        keep = sum(1 for g in self.generators if g.degree < low)
-        empty = [{}] * (len(ext.by_rank) - keep)
-        ext._groups = {n: row[:keep] + empty for n, row in self._groups.items() if n < low}
+        ext._groups = {n: list(built) for n, built in self._groups.items() if n < low}
+        ext._low = {n: r for n, r in self._low.items() if n < low}
         ext._monomials = {d: t for d, t in self._monomials.items() if d < low}
         ext._positions = {d: t for d, t in self._positions.items() if d < low}
         return ext
@@ -337,6 +389,12 @@ def _exponents(g: Generator, n: int) -> range:
     """The exponents e >= 1 with g^e nonzero and of degree <= n."""
     top = n // g.degree
     return range(1, (min(top, 1) if g.odd else top) + 1)
+
+
+def _power(g: Generator, n: int) -> int | None:
+    """The e >= 1 with g^e nonzero and of degree n, or None."""
+    e, rest = divmod(n, g.degree)
+    return e if e and not rest and (e == 1 or not g.odd) else None
 
 
 def _coerce_coeff(c) -> Rational:
@@ -365,7 +423,8 @@ class Presentation:
 
     def __init__(self, generators, cap: int, *, relations=(), differentials=None,
                  simply_connected: bool = True, validate: bool = True,
-                 extra_d_unknown=(), _engine: _SignEngine | None = None):
+                 extra_d_unknown=(), _engine: _SignEngine | None = None,
+                 _diff_raw: Mapping[str, dict] | None = None):
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
@@ -398,7 +457,9 @@ class Presentation:
 
         diffs = dict(differentials or {})
         self.d_unknown: frozenset[str] = frozenset()
-        self._diff_raw: dict[str, dict] = {}
+        # differentials already coerced and checked (Presentation.adjoin)
+        # are taken as they are; only `differentials` is checked here
+        self._diff_raw: dict[str, dict] = dict(_diff_raw or {})
         unknown = set()
         for name in extra_d_unknown:
             if name not in self._ctx.degree_of:
@@ -650,18 +711,25 @@ class Presentation:
         Adjoining generators changes neither the d of an old monomial nor the
         monomials below the lowest new degree, so the result shares this
         presentation's memo of d and starts from its monomial tables there.
+        The old differentials are already coerced and degree-checked, so the
+        result takes them as they are, in their order; only `diffs` is
+        coerced and checked, with the errors a fresh build would raise.  An
+        old generator's differential cannot change, since the memo of d is
+        shared.
         """
         if not self.is_free:
             raise NotFree("only a free presentation can be extended")
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in gens)
         if not gens:
             return self
-        ext = Presentation(self.generators + gens, self.cap,
-                           differentials={**self._diff_raw, **diffs},
+        old = sorted(name for name in diffs if name in self._ctx.degree_of)
+        if old:
+            raise CdgaError(f"adjoin cannot change the differential of {old}")
+        ext = Presentation(self.generators + gens, self.cap, differentials=diffs,
                            simply_connected=all(g.degree >= 2 for g in gens)
                            and self.simply_connected,
                            validate=False, extra_d_unknown=self.d_unknown,
-                           _engine=self._ctx.extended(gens))
+                           _engine=self._ctx.extended(gens), _diff_raw=self._diff_raw)
         ext._d_memo = self._d_memo
         return ext
 

@@ -30,14 +30,19 @@ presentations are exact in every degree and carry no such restriction.
 
 Representatives are canonical: cycles are reduced against the reduced-echelon
 basis of the boundaries, and the surviving reduced cycles are echelonized
-again, so the chosen basis of H^d does not depend on enumeration order.
+again, so the chosen basis of H^d does not depend on enumeration order, nor
+on which basis of the cycles was reduced.  So the cycles come from
+linalg.kernel_span, one elimination of the transposed differential matrix,
+and not from the canonical kernel_combos; the kernels whose basis reaches
+output (the kill cycles of hit_and_kill, kernel_basis, induced_kernel) stay
+on kernel_combos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Echelon, Rational, combine, kernel_combos, solve_combo
+from .linalg import Echelon, Rational, combine, kernel_combos, kernel_span, solve_combo
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap)
 
@@ -47,6 +52,13 @@ class HomologyReport:
 
     The complex X is any object with the small protocol of this module's
     docstring, such as a Presentation or a SemiFreeModule.
+
+    Degree d needs only the span Z^d of the cycles: it takes a spanning
+    basis from kernel_span, echelonizes the boundaries B^d, and echelonizes
+    the cycles reduced modulo B^d, which is the canonical class basis for
+    the span.  B^d lies in Z^d, so the boundary echelon is complete at rank
+    dim Z^d and the class echelon at rank dim Z^d - dim B^d; each stops
+    there, and the rows left out would not change its canonical basis.
     """
 
     def __init__(self, X, lo: int, hi: int):
@@ -78,15 +90,22 @@ class HomologyReport:
             self._reps[d] = []
             return []
         matrix = X.differential_vectors(d)
-        cycles = kernel_combos(matrix, X.dim(d + 1))
+        cycles = kernel_span(matrix)
         if below is None and d >= 1:
             below = X.differential_vectors(d - 1)
+        # B^d lies in Z^d, so both echelons are complete once their ranks
+        # reach dim Z^d and dim Z^d - dim B^d, and a canonical basis does
+        # not depend on the rows left out
         bech = Echelon(n)
         for v in below or ():
+            if bech.rank == len(cycles):
+                break
             bech.add(v)
         self._boundaries[d] = bech
         hech = Echelon(n)
         for v in cycles:
+            if hech.rank == len(cycles) - bech.rank:
+                break
             hech.add(bech.reduce(v))
         self._classes[d] = hech
         self._class_rows[d] = hech.basis()

@@ -6,7 +6,8 @@ store, and the solvers built on it.
 
 * Sparse in and out.  A vector is a dict from column to nonzero rational.
   A dense sequence is accepted too, and then a vector-valued answer
-  (`Echelon.reduce`, `kernel_combos`, `solve_combo`) comes back dense.
+  (`Echelon.reduce`, `kernel_combos`, `kernel_span`, `solve_combo`) comes
+  back dense.
   Answers indexed by an echelon's own basis (`basis`, `coordinates`) are
   lists.  Sparse answers list their columns in ascending order.
 * Integer rows inside.  An incoming vector is cleared to one common
@@ -19,7 +20,10 @@ store, and the solvers built on it.
 
 Because the reduced echelon basis of a subspace is unique, representatives
 extracted from an `Echelon` are canonical for the span regardless of the
-order rows were fed in or of how the rows are stored.
+order rows were fed in or of how the rows are stored.  `kernel_combos` is
+the canonical kernel.  `kernel_span` is cheaper, one elimination of the
+transposed matrix with no combination columns, but its basis only spans
+the kernel: it serves callers that echelonize that span again.
 """
 
 from __future__ import annotations
@@ -259,6 +263,45 @@ def kernel_combos(images, width: int) -> list:
             # the pivot is the least column, so the whole row lies past width
             row = ech.rows[ri]
             out.append(_rational({j - width: a for j, a in row.items()}, row[col], shape))
+    return out
+
+
+def kernel_span(images) -> list:
+    """Integer coefficient vectors c spanning {c : sum_i c_i * images[i] == 0},
+    one per free column, in the shape of the images as kernel_combos gives
+    them (the images' width is not needed).
+
+    The basis spans the kernel, and that is its one contract: it is not the
+    canonical (reduced echelon) kernel basis of kernel_combos, so a caller
+    that lets the basis itself reach output must use kernel_combos.  It
+    comes from one `Echelon` of the transposed matrix, whose row j holds
+    the j-th entries of the images: each column f that is no pivot of its
+    reduced rows R gives z_f = e_f - sum_p (R[p][f] / R[p][p]) e_p, with p
+    over the pivot columns, scaled by the least common multiple of the
+    R[p][p] so that its entries are ints.  No combination columns are
+    carried.
+    """
+    n = len(images)
+    transposed: dict[int, dict] = {}
+    for i, img in enumerate(images):
+        for j, c in entries(img):
+            if c:
+                transposed.setdefault(j, {})[i] = c
+    ech = Echelon(n)
+    for row in transposed.values():
+        ech.add(row)
+    shape = _dense_width(images[0], n) if images else None
+    out = []
+    for f in range(n):
+        if f in ech.pivots:
+            continue
+        held = [(ech._leads[ri], ech.rows[ri]) for ri in ech._holders.get(f, ())
+                if f in ech.rows[ri]]
+        den = lcm(*(row[p] for p, row in held))
+        z = {f: den}
+        for p, row in held:
+            z[p] = -row[f] * (den // row[p])
+        out.append(dict(sorted(z.items())) if shape is None else dense(z, shape))
     return out
 
 

@@ -11,11 +11,10 @@ they call the engine's arithmetic, but none of its memos or early exits.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from secat.core import AlgebraElement, RangeExceedsCap
-from secat.homology import kernel_basis
-from secat.linalg import Echelon
+from secat.homology import HomologyReport, kernel_basis
+from secat.linalg import Echelon, kernel_combos
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +139,21 @@ def strike(element, rel_words):
 def free_monomials(gens, d):
     """The engine's canonical degree-d monomials on gens [(name, degree)].
 
-    Brute force over exponent vectors (odd exponents at most 1).  A
-    generator's rank is its place in the (degree, name) order; a monomial is
-    ((name, exponent), ...) by rank, and the list is sorted by word length,
-    then by the tuple of (rank, exponent) pairs.
+    Brute force over exponent vectors (odd exponents at most 1), skipping
+    only the vectors whose degree already passes d.  A generator's rank is
+    its place in the (degree, name) order; a monomial is ((name, exponent),
+    ...) by rank, and the list is sorted by word length, then by the tuple
+    of (rank, exponent) pairs.
     """
     ranked = sorted(gens, key=lambda g: (g[1], g[0]))
-    ranges = [range(2 if deg % 2 else d // deg + 1) for _, deg in ranked]
+    vectors = [((), 0)]  # (exponents of the first ranks, their degree)
+    for _, deg in ranked:
+        vectors = [(exps + (e,), used + e * deg) for exps, used in vectors
+                   for e in range((min(1, (d - used) // deg) if deg % 2
+                                   else (d - used) // deg) + 1)]
     found = []
-    for exps in product(*ranges):
-        if sum(e * deg for e, (_, deg) in zip(exps, ranked)) != d:
+    for exps, used in vectors:
+        if used != d:
             continue
         pairs = [(r, e) for r, e in enumerate(exps) if e]
         found.append(((sum(exps), tuple(pairs)),
@@ -379,3 +383,35 @@ def reduce_raw_eliminated(P, terms):
         for i, c in red.items():
             out[monos[i]] = c
     return out
+
+
+class CanonicalKernelHomology(HomologyReport):
+    """HomologyReport with each degree filled in from the canonical kernel:
+    the cycles are kernel_combos of the differential matrix, every boundary
+    row goes into the boundary echelon and every cycle, reduced, into the
+    class echelon, with no early exit."""
+
+    def _compute_degree(self, d, below):
+        X = self.complex
+        n = X.dim(d)
+        if n == 0:
+            self._boundaries[d] = Echelon(0)
+            self._classes[d] = Echelon(0)
+            self._class_rows[d] = []
+            self._reps[d] = []
+            return []
+        matrix = X.differential_vectors(d)
+        cycles = kernel_combos(matrix, X.dim(d + 1))
+        if below is None and d >= 1:
+            below = X.differential_vectors(d - 1)
+        bech = Echelon(n)
+        for v in below or ():
+            bech.add(v)
+        self._boundaries[d] = bech
+        hech = Echelon(n)
+        for v in cycles:
+            hech.add(bech.reduce(v))
+        self._classes[d] = hech
+        self._class_rows[d] = hech.basis()
+        self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
+        return matrix

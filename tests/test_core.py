@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from secat import invariants
 from secat.cli import main
-from secat.construct import diagonal_model, multiplication_morphism
+from secat.construct import build_minimal_model, diagonal_model, multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                         Generator, Inhomogeneous, NotFree, NotSquareZero,
                         Presentation, RangeExceedsCap, _SignEngine, format_element,
@@ -234,6 +234,88 @@ def test_monomial_tables_are_not_built_by_recursion_over_degrees():
     monomials = Presentation([("x", 2), ("y", 4)], 4000).free_monomials(3000)
     assert len(monomials) == 751
     assert monomials[0] == (("y", 750),) and monomials[-1] == (("x", 1500),)
+
+
+def _monomials_held(engine):
+    """How many distinct monomials an engine holds: the tuples of (name,
+    exponent) pairs reachable from its attributes, whatever their layout."""
+    held, stack = set(), list(vars(engine).values())
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, tuple):
+            if all(isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str)
+                   for p in x):
+                held.add(id(x))
+            else:
+                stack.extend(x)
+    return len(held)
+
+
+def test_monomial_tables_stay_lazy():
+    """Degree 3000 of Lambda(x: 2, y: 4) builds only the groups it is made
+    of: the engine holds at most 3,000 monomials, where a build of every
+    degree up to 3000 would hold about 560,000."""
+    P = Presentation([("x", 2), ("y", 4)], 4000)
+    P.free_monomials(3000)
+    assert _monomials_held(P._ctx) <= 3000
+
+
+def test_monomial_tables_match_the_oracle_on_forty_generators():
+    """Forty generators, most of high degree as in a minimal model, so that
+    most (degree, rank) groups are empty: the tables give the oracle's
+    monomials, asked for from the top degree down and after adjoin."""
+    gens = [("z", 2), ("y", 3)] + [(f"g{39 - i}", 5 + i // 2) for i in range(38)]
+    top = 24
+    want = {d: orc.free_monomials(gens, d) for d in range(top + 1)}
+    # a group (d, r) is nonempty when a degree-d monomial starts with rank r
+    nonempty = {(d, m[0][0]) for d, monos in want.items() for m in monos if m}
+    assert 4 * len(nonempty) < len(want) * len(gens)
+    fresh = Presentation(gens, top, validate=False)
+    for d in reversed(range(top + 1)):
+        assert list(fresh.free_monomials(d)) == want[d]
+    grown = Presentation(gens[:24], top, validate=False)
+    for d in (7, 13, 20):
+        grown.free_monomials(d)
+    grown = grown.adjoin(gens[24:], {})
+    for d in range(top + 1):
+        assert list(grown.free_monomials(d)) == want[d]
+
+
+def test_adjoin_coerces_only_the_new_differentials(monkeypatch):
+    """Adjoining one generator to the minimal model of T at cap 22 coerces
+    one differential, its own: the old ones are taken as they are, in their
+    order.  A bad new differential raises what a fresh build raises, and an
+    old generator's differential cannot be replaced."""
+    T = load_model("truncated_mix.cdga", cap=23)[0]["T"]
+    M = build_minimal_model(T, 22).model
+    assert M.generators[0] == Generator("v2_0", 2)
+    coerced = []
+    coerce_terms = Presentation._coerce_terms
+
+    def counted(self, x):
+        coerced.append(x)
+        return coerce_terms(self, x)
+
+    monkeypatch.setattr(Presentation, "_coerce_terms", counted)
+    dy = {(("v2_0", 12),): 1}
+    ext = M.adjoin([("y", 23)], {"y": dy})
+    assert coerced == [dy]
+    assert list(ext._diff_raw.items()) == list(M._diff_raw.items()) + [("y", dy)]
+    assert ext.d(ext.gen("y")) == ext.element(dy)
+    with pytest.raises(DegreeMismatch, match=r"^d\(y\) must be homogeneous of degree 24, got 22$"):
+        M.adjoin([("y", 23)], {"y": {(("v2_0", 11),): 1}})
+    with pytest.raises(CdgaError, match="^unknown generator 'q'$"):
+        M.adjoin([("y", 23)], {"y": {(("q", 1),): 1}})
+    with pytest.raises(CdgaError, match="^differential given for unknown generator 'q'$"):
+        M.adjoin([("y", 23)], {"q": dy})
+    # d of an old monomial is memoised and shared, so an old generator's d stays
+    with pytest.raises(CdgaError, match=r"^adjoin cannot change the differential of \['w5_0'\]$"):
+        M.adjoin([("y", 23)], {"y": dy, "w5_0": {}})
 
 
 def test_one_query_enumerates_each_degree_of_each_generator_tuple_once(

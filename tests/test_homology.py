@@ -9,7 +9,8 @@ import pytest
 
 from conftest import load_model
 
-from secat.core import AlgebraElement, CdgaError, Presentation, _SignEngine
+from secat.core import (AlgebraElement, CdgaError, Presentation, _SignEngine,
+                        quotient_by_ideal)
 from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             PresentationView,
                             _SpanComplex, homology, induced_matrix,
@@ -121,6 +122,55 @@ def test_homology_builds_each_differential_matrix_once(models, name, lo, hi):
     H = homology(counting, lo, hi)
     assert counting.built and max(counting.built.values()) == 1
     assert H.betti_table() == homology(X, lo, hi).betti_table()
+
+
+def _homology_oracle_case(models, name):
+    """(complex, lo, hi) for each complex the canonical-kernel oracle checks."""
+    if name in ("T", "W", "S2"):
+        X = models[name]
+        return X, 0, min(X.cap - 1, 16)
+    if name == "fraction-quotient":
+        P = Presentation([("a", 2), ("b", 2), ("x", 3)], 13, differentials={
+            "x": {(("a", 1), ("b", 1)): 1, (("b", 2),): Fraction(1, 3)}})
+        Q, _ = quotient_by_ideal(P, [P.element({(("a", 2),): 1,
+                                                (("a", 1), ("b", 1)): Fraction(-2, 3)})])
+        return Q, 0, 12
+    if name == "diagonal-source":
+        return diagonal_model(models["T"], 2, 22).source, 0, 21
+    if name == "resolution":
+        T = models["T"]
+        return resolve_quotient(T, [T.gen("a"), T.gen("b")], 9).module, 0, 9
+    S2 = models["S2"]
+    powers = IdealPowers(PresentationView(S2, 8), [S2.gen("a")])
+    return _SpanComplex(S2, {d: powers.span_echelon(1, d) for d in range(9)}), 1, 7
+
+
+def _printed(rep):
+    """A representative's terms in order; a module element's per generator."""
+    if isinstance(rep, AlgebraElement):
+        return list(rep.terms.items())
+    return [(g, list(c.terms.items())) for g, c in rep.items()]
+
+
+@pytest.mark.parametrize("name", ["T", "W", "S2", "fraction-quotient", "diagonal-source",
+                                  "resolution", "span"])
+def test_homology_matches_the_canonical_kernel_oracle(models, name):
+    """The cycles span the kernel of d without being its canonical basis, and
+    the echelons stop at full rank; the report must still equal the one built
+    from the canonical kernel with every row fed: betti numbers, class rows,
+    representatives and boundary bases."""
+    X, lo, hi = _homology_oracle_case(models, name)
+    got, want = HomologyReport(X, lo, hi), orc.CanonicalKernelHomology(X, lo, hi)
+    assert got.betti_table() == want.betti_table()
+    assert any(got.betti_table().values())
+    for d in range(lo, hi + 1):
+        assert got._class_rows[d] == want._class_rows[d]
+        assert ([_printed(r) for r in got.representatives(d)]
+                == [_printed(r) for r in want.representatives(d)])
+        assert got._boundaries[d].basis() == want._boundaries[d].basis()
+    if name == "fraction-quotient":
+        assert any(isinstance(c, Fraction) for d in range(lo, hi + 1)
+                   for row in got._class_rows[d] + got._boundaries[d].basis() for c in row)
 
 
 def test_representatives_are_independent_nonzero_cycles(models):

@@ -10,12 +10,12 @@ denominators cannot drift from the rational answer.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as orc
 
 from secat.linalg import (
-    Echelon, combine, kernel_combos, solve_combo, solve_sparse,
+    Echelon, combine, kernel_combos, kernel_span, solve_combo, solve_sparse,
 )
 
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
@@ -297,3 +297,25 @@ def test_exits_give_ints_unless_a_denominator_remains(m, sparse):
         for vec in vectors:
             if vec is not None:
                 assert all(_normal(c) for c in _values(vec)), (name, vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(matrices(), matrices(entries=WIDE_ENTRIES)), sparse=st.booleans())
+@example(m=(3, []), sparse=False)
+@example(m=(0, [[], [], []]), sparse=True)
+@example(m=(2, [[Fraction(1, 2), 0], [0, 0], [Fraction(1, 2), 0]]), sparse=True)
+def test_kernel_span_spans_the_canonical_kernel(m, sparse):
+    """kernel_span gives n - rank integer vectors, in the images' shape, that
+    each map to 0 and together span what kernel_combos spans."""
+    width, rows = m
+    images = [_sparse(r) for r in rows] if sparse else rows
+    span = kernel_span(images)
+    combos = kernel_combos(images, width)
+    assert len(span) == len(rows) - orc.rank(rows) == len(combos)
+    for z in span:
+        assert isinstance(z, dict) == sparse
+        assert all(type(c) is int for c in _values(z))
+        dense_z = [z.get(i, 0) for i in range(len(rows))] if sparse else z
+        assert len(dense_z) == len(rows)
+        assert combine(dense_z, rows, width) == [0] * width
+    assert _echelon(len(rows), span).basis() == _echelon(len(rows), combos).basis()
