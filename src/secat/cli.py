@@ -150,13 +150,14 @@ def cmd_minimal_model(args):
     census = [[g.name, g.degree] for g in M.generators]
     lines = [f"cdga {label} (cap {P.cap}, {origin})",
              f"model valid in degrees <= {res.valid_up_to}"]
-    lines.append(print_presentation(M, f"{label}_model"))
+    presentation = print_presentation(M, f"{label}_model")
+    lines.append(presentation)
     for n in res.notes:
         lines.append(f"  note: {n}")
     _emit(args, lines, {"command": "minimal-model", "cdga": label,
                         "cap": P.cap, "valid_up_to": res.valid_up_to,
                         "generators": census,
-                        "presentation": print_presentation(M, f"{label}_model"),
+                        "presentation": presentation,
                         "notes": res.notes})
     return 0
 

@@ -21,14 +21,17 @@ Representation constraints:
   presentations on one generator tuple in one construction share it (a
   quotient shares its source's, a tensor assembly and a parsed model their
   scratch engine's).
-* The differential of a monomial is one Leibniz expansion in the free
-  algebra followed by one reduction when the image lies at or under the cap
-  (see _derive); the result is memoised per monomial for the life of the
-  presentation.  Presentation.adjoin extends a free presentation by new
-  generators; the old monomials keep their d, so the extension shares the
-  memo, takes the old differentials as they are (only the new ones are
-  coerced and checked) and starts from the monomial tables below its
-  lowest new degree.
+* In a free presentation the differential of a monomial g^e t comes from
+  the memoised differentials of g^e and of its tail t; with relations it is
+  one Leibniz expansion in the free algebra followed by one reduction when
+  the image lies at or under the cap (see _derive).  The result is memoised
+  per monomial for the life of the presentation, and validation checks
+  d*d = 0 through that memo (a d that contains a generator whose d is
+  unknown is expanded from the stored d instead).  Presentation.adjoin
+  extends a free presentation by new generators; the old monomials keep
+  their d, so the extension shares the memo, takes the old differentials as
+  they are (only the new ones are coerced and checked) and starts from the
+  monomial tables below its lowest new degree.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -784,9 +787,12 @@ class Presentation:
             if not self.is_free and gdeg + 2 > self.cap:
                 self.validated_notes.append(f"d*d({name}) unchecked beyond cap")
                 continue
-            dd = self.d_raw(raw)
-            if not self.is_free:
-                dd = self.reduce_raw(dd)
+            if self.d_unknown and any(n in self.d_unknown for m in raw for n, _ in m):
+                # a generator whose d is unknown has no value in d's values,
+                # so this d*d is expanded from the stored d and not memoised
+                dd = self.reduce_raw(self.d_raw(raw))
+            else:
+                dd = _derive(self, self._d_values, self._d_memo, raw)
             if dd:
                 raise NotSquareZero(f"d(d({name})) != 0", witness=name)
         for rel in self.relations:
@@ -1013,22 +1019,56 @@ def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
     """The terms of d(terms) for the differential of `pres` with generator
     values `raw`; `memo` keeps each monomial's image.
 
-    d(f1...fs) = sum_j (-1)^{|f1..f_{j-1}|} (f1..f_{j-1}) d(f_j) (f_{j+1}..fs)
-    is expanded in the free algebra, then reduced once.  Up to the cap this
-    equals the sum of products of reduced factors, because the relations
-    span an ideal.  Above the cap of a presentation with relations a term is
-    formed factor by factor, reducing after each product: it is 0 if a
-    partial product vanishes at or under the cap and raises RangeExceedsCap
+    In a free presentation a monomial m = g^e t, with g its first factor,
+    takes its image from those of g^e and of its tail t:
+
+        d(m) = d(g^e) t + (-1)^{e|g|} g^e d(t),
+
+    and a missing factor image is derived first, so that a tail already in
+    the memo (an adjoin lineage shares it) is never expanded again.  The
+    power g^e alone is one Leibniz expansion.
+
+    With relations, d(f1...fs) = sum_j (-1)^{|f1..f_{j-1}|} (f1..f_{j-1})
+    d(f_j) (f_{j+1}..fs) is expanded in the free algebra, then reduced once.
+    Up to the cap this equals the sum of products of reduced factors,
+    because the relations span an ideal.  Above the cap a term is formed
+    factor by factor, reducing after each product: it is 0 if a partial
+    product vanishes at or under the cap and raises RangeExceedsCap
     otherwise.
     """
     ctx = pres._ctx
-    # free graded pieces are exact in every degree, so no term is above a cap
-    top = None if pres.is_free else pres.cap - 1
+    free = pres.is_free
     out: dict[Monomial, Rational] = {}
     for m, c in terms.items():
         img = memo.get(m)
         if img is None:
-            if top is not None and ctx.mono_degree(m) > top:
+            if free and len(m) > 1:
+                head, tail = m[:1], m[1:]
+                for part in (head, tail):
+                    if part not in memo:
+                        _derive(pres, raw, memo, {part: 1})
+                g, e = m[0]
+                odd = e * ctx.degree_of[g] % 2
+                mul = ctx.mul_mono
+                products = [(mul(v, tail), a) for v, a in memo[head].items()]
+                products += [(mul(head, v), -a if odd else a) for v, a in memo[tail].items()]
+                img = {}
+                for prod, a in products:
+                    if prod is None:
+                        continue
+                    k, mono = prod
+                    if k < 0:
+                        a = -a
+                    old = img.get(mono)
+                    if old is not None:
+                        a += old
+                        if not a:
+                            del img[mono]
+                            continue
+                    img[mono] = a
+            elif free:
+                img = ctx.leibniz({m: 1}, raw)
+            elif ctx.mono_degree(m) > pres.cap - 1:
                 _check_above_cap(pres, raw, m)
                 img = {}
             else:

@@ -28,21 +28,22 @@ faithful only up to the cap, and computing H^d needs the differential into
 degree d+1, so a homology request must satisfy hi + 1 <= cap.  Free
 presentations are exact in every degree and carry no such restriction.
 
-Representatives are canonical: cycles are reduced against the reduced-echelon
-basis of the boundaries, and the surviving reduced cycles are echelonized
-again, so the chosen basis of H^d does not depend on enumeration order, nor
-on which basis of the cycles was reduced.  So the cycles come from
-linalg.kernel_span, one elimination of the transposed differential matrix,
-and not from the canonical kernel_combos; the kernels whose basis reaches
-output (the kill cycles of hit_and_kill, kernel_basis, induced_kernel) stay
-on kernel_combos.
+Representatives are canonical: the basis of H^d is the reduced-echelon basis
+of the cycles that vanish at every pivot of the reduced-echelon basis of the
+boundaries.  Each cycle reduces modulo the boundaries to exactly one such
+cycle, so this basis does not depend on enumeration order, and it is the
+kernel of d on the basis elements that are not boundary pivots, lifted back
+to degree d.  That kernel comes from linalg.kernel_span, one elimination of
+the transposed rows, and is echelonized again; no cycle outside it is built.
+The kernels whose basis reaches output (the kill cycles of hit_and_kill,
+kernel_basis, induced_kernel) stay on the canonical kernel_combos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Echelon, Rational, combine, kernel_combos, kernel_span, solve_combo
+from .linalg import Echelon, Rational, combine, combo_solver, kernel_combos, kernel_span
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap)
 
@@ -53,12 +54,14 @@ class HomologyReport:
     The complex X is any object with the small protocol of this module's
     docstring, such as a Presentation or a SemiFreeModule.
 
-    Degree d needs only the span Z^d of the cycles: it takes a spanning
-    basis from kernel_span, echelonizes the boundaries B^d, and echelonizes
-    the cycles reduced modulo B^d, which is the canonical class basis for
-    the span.  B^d lies in Z^d, so the boundary echelon is complete at rank
-    dim Z^d and the class echelon at rank dim Z^d - dim B^d; each stops
-    there, and the rows left out would not change its canonical basis.
+    Degree d first echelonizes the boundaries B^d, the rows of the
+    degree-(d-1) differential.  Past the first degree of the range the rank
+    of B^d is known from degree d - 1, dim C^{d-1} - rank B^{d-1} - b_{d-1},
+    and the echelon stops there, since the rows left out would not change
+    its canonical basis; in the first degree, and so in every single-degree
+    report, it stops only at rank dim C^d.  The classes are then the
+    kernel_span of d restricted to the basis elements that are not pivots
+    of B^d, one vector per class, lifted back and echelonized.
     """
 
     def __init__(self, X, lo: int, hi: int):
@@ -90,23 +93,25 @@ class HomologyReport:
             self._reps[d] = []
             return []
         matrix = X.differential_vectors(d)
-        cycles = kernel_span(matrix)
         if below is None and d >= 1:
             below = X.differential_vectors(d - 1)
-        # B^d lies in Z^d, so both echelons are complete once their ranks
-        # reach dim Z^d and dim Z^d - dim B^d, and a canonical basis does
-        # not depend on the rows left out
+        # the rank of B^d is that of the degree-(d-1) differential, known once
+        # degree d - 1 is in: dim C^{d-1} - dim Z^{d-1}
+        full = n
+        if d > self.lo:
+            full = len(below) - self._boundaries[d - 1].rank - self._classes[d - 1].rank
         bech = Echelon(n)
         for v in below or ():
-            if bech.rank == len(cycles):
+            if bech.rank == full:
                 break
             bech.add(v)
         self._boundaries[d] = bech
+        # each class has one cycle zero at every pivot of B^d: the kernel of d
+        # on the other basis elements, lifted back to degree d
+        free = [i for i in range(n) if i not in bech.pivots]
         hech = Echelon(n)
-        for v in cycles:
-            if hech.rank == len(cycles) - bech.rank:
-                break
-            hech.add(bech.reduce(v))
+        for z in kernel_span([matrix[i] for i in free]):
+            hech.add({free[j]: c for j, c in z.items()})
         self._classes[d] = hech
         self._class_rows[d] = hech.basis()
         self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
@@ -297,10 +302,9 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
         kernel = [H_src.cycle(combo, k + 1)
                   for combo in kernel_combos(cols, H_tgt.betti(k + 1))]
         if kernel:
-            dvecs = T.differential_vectors(k)
+            primitive = combo_solver(T.differential_vectors(k), T.dim(k + 1))
             for z in kernel:
-                target = T.to_sparse(phi(z), k + 1)
-                combo = solve_combo(dvecs, T.dim(k + 1), target)
+                combo = primitive(T.to_sparse(phi(z), k + 1))
                 if combo is None:
                     raise error(f"class killed in degree {k + 1} has no primitive")
                 adjoin(prefixes[1], k, T.from_vector(k, combo), z)

@@ -23,7 +23,9 @@ extracted from an `Echelon` are canonical for the span regardless of the
 order rows were fed in or of how the rows are stored.  `kernel_combos` is
 the canonical kernel.  `kernel_span` is cheaper, one elimination of the
 transposed matrix with no combination columns, but its basis only spans
-the kernel: it serves callers that echelonize that span again.
+the kernel: its one caller, the homology report, echelonizes that span
+again.  `combo_solver` reduces any number of targets against one
+combination echelon, and `solve_combo` is it on a single target.
 """
 
 from __future__ import annotations
@@ -305,18 +307,31 @@ def kernel_span(images) -> list:
     return out
 
 
-def solve_combo(images, width: int, target):
-    """One c with sum_i c_i * images[i] == target, or None if unsolvable; c
-    has the shape of `target`.
+def combo_solver(images, width: int):
+    """solve_combo for fixed images: a function from a target to one c with
+    sum_i c_i * images[i] == target, or None if unsolvable; c has the shape
+    of the target.  Every target is reduced against one combination echelon,
+    built here, so many targets cost one elimination of the images.
 
     Deterministic: the same echelon path always yields the same solution.
     """
-    w, den = _integer_row(target)
-    r, scale = _combination_echelon(images, width)._reduce(w)
-    if any(j < width for j in r):
-        return None
-    return _rational({j - width: -a for j, a in r.items()}, den * scale,
-                     _dense_width(target, len(images)))
+    ech = _combination_echelon(images, width)
+    n = len(images)
+
+    def solve(target):
+        w, den = _integer_row(target)
+        r, scale = ech._reduce(w)
+        if any(j < width for j in r):
+            return None
+        return _rational({j - width: -a for j, a in r.items()}, den * scale,
+                         _dense_width(target, n))
+    return solve
+
+
+def solve_combo(images, width: int, target):
+    """One c with sum_i c_i * images[i] == target, or None if unsolvable; c
+    has the shape of `target` (combo_solver on one target)."""
+    return combo_solver(images, width)(target)
 
 
 class LinearSystem:

@@ -366,6 +366,100 @@ def test_square_nonzero_differential_rejected():
                                     "y": {(("a", 1), ("x", 1)): Fraction(1)}})
 
 
+def _square_nonzero(validate):
+    """d(x) = a*b with d(b) = a^2 gives d(d(x)) = a^3, and d(y) = a^2*b
+    gives d(d(y)) = a^4: x is the first generator whose d*d is not 0."""
+    return Presentation([("a", 2), ("b", 3), ("x", 4), ("y", 6)], 12, validate=validate,
+                        differentials={"b": {(("a", 2),): Fraction(1)},
+                                       "x": {(("a", 1), ("b", 1)): Fraction(1)},
+                                       "y": {(("a", 2), ("b", 1)): Fraction(1, 2)}})
+
+
+def test_d_squared_check_reads_the_memo_and_names_the_first_witness():
+    """A free presentation checks d*d through its memo of d: with the memo
+    cold (at construction) and warm (every monomial up to degree 9 already
+    derived) it raises on the first generator whose d*d is not 0.  A
+    generator whose d is marked unknown is skipped with its note, and a d
+    that contains one is checked with its stored d."""
+    with pytest.raises(NotSquareZero, match=r"^d\(d\(x\)\) != 0$") as cold:
+        _square_nonzero(validate=True)
+    assert cold.value.witness == "x"
+    P = _square_nonzero(validate=False)
+    for d in range(10):
+        P.differential_vectors(d)
+    assert P._d_memo
+    with pytest.raises(NotSquareZero, match=r"^d\(d\(x\)\) != 0$") as warm:
+        P._validate()
+    assert warm.value.witness == "x"
+    noted = Presentation([("a", 2), ("b", 3), ("x", 4)], 12, extra_d_unknown=["x"],
+                         differentials={"b": {(("a", 2),): 1},
+                                        "x": {(("a", 1), ("b", 1)): 1}})
+    assert noted.validated_notes == ["d(x) stored unreduced beyond cap"]
+    # d(y) contains x: d*d is expanded from the stored d(x), never with
+    # d(x) = 0, and nothing on a monomial with x enters the memo
+    cancels = Presentation([("a", 2), ("b", 3), ("x", 3), ("y", 2)], 12,
+                           extra_d_unknown=["x"],
+                           differentials={"b": {(("a", 2),): 1}, "x": {(("a", 2),): 1},
+                                          "y": {(("b", 1),): 1, (("x", 1),): -1}})
+    assert cancels.validated_notes == ["d(x) stored unreduced beyond cap"]
+    assert not any(n == "x" for m in cancels._d_memo for n, _ in m)
+    with pytest.raises(NotSquareZero, match=r"^d\(d\(y\)\) != 0$") as hidden:
+        Presentation([("a", 2), ("x", 3), ("y", 2)], 12, extra_d_unknown=["x"],
+                     differentials={"x": {(("a", 2),): 1}, "y": {(("x", 1),): 1}})
+    assert hidden.value.witness == "y"
+
+
+@st.composite
+def free_differentials(draw):
+    """(generators, differentials) of a free presentation: up to five
+    generators of degrees 1-4, odd and even, each with a random d of its
+    degree plus one, Fraction coefficients, over all the generators; d*d
+    need not vanish.  The names sort against the degrees."""
+    gens = draw(generator_lists())
+    diffs = {}
+    for name, deg in gens:
+        terms = {}
+        for mono in orc.free_monomials(gens, deg + 1):
+            if draw(st.booleans()):
+                terms[mono] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            diffs[name] = terms
+    return gens, diffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=free_differentials(), data=st.data())
+def test_tail_rule_matches_the_word_oracle(spec, data):
+    """d of a free monomial g^e t comes from the memoised d(g^e) and d(t).
+    The memo is filled in random order, partly before an adjoin that shares
+    it and partly after, so a tail is sometimes derived first and sometimes
+    missing; every monomial up to degree 8 must still get the Leibniz
+    expansion of the word oracle."""
+    gens, diffs = spec
+    top = 8
+    split = data.draw(st.integers(0, len(gens)))
+    old = gens[:split]
+    old_names = {n for n, _ in old}
+    base_diffs = {n: t for n, t in diffs.items() if n in old_names
+                  and all(f in old_names for m in t for f, _ in m)}
+    P = Presentation(old, top, differentials=base_diffs, simply_connected=False,
+                     validate=False)
+    early = [m for d in range(top + 1) for m in orc.free_monomials(old, d)]
+    for m in data.draw(st.lists(st.sampled_from(early), max_size=6) if early
+                       else st.just([])):
+        P.d(P.monomial(m))
+    new_diffs = {n: t for n, t in diffs.items() if n not in base_diffs
+                 and n not in old_names}
+    ext = P.adjoin(gens[split:], new_diffs) if split < len(gens) else P
+    odd = orc.odd_map(ext)
+    words = {n: orc.engine_to_words(t, odd) for n, t in {**base_diffs, **new_diffs}.items()}
+    monos = [m for d in range(top + 1) for m in orc.free_monomials(gens, d)]
+    for m in data.draw(st.permutations(monos)):
+        x = ext.monomial(m)
+        assert as_words(ext.d(x), ext) == orc.differentiate(as_words(x, ext), words, odd)
+
+
 def test_inhomogeneous_differential_rejected():
     with pytest.raises(Inhomogeneous):
         Presentation([("a", 2), ("x", 5)], 12,

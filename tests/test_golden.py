@@ -4,8 +4,8 @@ For every cdga in every bundled model file, at its default cap, the exact
 `--json` standard output of `cat`, `tc --n 2` and `minimal-model` is pinned,
 and so is that of `secat` for every morphism, together with every
 certificate file that `--emit-certs` writes for `cat`, `tc` and `secat`.
-Cases away from the defaults (`EXTRA_CASES`) pin large linear systems and
-the n = 3 diagonal too.  A refactor that keeps these bytes keeps the
+Cases away from the defaults (`EXTRA_CASES`) pin large linear systems, the
+n = 3 diagonal and the deepest minimal models too.  A refactor that keeps these bytes keeps the
 reports and the certificate corpus.
 
 Regenerate the pinned data (only for an intended output change) with
@@ -36,9 +36,13 @@ MORPHISM_COMMAND = "secat"
 # cat T at cap 16 solves a 3533 x 3467 module-retraction system; at cap 18
 # its full level-2 system would be 13476 x 12799 and level 3 is 6681 x 6549.
 # tc T at n = 3 works on the diagonal T (x) M (x) M of T's minimal model M.
+# minimal-model T at cap 22 and W at cap 26 are the deepest models built, with
+# 58 and 83 generators.
 EXTRA_CASES = [("truncated_mix.cdga", "T", "cat", {"cap": 16}),
                ("truncated_mix.cdga", "T", "cat", {"cap": 18}),
-               ("truncated_mix.cdga", "T", "tc", {"n": 3})]
+               ("truncated_mix.cdga", "T", "tc", {"n": 3}),
+               ("truncated_mix.cdga", "T", "minimal-model", {"cap": 22}),
+               ("wedge.cdga", "W", "minimal-model", {"cap": 26})]
 
 
 def cases():

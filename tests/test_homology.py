@@ -2,13 +2,16 @@
 
 import collections
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_model
 
+from secat import linalg
 from secat.core import (AlgebraElement, CdgaError, Presentation, _SignEngine,
                         quotient_by_ideal)
 from secat.homology import (HomologyReport, HomologyView, IdealPowers,
@@ -21,6 +24,7 @@ from secat.construct import (build_minimal_model, diagonal_model,
                              multiplication_morphism)
 from secat.semifree import SemiFreeModule, resolve_quotient
 from secat.lang import parse_document, parse_element, realize_document
+from secat.linalg import Echelon, kernel_combos
 
 import oracles as orc
 
@@ -152,25 +156,105 @@ def _printed(rep):
     return [(g, list(c.terms.items())) for g, c in rep.items()]
 
 
-@pytest.mark.parametrize("name", ["T", "W", "S2", "fraction-quotient", "diagonal-source",
-                                  "resolution", "span"])
-def test_homology_matches_the_canonical_kernel_oracle(models, name):
-    """The cycles span the kernel of d without being its canonical basis, and
-    the echelons stop at full rank; the report must still equal the one built
-    from the canonical kernel with every row fed: betti numbers, class rows,
-    representatives and boundary bases."""
-    X, lo, hi = _homology_oracle_case(models, name)
-    got, want = HomologyReport(X, lo, hi), orc.CanonicalKernelHomology(X, lo, hi)
+def _assert_same_report(got, want, lo, hi):
+    """Equal betti numbers, class rows, representatives (terms in order) and
+    boundary bases in every degree."""
     assert got.betti_table() == want.betti_table()
-    assert any(got.betti_table().values())
     for d in range(lo, hi + 1):
         assert got._class_rows[d] == want._class_rows[d]
         assert ([_printed(r) for r in got.representatives(d)]
                 == [_printed(r) for r in want.representatives(d)])
         assert got._boundaries[d].basis() == want._boundaries[d].basis()
+
+
+@pytest.mark.parametrize("name", ["T", "W", "S2", "fraction-quotient", "diagonal-source",
+                                  "resolution", "span"])
+def test_homology_matches_the_canonical_kernel_oracle(models, name):
+    """The classes come from the kernel of d off the boundary pivots, and the
+    boundary echelon stops at full rank; the report must still equal the one
+    built from the canonical kernel with every row fed: betti numbers, class
+    rows, representatives and boundary bases."""
+    X, lo, hi = _homology_oracle_case(models, name)
+    got = HomologyReport(X, lo, hi)
+    _assert_same_report(got, orc.CanonicalKernelHomology(X, lo, hi), lo, hi)
+    assert any(got.betti_table().values())
     if name == "fraction-quotient":
         assert any(isinstance(c, Fraction) for d in range(lo, hi + 1)
                    for row in got._class_rows[d] + got._boundaries[d].basis() for c in row)
+
+
+@st.composite
+def random_complexes(draw):
+    """(complex, lo, hi): a free presentation on up to three generators with
+    d = 0, odd and even, grown by adjoin with generators whose d is a random
+    cycle of the complex so far; at times its quotient by a monomial ideal,
+    spanned by monomials in the d = 0 generators and at times by every
+    monomial from some degree on, which keeps the ideal closed under d."""
+    cap = 10
+    base = [(f"c{i}", draw(st.integers(1, 5))) for i in range(draw(st.integers(1, 3)))]
+    P = Presentation(base, cap, simply_connected=False)
+    for i in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, cap - 2))
+        cycles = kernel_combos(P.differential_vectors(k + 1), P.dim(k + 2))
+        z = {}
+        for combo in cycles:
+            c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+            for j, a in combo.items():
+                z[j] = z.get(j, 0) + c * a
+        z = P.from_vector(k + 1, z)
+        if z.terms:
+            P = P.adjoin([(f"x{i}", k)], {f"x{i}": z})
+    hi = cap
+    if draw(st.booleans()):
+        closed = [m for d in range(1, cap + 1) for m in orc.free_monomials(base, d)]
+        ideal = [P.monomial(m) for m in draw(st.lists(st.sampled_from(closed), max_size=3))]
+        if draw(st.booleans()):
+            start = draw(st.integers(3, cap))
+            top = min(start + max(g.degree for g in P.generators) - 1, cap)
+            ideal += [P.monomial(m) for d in range(start, top + 1) for m in P.basis(d)]
+        P, _ = quotient_by_ideal(P, ideal)
+        hi = cap - 1
+    lo = draw(st.integers(0, 3))
+    return P, lo, draw(st.integers(lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=random_complexes())
+def test_homology_matches_the_canonical_kernel_oracle_on_random_complexes(case):
+    X, lo, hi = case
+    _assert_same_report(HomologyReport(X, lo, hi), orc.CanonicalKernelHomology(X, lo, hi),
+                        lo, hi)
+
+
+@pytest.mark.parametrize("name", ["T", "diagonal-source", "resolution"])
+def test_range_reports_stop_each_boundary_echelon_at_the_rank_below(monkeypatch,
+                                                                    models, name):
+    """Past the first degree of a range report, rank B^d = dim C^{d-1} -
+    rank B^{d-1} - b_{d-1} is known before B^d is built, and its echelon
+    takes no row once it has that rank; on these complexes some rows are
+    left out."""
+    class Counting(Echelon):
+        def __init__(self, width):
+            super().__init__(width)
+            self.fed_at = []  # the rank before each add
+
+        def add(self, v):
+            self.fed_at.append(self.rank)
+            return super().add(v)
+
+    X, lo, hi = _homology_oracle_case(models, name)
+    # the package exports the function homology under the module's name
+    monkeypatch.setattr(importlib.import_module("secat.homology"), "Echelon", Counting)
+    H = HomologyReport(X, lo, hi)
+    skipped = 0
+    for d in range(lo + 1, hi + 1):
+        B = H._boundaries[d]
+        full = X.dim(d - 1) - H._boundaries[d - 1].rank - H.betti(d - 1)
+        assert B.rank == full
+        if X.dim(d):
+            assert all(rank < full for rank in B.fed_at)
+            skipped += X.dim(d - 1) - len(B.fed_at)
+    assert skipped
 
 
 def test_representatives_are_independent_nonzero_cycles(models):
@@ -433,6 +517,37 @@ def test_resolution_computes_each_differential_once(monkeypatch, filename, label
     assert len(res.module.gen_list) > 1
     assert set(reports) == set(range(1, E + 1)) and max(reports.values()) == 1
     assert basis_elements and max(basis_elements.values()) == 1
+
+
+def test_kill_primitives_share_one_combination_echelon_per_degree(monkeypatch):
+    """The kill cycles of one degree k find their primitives against one
+    combination echelon of the target's degree-k differential, built once
+    however many cycles that degree kills.  Outside the kernels (kill
+    cycles, induced kernels) no other combination echelon is built."""
+    T = load_model("truncated_mix.cdga", cap=23)[0]["T"]
+    homology_module = importlib.import_module("secat.homology")
+    built, in_kernel = [], []
+    combination_echelon = linalg._combination_echelon
+
+    def counted(images, width):
+        if not in_kernel:
+            built.append((images, width))
+        return combination_echelon(images, width)
+
+    def kernel(images, width):
+        in_kernel.append(images)
+        try:
+            return kernel_combos(images, width)
+        finally:
+            in_kernel.pop()
+
+    monkeypatch.setattr(linalg, "_combination_echelon", counted)
+    monkeypatch.setattr(homology_module, "kernel_combos", kernel)
+    model = build_minimal_model(T, 22).model
+    kills = collections.Counter(g.degree for g in model.generators
+                                if g.name.startswith("w"))
+    assert max(kills.values()) > 1
+    assert built == [(T.differential_vectors(k), T.dim(k + 1)) for k in sorted(kills)]
 
 
 # Written from the builder that rebuilt the source in every step: the

@@ -10,6 +10,7 @@ import pytest
 from conftest import MODELS, load_model
 from test_golden import GOLDEN
 
+from secat import cli
 from secat.cli import main
 from secat.core import Presentation
 from secat.lang import (
@@ -176,6 +177,21 @@ def test_cli_minimal_model(capsys):
     assert code == 0
     assert "gen v4_0 : 4;" in out and "gen w7_0 : 7;" in out
     assert "d w7_0 = v4_0^2;" in out
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_cli_minimal_model_renders_the_model_once(capsys, monkeypatch, flags):
+    """The text lines and the JSON report share one rendering of the model."""
+    rendered = []
+
+    def counted(P, label):
+        rendered.append(label)
+        return print_presentation(P, label)
+
+    monkeypatch.setattr(cli, "print_presentation", counted)
+    code, out, _ = run(capsys, "minimal-model", path("sphere4.cdga"), *flags)
+    assert code == 0 and "d w7_0 = v4_0^2;" in out
+    assert rendered == ["S4_model"]
 
 
 def test_cli_cat_report(capsys):
