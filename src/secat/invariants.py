@@ -28,6 +28,7 @@ the claim independently.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, NotSurjective,
@@ -44,7 +45,7 @@ from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
 from .semifree import (UNIT, find_module_retraction, resolve_and_retract,
                        resolve_quotient, semifree_from_relative,
                        verify_module_retraction)
-from .lang import parse_element
+from .lang import parse_element, parse_expression
 
 CERT_FORMAT = "secat-cert/1"
 
@@ -618,6 +619,97 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
 # certificate verification
 
 
+# the context fields each construction reads and the data fields each kind
+# reads, as name:type with JSON-shaped types; a trailing "?" marks an
+# optional field
+_CONTEXT_FIELDS = {
+    "morphism": "morphism:str", "diagonal": "cdga:str n:int cap:int",
+    "augmentation": "cdga:str cap:int", "input-augmentation": "cdga:str",
+    "multiplication": "cdga:str n:int cap:int?",
+    "presentation": "cdga:str", "relative-split": "cdga:str base:[str]"}
+_SURJECTIONS = ("morphism", "diagonal", "augmentation", "input-augmentation",
+                "multiplication")
+_DATA_FIELDS = {
+    "nil-witness": "level:int hi:int view:str? generators:[str] factors:[int]",
+    "rho-noninjectivity-witness":
+        "m:int degree:int witness:str kernel_generators:[str]?",
+    "rho-injectivity-range": "m:int hi:int",
+    "kernel-power-vanishes": "m:int hi:int generators:[str]",
+    "acyclic-ideal-containment": "hi:int generators:[str] contained:[str]?",
+    "odd-generated": "cap:int generators:[[str,int]]",
+    "module-retraction": "m:int E:int values:{str:str}",
+    "relative-split": "E:int values:{str:str}",
+    "pd-collapse": "top:int"}
+
+
+def _has_type(v, typ: str) -> bool:
+    if typ == "int":
+        return type(v) is int            # a JSON integer: no float, no bool
+    if typ == "str":
+        return isinstance(v, str)
+    if typ == "{str:str}":
+        return isinstance(v, dict) and all(
+            isinstance(x, str) for x in [*v, *v.values()])
+    if typ == "[str,int]":               # a tuple when built in Python
+        return (isinstance(v, (list, tuple)) and len(v) == 2
+                and _has_type(v[0], "str") and _has_type(v[1], "int"))
+    return isinstance(v, list) and all(_has_type(x, typ[1:-1]) for x in v)
+
+
+def _check_payload(cert: Certificate, presentations: dict, morphisms: dict):
+    """Step 1: type-check every field the kind reads, then look up its names."""
+    kind, ctx = cert.kind, cert.context
+    c = ctx.get("construction")
+    if kind not in CERT_KINDS:
+        raise CdgaError(f"unknown certificate kind {kind!r}")
+    if kind == "module-retraction" and c == "relative-split":
+        kind = c
+    elif kind in ("acyclic-ideal-containment", "odd-generated", "pd-collapse") \
+            or (kind == "nil-witness" and c == "presentation"):
+        c = "presentation"
+    elif c not in _SURJECTIONS:
+        raise CdgaError(f"unknown certificate construction {c!r}")
+    for part, obj, spec in (("context", ctx, _CONTEXT_FIELDS[c]),
+                            ("data", cert.data, _DATA_FIELDS[kind])):
+        for key, _, typ in (f.partition(":") for f in spec.split()):
+            if key not in obj:
+                if not typ.endswith("?"):
+                    raise CdgaError(f"certificate {part} field {key!r} is missing")
+            elif not _has_type(obj[key], typ.rstrip("?")):
+                raise CdgaError(f"certificate {part} field {key!r} must be "
+                                f"{typ.rstrip('?')}")
+    if c == "morphism":
+        _ctx_surjection(ctx, presentations, morphisms)      # a lookup only
+    else:
+        _ctx_presentation(ctx, presentations)
+
+
+def _constant(node):
+    """The value of an expression tree that names no generator, else None.
+    The other node kinds (neg, add, sub, mul, pow) are `operator` names."""
+    if node[0] in ("num", "gen"):
+        return node[1] if node[0] == "num" else None
+    args = [_constant(a) if isinstance(a, tuple) else a for a in node[1:]]
+    return None if None in args else getattr(operator, node[0])(*args)
+
+
+def _data_rejection(kind: str, data: dict):
+    """Step 2: the rebuild's (False, detail) for a fault in the data alone."""
+    if kind == "nil-witness":
+        factors, level = data["factors"], data["level"]
+        if len(factors) != level:
+            return False, f"witness has {len(factors)} factors, claim says {level}"
+        if any(i < 0 or i >= len(data["generators"]) for i in factors):
+            return False, "witness factor index out of range"
+    if kind == "module-retraction" and UNIT in data["values"]:
+        if _constant(parse_expression(data["values"][UNIT])) not in (None, 1):
+            return False, "retraction equations fail at 1: unit is not sent to 1"
+    if kind == "rho-noninjectivity-witness" and data["degree"] >= 1:
+        if _constant(parse_expression(data["witness"])) is not None:
+            return False, f"witness is not homogeneous of degree {data['degree']}"
+    return None
+
+
 def _ctx_presentation(ctx: dict, presentations: dict) -> Presentation:
     name = ctx.get("cdga")
     if name not in presentations:
@@ -634,20 +726,17 @@ def _ctx_surjection(ctx: dict, presentations: dict, morphisms: dict):
         if not morphisms or name not in morphisms:
             raise CdgaError(f"certificate context needs morphism {name!r}")
         return morphisms[name], None
+    P = _ctx_presentation(ctx, presentations)
     if c == "diagonal":
-        P = _ctx_presentation(ctx, presentations)
-        dm = diagonal_model(P, int(ctx["n"]), int(ctx["cap"]))
+        dm = diagonal_model(P, ctx["n"], ctx["cap"])
         return dm.morphism, dm.kernel_generators
     if c == "augmentation":
-        P = _ctx_presentation(ctx, presentations)
-        M = sullivan_model_of(P, int(ctx["cap"])).model
+        M = sullivan_model_of(P, ctx["cap"]).model
         return augmentation_morphism(M), [M.gen(g.name) for g in M.generators]
     if c == "input-augmentation":
-        P = _ctx_presentation(ctx, presentations)
         return augmentation_morphism(P), [P.gen(g.name) for g in P.generators]
     if c == "multiplication":
-        P = _ctx_presentation(ctx, presentations)
-        mult = multiplication_morphism(P, int(ctx["n"]), cap=ctx.get("cap"))
+        mult = multiplication_morphism(P, ctx["n"], cap=ctx.get("cap"))
         return mult.morphism, None
     raise CdgaError(f"unknown certificate construction {c!r}")
 
@@ -720,17 +809,28 @@ def verify_certificate(cert: Certificate, presentations: dict,
                        morphisms: dict | None = None):
     """Re-check a certificate from scratch; returns (accepted, detail).
 
-    Structural problems (unknown names, malformed payloads) raise; a claim
-    that was rebuilt and found false returns (False, reason).
+    Checks run in cost order.  (1) Every context and data field the kind
+    reads is type-checked (integers must be JSON integers) and its cdga or
+    morphism looked up: a missing or ill-typed field or an unknown name
+    raises CdgaError.  (2) A fault in the data alone returns (False, detail)
+    before anything is rebuilt: a nil-witness factor count or index, a
+    retraction unit set to a constant other than 1, a rho witness of positive
+    degree naming no generator.  (3) The construction is rebuilt and the
+    claim re-checked.  With several faults the earliest step wins, so a data
+    rejection is returned even where the rebuild would raise.
     """
-    kind = cert.kind
-    ctx = cert.context
-    data = cert.data
     morphisms = morphisms or {}
+    _check_payload(cert, presentations, morphisms)
+    return (_data_rejection(cert.kind, cert.data)
+            or _verify_rebuilt(cert, presentations, morphisms))
+
+
+def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
+    """Step 3 of `verify_certificate` alone: rebuild, then re-check."""
+    kind, ctx, data = cert.kind, cert.context, cert.data
 
     if kind == "nil-witness":
-        level = int(data["level"])
-        hi = int(data["hi"])
+        level, hi = data["level"], data["hi"]
         viewname = data.get("view", "homology")
         if ctx.get("construction") == "presentation":
             P = _ctx_presentation(ctx, presentations)
@@ -739,7 +839,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
             phi, _ = _ctx_surjection(ctx, presentations, morphisms)
             P = phi.source
             gens = _checked_kernel_gens(phi, data["generators"])
-        factors = [int(i) for i in data["factors"]]
+        factors = data["factors"]
         if len(factors) != level:
             return False, f"witness has {len(factors)} factors, claim says {level}"
         if any(i < 0 or i >= len(gens) for i in factors):
@@ -767,8 +867,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
         return True, f"{level}-fold product is nonzero in degree {prod.degree()}"
 
     if kind == "rho-noninjectivity-witness":
-        m = int(data["m"])
-        deg = int(data["degree"])
+        m, deg = data["m"], data["degree"]
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
         if deg + 1 > S.cap:
@@ -789,8 +888,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
                       f"quotient: h-invariant >= {m + 1}")
 
     if kind == "rho-injectivity-range":
-        m = int(data["m"])
-        hi = int(data["hi"])
+        m, hi = data["m"], data["hi"]
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
         elements = _kernel_power(phi, None, pedigreed, m, min(S.cap, hi + 1))
@@ -802,8 +900,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
         return True, f"injective in degrees <= {hi}: h-invariant <= {m}"
 
     if kind == "kernel-power-vanishes":
-        m = int(data["m"])
-        hi = int(data["hi"])
+        m, hi = data["m"], data["hi"]
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
         kgens = _checked_kernel_gens(phi, data["generators"])
@@ -826,7 +923,7 @@ def verify_certificate(cert: Certificate, presentations: dict,
         return True, f"the kernel power vanishes absolutely (top degree {htop})"
 
     if kind == "acyclic-ideal-containment":
-        hi = int(data["hi"])
+        hi = data["hi"]
         P = _ctx_presentation(ctx, presentations)
         gens = _parse_over(data["generators"], P)
         powers = IdealPowers(PresentationView(P, min(P.cap, hi + 1)), gens)
@@ -847,9 +944,9 @@ def verify_certificate(cert: Certificate, presentations: dict,
 
     if kind == "odd-generated":
         P = _ctx_presentation(ctx, presentations)
-        M = sullivan_model_of(P, int(data["cap"])).model
+        M = sullivan_model_of(P, data["cap"]).model
         census = sorted((g.name, g.degree) for g in M.generators)
-        claimed = sorted((str(n), int(d)) for n, d in data["generators"])
+        claimed = sorted(map(tuple, data["generators"]))
         if census != claimed:
             return False, f"model generators {census} do not match the claim"
         if not census or not all(d % 2 for _, d in census):
@@ -858,35 +955,28 @@ def verify_certificate(cert: Certificate, presentations: dict,
             return False, "the model is not minimal"
         return True, f"minimal model with {len(census)} odd generators: cat = {len(census)}"
 
-    if kind == "module-retraction" and ctx.get("construction") == "relative-split":
-        total = _ctx_presentation(ctx, presentations)
-        E = int(data["E"])
-        module, base = _split_module(total, [str(n) for n in ctx["base"]],
-                                     min(total.cap, E + 1))
+    if kind == "module-retraction":
+        E = data["E"]
+        if ctx.get("construction") == "relative-split":
+            total = _ctx_presentation(ctx, presentations)
+            module, base = _split_module(total, ctx["base"],
+                                         min(total.cap, E + 1))
+            done = f"the relative extension retracts onto its base up to degree {E}"
+        else:
+            phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
+            base, m = phi.source, data["m"]
+            elements = _kernel_power(phi, None, pedigreed, m, min(base.cap, E + 1))
+            module = resolve_quotient(base, elements, E).module
+            done = f"retraction verified up to degree {E}: m-invariant <= {m}"
         values = {g: parse_element(e, base) for g, e in data["values"].items()}
         values.setdefault(UNIT, base.one())
         check = verify_module_retraction(module, values, E)
         if check is not None:
             return False, f"retraction equations fail at {check[0]}: {check[1]}"
-        return True, ("the relative extension retracts onto its base "
-                      f"up to degree {E}")
-
-    if kind == "module-retraction":
-        m = int(data["m"])
-        E = int(data["E"])
-        phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
-        S = phi.source
-        elements = _kernel_power(phi, None, pedigreed, m, min(S.cap, E + 1))
-        res = resolve_quotient(S, elements, E)
-        values = {g: parse_element(e, S) for g, e in data["values"].items()}
-        values.setdefault(UNIT, S.one())
-        check = verify_module_retraction(res.module, values, E)
-        if check is not None:
-            return False, f"retraction equations fail at {check[0]}: {check[1]}"
-        return True, f"retraction verified up to degree {E}: m-invariant <= {m}"
+        return True, done
 
     if kind == "pd-collapse":
-        top = int(data["top"])
+        top = data["top"]
         P = _ctx_presentation(ctx, presentations)
         htop = P.top_degree_if_finite()
         if htop is None:

@@ -1,12 +1,14 @@
 """The two script-level byte-identity gates.
 
 `scripts/run_worked_examples.py --json` must print exactly the pinned tables
-in `tests/golden/worked_examples.json`, and `scripts/fuzz_certificates.py`
-must reject every one of its corruptions.  Both run as their own processes,
-as they are run by hand.  Regenerate the pinned tables (only for an intended
-output change) with
+in `tests/golden/worked_examples.json`, and `scripts/fuzz_certificates.py -v`
+must reject every one of its corruptions with exactly the pinned details in
+`tests/golden/fuzz_details.txt`.  Both run as their own processes, as they
+are run by hand.  Regenerate the pinned files (only for an intended output
+change) with
 
     python3 scripts/run_worked_examples.py --json > tests/golden/worked_examples.json
+    python3 scripts/fuzz_certificates.py -v > tests/golden/fuzz_details.txt
 """
 
 import pathlib
@@ -15,6 +17,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKED = ROOT / "tests" / "golden" / "worked_examples.json"
+FUZZ_DETAILS = ROOT / "tests" / "golden" / "fuzz_details.txt"
 
 
 def _run(script, *args):
@@ -29,6 +32,7 @@ def test_worked_examples_json_is_byte_identical():
 
 
 def test_fuzz_certificates_rejects_every_corruption():
-    out = _run("fuzz_certificates.py")
+    out = _run("fuzz_certificates.py", "-v")
     assert out.returncode == 0, out.stdout + out.stderr
     assert "RESULT: all 104 corruptions rejected (100%)" in out.stdout
+    assert out.stdout == FUZZ_DETAILS.read_text(encoding="utf-8")
