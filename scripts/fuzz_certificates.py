@@ -94,6 +94,10 @@ def corruptions(cert, kernel_nil):
         if data["m"] >= 1:
             yield "claimed power too small", Certificate(
                 kind, ctx, dict(data, m=data["m"] - 1))
+        # each listed generator is new modulo the ideal of the others, so
+        # without one the list no longer generates the kernel
+        yield "kernel generator dropped", Certificate(
+            kind, ctx, dict(data, generators=data["generators"][1:]))
     elif kind == "rho-injectivity-range":
         if data["m"] >= 1:
             yield "injectivity claimed one level early", Certificate(

@@ -89,6 +89,14 @@ class MultiplicationModel:
 
 
 def multiplication_morphism(A: Presentation, n: int, *, cap: int | None = None):
+    """The multiplication A^{ox n} -> A sending every copy v_i of a
+    generator v of A to v.
+
+    Its kernel is the ideal generated by the differences v_i - v_1: the
+    quotient of A^{ox n} by them identifies the copies and is A again.  So
+    ker mu has ideal generators in the degrees of A's generators only, and
+    homology.kernel_ideal_generators need visit no other degree.
+    """
     power = tensor_power(A, n, cap=cap)
     images = {}
     for rn in power.renames:

@@ -457,6 +457,10 @@ class Presentation:
         self._ideal: dict[int, Echelon] = {}
         self._basis: dict[int, tuple[Monomial, ...]] = {}
         self._index: dict[int, dict[Monomial, int]] = {}
+        # the factors of a tensor-like assembly (_build_combined), else ();
+        # the sum of their tops when every one is certified, else None
+        self._parts: tuple[Presentation, ...] = ()
+        self._parts_top: int | None = None
 
         diffs = dict(differentials or {})
         self.d_unknown: frozenset[str] = frozenset()
@@ -489,8 +493,6 @@ class Presentation:
         # no reference cycle keeps a presentation alive after its last use
         self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
         self._d_memo: dict[Monomial, dict] = {}
-        # the factors of a tensor-like assembly (_build_combined), else ()
-        self._parts: tuple[Presentation, ...] = ()
         self.validated_notes: list[str] = []
         if validate:
             self._validate()
@@ -570,6 +572,16 @@ class Presentation:
         self._ideal[d] = ech
         return ech
 
+    def _above_parts_top(self, d: int) -> bool:
+        """Is degree d above the certified top of a tensor-like assembly?
+
+        The assembly's quotient is the tensor product of its parts', so it
+        vanishes above the sum of their tops: the ideal echelon there has a
+        pivot on every monomial, and neither it nor the degree's monomial
+        table is built.
+        """
+        return self._parts_top is not None and d > self._parts_top
+
     def basis(self, d: int) -> tuple[Monomial, ...]:
         """Canonical monomial basis of the degree-d piece of the quotient."""
         cached = self._basis.get(d)
@@ -585,16 +597,20 @@ class Presentation:
             self._basis[d] = result
             self._index[d] = {(): 0}
             return result
-        monos = self._ctx.free_monomials(d)
         if self.is_free:
+            monos = self._ctx.free_monomials(d)
             self._basis[d] = monos
             self._index[d] = self._ctx.monomial_index(d)
             return monos
         if d > self.cap:
             raise RangeExceedsCap(
                 f"degree {d} exceeds cap {self.cap} of a presentation with relations")
-        pivots = self._ideal_echelon(d).pivots
-        result = tuple(m for i, m in enumerate(monos) if i not in pivots)
+        if self._above_parts_top(d):
+            result = ()
+        else:
+            pivots = self._ideal_echelon(d).pivots
+            result = tuple(m for i, m in enumerate(self._ctx.free_monomials(d))
+                           if i not in pivots)
         self._basis[d] = result
         self._index[d] = {m: i for i, m in enumerate(result)}
         return result
@@ -611,7 +627,9 @@ class Presentation:
         and none lies above the cap, elimination would change no
         coefficient, so the terms are only put in that order: zero
         coefficients dropped and an integral Fraction written as its int,
-        as the elimination writes them.
+        as the elimination writes them.  A term above an assembly's
+        certified top (_above_parts_top) and under the cap is dropped, as
+        elimination there would drop it.
         """
         if self.is_free or not terms:
             return dict(terms)
@@ -624,6 +642,8 @@ class Presentation:
             if look is None:
                 if d > cap:
                     return self._eliminate(terms)
+                if self._above_parts_top(d):
+                    continue  # the term is zero in the quotient
                 look = seen[d] = (ctx.monomial_index(d), self._ideal_echelon(d).pivots)
             i = look[0][m]
             if i in look[1]:
@@ -643,6 +663,8 @@ class Presentation:
             if d > self.cap:
                 raise RangeExceedsCap(
                     f"degree {d} exceeds cap {self.cap} of a presentation with relations")
+            if self._above_parts_top(d):
+                continue
             monos = self._ctx.free_monomials(d)
             index = self._ctx.monomial_index(d)
             red = self._ideal_echelon(d).reduce({index[m]: c for m, c in part.items()})
@@ -855,12 +877,13 @@ class Presentation:
 
         A tensor-like assembly of parts (_build_combined) whose tops are all
         certified has dims the convolution of theirs, so its top t is their
-        sum, and no gap below t is as long as the largest generator degree.
-        The window scan then returns t exactly when t plus that degree is at
-        most the cap, and there t is returned without building the pieces.
-        A part that is free on an even generator of degree e makes every
-        e-th piece of the assembly nonzero, and e is at most the window, so
-        no window is empty and the answer is None before any piece is built.
+        sum (_parts_top), and no gap below t is as long as the largest
+        generator degree.  The window scan then returns t exactly when t plus
+        that degree is at most the cap, and there t is returned without
+        building the pieces.  A part that is free on an even generator of
+        degree e makes every e-th piece of the assembly nonzero, and e is at
+        most the window, so no window is empty and the answer is None before
+        any piece is built.
         """
         if not self.generators:
             return 0
@@ -870,12 +893,10 @@ class Presentation:
                 return sum(degs)
             return None
         maxdeg = max(degs)
-        if any(P.is_free and any(not g.odd for g in P.generators) for P in self._parts):
+        if any(_free_on_an_even(P) for P in self._parts):
             return None
-        if self._parts:
-            tops = [P.top_degree_if_finite() for P in self._parts]
-            if None not in tops and sum(tops) + maxdeg <= self.cap:
-                return sum(tops)
+        if self._parts_top is not None and self._parts_top + maxdeg <= self.cap:
+            return self._parts_top
         top = 0
         run = 0
         for d in range(1, self.cap + 1):
@@ -1284,6 +1305,8 @@ def _build_combined(parts, cap, simply_connected):
 
     `parts` is a list of (presentation, rename_map).  Relations and
     differentials are transported through the renaming with exact signs.
+    The result records its parts and, when every part has a certified top,
+    their sum, above which it vanishes (Presentation._above_parts_top).
     """
     gens = [Generator(rename[g.name], g.degree) for P, rename in parts
             for g in P.generators]
@@ -1316,7 +1339,16 @@ def _build_combined(parts, cap, simply_connected):
                             simply_connected=simply_connected,
                             extra_d_unknown=unknown, _engine=ctx)
     combined._parts = tuple(P for P, _ in parts)
+    # a part free on an even generator has no top: answer before any scan
+    if not any(_free_on_an_even(P) for P in combined._parts):
+        tops = [P.top_degree_if_finite() for P in combined._parts]
+        if None not in tops:
+            combined._parts_top = sum(tops)
     return combined
+
+
+def _free_on_an_even(P: Presentation) -> bool:
+    return P.is_free and any(not g.odd for g in P.generators)
 
 
 def tensor(A: Presentation, B: Presentation, *,

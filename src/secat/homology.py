@@ -337,7 +337,8 @@ def kernel_basis(phi: CdgaMorphism, d: int) -> list[AlgebraElement]:
     return [P.from_vector(d, combo) for combo in kernel_combos(images, B.dim(d))]
 
 
-def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
+def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
+                            degrees: set[int] | None = None) -> list[AlgebraElement]:
     """A finite ideal generating set for ker phi in degrees <= hi.
 
     Degrees ascend; in each degree the span of products of the generators
@@ -347,11 +348,23 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
     The products lie in ker phi, an ideal, so once their span has the rank of
     ker_d it is ker_d: no further product is formed, and every kernel basis
     element reduces to 0 as it would against the full span.
+
+    `degrees`, when given, must hold the degrees of some set G that
+    generates ker phi as an ideal; only those degrees are visited, and the
+    result is the same.  The loop keeps the invariant that after degree e,
+    ker_e lies in the ideal of the generators found so far.  In a degree d
+    outside `degrees`, ker_d is spanned by products g * m with g in G of a
+    degree e < d, and g lies in that ideal by the invariant, so the product
+    span would fill ker_d and the visit would add nothing.  For the
+    multiplication A^{ox n} -> A these are the degrees of A's generators
+    (see construct.multiplication_morphism).
     """
     P, B = phi.source, phi.target
     b_hi = B.cap if B.is_free else B.cap - 1
     gens: list[AlgebraElement] = []
     for d in range(1, hi + 1):
+        if degrees is not None and d not in degrees:
+            continue
         n = P.dim(d)
         if n == 0:
             continue

@@ -229,6 +229,7 @@ def homology_kernel_classes(phi: CdgaMorphism, H_src: HomologyReport,
 class SurjectionReport:
     morphism: CdgaMorphism
     hi: int                              # degrees the verdicts were checked in
+    source_homology: HomologyReport      # H(source) in degrees 0..hi
     kernel_generators: list
     kernel_complete: bool
     h_bound: Bound
@@ -431,8 +432,9 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
             h_bound.merge_lower(m_bound.lower, m_bound.lower_absolute,
                                 note="duality collapse")
 
-    report = SurjectionReport(phi, hi, list(kernel_gens), bool(kernel_complete),
-                              h_bound, m_bound, map_bound, nil_h, nil_k, notes)
+    report = SurjectionReport(phi, hi, H_S, list(kernel_gens),
+                              bool(kernel_complete), h_bound, m_bound,
+                              map_bound, nil_h, nil_k, notes)
     report.settle(with_notes=True)
     return report
 
@@ -488,8 +490,10 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
         names=("toomer", "mcat", "cat"))
     cat = rep.map_bound
 
-    # cup length: nil of the positive part of homology
-    view = HomologyView(homology(M, 0, hi))
+    # cup length: nil of the positive part of homology, H(M) in degrees
+    # <= hi as the surjection report built it (its hi is this one, since
+    # the augmentation's target is free at M's cap)
+    view = HomologyView(rep.source_homology)
     finite_range = htop is not None and htop <= hi
     cup = nil_ideal(view, positive_part_generators(view),
                     range_relative=not finite_range)
@@ -598,7 +602,8 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
         ttop = T.top_degree_if_finite()
         if ttop is not None:
             mview = min(T.cap, ttop + 1)
-            kg = kernel_ideal_generators(mult.morphism, mview)
+            kg = kernel_ideal_generators(mult.morphism, mview,
+                                         {g.degree for g in A.generators})
             nil_mult, _ = IdealPowers(PresentationView(T, mview), kg).nil()
             mctx = {"construction": "multiplication", "cdga": label,
                     "n": n, "cap": mcap}
@@ -787,6 +792,26 @@ def _checked_kernel_gens(phi: CdgaMorphism, exprs) -> list[AlgebraElement]:
     return gens
 
 
+def _first_outside(powers: IdealPowers, listed, needed):
+    """The lowest degree of an element of `needed` outside the ideal that
+    `powers` spans from the `listed` generators, or None.
+
+    An element listed word for word is in the ideal with no elimination;
+    the others need one level-1 span echelon per degree.
+    """
+    words = {frozenset(g.terms.items()) for g in listed}
+    spans = {}
+    for g in sorted(needed, key=lambda g: g.degree()):
+        if frozenset(g.terms.items()) in words:
+            continue
+        d = g.degree()
+        if d not in spans:
+            spans[d] = powers.span_echelon(1, d)
+        if not spans[d].contains(powers.view.to_coords(g, d)):
+            return d
+    return None
+
+
 def _kernel_power(phi: CdgaMorphism, listed, pedigreed, m: int, view_hi: int):
     """Spanning elements of (ker phi)^(m+1) in degrees <= view_hi.
 
@@ -903,23 +928,30 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
         m, hi = data["m"], data["hi"]
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
+        view = min(S.cap, hi)
         kgens = _checked_kernel_gens(phi, data["generators"])
-        powers = IdealPowers(PresentationView(S, min(S.cap, hi)), kgens)
+        powers = IdealPowers(PresentationView(S, view), kgens)
         if powers.level(m + 1):
             w = powers.level(m + 1)[0]
             return False, (f"a nonzero {m + 1}-fold product exists "
                            f"in degree {w.degree}")
         htop = S.top_degree_if_finite()
-        if htop is None or htop > hi:
+        absolute = htop is not None and htop <= hi
+        # a smaller ideal has smaller powers, so the listed generators must
+        # generate the kernel in the window: the pedigreed generators there,
+        # or those derived as the producer derived them
+        if pedigreed is not None:
+            needed = [g for g in pedigreed if g.terms and g.degree() <= view]
+        else:
+            needed = kernel_ideal_generators(phi, min(S.cap, htop) if absolute
+                                             else view)
+        missing = _first_outside(powers, kgens, needed)
+        if missing is not None:
+            return False, (f"listed generators miss a kernel element "
+                           f"in degree {missing}")
+        if not absolute:
             return True, (f"accepted within degrees <= {hi}; no certified top "
                           "degree, so the bound stays range-qualified")
-        if pedigreed is None:
-            derived = kernel_ideal_generators(phi, min(S.cap, htop))
-            for g in derived:
-                dg = g.degree()
-                if not powers.contains(1, g, dg):
-                    return False, (f"listed generators miss a kernel element "
-                                   f"in degree {dg}")
         return True, f"the kernel power vanishes absolutely (top degree {htop})"
 
     if kind == "acyclic-ideal-containment":

@@ -363,6 +363,17 @@ def mul_mono_sorted(ctx, m1, m2):
     return sign, tuple(sorted(merged.items(), key=lambda p: ctx.rank[p[0]]))
 
 
+def basis_eliminated(P, d):
+    """Presentation.basis of a presentation with relations from the ideal
+    echelon of degree d, in every degree up to the cap: the free monomials
+    that are not pivots, whether or not d lies above a certified top."""
+    if d > P.cap:
+        raise RangeExceedsCap(
+            f"degree {d} exceeds cap {P.cap} of a presentation with relations")
+    pivots = P._ideal_echelon(d).pivots
+    return tuple(m for i, m in enumerate(P.free_monomials(d)) if i not in pivots)
+
+
 def reduce_raw_eliminated(P, terms):
     """Presentation.reduce_raw with elimination against the ideal echelon of
     every degree of the terms, whether or not a term sits at a pivot."""

@@ -188,6 +188,17 @@ def test_toomer_shortcut_matches_the_report(models, truncated_report):
     assert toomer(models["T"], label="T").lower == 2
 
 
+@pytest.mark.parametrize("label", ["C", "T", "CP2", "P", "S2", "Q", "G", "W"])
+def test_cup_length_reads_the_surjection_reports_homology(models, label):
+    """cat's cup length takes H(M) from the augmentation's report, whose
+    range is cat's own: the augmentation's target is free at M's cap."""
+    rep = cat_bounds(models[label], label=label)
+    H = rep.surjection.source_homology
+    assert H.complex is rep.model.model
+    assert (H.lo, H.hi) == (0, rep.hi) == (0, rep.surjection.hi)
+    assert H.betti_table() == homology(rep.model.model, 0, rep.hi).betti_table()
+
+
 # ---------------------------------------------------------------------------
 # worked examples: tc-style invariants
 

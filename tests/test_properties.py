@@ -1,15 +1,19 @@
 """Randomized algebraic laws, tensor homology, chain consistency, fuzzing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import MODELS, load_model
+import oracles as orc
 
-from secat.core import AlgebraElement, CdgaError, tensor_power
-from secat.homology import homology
+from secat.construct import diagonal_model, multiplication_morphism
+from secat.core import (AlgebraElement, CdgaError, Presentation, RangeExceedsCap,
+                        tensor, tensor_power)
+from secat.homology import homology, kernel_ideal_generators
 from secat.invariants import (
     Certificate, cat_bounds, certificate_from_json, tc_bounds,
     verify_certificate,
@@ -171,6 +175,99 @@ def test_tensor_cube_homology_multiplies(models):
 
 
 # ---------------------------------------------------------------------------
+# products of parts with certified tops, and their multiplication kernels
+
+
+@st.composite
+def _small_presentations(draw, cap):
+    """A presentation on one to three of a, b, c of degrees 1-3 with d = 0:
+    each even generator has a power relation in degree <= 6, and up to two
+    more homogeneous relations in degrees <= 6 come on top.  A degree-1
+    generator is allowed under simply_connected=False."""
+    gens = [(n, draw(st.integers(1, 3)))
+            for n in ("a", "b", "c")[:draw(st.integers(1, 3))]]
+    free = Presentation(gens, cap, simply_connected=False)
+    relations = [{((n, draw(st.integers(2, 3))),): 1}
+                 for n, e in gens if e % 2 == 0]
+    for _ in range(draw(st.integers(0, 2))):
+        monos = free.free_monomials(draw(st.integers(2, 6)))
+        if monos:
+            picks = draw(st.lists(st.sampled_from(monos), min_size=1,
+                                  max_size=2, unique=True))
+            relations.append({m: draw(st.sampled_from([1, -1, 2]))
+                              for m in picks})
+    return Presentation(gens, cap, relations=relations,
+                        simply_connected=all(e >= 2 for _, e in gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=_small_presentations(7), n=st.sampled_from([2, 3]))
+def test_multiplication_kernel_needs_only_the_generator_degrees(A, n):
+    """ker(A^{ox n} -> A) is generated by the differences of generator
+    copies, so visiting only A's generator degrees finds the same ideal
+    generators, in the same order, as visiting every degree."""
+    mu = multiplication_morphism(A, n).morphism
+    hi = A.cap if A.is_free else A.cap - 1
+    degrees = {g.degree for g in A.generators}
+    assert (kernel_ideal_generators(mu, hi, degrees)
+            == kernel_ideal_generators(mu, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=_small_presentations(12), B=_small_presentations(12),
+       n=st.sampled_from([0, 2, 3]), extra=st.integers(1, 3), data=st.data())
+def test_a_product_above_its_parts_tops_matches_the_echelon_path(
+        A, B, n, extra, data):
+    """basis, dim and reduce_raw of tensor(A, B) (n = 0) or A^{ox n}, with
+    the cap a little above the sum of the parts' certified tops, agree with
+    elimination against the ideal echelon of every degree.  The parts share
+    the names a, b, c, so the assembly renames them (a -> a1, a2)."""
+    parts = (A, B) if n == 0 else (A,) * n
+    tops = [P.top_degree_if_finite() for P in parts]
+    assume(None not in tops and sum(tops) <= 14)
+    cap = max([sum(tops)] + [P._ctx.mono_degree(next(iter(r)))
+                             for P in parts for r in P.relations]) + extra
+    P = tensor(A, B, cap=cap).pres if n == 0 else tensor_power(A, n, cap=cap).pres
+    assume(not P.is_free)
+    assert P._parts_top == sum(tops)
+    for d in range(cap + 1):
+        assert P.basis(d) == orc.basis_eliminated(P, d)
+        assert P.dim(d) == len(P.basis(d))
+    with pytest.raises(RangeExceedsCap):
+        orc.basis_eliminated(P, cap + 1)
+    with pytest.raises(RangeExceedsCap):
+        P.basis(cap + 1)
+    pool = [m for d in range(cap + 2) for m in P.free_monomials(d)]
+    for _ in range(5):
+        chosen = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                    min_size=1, max_size=6))
+        terms = {m: data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+                 for m in chosen}
+        try:
+            want = orc.reduce_raw_eliminated(P, terms)
+        except RangeExceedsCap as exc:
+            with pytest.raises(RangeExceedsCap, match=re.escape(str(exc))):
+                P.reduce_raw(terms)
+            continue
+        assert list(P.reduce_raw(terms).items()) == list(want.items())
+
+
+def test_the_top_rule_needs_every_part_top_certified(models):
+    """The diagonal source T (x) M has T's minimal model M, free on even
+    generators, among its parts, and T at cap 10 cannot certify its top 8
+    (8 + 5 > 10): neither product records a top, and above 8 + 8 their
+    pieces still come from the ideal echelon."""
+    source = diagonal_model(models["T"], 2, 22).source
+    T10 = load_model("truncated_mix.cdga", cap=10)[0]["T"]
+    assert T10.top_degree_if_finite() is None
+    for P in (source, tensor(T10, models["S3"], cap=16).pres):
+        assert P._parts_top is None
+        for d in range(17, P.cap + 1):
+            assert P.basis(d) == orc.basis_eliminated(P, d)
+            assert d in P._ideal
+
+
+# ---------------------------------------------------------------------------
 # bound chains stay ordered on the whole corpus
 
 
@@ -254,6 +351,7 @@ def _corruptions(cert, kernel_nil):
             data, top=data["top"] + 1))
         yield "top too low", Certificate(kind, ctx, dict(
             data, top=data["top"] - 1))
+
 
 
 def test_every_corruption_is_rejected(models, morphisms):

@@ -208,3 +208,49 @@ def test_malformed_payloads_through_the_cli_exit_cleanly(case):
         path.write_text(json.dumps(cert.to_dict()))
         code = main(["verify-cert", str(path), "--against", str(against)])
     assert code in (0, 2, 3)
+
+
+def _kernel_power_cert(construction, cdga, n=None):
+    return next(c for c in _pool() if c.kind == "kernel-power-vanishes"
+                and c.context["construction"] == construction
+                and c.context.get("cdga") == cdga and c.context.get("n") == n)
+
+
+@pytest.mark.parametrize("construction, cdga, n, generators, m, degree", [
+    # cat T <= 1 from x alone, while cat T = 3
+    ("input-augmentation", "T", None, ["x"], 1, 2),
+    ("augmentation", "P", None, ["u"], 2, 3),
+    ("diagonal", "S3", 3, ["u - u_2"], 2, 3),
+])
+def test_a_kernel_power_over_part_of_the_kernel_is_rejected(
+        construction, cdga, n, generators, m, degree):
+    """A listed subset of the pedigreed generators spans a smaller ideal,
+    whose power can vanish where the kernel's does not."""
+    presentations, morphisms, _ = _fuzz_corpus()
+    pristine = _kernel_power_cert(construction, cdga, n)
+    assert verify_certificate(pristine, presentations, morphisms)[0]
+    assert set(generators) < set(pristine.data["generators"])
+    forged = Certificate(pristine.kind, pristine.context,
+                         dict(pristine.data, generators=generators, m=m))
+    assert verify_certificate(forged, presentations, morphisms) == (
+        False, f"listed generators miss a kernel element in degree {degree}")
+
+
+def test_a_windowed_kernel_power_over_a_smaller_ideal_is_rejected(morphisms):
+    """The Hopf projection q has no certified top, so its kernel-power bound
+    is windowed; the verifier derives the kernel up to the window, as the
+    producer did, and finds a outside the ideal of a^2."""
+    rep = surjection_bounds(morphisms["q"], context={"construction": "morphism",
+                                                     "morphism": "q"})
+    [pristine] = [c for b in rep.bounds() for c in b.certificates
+                  if c.kind == "kernel-power-vanishes"]
+    assert pristine.data == {"m": 4, "hi": 16, "generators": ["a"]}
+    assert verify_certificate(pristine, {}, morphisms) == (
+        True, "accepted within degrees <= 16; no certified top degree, so "
+              "the bound stays range-qualified")
+    # (a^2)^3 lies in degree 24, outside the window, so m = 2 passes the
+    # power check
+    forged = Certificate(pristine.kind, pristine.context,
+                         dict(pristine.data, generators=["a^2"], m=2))
+    assert verify_certificate(forged, {}, morphisms) == (
+        False, "listed generators miss a kernel element in degree 4")
