@@ -6,21 +6,29 @@ Representation constraints:
   canonical order (degree, name); odd generators carry exponent 1 and the
   Koszul sign of sorting a product is absorbed into the coefficient, so two
   equal elements always have equal term dictionaries.
-* Elements are reduced eagerly modulo the relation ideal.  The ideal is
-  handled degree by degree: for each degree up to the presentation cap a
-  reduced row echelon basis of its graded piece is computed once and cached,
-  and reduction is elimination against that basis.  No Groebner machinery.
-* Free monomials come from tables built degree by degree, never by
-  recursion: the monomials of degree n whose first factor is the rank-r
-  generator g are g^e times those of degree n - e|g| whose first rank is
-  above r, kept by word length so that the canonical order (word length,
-  then the (rank, exponent) pairs) needs no sort (see _SignEngine._grow).
-  Only nonempty groups are stored or read, and only the groups that a
-  requested degree reaches are built.
-  The tables live on the sign engine, which holds no presentation; the
-  presentations on one generator tuple in one construction share it (a
-  quotient shares its source's, a tensor assembly and a parsed model their
-  scratch engine's).
+* Elements are reduced eagerly modulo the relation ideal, whose relations
+  are split once into monomial ones and the rest.  The monomial ones are
+  decided by divisibility: the standard monomials, those that no monomial
+  relation divides, are a basis of the free algebra modulo them, and
+  reduction drops the other terms.  The rest are handled degree by degree:
+  for each degree up to the cap a reduced row echelon basis of their part
+  of the graded piece, over its standard monomials, is computed once and
+  cached, and reduction is elimination against it.  So a presentation with
+  only monomial relations builds no echelon at all.  No Groebner machinery.
+* Monomials come from tables built degree by degree, never by recursion:
+  the standard monomials of degree n whose first factor is the rank-r
+  generator g are g^e times the standard ones of degree n - e|g| whose
+  first rank is above r, kept by word length so that the canonical order
+  (word length, then the (rank, exponent) pairs) needs no sort, less those
+  that a relation with first factor a power of g divides (see
+  _MonomialTable).  Only nonempty groups are stored or read, and only the
+  groups that a requested degree reaches are built.
+  The free monomials' table lives on the sign engine, which holds no
+  presentation; the presentations on one generator tuple in one
+  construction share it (a quotient shares its source's, a tensor assembly
+  and a parsed model their scratch engine's).  A presentation with
+  monomial relations builds its own table of standard monomials, which a
+  quotient by non-monomial relations shares.
 * In a free presentation the differential of a monomial g^e t comes from
   the memoised differentials of g^e and of its tail t; with relations it is
   one Leibniz expansion in the free algebra followed by one reduction when
@@ -48,6 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Mapping
 
 from .linalg import Echelon, Rational, dense, entries
@@ -127,7 +136,8 @@ class Generator:
 
 
 class _SignEngine:
-    """Monomial arithmetic bound to a fixed generator list."""
+    """Monomial arithmetic bound to a fixed generator list, and the table of
+    its free monomials (`free`)."""
 
     def __init__(self, generators: tuple[Generator, ...]):
         self.generators = generators
@@ -137,16 +147,7 @@ class _SignEngine:
         self.degree_of = {g.name: g.degree for g in generators}
         self.odd_of = {g.name: g.degree % 2 == 1 for g in generators}
         self._degrees: dict[Monomial, int] = {}
-        self._rank_degrees = tuple(g.degree for g in by_rank)
-        # rank r -> the least degree of a monomial g_r * (higher ranks)
-        self._pair_degrees = tuple(a + b for a, b in zip(self._rank_degrees,
-                                                          self._rank_degrees[1:]))
-        # degree -> its nonempty groups (rank, {word length: monomials}),
-        # highest rank first; degree -> the lowest rank built there
-        self._groups: dict[int, list[tuple[int, dict]]] = {}
-        self._low: dict[int, int] = {}
-        self._monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
-        self._positions: dict[int, dict[Monomial, int]] = {}
+        self.free = _MonomialTable(self)
 
     # -- basic monomial data
 
@@ -267,10 +268,62 @@ class _SignEngine:
                         del out[mono]
         return out
 
-    # -- free monomial tables
+    # -- free monomials
 
     def free_monomials(self, d: int) -> tuple[Monomial, ...]:
         """All normal-form monomials of degree d, canonically ordered."""
+        return self.free.monomials(d)
+
+    def extended(self, gens: tuple[Generator, ...]) -> "_SignEngine":
+        """The engine on these generators followed by `gens`, starting from
+        this engine's free table below the lowest new degree
+        (_MonomialTable.extended)."""
+        ext = _SignEngine(self.generators + gens)
+        ext.free = self.free.extended(ext, min(g.degree for g in gens))
+        return ext
+
+
+class _MonomialTable:
+    """The standard monomials of each degree, canonically ordered: the
+    normal-form monomials that no monomial of `relations` divides, every one
+    of them when there is no relation.  They are a basis of the free algebra
+    modulo the ideal of those monomials, and reduction modulo it only drops
+    the other terms.
+
+    A monomial g^e t, with g of rank r its first factor and t its tail, is
+    standard exactly when t is and no relation g^a s with a <= e has s
+    dividing t: a relation with a higher first rank would divide t.  So the
+    tables are built as the free ones are (_grow), g^e times the standard
+    tails of higher rank, and a product is dropped when e reaches the least
+    such a (`_least`, read from a trie of the relations' tails per first
+    rank, so no relation whose tail cannot divide t is looked at).  The
+    table holds no engine, only its rank data.
+    """
+
+    def __init__(self, engine: _SignEngine, relations: Iterable[Monomial] = ()):
+        self.by_rank = engine.by_rank
+        self.relations = tuple(relations)
+        self._rank_degrees = tuple(g.degree for g in self.by_rank)
+        # rank r -> the least degree of a monomial g_r * (higher ranks)
+        self._pair_degrees = tuple(a + b for a, b in zip(self._rank_degrees,
+                                                          self._rank_degrees[1:]))
+        # rank r -> the trie of the tails s of the relations g_r^a s
+        self._tries: dict[int, dict] = {}
+        for m in self.relations:
+            (name, a), tail = m[0], m[1:]
+            node = self._tries.setdefault(engine.rank[name], {})
+            for factor in tail:
+                node = node.setdefault(factor[0], {}).setdefault(factor[1], {})
+            node[None] = min(a, node.get(None, a))
+        # degree -> its nonempty groups (rank, {word length: monomials}),
+        # highest rank first; degree -> the lowest rank built there
+        self._groups: dict[int, list[tuple[int, dict]]] = {}
+        self._low: dict[int, int] = {}
+        self._monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
+        self._positions: dict[int, dict[Monomial, int]] = {}
+
+    def monomials(self, d: int) -> tuple[Monomial, ...]:
+        """The standard monomials of degree d, canonically ordered."""
         if d < 0:
             return ()
         cached = self._monomials.get(d)
@@ -283,16 +336,25 @@ class _SignEngine:
             self._monomials[d] = cached
         return cached
 
+    def index(self, d: int) -> dict[Monomial, int]:
+        """Position of each monomial in monomials(d)."""
+        index = self._positions.get(d)
+        if index is None:
+            index = {m: i for i, m in enumerate(self.monomials(d))}
+            self._positions[d] = index
+        return index
+
     def _grow(self, d: int) -> None:
         """Build every group that degree d's monomials are made of.
 
-        Group (n, r) holds the monomials of degree n whose first factor is a
-        power g^e of the rank-r generator, by word length, each list in the
-        canonical order: g^e times each monomial of degree n - e|g| whose
-        first rank is above r, for e ascending and those monomials in their
-        own order.  So a group is built from groups of higher ranks only, and
-        degree n's canonical order is its groups' lists by word length, then
-        by rank.
+        Group (n, r) holds the standard monomials of degree n whose first
+        factor is a power g^e of the rank-r generator, by word length, each
+        list in the canonical order: g^e times each standard monomial of
+        degree n - e|g| whose first rank is above r, for e ascending and
+        those monomials in their own order, less the products a relation
+        divides (_group).  So a group is built from groups of higher ranks
+        only, and degree n's canonical order is its groups' lists by word
+        length, then by rank.
 
         Ranks are sorted by degree, so g^e has a tail of first rank above r
         only when n - e|g| is at least the degree of rank r + 1
@@ -349,43 +411,59 @@ class _SignEngine:
 
     def _group(self, n: int, r: int) -> dict[int, list]:
         """Group (n, r), from the nonempty groups of rank above r at its tail
-        degrees, which are built (see _grow)."""
+        degrees, which are built (see _grow), less the products that a
+        relation with first rank r divides."""
         g = self.by_rank[r]
+        trie = self._tries.get(r)
         group: dict[int, list] = {}
         for e in self._tail_exponents(r, n):
             head = (g.name, e)
             for s, tails in reversed(self._groups.get(n - e * g.degree, ())):
                 if s > r:
                     for length, monos in tails.items():
+                        if trie is not None:
+                            monos = [m for m in monos if e < _least(trie, m)]
+                            if not monos:
+                                continue
                         group.setdefault(length + e, []).extend([(head,) + m for m in monos])
         e = _power(g, n)
-        if e is not None:
+        if e is not None and (trie is None or e < _least(trie, ())):
             group.setdefault(e, []).append(((g.name, e),))
         return group
 
-    def extended(self, gens: tuple[Generator, ...]) -> "_SignEngine":
-        """The engine on these generators followed by `gens`, starting from
-        this engine's tables below the lowest new degree.  There no new
-        generator appears and the old ranks are unchanged, so the groups,
-        orders and positions carry over as they are; each degree's list of
-        groups is copied, since either engine may add lower ranks to it.
-        The new generators' monomials are built by _grow, which visits only
-        nonempty groups, so it costs what it outputs."""
-        ext = _SignEngine(self.generators + gens)
-        low = min(g.degree for g in gens)
+    def extended(self, engine: _SignEngine, low: int) -> "_MonomialTable":
+        """The free table of `engine`, whose generators are this table's
+        followed by new ones of degree >= low, starting from this table's
+        groups below low.  There no new generator appears and the old ranks
+        are unchanged, so the groups, orders and positions carry over as
+        they are; each degree's list of groups is copied, since either table
+        may add lower ranks to it.  The new generators' monomials are built
+        by _grow, which visits only nonempty groups, so it costs what it
+        outputs."""
+        ext = _MonomialTable(engine)
         ext._groups = {n: list(built) for n, built in self._groups.items() if n < low}
         ext._low = {n: r for n, r in self._low.items() if n < low}
         ext._monomials = {d: t for d, t in self._monomials.items() if d < low}
         ext._positions = {d: t for d, t in self._positions.items() if d < low}
         return ext
 
-    def monomial_index(self, d: int) -> dict[Monomial, int]:
-        """Position of each monomial in free_monomials(d)."""
-        index = self._positions.get(d)
-        if index is None:
-            index = {m: i for i, m in enumerate(self.free_monomials(d))}
-            self._positions[d] = index
-        return index
+
+def _least(node: dict, t: Monomial, start: int = 0):
+    """The least exponent a stored in the trie `node` under a path whose
+    factors divide t[start:], or math.inf.  Each path is a relation's tail
+    s, rank by rank, so a factor of s is looked for only among the later
+    factors of t."""
+    best = node.get(None, inf)
+    for i in range(start, len(t)):
+        name, f = t[i]
+        ways = node.get(name)
+        if ways:
+            for b, child in ways.items():
+                if b <= f:
+                    a = _least(child, t, i + 1)
+                    if a < best:
+                        best = a
+    return best
 
 
 def _exponents(g: Generator, n: int) -> range:
@@ -417,7 +495,11 @@ def _coerce_coeff(c) -> Rational:
 class Presentation:
     """A finitely presented cdga (Lambda(generators)/(relations), d).
 
-    `relations` are homogeneous elements of the free algebra; `differentials`
+    `relations` are homogeneous elements of the free algebra.  The basis of
+    each degree is its standard monomials (those that no single-term
+    relation divides) less the pivots of the other relations' echelon over
+    them; the quotient of a free algebra by monomials alone needs no
+    echelon.  `differentials`
     maps generator names to images (missing names mean zero).  `cap` bounds
     the degrees in which the presentation is faithful; validation (d*d = 0,
     ideal closure under d) is performed in all degrees it can reach below the
@@ -427,7 +509,8 @@ class Presentation:
     def __init__(self, generators, cap: int, *, relations=(), differentials=None,
                  simply_connected: bool = True, validate: bool = True,
                  extra_d_unknown=(), _engine: _SignEngine | None = None,
-                 _diff_raw: Mapping[str, dict] | None = None):
+                 _diff_raw: Mapping[str, dict] | None = None,
+                 _table: _MonomialTable | None = None):
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
@@ -454,6 +537,14 @@ class Presentation:
             if d > self.cap:
                 raise RangeExceedsCap(f"relation of degree {d} exceeds cap {self.cap}")
 
+        # the monomial relations are decided by the standard monomial table
+        # (a presentation with the same ones may hand in its `_table`); the
+        # others by one echelon per degree over its standard monomials
+        monomial = [next(iter(r)) for r in self.relations if len(r) == 1]
+        self._others = tuple(r for r in self.relations if len(r) > 1)
+        if _table is None:
+            _table = _MonomialTable(self._ctx, monomial) if monomial else self._ctx.free
+        self._table = _table
         self._ideal: dict[int, Echelon] = {}
         self._basis: dict[int, tuple[Monomial, ...]] = {}
         self._index: dict[int, dict[Monomial, int]] = {}
@@ -555,35 +646,51 @@ class Presentation:
         return self._ctx.free_monomials(d)
 
     def _ideal_echelon(self, d: int) -> Echelon:
+        """The echelon of the non-monomial relations' part of the degree-d
+        ideal, over the standard monomials: rows rel * s for standard s with
+        the other terms dropped.  A product with a non-standard monomial
+        lies in the ideal of the monomial relations, so these rows span the
+        ideal modulo it; the pivots of the whole ideal over the free
+        monomials are the non-standard ones and these."""
         ech = self._ideal.get(d)
         if ech is not None:
             return ech
-        ctx = self._ctx
-        index = ctx.monomial_index(d)
+        ctx, table = self._ctx, self._table
+        index = table.index(d)
         ech = Echelon(len(index))
-        for rel in self.relations:
+        for rel in self._others:
             e = ctx.mono_degree(next(iter(rel)))
             if e > d:
                 continue
-            for m in ctx.free_monomials(d - e):
-                prod = ctx.raw_mul({m: 1}, rel)
-                if prod:
-                    ech.add({index[mono]: c for mono, c in prod.items()})
+            for m in table.monomials(d - e):
+                row = {}
+                for mono, c in ctx.raw_mul({m: 1}, rel).items():
+                    i = index.get(mono)
+                    if i is not None:
+                        row[i] = c
+                if row:
+                    ech.add(row)
         self._ideal[d] = ech
         return ech
+
+    def _pivots(self, d: int):
+        """The pivots of degree d's echelon of non-monomial relations."""
+        return self._ideal_echelon(d).pivots if self._others else ()
 
     def _above_parts_top(self, d: int) -> bool:
         """Is degree d above the certified top of a tensor-like assembly?
 
         The assembly's quotient is the tensor product of its parts', so it
-        vanishes above the sum of their tops: the ideal echelon there has a
-        pivot on every monomial, and neither it nor the degree's monomial
-        table is built.
+        vanishes above the sum of their tops: no monomial there is in the
+        basis, and neither the degree's standard monomials nor its echelon
+        is built.
         """
         return self._parts_top is not None and d > self._parts_top
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
-        """Canonical monomial basis of the degree-d piece of the quotient."""
+        """Canonical monomial basis of the degree-d piece of the quotient:
+        the standard monomials that are not pivots of the echelon of the
+        other relations."""
         cached = self._basis.get(d)
         if cached is not None:
             return cached
@@ -597,22 +704,21 @@ class Presentation:
             self._basis[d] = result
             self._index[d] = {(): 0}
             return result
-        if self.is_free:
-            monos = self._ctx.free_monomials(d)
-            self._basis[d] = monos
-            self._index[d] = self._ctx.monomial_index(d)
-            return monos
-        if d > self.cap:
+        if not self.is_free and d > self.cap:
             raise RangeExceedsCap(
                 f"degree {d} exceeds cap {self.cap} of a presentation with relations")
         if self._above_parts_top(d):
             result = ()
+            index: dict = {}
         else:
-            pivots = self._ideal_echelon(d).pivots
-            result = tuple(m for i, m in enumerate(self._ctx.free_monomials(d))
-                           if i not in pivots)
+            result = self._table.monomials(d)
+            index = self._table.index(d)
+            pivots = self._pivots(d)
+            if pivots:
+                result = tuple(m for i, m in enumerate(result) if i not in pivots)
+                index = {m: i for i, m in enumerate(result)}
         self._basis[d] = result
-        self._index[d] = {m: i for i, m in enumerate(result)}
+        self._index[d] = index
         return result
 
     def dim(self, d: int) -> int:
@@ -623,8 +729,9 @@ class Presentation:
 
         The terms come out degree by degree, each degree in the order of its
         free monomials, as elimination against each degree's ideal echelon
-        leaves them.  When no term sits at a pivot of its degree's echelon
-        and none lies above the cap, elimination would change no
+        over the free monomials would leave them.  When every term is
+        standard, none sits at a pivot of its degree's echelon of the other
+        relations and none lies above the cap, elimination would change no
         coefficient, so the terms are only put in that order: zero
         coefficients dropped and an integral Fraction written as its int,
         as the elimination writes them.  A term above an assembly's
@@ -633,8 +740,8 @@ class Presentation:
         """
         if self.is_free or not terms:
             return dict(terms)
-        ctx, cap = self._ctx, self.cap
-        seen: dict[int, tuple] = {}  # degree -> (monomial index, ideal pivots)
+        ctx, cap, table = self._ctx, self.cap, self._table
+        seen: dict[int, tuple] = {}  # degree -> (standard index, other pivots)
         keyed = []
         for m, c in terms.items():
             d = ctx.mono_degree(m)
@@ -644,9 +751,9 @@ class Presentation:
                     return self._eliminate(terms)
                 if self._above_parts_top(d):
                     continue  # the term is zero in the quotient
-                look = seen[d] = (ctx.monomial_index(d), self._ideal_echelon(d).pivots)
-            i = look[0][m]
-            if i in look[1]:
+                look = seen[d] = (table.index(d), self._pivots(d))
+            i = look[0].get(m)
+            if i is None or i in look[1]:
                 return self._eliminate(terms)
             if c:
                 keyed.append((d, i, m, c))
@@ -654,7 +761,12 @@ class Presentation:
         return {m: c.numerator if c.denominator == 1 else c for _, _, m, c in keyed}
 
     def _eliminate(self, terms: Mapping[Monomial, Rational]) -> dict:
-        """reduce_raw by elimination in every degree of the terms."""
+        """reduce_raw in every degree of the terms: the non-standard terms
+        are dropped and the rest reduced by the degree's echelon of the
+        other relations, if any.  For monomial relations J and others R,
+        the echelon of J + R over the free monomials has the non-standard
+        monomials and the pivots of R modulo J as its pivots, so this is
+        elimination against it, term for term."""
         by_degree: dict[int, dict] = {}
         for m, c in terms.items():
             by_degree.setdefault(self._ctx.mono_degree(m), {})[m] = c
@@ -665,9 +777,17 @@ class Presentation:
                     f"degree {d} exceeds cap {self.cap} of a presentation with relations")
             if self._above_parts_top(d):
                 continue
-            monos = self._ctx.free_monomials(d)
-            index = self._ctx.monomial_index(d)
-            red = self._ideal_echelon(d).reduce({index[m]: c for m, c in part.items()})
+            monos, index = self._table.monomials(d), self._table.index(d)
+            vec = {}
+            for m, c in part.items():
+                i = index.get(m)
+                if i is not None and c:
+                    vec[i] = c
+            if self._others:
+                red = self._ideal_echelon(d).reduce(vec)
+            else:  # as `reduce` writes the terms: in order, normalised
+                red = {i: vec[i].numerator if vec[i].denominator == 1 else vec[i]
+                       for i in sorted(vec)}
             for i, c in red.items():
                 out[monos[i]] = c
         return out
@@ -1409,13 +1529,15 @@ def quotient_by_ideal(P: Presentation, ideal_gens: Iterable[AlgebraElement]):
         if not raw:
             continue
         extra.append(raw)
+    # no new monomial relation: the standard monomials stay P's
+    table = None if any(len(raw) == 1 for raw in extra) else P._table
     Q = Presentation(P.generators, P.cap,
                      relations=tuple(P.relations) + tuple(extra),
                      differentials=P._diff_raw,
                      simply_connected=P.simply_connected,
                      extra_d_unknown=sorted(n for n in P.d_unknown
                                             if n not in P._diff_raw),
-                     _engine=P._ctx)
+                     _engine=P._ctx, _table=table)
     proj = CdgaMorphism(P, Q, {g.name: Q.gen(g.name) for g in P.generators},
                         check=False, name="proj")
     return Q, proj

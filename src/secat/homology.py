@@ -508,6 +508,7 @@ class IdealPowers:
             self.generators.append(g)
             self.gen_degrees.append(d)
         self.levels: list[list[SpanningProduct]] = []
+        self._spans: dict[tuple[int, int], Echelon] = {}
 
     def _prune(self, products: list[SpanningProduct]) -> list[SpanningProduct]:
         echs: dict[int, Echelon] = {}
@@ -548,7 +549,14 @@ class IdealPowers:
         return self.levels[m - 1]
 
     def span_echelon(self, m: int, d: int) -> Echelon:
-        """Echelon of the degree-d piece of the m-th power."""
+        """Echelon of the degree-d piece of the m-th power, built once per
+        (m, d); callers only read it."""
+        ech = self._spans.get((m, d))
+        if ech is None:
+            ech = self._spans[(m, d)] = self._build_span(m, d)
+        return ech
+
+    def _build_span(self, m: int, d: int) -> Echelon:
         ech = Echelon(self.view.dim(d))
         for p in self.level(m):
             if p.degree > d:

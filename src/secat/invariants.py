@@ -797,17 +797,14 @@ def _first_outside(powers: IdealPowers, listed, needed):
     `powers` spans from the `listed` generators, or None.
 
     An element listed word for word is in the ideal with no elimination;
-    the others need one level-1 span echelon per degree.
+    the others need the level-1 span echelon of their degree.
     """
     words = {frozenset(g.terms.items()) for g in listed}
-    spans = {}
     for g in sorted(needed, key=lambda g: g.degree()):
         if frozenset(g.terms.items()) in words:
             continue
         d = g.degree()
-        if d not in spans:
-            spans[d] = powers.span_echelon(1, d)
-        if not spans[d].contains(powers.view.to_coords(g, d)):
+        if not powers.contains(1, g, d):
             return d
     return None
 

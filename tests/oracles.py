@@ -10,6 +10,7 @@ The last section keeps plain loops that the engine has since shortened:
 they call the engine's arithmetic, but none of its memos or early exits.
 """
 
+import weakref
 from fractions import Fraction
 
 from secat.core import AlgebraElement, RangeExceedsCap
@@ -363,6 +364,34 @@ def mul_mono_sorted(ctx, m1, m2):
     return sign, tuple(sorted(merged.items(), key=lambda p: ctx.rank[p[0]]))
 
 
+# degree -> the echelon of the whole ideal over the free monomials, per
+# presentation, for as long as the presentation lives
+_IDEAL_ECHELONS = weakref.WeakKeyDictionary()
+
+
+def ideal_echelon(P, d):
+    """The echelon of the degree-d piece of P's whole relation ideal over
+    the free monomials: one row rel * m per relation and per free monomial
+    m of the complementary degree, with no split into monomial relations
+    and others."""
+    cache = _IDEAL_ECHELONS.setdefault(P, {})
+    ech = cache.get(d)
+    if ech is None:
+        ctx = P._ctx
+        index = ctx.free.index(d)
+        ech = Echelon(len(index))
+        for rel in P.relations:
+            e = ctx.mono_degree(next(iter(rel)))
+            if e > d:
+                continue
+            for m in ctx.free_monomials(d - e):
+                prod = ctx.raw_mul({m: 1}, rel)
+                if prod:
+                    ech.add({index[mono]: c for mono, c in prod.items()})
+        cache[d] = ech
+    return ech
+
+
 def basis_eliminated(P, d):
     """Presentation.basis of a presentation with relations from the ideal
     echelon of degree d, in every degree up to the cap: the free monomials
@@ -370,7 +399,7 @@ def basis_eliminated(P, d):
     if d > P.cap:
         raise RangeExceedsCap(
             f"degree {d} exceeds cap {P.cap} of a presentation with relations")
-    pivots = P._ideal_echelon(d).pivots
+    pivots = ideal_echelon(P, d).pivots
     return tuple(m for i, m in enumerate(P.free_monomials(d)) if i not in pivots)
 
 
@@ -389,8 +418,8 @@ def reduce_raw_eliminated(P, terms):
             raise RangeExceedsCap(
                 f"degree {d} exceeds cap {P.cap} of a presentation with relations")
         monos = ctx.free_monomials(d)
-        index = ctx.monomial_index(d)
-        red = P._ideal_echelon(d).reduce({index[m]: c for m, c in part.items()})
+        index = ctx.free.index(d)
+        red = ideal_echelon(P, d).reduce({index[m]: c for m, c in part.items()})
         for i, c in red.items():
             out[monos[i]] = c
     return out

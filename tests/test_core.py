@@ -13,9 +13,9 @@ from secat.cli import main
 from secat.construct import build_minimal_model, diagonal_model, multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                         Generator, Inhomogeneous, NotFree, NotSquareZero,
-                        Presentation, RangeExceedsCap, _SignEngine, format_element,
-                        identity_morphism, quotient_by_ideal, sub_presentation,
-                        tensor, tensor_power)
+                        Presentation, RangeExceedsCap, _MonomialTable, _SignEngine,
+                        format_element, identity_morphism, quotient_by_ideal,
+                        sub_presentation, tensor, tensor_power)
 from secat.lang import parse_document, parse_element, realize_document
 
 from conftest import MODELS, load_model
@@ -208,6 +208,17 @@ def test_monomial_tables_match_the_brute_force_oracle(gens, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(gens=generator_lists(), d=st.integers(0, 12))
+def test_free_monomials_come_sorted_by_mono_key(gens, d):
+    """Each degree's free monomials are in the order of _SignEngine.mono_key
+    (word length, then the (rank, exponent) pairs), the order that the
+    standard monomial tables keep by filtering them."""
+    ctx = _SignEngine(tuple(Generator(n, e) for n, e in gens))
+    monos = ctx.free_monomials(d)
+    assert list(monos) == sorted(monos, key=ctx.mono_key)
+
+
+@settings(max_examples=60, deadline=None)
 @given(gens=generator_lists())
 def test_mul_mono_matches_the_sorting_oracle(gens):
     """The one-pass merge gives the dict-and-sort product on every pair of
@@ -238,11 +249,14 @@ def test_monomial_tables_are_not_built_by_recursion_over_degrees():
 
 def _monomials_held(engine):
     """How many distinct monomials an engine holds: the tuples of (name,
-    exponent) pairs reachable from its attributes, whatever their layout."""
+    exponent) pairs reachable from its attributes and its monomial table's,
+    whatever their layout."""
     held, stack = set(), list(vars(engine).values())
     while stack:
         x = stack.pop()
-        if isinstance(x, dict):
+        if isinstance(x, _MonomialTable):
+            stack.extend(vars(x).values())
+        elif isinstance(x, dict):
             stack.extend(x.keys())
             stack.extend(x.values())
         elif isinstance(x, list):
@@ -322,19 +336,24 @@ def test_one_query_enumerates_each_degree_of_each_generator_tuple_once(
         monkeypatch, capsys):
     """Presentations on one generator tuple share its monomial tables: the
     quotients of the surjection bounds and of the resolutions, the
-    tensor power and the parsed model."""
+    tensor power and the parsed model.  A table of standard monomials is
+    shared by the quotients that add no monomial relation, so no degree of
+    one generator tuple and one set of monomial relations is enumerated
+    twice."""
     enumerated = collections.Counter()
-    free_monomials = _SignEngine.free_monomials
+    monomials = _MonomialTable.monomials
 
     def counted(self, d):
         if d >= 0 and d not in self._monomials:
-            enumerated[(self.generators, d)] += 1
-        return free_monomials(self, d)
+            enumerated[(self.by_rank, self.relations, d)] += 1
+        return monomials(self, d)
 
-    monkeypatch.setattr(_SignEngine, "free_monomials", counted)
+    monkeypatch.setattr(_MonomialTable, "monomials", counted)
     assert main(["tc", str(MODELS / "truncated_mix.cdga"), "--n", "2"]) == 0
     capsys.readouterr()
     assert enumerated and max(enumerated.values()) == 1
+    # the product T (x) T and the diagonal source have standard tables
+    assert any(relations for _, relations, _ in enumerated)
 
 
 def test_leibniz_rule(models):
@@ -493,6 +512,23 @@ def test_dims_match_oracle_quotient_bases(models):
             assert P.dim(d) == len(orc.quotient_basis(gens, rels, d)), (name, d)
 
 
+def test_standard_monomials_compare_every_exponent():
+    """A relation divides a monomial only when each of its exponents is at
+    most the monomial's: a*b^2 kills a*b^2*e but not a*b or a^2*b*e, and
+    b*c*e kills b^2*c*e but not b*c or c*e.  The standard monomials are the
+    basis that elimination over the free monomials leaves."""
+    P = Presentation([("a", 2), ("b", 2), ("c", 3), ("e", 4)], 12,
+                     relations=[{(("a", 1), ("b", 2)): 2}, {(("a", 2), ("c", 1)): -1},
+                                {(("b", 1), ("c", 1), ("e", 1)): 1},
+                                {(("c", 1), ("e", 2)): Fraction(1, 2)}])
+    for d in range(P.cap + 1):
+        assert P.basis(d) == orc.basis_eliminated(P, d), d
+    assert (("a", 1), ("b", 1)) in P.basis(4)
+    assert (("a", 2), ("b", 1), ("e", 1)) in P.basis(10)
+    assert (("a", 1), ("b", 2), ("e", 1)) not in P.basis(10)
+    assert not P._ideal
+
+
 def test_monomial_relations_reduce_to_zero(models):
     CP2, T = models["CP2"], models["T"]
     assert not parse_element("a^3", CP2).terms
@@ -613,15 +649,16 @@ def test_a_product_with_an_even_free_part_has_no_top_before_any_piece(models):
     with even generators, among its parts: top_degree_if_finite answers None
     without building one graded piece, as the window scan over all 30 does."""
     source = diagonal_model(models["T"], 3, 30).source
-    built = len(source._ideal)
+    built = (len(source._table._monomials), len(source._ideal))
     assert source.top_degree_if_finite() is None
-    assert len(source._ideal) == built
+    assert (len(source._table._monomials), len(source._ideal)) == built
     assert orc.window_scan_top(source) is None
 
 
 def test_tc_n3_builds_the_diagonal_source_only_up_to_degree_14(monkeypatch, capsys):
-    """tc T --n 3 reaches the diagonal source's ideal echelon in degrees
-    1-14 only, none of the 16 above them up to its cap of 30."""
+    """tc T --n 3 builds the diagonal source's standard monomials in degrees
+    1-14 only, none of the 16 above them up to its cap of 30, and no
+    echelon: its relations, T's, are monomials."""
     sources = []
     build = invariants.diagonal_model
 
@@ -635,9 +672,31 @@ def test_tc_n3_builds_the_diagonal_source_only_up_to_degree_14(monkeypatch, caps
     capsys.readouterr()
     [source] = sources
     assert source.cap == 30
-    assert source._ideal and max(source._ideal) <= 14
+    built = set(source._table._monomials)
+    assert max(built) > 1 and max(built) <= 14
+    assert not source._ideal
 
 
+def test_tc_n4_builds_no_free_monomial_table_and_no_echelon(monkeypatch, models):
+    """After tc_bounds(T, 4), the diagonal source T (x) M^{(x) 3} and the
+    multiplication source T^{(x) 4} hold no free monomial table above degree
+    0 on their engines and no ideal echelon: T's relations are monomials,
+    so both are read off their standard monomial tables, which are built."""
+    built = []
+    multiplication = invariants.multiplication_morphism
+
+    def recorded(*args, **kwargs):
+        mult = multiplication(*args, **kwargs)
+        built.append(mult.power.pres)
+        return mult
+
+    monkeypatch.setattr(invariants, "multiplication_morphism", recorded)
+    rep = invariants.tc_bounds(models["T"], 4, label="T")
+    [power] = built
+    for P in (rep.diagonal.source, power):
+        assert set(P._ctx.free._monomials) == {0} and not P._ctx.free._groups
+        assert not P._ideal
+        assert max(P._table._monomials) > 8
 def test_tensor_power_naming(models):
     tp = tensor_power(models["S3"], 3, cap=9)
     assert [g.name for g in tp.pres.generators] == ["u1", "u2", "u3"]

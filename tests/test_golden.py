@@ -35,12 +35,14 @@ MORPHISM_COMMAND = "secat"
 # (file name, cdga label, command key, options) run away from the defaults:
 # cat T at cap 16 solves a 3533 x 3467 module-retraction system; at cap 18
 # its full level-2 system would be 13476 x 12799 and level 3 is 6681 x 6549.
-# tc T at n = 3 works on the diagonal T (x) M (x) M of T's minimal model M.
+# tc T at n = 3 works on the diagonal T (x) M (x) M of T's minimal model M,
+# and at n = 4 on T (x) M^{(x) 3} beside the multiplication source T^{(x) 4}.
 # minimal-model T at cap 22 and W at cap 26 are the deepest models built, with
 # 58 and 83 generators.
 EXTRA_CASES = [("truncated_mix.cdga", "T", "cat", {"cap": 16}),
                ("truncated_mix.cdga", "T", "cat", {"cap": 18}),
                ("truncated_mix.cdga", "T", "tc", {"n": 3}),
+               ("truncated_mix.cdga", "T", "tc", {"n": 4}),
                ("truncated_mix.cdga", "T", "minimal-model", {"cap": 22}),
                ("wedge.cdga", "W", "minimal-model", {"cap": 26})]
 

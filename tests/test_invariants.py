@@ -1,5 +1,6 @@
 """Invariant bounds, worked examples, and certificate verification."""
 
+import collections
 import json
 import sys
 
@@ -10,7 +11,7 @@ from conftest import MODELS
 import secat.core
 from secat.cli import main
 from secat.core import CdgaError, RangeExceedsCap
-from secat.homology import homology
+from secat.homology import IdealPowers, homology
 from secat.lang import make_presentation, parse_document
 from secat.invariants import (
     Bound, CERT_FORMAT, Certificate, augmentation_morphism, cat_bounds,
@@ -441,6 +442,29 @@ def test_acyclic_ideal_certificates(models):
         "hi": 8, "generators": ["a^2", "x"], "contained": ["a"]})
     ok, detail = _verify(outside, models)
     assert not ok and "not in the ideal" in detail
+
+
+def test_acyclic_ideal_containment_builds_each_span_echelon_once(monkeypatch, models):
+    """The check reads the level-1 span of degree 4 for d(x) and for a^2,
+    that of degree 9 for a^3*x, and the homology every degree's span up to
+    9: each (level, degree) echelon is built once, however often it is
+    read."""
+    built = collections.Counter()
+    build = IdealPowers._build_span
+
+    def counted(self, m, d):
+        built[(m, d)] += 1
+        return build(self, m, d)
+
+    monkeypatch.setattr(IdealPowers, "_build_span", counted)
+    cert = Certificate("acyclic-ideal-containment",
+                       {"construction": "presentation", "cdga": "S2"},
+                       {"hi": 8, "generators": ["a^2", "x"],
+                        "contained": ["a^2", "a^3*x"]})
+    ok, _ = _verify(cert, models)
+    assert ok
+    assert built[(1, 4)] == 1 and built[(1, 9)] == 1
+    assert set(built.values()) == {1}
 
 
 def test_odd_generated_rejections(models):

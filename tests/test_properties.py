@@ -2,22 +2,26 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import MODELS, load_model
+from conftest import MODELS, ROOT, load_model
 import oracles as orc
 
 from secat.construct import diagonal_model, multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, Presentation, RangeExceedsCap,
-                        tensor, tensor_power)
+                        quotient_by_ideal, tensor, tensor_power)
 from secat.homology import homology, kernel_ideal_generators
 from secat.invariants import (
-    Certificate, cat_bounds, certificate_from_json, tc_bounds,
+    cat_bounds, certificate_from_json, tc_bounds,
     verify_certificate,
 )
+
+sys.path.insert(0, str(ROOT / "scripts"))
+import fuzz_certificates  # noqa: E402
 
 SEED = 20260815
 BULK_MODELS = ["coformal.cdga", "truncated_mix.cdga", "sum_of_squares.cdga",
@@ -256,7 +260,7 @@ def test_the_top_rule_needs_every_part_top_certified(models):
     """The diagonal source T (x) M has T's minimal model M, free on even
     generators, among its parts, and T at cap 10 cannot certify its top 8
     (8 + 5 > 10): neither product records a top, and above 8 + 8 their
-    pieces still come from the ideal echelon."""
+    pieces are still built from the relations, as standard monomials."""
     source = diagonal_model(models["T"], 2, 22).source
     T10 = load_model("truncated_mix.cdga", cap=10)[0]["T"]
     assert T10.top_degree_if_finite() is None
@@ -264,7 +268,102 @@ def test_the_top_rule_needs_every_part_top_certified(models):
         assert P._parts_top is None
         for d in range(17, P.cap + 1):
             assert P.basis(d) == orc.basis_eliminated(P, d)
-            assert d in P._ideal
+            assert d in P._table._monomials
+
+
+_RELATION_COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def _relation_presentations(draw, cap):
+    """A presentation with d = 0 on one to four of a, b, c, e of degrees
+    1-4, with one to three monomial, binomial or mixed relations in degrees
+    <= cap, whose coefficients need not be 1.  Degree-1 generators come
+    under simply_connected=False, which is drawn for the others too."""
+    gens = [(n, draw(st.integers(1, 4)))
+            for n in ("a", "b", "c", "e")[:draw(st.integers(1, 4))]]
+    sc = all(e >= 2 for _, e in gens) and draw(st.booleans())
+    free = Presentation(gens, cap, simply_connected=sc)
+    degrees = [d for d in range(1, cap + 1) if free.free_monomials(d)]
+    kind = draw(st.sampled_from(["monomial", "binomial", "mixed"]))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = free.free_monomials(draw(st.sampled_from(degrees)))
+        size = {"monomial": 1, "binomial": 2}.get(kind) or draw(st.integers(1, 3))
+        if len(monos) >= size:
+            picks = draw(st.lists(st.sampled_from(monos), min_size=size,
+                                  max_size=size, unique=True))
+            relations.append({m: draw(st.sampled_from(_RELATION_COEFFICIENTS))
+                              for m in picks})
+    return Presentation(gens, cap, relations=relations, simply_connected=sc)
+
+
+@st.composite
+def _relation_quotients(draw):
+    """A _relation_presentations draw, its tensor product with another or
+    its tensor square, then perhaps a quotient of that by one or two
+    elements: single terms (new monomial relations) or sums of two."""
+    cap = 7
+    A = draw(_relation_presentations(cap))
+    shape = draw(st.sampled_from(["alone", "tensor", "square"]))
+    if shape == "tensor":
+        P = tensor(A, draw(_relation_presentations(cap)), cap=cap).pres
+    elif shape == "square":
+        P = tensor_power(A, 2, cap=cap).pres
+    else:
+        P = A
+    if draw(st.booleans()):
+        elements = []
+        for _ in range(draw(st.integers(1, 2))):
+            monos = P.free_monomials(draw(st.integers(1, cap)))
+            if monos:
+                picks = draw(st.lists(st.sampled_from(monos), min_size=1,
+                                      max_size=2, unique=True))
+                elements.append(P.element(
+                    {m: draw(st.sampled_from(_RELATION_COEFFICIENTS)) for m in picks}))
+        P, _ = quotient_by_ideal(P, elements)
+    return P
+
+
+def _same_or_same_error(want, got):
+    """want() and got() give the same value, or raise the same
+    RangeExceedsCap text."""
+    try:
+        expected = want()
+    except RangeExceedsCap as exc:
+        with pytest.raises(RangeExceedsCap, match=f"^{re.escape(str(exc))}$"):
+            got()
+        return None
+    return expected, got()
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=_relation_quotients(), data=st.data())
+def test_standard_monomials_and_their_echelon_match_the_ideal_echelon(P, data):
+    """basis, dim and reduce_raw, read off the standard monomials and the
+    echelon of the non-monomial relations over them, agree with elimination
+    against the echelon of the whole ideal over the free monomials: the
+    same monomials, the same terms in the same key order with the same
+    coefficient types, or the same RangeExceedsCap text above the cap."""
+    assume(not P.is_free)
+    for d in range(-1, P.cap + 2):
+        pair = _same_or_same_error(lambda: orc.basis_eliminated(P, d),
+                                   lambda: P.basis(d))
+        if pair is not None:
+            assert pair[1] == pair[0]
+            assert P.dim(d) == len(pair[0])
+    pool = [m for d in range(P.cap + 2) for m in P.free_monomials(d)]
+    for _ in range(4):
+        chosen = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                    min_size=1, max_size=6))
+        terms = {m: data.draw(st.sampled_from([1, -2, Fraction(1, 3), Fraction(4, 2)]))
+                 for m in chosen}
+        pair = _same_or_same_error(lambda: orc.reduce_raw_eliminated(P, terms),
+                                   lambda: P.reduce_raw(terms))
+        if pair is not None:
+            want, got = pair
+            assert list(got.items()) == list(want.items())
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -300,58 +399,7 @@ def test_tc_chains(models):
 
 
 # ---------------------------------------------------------------------------
-# certificate fuzzing: systematic corruptions must all be rejected
-
-
-def _corruptions(cert, kernel_nil):
-    """Yield (description, corrupted certificate).
-
-    Every yielded corruption makes the claim false or malformed, so a sound
-    verifier must reject it.  Pure rescalings of witnesses are NOT corruptions:
-    scalar multiples of a nonzero class stay nonzero, so those certificates
-    remain genuinely valid and are excluded here.
-    """
-    kind, ctx, data = cert.kind, cert.context, cert.data
-    if kind == "nil-witness":
-        yield "factor count", Certificate(kind, ctx, dict(
-            data, factors=list(data["factors"]) + [data["factors"][0]]))
-        yield "factor index", Certificate(kind, ctx, dict(
-            data, factors=[len(data["generators"]) + 5] * data["level"]))
-    elif kind == "kernel-power-vanishes":
-        if data["m"] >= 1:
-            yield "power too small", Certificate(kind, ctx, dict(
-                data, m=data["m"] - 1))
-    elif kind == "rho-injectivity-range":
-        if data["m"] >= 1:
-            yield "range too early", Certificate(kind, ctx, dict(
-                data, m=data["m"] - 1))
-    elif kind == "rho-noninjectivity-witness":
-        yield "level where it survives", Certificate(kind, ctx, dict(
-            data, m=kernel_nil))
-        yield "zero witness", Certificate(kind, ctx, dict(data, witness="0"))
-    elif kind == "module-retraction":
-        # zero values can be genuinely free (their chain equation may sit
-        # beyond the verified window), so only forced coordinates are
-        # corrupted: the unit, and every nonzero value, whose sign flip
-        # breaks the in-range equation that determined it
-        yield "unit", Certificate(kind, ctx, dict(
-            data, values=dict(data["values"], **{"1": "0"})))
-        for g, v in sorted(data["values"].items()):
-            if g != "1" and v != "0":
-                yield f"value at {g}", Certificate(kind, ctx, dict(
-                    data, values=dict(data["values"], **{g: f"-({v})"})))
-    elif kind == "odd-generated":
-        yield "missing generator", Certificate(kind, ctx, dict(
-            data, generators=data["generators"][:-1]))
-        name, deg = data["generators"][0]
-        yield "shifted degree", Certificate(kind, ctx, dict(
-            data, generators=[[name, deg + 1]] + data["generators"][1:]))
-    elif kind == "pd-collapse":
-        yield "top too high", Certificate(kind, ctx, dict(
-            data, top=data["top"] + 1))
-        yield "top too low", Certificate(kind, ctx, dict(
-            data, top=data["top"] - 1))
-
+# certificate fuzzing: the fuzz script's corruptions must all be rejected
 
 
 def test_every_corruption_is_rejected(models, morphisms):
@@ -372,7 +420,7 @@ def test_every_corruption_is_rejected(models, morphisms):
     for cert, nil_k in sample:
         ok, detail = verify_certificate(cert, models, morphisms)
         assert ok, f"pristine {cert.kind} rejected: {detail}"
-        for desc, bad in _corruptions(cert, nil_k):
+        for desc, bad in fuzz_certificates.corruptions(cert, nil_k):
             total += 1
             try:
                 ok, detail = verify_certificate(bad, models, morphisms)
@@ -383,5 +431,5 @@ def test_every_corruption_is_rejected(models, morphisms):
                 rejected += 1
             else:
                 pytest.fail(f"{cert.kind} corruption {desc!r} was accepted")
-    assert total >= 25
+    assert total >= 41
     assert rejected == total
