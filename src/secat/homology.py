@@ -36,7 +36,8 @@ kernel of d on the basis elements that are not boundary pivots, lifted back
 to degree d.  That kernel comes from linalg.kernel_span, one elimination of
 the transposed rows, and is echelonized again; no cycle outside it is built.
 The kernels whose basis reaches output (the kill cycles of hit_and_kill,
-kernel_basis, induced_kernel) stay on the canonical kernel_combos.
+kernel_basis, induced_kernel, quotient_kernel) stay on the canonical
+kernel_combos.
 """
 
 from __future__ import annotations
@@ -201,6 +202,30 @@ def induced_kernel(phi, H_src: HomologyReport, H_tgt: HomologyReport, d: int) ->
         return []
     combos = kernel_combos(induced_matrix(phi, H_src, H_tgt, d), H_tgt.betti(d))
     return [H_src.cycle(combo, d) for combo in combos]
+
+
+def quotient_kernel(H: HomologyReport, ideal: Echelon, d: int) -> list:
+    """Cycles spanning ker(H^d(X) -> H^d(X/J)) for a d-stable ideal J whose
+    degree-d piece is spanned by `ideal`, without building X/J.
+
+    The projection X -> X/J is onto and commutes with d, so the class of a
+    cycle z dies in X/J exactly when z lies in B^d + J_d.  The class
+    representatives are reduced against one echelon of B^d + J_d, and the
+    kernel of those reduced columns is {c : sum c_i z_i in B^d + J_d}, the
+    same space as the kernel of the induced map on the quotient's homology.
+    kernel_combos returns the canonical basis of that space, so each row is
+    the one induced_kernel would give against H(X/J).
+    """
+    if not H.betti(d):
+        return []
+    width = H.complex.dim(d)
+    ech = Echelon(width)
+    for span in (H._boundaries[d], ideal):
+        for row in span.rows:
+            ech._add(row)
+    cols = [ech.reduce({j: c for j, c in enumerate(row) if c})
+            for row in H._class_rows[d]]
+    return [H.cycle(combo, d) for combo in kernel_combos(cols, width)]
 
 
 def quasi_iso_failure(phi: CdgaMorphism, lo: int, hi: int,

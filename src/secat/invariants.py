@@ -31,15 +31,15 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-from .core import (AlgebraElement, CdgaError, CdgaMorphism, NotSurjective,
-                   Presentation, RangeExceedsCap, quotient_by_ideal,
-                   sub_presentation)
+from .core import (AlgebraElement, CdgaError, CdgaMorphism, IdealNotClosed,
+                   NotSurjective, Presentation, RangeExceedsCap,
+                   quotient_by_ideal, sub_presentation)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        induced_kernel, kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, positive_part_generators,
-                       span_complex_homology)
-from .linalg import solve_combo
+                       quotient_kernel, span_complex_homology)
+from .linalg import Echelon, solve_combo
 from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
 from .semifree import (UNIT, find_module_retraction, resolve_and_retract,
@@ -183,13 +183,16 @@ def augmentation_morphism(M: Presentation) -> CdgaMorphism:
     return CdgaMorphism(M, unit, images, check=True, name="aug")
 
 
-def _injectivity_failure(phi: CdgaMorphism, H_src: HomologyReport,
-                         H_tgt: HomologyReport, lo: int, hi: int):
-    """(degree, nonzero source class killed by H(phi)), or None if injective."""
-    for d in range(lo, hi + 1):
-        kernel = induced_kernel(phi, H_src, H_tgt, d)
-        if kernel:
-            return d, kernel[0]
+def _injectivity_failure(H_S: HomologyReport, powers: IdealPowers, m: int,
+                         hi: int):
+    """(degree, nonzero class of H(S) that dies in H(S/I^{m+1})), or None
+    when H(S) -> H(S/I^{m+1}) is injective in degrees 1..hi; I is the ideal
+    of `powers`, and no quotient is built (see quotient_kernel)."""
+    for d in range(1, hi + 1):
+        if H_S.betti(d):
+            kernel = quotient_kernel(H_S, powers.span_echelon(m + 1, d), d)
+            if kernel:
+                return d, kernel[0]
     return None
 
 
@@ -282,11 +285,12 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     quotient complexes in degrees <= hi are insensitive to generators above
     hi, and above content_top the source homology is zero.
 
-    Each level m is the quotient S/I^{m+1} with its homology in degrees <=
-    hi.  The h-loop tries levels upward from nil ker H(phi) and stops at the
-    h-invariant's upper end; the m-loop starts at that same level, so it
-    resolves the quotient the h-loop built last and builds only the levels
-    above.
+    Level m is the quotient S/I^{m+1}.  The h-loop tries levels upward from
+    nil ker H(phi) and stops at the h-invariant's upper end.  It builds no
+    quotient: quotient_kernel decides each degree where H(S) is nonzero
+    from the span of I^{m+1} there.  The m-loop starts at the h-loop's last
+    level and builds S/I^{m+1}, with its homology in degrees <= hi, only
+    for the levels it resolves.
     """
     S, B = phi.source, phi.target
     cap = S.cap
@@ -355,16 +359,10 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         if kernel_absolute else
         f"(ker phi)^{nil_k + 1} has no nonzero part in degrees <= {view_hi}")
 
-    def level_quotient(level):
-        """S -> S/I^{level+1} and the quotient's homology in degrees <= hi."""
-        Q, proj = quotient_by_ideal(S, [p.element for p in powers.level(level + 1)])
-        return proj, homology(Q, 0, hi)
-
     # h-invariant: least m with H(S) -> H(S / I^{m+1}) injective on the range
     m = h_bound.lower or 0
     while True:
-        proj, H_Q = level_quotient(m)
-        fail = _injectivity_failure(proj, H_S, H_Q, 1, hi)
+        fail = _injectivity_failure(H_S, powers, m, hi)
         if fail is None:
             cert = Certificate(
                 "rho-injectivity-range", ctx,
@@ -390,10 +388,8 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         E = hi
         mm = m_bound.lower or 0
         while True:
-            # the first level is the h-loop's last: its quotient is reused
-            if mm != m:
-                proj, H_Q = level_quotient(mm)
-            module, ret = resolve_and_retract(proj, H_Q, E)
+            Q, proj = quotient_by_ideal(S, [p.element for p in powers.level(mm + 1)])
+            module, ret = resolve_and_retract(proj, homology(Q, 0, hi), E)
             if ret is not None:
                 check = verify_module_retraction(module, ret.values, E)
                 if check is not None:
@@ -809,22 +805,41 @@ def _first_outside(powers: IdealPowers, listed, needed):
     return None
 
 
-def _kernel_power(phi: CdgaMorphism, listed, pedigreed, m: int, view_hi: int):
-    """Spanning elements of (ker phi)^(m+1) in degrees <= view_hi.
+def _kernel_powers(phi: CdgaMorphism, listed, pedigreed, m: int,
+                   view_hi: int) -> IdealPowers:
+    """Powers of the kernel ideal in degrees <= view_hi, with the spanning
+    products of (ker phi)^(m+1) built.
 
     The kernel generators are the `listed` expressions, checked to map to
     zero, else the pedigreed ones, else those derived up to view_hi.  Only a
     lower-bound claim may pass `listed`: listed elements need not generate
     the whole kernel, and a smaller ideal only makes such a claim harder.
+    Nor need they generate a d-stable ideal, and without one there is no
+    quotient complex: as a quotient presentation checks its relations, d of
+    each spanning product must lie in the power's span one degree up, unless
+    that degree is above the cap or the product holds a generator whose d
+    lies beyond it.  A power of ker phi itself is d-stable.
     """
+    S = phi.source
     if listed is not None:
         kgens = _checked_kernel_gens(phi, listed)
     elif pedigreed is not None:
         kgens = pedigreed
     else:
         kgens = kernel_ideal_generators(phi, view_hi)
-    powers = IdealPowers(PresentationView(phi.source, view_hi), kgens)
-    return [p.element for p in powers.level(m + 1)]
+    powers = IdealPowers(PresentationView(S, view_hi), kgens)
+    level = powers.level(m + 1)  # refuses m < 0 before any verdict
+    if listed is None:
+        return powers
+    for p in level:
+        if p.degree + 1 > S.cap or any(
+                n in S.d_unknown for mono in p.element.terms for n, _ in mono):
+            continue
+        dp = p.element.d()
+        if dp.terms and not powers.contains(m + 1, dp, p.degree + 1):
+            raise IdealNotClosed("differential of a relation is not in the ideal",
+                                 witness=p.element.terms)
+    return powers
 
 
 def verify_certificate(cert: Certificate, presentations: dict,
@@ -899,12 +914,15 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
             return False, f"witness is not homogeneous of degree {deg}"
         if z.d().terms:
             return False, "witness is not a cycle"
-        if homology(S, deg, deg).is_zero_class(z, deg):
+        H = homology(S, deg, deg)
+        if H.is_zero_class(z, deg):
             return False, "witness class is zero before passing to the quotient"
-        elements = _kernel_power(phi, data.get("kernel_generators"),
-                                 pedigreed, m, deg + 1)
-        Q, proj = quotient_by_ideal(S, elements)
-        if not homology(Q, deg, deg).is_zero_class(proj.apply(z), deg):
+        powers = _kernel_powers(phi, data.get("kernel_generators"),
+                                pedigreed, m, deg + 1)
+        dead = Echelon(H.betti(deg))
+        for k in quotient_kernel(H, powers.span_echelon(m + 1, deg), deg):
+            dead.add(H.class_coords(k, deg))
+        if not dead.contains(H.class_coords(z, deg)):
             return False, "witness class survives in the quotient"
         return True, (f"nonzero degree-{deg} class dies in the level-{m} "
                       f"quotient: h-invariant >= {m + 1}")
@@ -913,10 +931,11 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
         m, hi = data["m"], data["hi"]
         phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
         S = phi.source
-        elements = _kernel_power(phi, None, pedigreed, m, min(S.cap, hi + 1))
-        Q, proj = quotient_by_ideal(S, elements)
-        fail = _injectivity_failure(proj, homology(S, 0, hi),
-                                    homology(Q, 0, hi), 1, hi)
+        powers = _kernel_powers(phi, None, pedigreed, m, min(S.cap, hi + 1))
+        if hi + 1 > S.cap:  # the quotient's homology would be refused
+            raise RangeExceedsCap(
+                f"homology up to degree {hi} needs cap >= {hi + 1}, have {S.cap}")
+        fail = _injectivity_failure(homology(S, 0, hi), powers, m, hi)
         if fail is not None:
             return False, f"injectivity fails in degree {fail[0]}"
         return True, f"injective in degrees <= {hi}: h-invariant <= {m}"
@@ -994,8 +1013,9 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
         else:
             phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
             base, m = phi.source, data["m"]
-            elements = _kernel_power(phi, None, pedigreed, m, min(base.cap, E + 1))
-            module = resolve_quotient(base, elements, E).module
+            powers = _kernel_powers(phi, None, pedigreed, m, min(base.cap, E + 1))
+            module = resolve_quotient(base, [p.element for p in powers.level(m + 1)],
+                                      E).module
             done = f"retraction verified up to degree {E}: m-invariant <= {m}"
         values = {g: parse_element(e, base) for g, e in data["values"].items()}
         values.setdefault(UNIT, base.one())

@@ -13,8 +13,8 @@ they call the engine's arithmetic, but none of its memos or early exits.
 import weakref
 from fractions import Fraction
 
-from secat.core import AlgebraElement, RangeExceedsCap
-from secat.homology import HomologyReport, kernel_basis
+from secat.core import AlgebraElement, RangeExceedsCap, quotient_by_ideal
+from secat.homology import HomologyReport, homology, induced_kernel, kernel_basis
 from secat.linalg import Echelon, kernel_combos
 
 
@@ -455,3 +455,13 @@ class CanonicalKernelHomology(HomologyReport):
         self._class_rows[d] = hech.basis()
         self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
         return matrix
+
+
+def quotient_kernels(S, elements, hi):
+    """{d: cycles spanning ker(H^d(S) -> H^d(S/J))} for d in 1..hi, where J
+    is the ideal of `elements`, through the quotient itself: the quotient
+    presentation, its homology in degrees <= hi, and the canonical kernel
+    of the induced map in each degree."""
+    Q, proj = quotient_by_ideal(S, elements)
+    H_S, H_Q = homology(S, 0, hi), homology(Q, 0, hi)
+    return {d: induced_kernel(proj, H_S, H_Q, d) for d in range(1, hi + 1)}

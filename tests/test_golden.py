@@ -38,11 +38,13 @@ MORPHISM_COMMAND = "secat"
 # tc T at n = 3 works on the diagonal T (x) M (x) M of T's minimal model M,
 # and at n = 4 on T (x) M^{(x) 3} beside the multiplication source T^{(x) 4}.
 # minimal-model T at cap 22 and W at cap 26 are the deepest models built, with
-# 58 and 83 generators.
+# 58 and 83 generators.  With --no-m, cat and tc run the h-loop alone.
 EXTRA_CASES = [("truncated_mix.cdga", "T", "cat", {"cap": 16}),
                ("truncated_mix.cdga", "T", "cat", {"cap": 18}),
                ("truncated_mix.cdga", "T", "tc", {"n": 3}),
                ("truncated_mix.cdga", "T", "tc", {"n": 4}),
+               ("truncated_mix.cdga", "T", "tc", {"n": 3, "no-m": True}),
+               ("truncated_mix.cdga", "T", "cat", {"no-m": True}),
                ("truncated_mix.cdga", "T", "minimal-model", {"cap": 22}),
                ("wedge.cdga", "W", "minimal-model", {"cap": 26})]
 
@@ -52,7 +54,8 @@ def cases():
     in a fixed order.
 
     The options are {} for a run at the defaults; each names a flag and its
-    value, and appears in the case id as flag name then value ("cap18").
+    value, and appears in the case id as flag name then value ("cap18").  A
+    bare flag has the value True and appears by its name alone ("no-m").
     """
     out = []
     for path in sorted(MODELS.glob("*.cdga")):
@@ -65,7 +68,8 @@ def cases():
                 key = MORPHISM_COMMAND
                 out.append((f"{path.name}:{label}:{key}", path.name, label, key, {}))
     for filename, label, key, options in EXTRA_CASES:
-        tag = ":".join(f"{flag}{value}" for flag, value in options.items())
+        tag = ":".join(flag if value is True else f"{flag}{value}"
+                       for flag, value in options.items())
         out.append((f"{filename}:{label}:{key}:{tag}", filename, label, key, options))
     return out
 
@@ -78,7 +82,7 @@ def run_case(filename, label, key, options):
         defaults, pick = COMMANDS[key], "--name"
     argv = [key, str(MODELS / filename), pick, label, "--json"]
     for flag, value in {**defaults, **options}.items():
-        argv += [f"--{flag}", str(value)]
+        argv += [f"--{flag}"] if value is True else [f"--{flag}", str(value)]
     with tempfile.TemporaryDirectory() as tmp:
         if key != "minimal-model":
             argv += ["--emit-certs", tmp]

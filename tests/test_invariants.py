@@ -266,11 +266,12 @@ def test_quotient_surjection_is_model_relative(morphisms):
 @pytest.mark.parametrize("argv,built", [
     (["cat", "--cap", "15"], 2),   # h stops at level 2; m tries 2, then 3
     (["tc", "--n", "2"], 1),       # h and m both stop at level 1
+    (["cat", "--cap", "15", "--no-m"], 0),
+    (["tc", "--n", "2", "--no-m"], 0),
 ])
 def test_each_level_quotient_is_built_once(monkeypatch, capsys, argv, built):
-    """The m-loop starts at the level where the h-loop stopped and resolves
-    the quotient the h-loop built there, so a query builds each S/I^{m+1}
-    once."""
+    """The h-loop decides injectivity inside S and builds no quotient; the
+    m-loop builds S/I^{m+1} once for each level it resolves."""
     quotient = secat.core.quotient_by_ideal
     calls = []
 

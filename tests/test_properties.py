@@ -14,7 +14,8 @@ import oracles as orc
 from secat.construct import diagonal_model, multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, Presentation, RangeExceedsCap,
                         quotient_by_ideal, tensor, tensor_power)
-from secat.homology import homology, kernel_ideal_generators
+from secat.homology import (IdealPowers, PresentationView, homology,
+                            kernel_ideal_generators, quotient_kernel)
 from secat.invariants import (
     cat_bounds, certificate_from_json, tc_bounds,
     verify_certificate,
@@ -364,6 +365,57 @@ def test_standard_monomials_and_their_echelon_match_the_ideal_echelon(P, data):
             want, got = pair
             assert list(got.items()) == list(want.items())
             assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+# ---------------------------------------------------------------------------
+# injectivity into S/I^{m+1} decided inside S, against the quotient itself
+
+
+def _assert_quotient_kernels_match(S, H_S, kernel_gens, hi):
+    """At every level m from 0 to nil + 1, quotient_kernel against the
+    level's span gives, in every degree 1..hi, the same cycles in the same
+    order as the quotient's homology does (oracles.quotient_kernels)."""
+    powers = IdealPowers(PresentationView(S, min(S.cap, hi + 1)), kernel_gens)
+    nil, _ = powers.nil()
+    for m in range(nil + 2):
+        want = orc.quotient_kernels(
+            S, [p.element for p in powers.level(m + 1)], hi)
+        for d in range(1, hi + 1):
+            got = quotient_kernel(H_S, powers.span_echelon(m + 1, d), d)
+            assert [list(z.terms.items()) for z in got] == \
+                [list(z.terms.items()) for z in want[d]], (m, d)
+
+
+def _bundled_surjections():
+    """(id, file name, cdga label, n) for the augmentation (n None) and the
+    n = 2 and n = 3 diagonals of every bundled cdga."""
+    out = []
+    for path in sorted(MODELS.glob("*.cdga")):
+        for label in sorted(load_model(path.name)[0]):
+            out.append((f"{label}-cat", path.name, label, None))
+            out += [(f"{label}-tc{n}", path.name, label, n) for n in (2, 3)]
+    return out
+
+
+@pytest.mark.parametrize("filename,label,n",
+                         [c[1:] for c in _bundled_surjections()],
+                         ids=[c[0] for c in _bundled_surjections()])
+def test_quotient_kernel_matches_the_quotient_on_bundled_surjections(
+        filename, label, n):
+    A = load_model(filename)[0][label]
+    rep = (cat_bounds(A, with_m=False, label=label) if n is None
+           else tc_bounds(A, n, with_m=False, label=label)).surjection
+    _assert_quotient_kernels_match(rep.morphism.source, rep.source_homology,
+                                   rep.kernel_generators, rep.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=_relation_quotients())
+def test_quotient_kernel_matches_the_quotient_on_random_augmentations(P):
+    """The augmentation's kernel is the ideal of the generators."""
+    hi = P.cap - 1
+    _assert_quotient_kernels_match(P, homology(P, 0, hi),
+                                   [P.gen(g.name) for g in P.generators], hi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import MODELS, ROOT
 
 from secat.cli import main
-from secat.core import CdgaError
+from secat.core import CdgaError, IdealNotClosed, RangeExceedsCap
 from secat.invariants import (Certificate, _data_rejection, _verify_rebuilt,
                               certificate_to_json, surjection_bounds,
                               verify_certificate)
@@ -254,3 +254,35 @@ def test_a_windowed_kernel_power_over_a_smaller_ideal_is_rejected(morphisms):
                          dict(pristine.data, generators=["a^2"], m=2))
     assert verify_certificate(forged, {}, morphisms) == (
         False, "listed generators miss a kernel element in degree 4")
+
+
+def test_a_witness_over_an_ideal_that_d_leaves_is_refused():
+    """Listed kernel generators need not span a d-stable ideal: d x = a^2
+    leaves the ideal of x, so no quotient complex exists to carry the
+    witness class, and the verifier refuses the certificate as it refuses
+    such a quotient presentation."""
+    presentations, morphisms, _ = _fuzz_corpus()
+    cert = Certificate("rho-noninjectivity-witness",
+                       {"construction": "augmentation", "cdga": "S2", "cap": 10},
+                       {"m": 0, "degree": 2, "witness": "a",
+                        "kernel_generators": ["x"]})
+    with pytest.raises(IdealNotClosed,
+                       match="^differential of a relation is not in the ideal$"):
+        verify_certificate(cert, presentations, morphisms)
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({"m": -1, "hi": 4}, CdgaError, "ideal power level must be >= 1"),
+    # the free model of S3 at cap 8 spans its kernel powers up to degree 8
+    # only, so injectivity up to degree 40 cannot be decided there
+    ({"m": 0, "hi": 40}, RangeExceedsCap,
+     "homology up to degree 40 needs cap >= 41, have 8"),
+])
+def test_an_injectivity_range_the_model_cannot_decide_is_refused(
+        data, error, message):
+    presentations, morphisms, _ = _fuzz_corpus()
+    cert = Certificate("rho-injectivity-range",
+                       {"construction": "augmentation", "cdga": "S3", "cap": 10},
+                       data)
+    with pytest.raises(error, match=f"^{message}$"):
+        verify_certificate(cert, presentations, morphisms)
