@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .core import (CdgaError, CdgaMorphism, NotQuasiIso, NotSimplyConnected,
                    Presentation, RangeExceedsCap, _build_combined,
-                   identity_morphism, tensor_power, transport_element)
+                   identity_morphism, tensor_power)
 from .homology import hit_and_kill, homology, quasi_iso_failure
 
 
@@ -164,13 +164,14 @@ def diagonal_model(A: Presentation, n: int, cap: int,
 
     kernel_gens = []
     skipped = 0
-    a_side = {g.name: source.gen(g.name) for g in A.generators}
+    include = CdgaMorphism(A, source, {g.name: source.gen(g.name) for g in A.generators},
+                           check=False)
     for rn in renames:
         for g in S.generators:
             if g.degree > cap:
                 skipped += 1
                 continue
-            lifted = transport_element(theta.apply(S.gen(g.name)), source, a_side)
+            lifted = include.apply(theta.apply(S.gen(g.name)))
             el = lifted - source.gen(rn[g.name])
             if el.terms:
                 kernel_gens.append(el)

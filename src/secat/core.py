@@ -59,7 +59,7 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Mapping
 
-from .linalg import Echelon, Rational, dense, entries
+from .linalg import Echelon, Rational
 
 Monomial = tuple  # tuple[tuple[str, int], ...]
 
@@ -166,6 +166,15 @@ class _SignEngine:
 
     def sort_terms(self, terms: Mapping[Monomial, Rational]):
         return sorted(terms.items(), key=lambda t: (self.mono_degree(t[0]), self.mono_key(t[0])))
+
+    def resort(self, pairs) -> tuple[int, Monomial]:
+        """(sign, monomial): the distinct factors `pairs` in rank order, the
+        sign paying for the odd factors moved past each other."""
+        rank = self.rank
+        odd = [rank[n] for n, _ in pairs if self.odd_of[n]]
+        inv = sum(1 for i in range(len(odd)) for j in range(i + 1, len(odd))
+                  if odd[i] > odd[j])
+        return (-1 if inv % 2 else 1), tuple(sorted(pairs, key=lambda p: rank[p[0]]))
 
     # -- multiplication with Koszul signs
 
@@ -622,11 +631,7 @@ class Presentation:
             pairs.append((n, e))
         if len({n for n, _ in pairs}) != len(pairs):
             raise CdgaError("repeated generator in monomial spec")
-        odd_seq = [self._ctx.rank[n] for n, _ in pairs if self._ctx.odd_of[n]]
-        inv = sum(1 for i in range(len(odd_seq)) for j in range(i + 1, len(odd_seq))
-                  if odd_seq[i] > odd_seq[j])
-        pairs.sort(key=lambda p: self._ctx.rank[p[0]])
-        return (-1 if inv % 2 else 1), tuple(pairs)
+        return self._ctx.resort(pairs)
 
     def _homogeneous_degree(self, terms: Mapping) -> int | None:
         degs = {self._ctx.mono_degree(m) for m in terms}
@@ -812,11 +817,11 @@ class Presentation:
         sign, m = self._coerce_mono(mono)
         return AlgebraElement(self, self.reduce_raw({m: sign}))
 
-    def from_vector(self, d: int, vec) -> "AlgebraElement":
+    def from_vector(self, d: int, vec: dict) -> "AlgebraElement":
         """The degree-d element with coordinates `vec`, a dict from basis
-        index to coefficient or a dense list."""
+        index to coefficient."""
         basis = self.basis(d)
-        return AlgebraElement(self, {basis[i]: _coerce_coeff(c) for i, c in entries(vec) if c})
+        return AlgebraElement(self, {basis[i]: _coerce_coeff(c) for i, c in vec.items() if c})
 
     def to_sparse(self, el: "AlgebraElement", d: int) -> dict[int, Rational]:
         """The nonzero coordinates of a degree-d element, by basis index."""
@@ -833,11 +838,6 @@ class Presentation:
                 i = index[m]
             out[i] = c
         return out
-
-    def to_vector(self, el: "AlgebraElement", d: int) -> list[Rational]:
-        """to_sparse as a dense list."""
-        sparse = self.to_sparse(el, d)
-        return dense(sparse, self.dim(d))
 
     # -- differential
 
@@ -1371,22 +1371,6 @@ def identity_morphism(P: Presentation) -> CdgaMorphism:
                         check=False, name="id")
 
 
-def transport_element(el_terms, target: Presentation,
-                      name_map: Mapping[str, AlgebraElement]) -> AlgebraElement:
-    """Evaluate a raw term dict under generator substitutions (signs exact)."""
-    out = target.zero()
-    for m, c in (el_terms.terms.items() if isinstance(el_terms, AlgebraElement)
-                 else el_terms.items()):
-        piece = target.one()
-        for n, e in m:
-            piece = piece * name_map[n] ** e
-            if not piece:
-                break
-        if piece:
-            out = out + piece * c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # constructions on presentations
 
@@ -1439,15 +1423,7 @@ def _build_combined(parts, cap, simply_connected):
         def subst(raw):
             out: dict[Monomial, Rational] = {}
             for m, c in raw.items():
-                sign = 1
-                renamed = tuple((rename[n], e) for n, e in m)
-                resorted = tuple(sorted(renamed, key=lambda p: ctx.rank[p[0]]))
-                # recompute the Koszul sign of the resort on odd generators
-                odd_seq = [ctx.rank[n] for n, e in renamed if ctx.degree_of[n] % 2]
-                inv = sum(1 for i in range(len(odd_seq)) for j in range(i + 1, len(odd_seq))
-                          if odd_seq[i] > odd_seq[j])
-                if inv % 2:
-                    sign = -sign
+                sign, resorted = ctx.resort([(rename[n], e) for n, e in m])
                 out[resorted] = out.get(resorted, 0) + sign * c
             return {m: c for m, c in out.items() if c}
 

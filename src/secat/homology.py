@@ -6,8 +6,8 @@ canonical representatives.  It works on any cochain complex X with
     X.dim(d)                      dimension of the degree-d piece
     X.to_sparse(x, d)             coordinates of a degree-d element, as a
                                   dict from basis index to coefficient
-    X.from_vector(d, v)           the element with coordinates v (a dict
-                                  or a dense list)
+    X.from_vector(d, v)           the element with coordinates v, a dict
+                                  from basis index to coefficient
     X.differential_vectors(d)     images under d of the degree-d basis, as
                                   sparse degree-(d+1) vectors
     X.check_cycle(x)              raises CdgaError unless dx = 0
@@ -148,14 +148,15 @@ class HomologyReport:
         v = self._cycle_vector(x, d)
         return self.complex.from_vector(d, self._boundaries[d].reduce(v))
 
-    def class_coords(self, x, d: int | None = None) -> list[Rational]:
-        """Coordinates of the class of a cycle in the canonical basis of H^d."""
+    def class_coords(self, x, d: int | None = None) -> dict[int, Rational]:
+        """Coordinates of the class of a cycle in the canonical basis of H^d,
+        a dict from basis position to coefficient."""
         d = x.degree() if d is None and x else d
         if d is None:
             raise DegreeMismatch("zero element needs an explicit degree")
         self._check_range(d)
         if not x:
-            return [0] * self._classes[d].rank
+            return {}
         v = self._boundaries[d].reduce(self._cycle_vector(x, d))
         coords = self._classes[d].coordinates(v)
         if coords is None:
@@ -165,7 +166,7 @@ class HomologyReport:
     def cycle(self, coords, d: int):
         """The cycle sum_i coords[i] * representatives(d)[i]."""
         X = self.complex
-        return X.from_vector(d, combine(coords, self._class_rows[d], X.dim(d)))
+        return X.from_vector(d, combine(coords, self._class_rows[d]))
 
     def is_zero_class(self, x, d: int | None = None) -> bool:
         return not self.reduce(x, d)
@@ -185,7 +186,7 @@ def homology(X, lo: int = 0, hi: int | None = None) -> HomologyReport:
 
 
 def induced_matrix(phi, H_src: HomologyReport, H_tgt: HomologyReport,
-                   d: int) -> list[list[Rational]]:
+                   d: int) -> list[dict[int, Rational]]:
     """Columns are the coordinates of H(phi) of the source basis classes.
 
     `phi` is any chain map given as a callable, a CdgaMorphism included.
@@ -223,8 +224,7 @@ def quotient_kernel(H: HomologyReport, ideal: Echelon, d: int) -> list:
     for span in (H._boundaries[d], ideal):
         for row in span.rows:
             ech._add(row)
-    cols = [ech.reduce({j: c for j, c in enumerate(row) if c})
-            for row in H._class_rows[d]]
+    cols = [ech.reduce(row) for row in H._class_rows[d]]
     return [H.cycle(combo, d) for combo in kernel_combos(cols, width)]
 
 
@@ -437,7 +437,7 @@ class GradedView:
 
     def to_coords(self, el: AlgebraElement, d: int):
         """Coordinates of a degree-d element: a dict from basis index to
-        coefficient, or a dense list."""
+        coefficient."""
         raise NotImplementedError
 
     def mul(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -668,10 +668,11 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
             continue
         ech = Echelon(bk)
         for r in H.representatives(k):
-            row = []
-            for s in H.representatives(top - k):
-                prod = r * s
-                row.append(H.class_coords(prod, top)[0] if prod.terms else 0)
+            row = {}
+            for j, s in enumerate(H.representatives(top - k)):
+                c = H.class_coords(r * s, top).get(0)
+                if c:
+                    row[j] = c
             ech.add(row)
         if ech.rank != bk:
             return DualityResult(False, top,
@@ -700,8 +701,8 @@ class _SpanComplex:
     def dim(self, d: int) -> int:
         return self._span(d).rank
 
-    def from_vector(self, d: int, vec) -> AlgebraElement:
-        return self.P.from_vector(d, combine(vec, self._span(d).basis(), self.P.dim(d)))
+    def from_vector(self, d: int, vec: dict) -> AlgebraElement:
+        return self.P.from_vector(d, combine(vec, self._span(d).basis()))
 
     def differential_vectors(self, d: int):
         P, nxt = self.P, self._span(d + 1)
@@ -711,7 +712,7 @@ class _SpanComplex:
             v = nxt.coordinates(P.to_sparse(img, d + 1))
             if v is None:
                 raise CdgaError(f"differential leaves the span in degree {d}")
-            out.append({i: c for i, c in enumerate(v) if c})
+            out.append(v)
         return out
 
 

@@ -394,13 +394,3 @@ def print_presentation(P: Presentation, name: str = "A") -> str:
         lines.append(f"    rel {AlgebraElement(P, dict(rel))};")
     lines.append("}")
     return "\n".join(lines)
-
-
-def print_morphism(phi: CdgaMorphism, name: str, source: str, target: str) -> str:
-    lines = [f"morphism {name} : {source} -> {target} {{"]
-    for g in phi.source.generators:
-        img = phi.image_of(g.name)
-        if img.terms:
-            lines.append(f"    {g.name} -> {img};")
-    lines.append("}")
-    return "\n".join(lines)

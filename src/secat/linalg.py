@@ -4,12 +4,10 @@ Everything downstream (ideal reduction, homology, retraction solving) runs on
 these routines, so they are kept deliberately small: one reduced row echelon
 store, and the solvers built on it.
 
-* Sparse in and out.  A vector is a dict from column to nonzero rational.
-  A dense sequence is accepted too, and then a vector-valued answer
-  (`Echelon.reduce`, `kernel_combos`, `kernel_span`, `solve_combo`) comes
-  back dense.
-  Answers indexed by an echelon's own basis (`basis`, `coordinates`) are
-  lists.  Sparse answers list their columns in ascending order.
+* Sparse in and out.  A vector is a dict from column to nonzero rational,
+  and so is every vector answered here, its columns in ascending order;
+  `coordinates` are keyed by position in the echelon's basis.  Only
+  `solve_sparse`'s solution also names the pivot unknowns that are 0.
 * Integer rows inside.  An incoming vector is cleared to one common
   denominator once; each stored row is the primitive integer multiple of its
   canonical reduced row, with a positive pivot.  The systems are mostly +-1,
@@ -36,25 +34,12 @@ from math import gcd, lcm
 Rational = int | Fraction
 
 
-def entries(v):
-    """The (index, value) pairs of a vector, sparse (a dict) or dense."""
-    return v.items() if isinstance(v, dict) else enumerate(v)
-
-
-def dense(v: dict, width: int) -> list:
-    """The sparse vector v as a dense list of `width` entries."""
-    out = [0] * width
-    for j, c in v.items():
-        out[j] = c
-    return out
-
-
-def _integer_row(v) -> tuple[dict[int, int], int]:
+def _integer_row(v: dict) -> tuple[dict[int, int], int]:
     """(w, den) with v == w / den: w holds v's nonzero entries as ints, and
     den is the least common denominator of v's entries."""
     w = {}
     den = 1
-    for j, c in entries(v):
+    for j, c in v.items():
         a = c.numerator
         if a:
             w[j] = a
@@ -62,7 +47,7 @@ def _integer_row(v) -> tuple[dict[int, int], int]:
             if q != 1:
                 den = lcm(den, q)
     if den != 1:
-        w = {j: c.numerator * (den // c.denominator) for j, c in entries(v) if j in w}
+        w = {j: c.numerator * (den // c.denominator) for j, c in v.items() if j in w}
     return w, den
 
 
@@ -71,16 +56,9 @@ def _fraction(a: int, den: int) -> Rational:
     return a // den if a % den == 0 else Fraction(a, den)
 
 
-def _rational(w: dict[int, int], den: int, width: int | None):
-    """The vector w / den as it leaves the module: a dict in ascending column
-    order, or a dense list when `width` is given."""
-    out = {j: _fraction(w[j], den) for j in sorted(w)}
-    return out if width is None else dense(out, width)
-
-
-def _dense_width(v, width: int) -> int | None:
-    """`width` when the caller handed in a dense vector, else None."""
-    return None if isinstance(v, dict) else width
+def _rational(w: dict[int, int], den: int) -> dict:
+    """The vector w / den as it leaves the module, in ascending column order."""
+    return {j: _fraction(w[j], den) for j in sorted(w)}
 
 
 def _scale(row: dict[int, int], m: int) -> None:
@@ -188,13 +166,13 @@ class Echelon:
         rows.append(r)
         return lead
 
-    def reduce(self, v):
+    def reduce(self, v: dict) -> dict:
         """v with the span projected out (zero at every pivot)."""
         w, den = _integer_row(v)
         r, scale = self._reduce(w)
-        return _rational(r, den * scale, _dense_width(v, self.width))
+        return _rational(r, den * scale)
 
-    def add(self, v) -> int | None:
+    def add(self, v: dict) -> int | None:
         """Insert v; return the new row's pivot column if the rank grew, else None."""
         return self._add(_integer_row(v)[0])
 
@@ -202,16 +180,17 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains(self, v) -> bool:
+    def contains(self, v: dict) -> bool:
         return not self._reduce(_integer_row(v)[0])[0]
 
-    def basis(self) -> list[list[Rational]]:
-        """Canonical basis rows ordered by pivot column, as dense lists."""
-        return [_rational(self.rows[ri], self.rows[ri][col], self.width)
+    def basis(self) -> list[dict]:
+        """Canonical basis rows ordered by pivot column."""
+        return [_rational(self.rows[ri], self.rows[ri][col])
                 for col, ri in sorted(self.pivots.items())]
 
-    def coordinates(self, v) -> list[Rational] | None:
-        """Coefficients of v in basis() order, or None when v is not in the span.
+    def coordinates(self, v: dict) -> dict | None:
+        """Coefficients of v by position in basis(), or None when v is not in
+        the span.
 
         Rows are RREF, so the coefficient of a basis row is just the entry of v
         at that row's pivot column.
@@ -219,20 +198,17 @@ class Echelon:
         w, den = _integer_row(v)
         if self._reduce(w)[0]:
             return None
-        return [_fraction(w[col], den) if col in w else 0 for col in sorted(self.pivots)]
+        return {i: _fraction(w[col], den)
+                for i, col in enumerate(sorted(self.pivots)) if col in w}
 
 
-def combine(coeffs, rows, width: int) -> list[Rational]:
-    """sum_i coeffs[i] * rows[i], a dense vector in Q^width, for dense rows
-    and coefficients given as a dict or a dense list."""
-    out = [0] * width
-    for i, c in entries(coeffs):
-        if c:
-            row = rows[i]
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return out
+def combine(coeffs: dict, rows: list[dict]) -> dict:
+    """sum_i coeffs[i] * rows[i]."""
+    out: dict = {}
+    for i, c in coeffs.items():
+        for j, r in rows[i].items():
+            out[j] = out.get(j, 0) + c * r
+    return {j: c.numerator if c.denominator == 1 else c for j, c in sorted(out.items()) if c}
 
 
 def _combination_echelon(images, width: int) -> Echelon:
@@ -249,29 +225,26 @@ def _combination_echelon(images, width: int) -> Echelon:
     return ech
 
 
-def kernel_combos(images, width: int) -> list:
+def kernel_combos(images, width: int) -> list[dict]:
     """Coefficient vectors c with sum_i c_i * images[i] == 0.
 
     `images` is a list of vectors in Q^width; the kernel of the linear map
     e_i -> images[i] is returned as echelonized combination rows, each a
-    vector in Q^n in the shape of the images.
+    vector in Q^n.
     """
-    n = len(images)
     ech = _combination_echelon(images, width)
-    shape = _dense_width(images[0], n) if images else None
     out = []
     for col, ri in sorted(ech.pivots.items()):
         if col >= width:
             # the pivot is the least column, so the whole row lies past width
             row = ech.rows[ri]
-            out.append(_rational({j - width: a for j, a in row.items()}, row[col], shape))
+            out.append(_rational({j - width: a for j, a in row.items()}, row[col]))
     return out
 
 
-def kernel_span(images) -> list:
+def kernel_span(images) -> list[dict]:
     """Integer coefficient vectors c spanning {c : sum_i c_i * images[i] == 0},
-    one per free column, in the shape of the images as kernel_combos gives
-    them (the images' width is not needed).
+    one per free column (the images' width is not needed).
 
     The basis spans the kernel, and that is its one contract: it is not the
     canonical (reduced echelon) kernel basis of kernel_combos, so a caller
@@ -286,13 +259,11 @@ def kernel_span(images) -> list:
     n = len(images)
     transposed: dict[int, dict] = {}
     for i, img in enumerate(images):
-        for j, c in entries(img):
-            if c:
-                transposed.setdefault(j, {})[i] = c
+        for j, c in img.items():
+            transposed.setdefault(j, {})[i] = c
     ech = Echelon(n)
     for row in transposed.values():
         ech.add(row)
-    shape = _dense_width(images[0], n) if images else None
     out = []
     for f in range(n):
         if f in ech.pivots:
@@ -303,34 +274,32 @@ def kernel_span(images) -> list:
         z = {f: den}
         for p, row in held:
             z[p] = -row[f] * (den // row[p])
-        out.append(dict(sorted(z.items())) if shape is None else dense(z, shape))
+        out.append(dict(sorted(z.items())))
     return out
 
 
 def combo_solver(images, width: int):
     """solve_combo for fixed images: a function from a target to one c with
-    sum_i c_i * images[i] == target, or None if unsolvable; c has the shape
-    of the target.  Every target is reduced against one combination echelon,
-    built here, so many targets cost one elimination of the images.
+    sum_i c_i * images[i] == target, or None if unsolvable.  Every target is
+    reduced against one combination echelon, built here, so many targets
+    cost one elimination of the images.
 
     Deterministic: the same echelon path always yields the same solution.
     """
     ech = _combination_echelon(images, width)
-    n = len(images)
 
     def solve(target):
         w, den = _integer_row(target)
         r, scale = ech._reduce(w)
         if any(j < width for j in r):
             return None
-        return _rational({j - width: -a for j, a in r.items()}, den * scale,
-                         _dense_width(target, n))
+        return _rational({j - width: -a for j, a in r.items()}, den * scale)
     return solve
 
 
 def solve_combo(images, width: int, target):
-    """One c with sum_i c_i * images[i] == target, or None if unsolvable; c
-    has the shape of `target` (combo_solver on one target)."""
+    """One c with sum_i c_i * images[i] == target, or None if unsolvable
+    (combo_solver on one target)."""
     return combo_solver(images, width)(target)
 
 
@@ -349,7 +318,7 @@ class LinearSystem:
     RHS = 1 << 62  # above any unknown's index
 
     def __init__(self):
-        # nothing dense is read back, so the width is only a bound
+        # the width is only a bound
         self._ech = Echelon(self.RHS + 1)
         self.equations = 0
 

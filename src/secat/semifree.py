@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .linalg import LinearSystem, Rational, dense, entries
+from .linalg import LinearSystem, Rational
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap, quotient_by_ideal)
 from .homology import hit_and_kill, homology
@@ -196,14 +196,9 @@ class SemiFreeModule:
                 out[off + i] = val
         return out
 
-    def to_vector(self, mel: ModuleElement, n: int):
-        """to_sparse as a dense list."""
-        return dense(self.to_sparse(mel, n), self.dim(n))
-
-    def from_vector(self, n: int, vec) -> ModuleElement:
+    def from_vector(self, n: int, vec: dict) -> ModuleElement:
         """The degree-n element with coordinates `vec`, a dict from basis
-        index to coefficient or a dense list."""
-        vec = {j: c for j, c in entries(vec) if c}
+        index to coefficient."""
         cols = sorted(vec)
         out: ModuleElement = {}
         for name, (off, width) in self._layout(n)[0].items():

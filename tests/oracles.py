@@ -199,6 +199,21 @@ def rank(rows):
     return len(rref(rows))
 
 
+def dense(v, width):
+    """The package's sparse vector v (a dict from column to value) as a
+    dense list of `width` entries."""
+    out = [0] * width
+    for j, c in v.items():
+        out[j] = c
+    return out
+
+
+def sparse(row):
+    """A dense row as the package's sparse vector: its nonzero entries, in
+    ascending column order."""
+    return {j: c for j, c in enumerate(row) if c}
+
+
 def betti_numbers(gens, diffs, rel_words, hi):
     """Betti numbers of the quotient complex in degrees 0..hi.
 

@@ -15,7 +15,7 @@ from secat.cli import main
 from secat.core import Presentation
 from secat.lang import (
     ParseError, default_cap, make_presentation, parse_document, parse_element,
-    parse_expression, print_morphism, print_presentation, realize_document,
+    parse_expression, print_presentation, realize_document,
 )
 from secat.semifree import SemiFreeModule
 
@@ -49,10 +49,8 @@ def test_printed_presentations_parse_back(filename):
             assert str(P.gen(g.name).d()) == str(Q.gen(g.name).d())
 
 
-def test_printed_morphisms_parse_back(morphisms, models):
-    q = morphisms["q"]
-    text = print_morphism(q, "q", "A", "B")
-    assert "x -> x;" in text
+def test_morphisms_parse_against_printed_presentations(models):
+    text = "morphism q : A -> B {\n    x -> x;\n}"
     header = print_presentation(models["A"], "A") + "\n" + \
         print_presentation(models["B"], "B") + "\n" + text
     pres, mors = realize_document(parse_document(header))

@@ -2,10 +2,13 @@
 
 Small random rational matrices, with zero rows, repeated rows and zero
 width, are fed to `Echelon` and the solvers in `secat.linalg`; every answer
-is checked against `oracles.rref` / `oracles.rank` or by substitution.  A
-second family of entries (non-unit pivots, coprime denominators, a 10^12
-numerator) checks exact values, so integer row scaling and the clearing of
-denominators cannot drift from the rational answer.
+is checked against `oracles.rref` / `oracles.rank` or by substitution.  The
+package takes and answers sparse vectors (dicts); the tests build dense rows
+for the oracle and convert at the boundary with `oracles.sparse` and
+`oracles.dense`.  A second family of entries (non-unit pivots, coprime
+denominators, a 10^12 numerator) checks exact values, so integer row
+scaling and the clearing of denominators cannot drift from the rational
+answer.
 """
 
 from fractions import Fraction
@@ -40,16 +43,22 @@ def matrix_and_vector(draw):
     width, rows = draw(matrices())
     if rows and draw(st.booleans()):
         coeffs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
-        v = combine(coeffs, rows, width)
+        v = _combine(coeffs, rows, width)
     else:
         v = draw(st.lists(ENTRIES, min_size=width, max_size=width))
     return width, rows, v
 
 
+def _combine(coeffs, rows, width):
+    """combine on dense coefficients and rows, read back dense."""
+    return orc.dense(combine(orc.sparse(coeffs), [orc.sparse(r) for r in rows]), width)
+
+
 def _echelon(width, rows):
+    """An Echelon fed the dense rows."""
     ech = Echelon(width)
     for row in rows:
-        ech.add(row)
+        ech.add(orc.sparse(row))
     return ech
 
 
@@ -64,7 +73,7 @@ def test_basis_is_the_oracle_rref_in_any_insertion_order(m, data):
     want = orc.rref(rows)
     for order in (rows, data.draw(st.permutations(rows))):
         ech = _echelon(width, order)
-        assert ech.basis() == want
+        assert [orc.dense(b, width) for b in ech.basis()] == want
         assert ech.rank == len(want)
         assert sorted(ech.pivots) == _pivot_columns(want)
 
@@ -76,14 +85,15 @@ def test_contains_coordinates_and_reduce_agree_with_the_oracle(m):
     ech = _echelon(width, rows)
     basis = orc.rref(rows)
     inside = orc.rank(rows + [v]) == orc.rank(rows)
-    assert ech.contains(v) == inside
-    coords = ech.coordinates(v)
+    assert ech.contains(orc.sparse(v)) == inside
+    coords = ech.coordinates(orc.sparse(v))
     if inside:
+        coords = orc.dense(coords, len(basis))
         assert coords == [v[p] for p in _pivot_columns(basis)]
-        assert combine(coords, basis, width) == v
+        assert _combine(coords, basis, width) == v
     else:
         assert coords is None
-    red = ech.reduce(v)
+    red = orc.dense(ech.reduce(orc.sparse(v)), width)
     assert all(red[p] == 0 for p in _pivot_columns(basis))
     assert orc.rank(rows + [[a - b for a, b in zip(v, red)]]) == orc.rank(rows)
 
@@ -92,11 +102,12 @@ def test_contains_coordinates_and_reduce_agree_with_the_oracle(m):
 @given(m=matrices())
 def test_kernel_combos_span_the_kernel(m):
     width, images = m
-    combos = kernel_combos(images, width)
+    combos = kernel_combos([orc.sparse(r) for r in images], width)
     assert len(combos) == len(images) - orc.rank(images)
+    assert all(0 <= i < len(images) for c in combos for i in c)
+    combos = [orc.dense(c, len(images)) for c in combos]
     for c in combos:
-        assert len(c) == len(images)
-        assert combine(c, images, width) == [0] * width
+        assert _combine(c, images, width) == [0] * width
     assert orc.rref(combos) == combos
 
 
@@ -104,12 +115,12 @@ def test_kernel_combos_span_the_kernel(m):
 @given(m=matrix_and_vector())
 def test_solve_combo_is_none_exactly_outside_the_span(m):
     width, images, target = m
-    c = solve_combo(images, width, target)
+    c = solve_combo([orc.sparse(r) for r in images], width, orc.sparse(target))
     if orc.rank(images + [target]) > orc.rank(images):
         assert c is None
     else:
-        assert c is not None and len(c) == len(images)
-        assert combine(c, images, width) == target
+        assert c is not None and all(0 <= i < len(images) for i in c)
+        assert _combine(orc.dense(c, len(images)), images, width) == target
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +165,7 @@ def wide_matrix_and_vector(draw):
     width, rows = draw(matrices(entries=WIDE_ENTRIES, max_rows=7, max_width=6))
     if rows and draw(st.booleans()):
         coeffs = draw(st.lists(WIDE_ENTRIES, min_size=len(rows), max_size=len(rows)))
-        v = combine(coeffs, rows, width)
+        v = _combine(coeffs, rows, width)
     else:
         v = draw(st.lists(WIDE_ENTRIES, min_size=width, max_size=width))
     return width, rows, v
@@ -178,13 +189,17 @@ def test_echelon_on_wide_entries_matches_the_oracle_exactly(m, data):
     pivots = _pivot_columns(want)
     for order in (rows, data.draw(st.permutations(rows))):
         ech = _echelon(width, order)
-        assert ech.basis() == want
+        assert [orc.dense(b, width) for b in ech.basis()] == want
         assert sorted(ech.pivots) == pivots
     reduced = _oracle_reduce(want, v)
-    assert ech.reduce(v) == reduced
+    assert orc.dense(ech.reduce(orc.sparse(v)), width) == reduced
     inside = not any(reduced)
-    assert ech.contains(v) == inside
-    assert ech.coordinates(v) == ([v[p] for p in pivots] if inside else None)
+    assert ech.contains(orc.sparse(v)) == inside
+    coords = ech.coordinates(orc.sparse(v))
+    if inside:
+        assert orc.dense(coords, len(pivots)) == [v[p] for p in pivots]
+    else:
+        assert coords is None
 
 
 def test_solve_sparse_stops_at_the_first_contradiction(monkeypatch):
@@ -217,11 +232,13 @@ def test_solvers_on_wide_entries_match_the_oracle_exactly(m):
     # canonical kernel basis, and reducing (target, 0) gives minus a solution
     aug = orc.rref([img + [Fraction(int(i == k)) for k in range(n)]
                     for i, img in enumerate(images)])
-    assert kernel_combos(images, width) == [
+    sparse_images = [orc.sparse(r) for r in images]
+    assert [orc.dense(c, n) for c in kernel_combos(sparse_images, width)] == [
         row[width:] for row, p in zip(aug, _pivot_columns(aug)) if p >= width]
     rest = _oracle_reduce(aug, target + [Fraction(0)] * n)
     want = None if any(rest[:width]) else [-c for c in rest[width:]]
-    assert solve_combo(images, width, target) == want
+    c = solve_combo(sparse_images, width, orc.sparse(target))
+    assert (c if c is None else orc.dense(c, n)) == want
 
     # the rows read as equations sum_j a_j x_j = b, b the last entry
     if width == 0:
@@ -246,76 +263,79 @@ def _normal(c) -> bool:
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
-def _sparse(row):
-    return {j: c for j, c in enumerate(row) if c}
-
-
-def _values(vec):
-    return vec.values() if isinstance(vec, dict) else vec
-
-
 @settings(max_examples=200, deadline=None)
-@given(m=st.one_of(matrix_and_vector(), wide_matrix_and_vector()), sparse=st.booleans())
-def test_exits_give_ints_unless_a_denominator_remains(m, sparse):
-    """Every value returned by reduce, basis, coordinates, kernel_combos,
-    solve_combo and solve_sparse is in the normal form, for dense and sparse
-    inputs alike, and still equals the value read off the oracle RREF."""
+@given(m=st.one_of(matrix_and_vector(), wide_matrix_and_vector()))
+def test_exits_give_ints_unless_a_denominator_remains(m):
+    """Every vector returned by basis, reduce, coordinates, combine,
+    kernel_combos, kernel_span and solve_combo is a dict with ascending keys
+    and no zero value; every value they and solve_sparse return is in the
+    normal form, and each answer but kernel_span's (which only spans)
+    equals the one read off the oracle RREF."""
     width, rows, v = m
-    shape = _sparse if sparse else list
     want = orc.rref(rows)
     pivots = _pivot_columns(want)
-    ech = _echelon(width, [shape(r) for r in rows])
+    ech = _echelon(width, rows)
     reduced = _oracle_reduce(want, v)
     n = len(rows)
     aug = orc.rref([r + [Fraction(int(i == k)) for k in range(n)] for i, r in enumerate(rows)])
     rest = _oracle_reduce(aug, v + [Fraction(0)] * n)
-    images = [shape(r) for r in rows]
+    images = [orc.sparse(r) for r in rows]
 
     exits = {
-        "basis": (ech.basis(), want),
-        "reduce": (ech.reduce(shape(v)), shape(reduced)),
-        "coordinates": (ech.coordinates(shape(v)),
-                        [v[p] for p in pivots] if not any(reduced) else None),
+        "basis": (ech.basis(), [orc.sparse(r) for r in want]),
+        "reduce": (ech.reduce(orc.sparse(v)), orc.sparse(reduced)),
+        "coordinates": (ech.coordinates(orc.sparse(v)),
+                        orc.sparse([v[p] for p in pivots]) if not any(reduced) else None),
+        "combine": (combine(dict.fromkeys(range(n), 1), images),
+                    orc.sparse([sum(column) for column in zip(*rows)])),
         "kernel_combos": (kernel_combos(images, width),
-                          [shape(r[width:]) for r, p in zip(aug, _pivot_columns(aug))
+                          [orc.sparse(r[width:]) for r, p in zip(aug, _pivot_columns(aug))
                            if p >= width]),
-        "solve_combo": (solve_combo(images, width, shape(v)),
-                        None if any(rest[:width]) else shape([-c for c in rest[width:]])),
+        "kernel_span": (kernel_span(images), None),
+        "solve_combo": (solve_combo(images, width, orc.sparse(v)),
+                        None if any(rest[:width]) else orc.sparse([-c for c in rest[width:]])),
     }
     if width:
         nx = width - 1
-        equations = [(_sparse(r[:nx]), r[nx]) for r in rows]
+        equations = [(orc.sparse(r[:nx]), r[nx]) for r in rows]
         exits["solve_sparse"] = (
             solve_sparse(equations, nx),
             None if nx in pivots else ({p: r[nx] for r, p in zip(want, pivots)},
                                        [j for j in range(nx) if j not in pivots]))
     for name, (got, expected) in exits.items():
-        assert got == expected, name
-        if name == "solve_sparse" and got is not None:
-            got = got[0]
-        vectors = got if name in ("basis", "kernel_combos") else [got]
+        if name != "kernel_span":
+            assert got == expected, name
+        if name == "solve_sparse":
+            if got is not None:
+                assert all(_normal(c) for c in got[0].values()), (name, got)
+            continue
+        vectors = got if name in ("basis", "kernel_combos", "kernel_span") else [got]
         for vec in vectors:
             if vec is not None:
-                assert all(_normal(c) for c in _values(vec)), (name, vec)
+                assert isinstance(vec, dict), (name, vec)
+                assert list(vec) == sorted(vec), (name, vec)
+                assert all(vec.values()), (name, vec)
+                assert all(_normal(c) for c in vec.values()), (name, vec)
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=st.one_of(matrices(), matrices(entries=WIDE_ENTRIES)), sparse=st.booleans())
-@example(m=(3, []), sparse=False)
-@example(m=(0, [[], [], []]), sparse=True)
-@example(m=(2, [[Fraction(1, 2), 0], [0, 0], [Fraction(1, 2), 0]]), sparse=True)
-def test_kernel_span_spans_the_canonical_kernel(m, sparse):
-    """kernel_span gives n - rank integer vectors, in the images' shape, that
-    each map to 0 and together span what kernel_combos spans."""
+@given(m=st.one_of(matrices(), matrices(entries=WIDE_ENTRIES)))
+@example(m=(3, []))
+@example(m=(0, [[], [], []]))
+@example(m=(2, [[Fraction(1, 2), 0], [0, 0], [Fraction(1, 2), 0]]))
+def test_kernel_span_spans_the_canonical_kernel(m):
+    """kernel_span gives n - rank integer vectors, indexed by the images,
+    that each map to 0 and together span what kernel_combos spans."""
     width, rows = m
-    images = [_sparse(r) for r in rows] if sparse else rows
+    n = len(rows)
+    images = [orc.sparse(r) for r in rows]
     span = kernel_span(images)
     combos = kernel_combos(images, width)
-    assert len(span) == len(rows) - orc.rank(rows) == len(combos)
+    assert len(span) == n - orc.rank(rows) == len(combos)
     for z in span:
-        assert isinstance(z, dict) == sparse
-        assert all(type(c) is int for c in _values(z))
-        dense_z = [z.get(i, 0) for i in range(len(rows))] if sparse else z
-        assert len(dense_z) == len(rows)
-        assert combine(dense_z, rows, width) == [0] * width
-    assert _echelon(len(rows), span).basis() == _echelon(len(rows), combos).basis()
+        assert isinstance(z, dict)
+        assert all(type(c) is int for c in z.values())
+        assert all(0 <= i < n for i in z)
+        assert _combine(orc.dense(z, n), rows, width) == [0] * width
+    assert (_echelon(n, [orc.dense(z, n) for z in span]).basis()
+            == _echelon(n, [orc.dense(c, n) for c in combos]).basis())

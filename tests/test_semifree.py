@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import MODELS, load_model
+import oracles as orc
 
 import secat.semifree
 from secat.cli import main
@@ -108,9 +109,9 @@ def test_module_vector_roundtrip(models):
         assert module.dim(n) == len(basis)
         for i, (gname, mono) in enumerate(basis):
             mel = module.basis_element(gname, mono)
-            vec = module.to_vector(mel, n)
+            vec = orc.dense(module.to_sparse(mel, n), module.dim(n))
             assert [bool(v) for v in vec] == [j == i for j in range(len(vec))]
-            assert module.from_vector(n, vec) == mel
+            assert module.from_vector(n, orc.sparse(vec)) == mel
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,9 @@ ROOT = PACKAGE.parent.parent
 # Definitions kept on purpose although no package, script or benchmark code
 # calls them, each with the reason.
 KEPT_UNCALLED = {
-    "to_vector": "Presentation and SemiFreeModule: dense reference views "
-                 "that tests compare the sparse coordinates against",
     "monomial": "Presentation.monomial: the element factory that tests use",
     "tensor": "products of presentations for tests and for the metamorphic "
               "suite of ROADMAP item 3",
-    "print_morphism": "the writer half of the text format's morphism syntax",
     "split_retraction_certificate": "the only producer of relative-split "
                                     "certificates; models/stanley_retraction.cert "
                                     "is its frozen output",
