@@ -39,7 +39,7 @@ Representation constraints:
   extends a free presentation by new generators; the old monomials keep
   their d, so the extension shares the memo, takes the old differentials as
   they are (only the new ones are coerced and checked) and starts from the
-  monomial tables below its lowest new degree.
+  monomial groups that the new generators leave unchanged.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -285,7 +285,7 @@ class _SignEngine:
 
     def extended(self, gens: tuple[Generator, ...]) -> "_SignEngine":
         """The engine on these generators followed by `gens`, starting from
-        this engine's free table below the lowest new degree
+        the groups of this engine's free table that `gens` leave unchanged
         (_MonomialTable.extended)."""
         ext = _SignEngine(self.generators + gens)
         ext.free = self.free.extended(ext, min(g.degree for g in gens))
@@ -442,18 +442,36 @@ class _MonomialTable:
 
     def extended(self, engine: _SignEngine, low: int) -> "_MonomialTable":
         """The free table of `engine`, whose generators are this table's
-        followed by new ones of degree >= low, starting from this table's
-        groups below low.  There no new generator appears and the old ranks
-        are unchanged, so the groups, orders and positions carry over as
-        they are; each degree's list of groups is copied, since either table
-        may add lower ranks to it.  The new generators' monomials are built
-        by _grow, which visits only nonempty groups, so it costs what it
-        outputs."""
+        followed by new ones of degree >= low, starting from the groups
+        that the new generators leave as they are; the rest is built by
+        _grow, which visits only nonempty groups, so it costs what it
+        outputs.  Each degree's list of groups is copied, since either
+        table may add lower ranks to it.
+
+        Below low no new generator appears and the old ranks are unchanged,
+        so everything there carries over.  When the new generators also
+        rank above every old one, as hit_and_kill adjoins them, so does
+        each old group (n, r) with n - |g_r| < low, whose tails lie below
+        low: at n < 2 low those of the ranks r with |g_r| > n - low.  There
+        a new rank's group is its generator alone, as a tail of it would be
+        new and of degree >= low."""
         ext = _MonomialTable(engine)
         ext._groups = {n: list(built) for n, built in self._groups.items() if n < low}
         ext._low = {n: r for n, r in self._low.items() if n < low}
         ext._monomials = {d: t for d, t in self._monomials.items() if d < low}
         ext._positions = {d: t for d, t in self._positions.items() if d < low}
+        old = len(self.by_rank)
+        if engine.by_rank[:old] != self.by_rank:
+            return ext
+        new = list(enumerate(engine.by_rank[old:], old))
+        for n, bottom in self._low.items():
+            if low <= n < 2 * low:
+                keep = max(bottom, bisect_right(self._rank_degrees, n - low))
+                built = [(r, {1: [((g.name, 1),)]}) for r, g in reversed(new) if g.degree == n]
+                built += [(r, group) for r, group in self._groups.get(n, ()) if r >= keep]
+                if built:
+                    ext._groups[n] = built
+                ext._low[n] = keep
         return ext
 
 
@@ -662,7 +680,7 @@ class Presentation:
             return ech
         ctx, table = self._ctx, self._table
         index = table.index(d)
-        ech = Echelon(len(index))
+        ech = Echelon()
         for rel in self._others:
             e = ctx.mono_degree(next(iter(rel)))
             if e > d:
@@ -1351,7 +1369,7 @@ class CdgaMorphism:
             tdim = self.target.dim(d)
             if tdim == 0:
                 continue
-            ech = Echelon(tdim)
+            ech = Echelon()
             for m in self.source.basis(d):
                 img = self.apply_raw({m: 1})
                 if img:

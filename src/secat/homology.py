@@ -33,18 +33,15 @@ of the cycles that vanish at every pivot of the reduced-echelon basis of the
 boundaries.  Each cycle reduces modulo the boundaries to exactly one such
 cycle, so this basis does not depend on enumeration order, and it is the
 kernel of d on the basis elements that are not boundary pivots, lifted back
-to degree d.  That kernel comes from linalg.kernel_span, one elimination of
-the transposed rows, and is echelonized again; no cycle outside it is built.
-The kernels whose basis reaches output (the kill cycles of hit_and_kill,
-kernel_basis, induced_kernel, quotient_kernel) stay on the canonical
-kernel_combos.
+to degree d: the kernel_combos of those rows, whose reduced echelon rows
+stay reduced when lifted.  No cycle outside it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Echelon, Rational, combine, combo_solver, kernel_combos, kernel_span
+from .linalg import Echelon, Rational, combine, combo_solver, kernel_combos
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                    Presentation, RangeExceedsCap)
 
@@ -55,14 +52,16 @@ class HomologyReport:
     The complex X is any object with the small protocol of this module's
     docstring, such as a Presentation or a SemiFreeModule.
 
-    Degree d first echelonizes the boundaries B^d, the rows of the
-    degree-(d-1) differential.  Past the first degree of the range the rank
-    of B^d is known from degree d - 1, dim C^{d-1} - rank B^{d-1} - b_{d-1},
-    and the echelon stops there, since the rows left out would not change
-    its canonical basis; in the first degree, and so in every single-degree
-    report, it stops only at rank dim C^d.  The classes are then the
-    kernel_span of d restricted to the basis elements that are not pivots
-    of B^d, one vector per class, lifted back and echelonized.
+    Degree d first echelonizes the boundaries B^d.  In the first degree of
+    the range they are fed every row of the degree-(d-1) differential, and
+    the echelon stops only at rank dim C^d.  Past it they are fed only the
+    rows at the degree-(d-1) basis elements off the pivots of B^{d-1},
+    which degree d - 1 built for its kernel: a pivot element differs from
+    a combination of those free elements by a boundary, whose d is 0, so
+    they span B^d.  Its rank is then the number of those rows less
+    b_{d-1}, and the echelon stops there, since the rows left out would not
+    change its canonical basis.  The classes are the kernel_combos of d on
+    the free elements of degree d, each row lifted back.
     """
 
     def __init__(self, X, lo: int, hi: int):
@@ -75,48 +74,42 @@ class HomologyReport:
         self.lo = lo
         self.hi = hi
         self._boundaries: dict[int, Echelon] = {}
-        self._classes: dict[int, Echelon] = {}
-        self._class_rows: dict[int, list] = {}  # _classes[d].basis(), built once
+        self._class_rows: dict[int, list] = {}  # the canonical class basis rows
         self._reps: dict[int, list] = {}
-        below = None  # the differential matrix of degree d - 1, once built
+        below = None  # the free rows of degree d - 1, once built
         for d in range(lo, hi + 1):
             below = self._compute_degree(d, below)
 
     def _compute_degree(self, d: int, below: list | None) -> list:
-        """Fill in degree d from the degree-(d-1) matrix `below` (None when
-        not yet built); return the degree-d differential matrix."""
+        """Fill in degree d from `below`, the rows of d at the degree-(d-1)
+        basis elements off the pivots of B^{d-1} (None when not yet built);
+        return those rows of degree d."""
         X = self.complex
         n = X.dim(d)
         if n == 0:
-            self._boundaries[d] = Echelon(0)
-            self._classes[d] = Echelon(0)
+            self._boundaries[d] = Echelon()
             self._class_rows[d] = []
             self._reps[d] = []
             return []
-        matrix = X.differential_vectors(d)
-        if below is None and d >= 1:
-            below = X.differential_vectors(d - 1)
-        # the rank of B^d is that of the degree-(d-1) differential, known once
-        # degree d - 1 is in: dim C^{d-1} - dim Z^{d-1}
-        full = n
-        if d > self.lo:
-            full = len(below) - self._boundaries[d - 1].rank - self._classes[d - 1].rank
-        bech = Echelon(n)
-        for v in below or ():
+        if below is None:
+            full = n
+            below = X.differential_vectors(d - 1) if d >= 1 else []
+        else:
+            # rank B^d = dim C^{d-1} - rank B^{d-1} - b_{d-1}
+            full = len(below) - len(self._class_rows[d - 1])
+        bech = Echelon()
+        for v in below:
             if bech.rank == full:
                 break
             bech.add(v)
         self._boundaries[d] = bech
-        # each class has one cycle zero at every pivot of B^d: the kernel of d
-        # on the other basis elements, lifted back to degree d
+        matrix = X.differential_vectors(d)
         free = [i for i in range(n) if i not in bech.pivots]
-        hech = Echelon(n)
-        for z in kernel_span([matrix[i] for i in free]):
-            hech.add({free[j]: c for j, c in z.items()})
-        self._classes[d] = hech
-        self._class_rows[d] = hech.basis()
+        rows = [matrix[i] for i in free]
+        self._class_rows[d] = [{free[j]: c for j, c in z.items()}
+                               for z in kernel_combos(rows, X.dim(d + 1))]
         self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
-        return matrix
+        return rows
 
     def _check_range(self, d: int):
         if d < self.lo or d > self.hi:
@@ -125,10 +118,10 @@ class HomologyReport:
 
     def betti(self, d: int) -> int:
         self._check_range(d)
-        return self._classes[d].rank
+        return len(self._class_rows[d])
 
     def betti_table(self) -> dict[int, int]:
-        return {d: self._classes[d].rank for d in range(self.lo, self.hi + 1)}
+        return {d: len(self._class_rows[d]) for d in range(self.lo, self.hi + 1)}
 
     def representatives(self, d: int) -> list:
         self._check_range(d)
@@ -158,8 +151,11 @@ class HomologyReport:
         if not x:
             return {}
         v = self._boundaries[d].reduce(self._cycle_vector(x, d))
-        coords = self._classes[d].coordinates(v)
-        if coords is None:
+        # the rows are reduced echelon: a coefficient is v's entry at its lead
+        rows = self._class_rows[d]
+        leads = (next(iter(row)) for row in rows)
+        coords = {i: v[lead] for i, lead in enumerate(leads) if lead in v}
+        if combine(coords, rows) != v:
             raise CdgaError("cycle does not reduce into the computed class space")
         return coords
 
@@ -220,7 +216,7 @@ def quotient_kernel(H: HomologyReport, ideal: Echelon, d: int) -> list:
     if not H.betti(d):
         return []
     width = H.complex.dim(d)
-    ech = Echelon(width)
+    ech = Echelon()
     for span in (H._boundaries[d], ideal):
         for row in span.rows:
             ech._add(row)
@@ -240,7 +236,7 @@ def quasi_iso_failure(phi: CdgaMorphism, lo: int, hi: int,
             return d, f"betti mismatch in degree {d}: {bs} vs {bt}"
         if bs == 0:
             continue
-        ech = Echelon(bt)
+        ech = Echelon()
         for col in induced_matrix(phi, H_src, H_tgt, d):
             ech.add(col)
         if ech.rank != bs:
@@ -309,7 +305,7 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
     for k in range(lo, hi + 1):
         if cols is None:
             cols = induced_matrix(phi, homology(X, k, k), H_tgt, k)
-        hit = Echelon(H_tgt.betti(k))
+        hit = Echelon()
         for col in cols:
             hit.add(col)
         for rep in H_tgt.representatives(k):
@@ -394,7 +390,7 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
         if n == 0:
             continue
         kernel = kernel_basis(phi, d)
-        span = Echelon(n)
+        span = Echelon()
         for g in gens:
             if span.rank == len(kernel):
                 break
@@ -541,7 +537,7 @@ class IdealPowers:
         for p in products:
             ech = echs.get(p.degree)
             if ech is None:
-                ech = Echelon(self.view.dim(p.degree))
+                ech = Echelon()
                 echs[p.degree] = ech
             if ech.add(self.view.to_coords(p.element, p.degree)) is not None:
                 kept.append(p)
@@ -565,8 +561,8 @@ class IdealPowers:
                     if i < p.factors[-1]:
                         continue  # commutative up to sign: ordered factor chains suffice
                     nd = p.degree + dg
-                    if nd > self.view.hi:
-                        continue
+                    if nd > self.view.hi or not self.view.dim(nd):
+                        continue  # the product lies in a zero piece
                     el = self.view.mul(p.element, g)
                     if el.terms:
                         nxt.append(SpanningProduct(el, nd, p.factors + (i,)))
@@ -582,7 +578,7 @@ class IdealPowers:
         return ech
 
     def _build_span(self, m: int, d: int) -> Echelon:
-        ech = Echelon(self.view.dim(d))
+        ech = Echelon()
         for p in self.level(m):
             if p.degree > d:
                 continue
@@ -666,7 +662,7 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
                                  f"betti {bk} in degree {k} vs {bo} opposite")
         if bk == 0:
             continue
-        ech = Echelon(bk)
+        ech = Echelon()
         for r in H.representatives(k):
             row = {}
             for j, s in enumerate(H.representatives(top - k)):
@@ -696,7 +692,7 @@ class _SpanComplex:
         self.cap, self.is_free = P.cap, P.is_free
 
     def _span(self, d: int) -> Echelon:
-        return self.spans.get(d, Echelon(self.P.dim(d)))
+        return self.spans.get(d, Echelon())
 
     def dim(self, d: int) -> int:
         return self._span(d).rank

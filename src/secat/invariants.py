@@ -919,7 +919,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
             return False, "witness class is zero before passing to the quotient"
         powers = _kernel_powers(phi, data.get("kernel_generators"),
                                 pedigreed, m, deg + 1)
-        dead = Echelon(H.betti(deg))
+        dead = Echelon()
         for k in quotient_kernel(H, powers.span_echelon(m + 1, deg), deg):
             dead.add(H.class_coords(k, deg))
         if not dead.contains(H.class_coords(z, deg)):

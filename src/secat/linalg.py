@@ -19,11 +19,10 @@ store, and the solvers built on it.
 Because the reduced echelon basis of a subspace is unique, representatives
 extracted from an `Echelon` are canonical for the span regardless of the
 order rows were fed in or of how the rows are stored.  `kernel_combos` is
-the canonical kernel.  `kernel_span` is cheaper, one elimination of the
-transposed matrix with no combination columns, but its basis only spans
-the kernel: its one caller, the homology report, echelonizes that span
-again.  `combo_solver` reduces any number of targets against one
-combination echelon, and `solve_combo` is it on a single target.
+the one kernel routine: one elimination of the transposed matrix, with no
+combination columns, reads the canonical kernel basis off directly.
+`combo_solver` reduces any number of targets against one combination
+echelon, and `solve_combo` is it on a single target.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ def _scale(row: dict[int, int], m: int) -> None:
 
 
 class Echelon:
-    """Incremental reduced-row-echelon store for a subspace of Q^width.
+    """Incremental reduced-row-echelon store for a subspace of rational
+    vectors; any int can be a column.
 
     Every pivot column is eliminated from all other rows, and each row is
     kept as a dict of nonzero ints, the primitive multiple of its canonical
@@ -77,8 +77,7 @@ class Echelon:
     module's own solvers feed integer rows to `_add` and `_reduce` directly.
     """
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: list[dict[int, int]] = []
         self.pivots: dict[int, int] = {}  # pivot column -> row index
         self._leads: list[int] = []       # row index -> pivot column
@@ -217,7 +216,7 @@ def _combination_echelon(images, width: int) -> Echelon:
     Each row is cleared to integers, so its combination column width + i is
     the single entry den_i.
     """
-    ech = Echelon(width + len(images))
+    ech = Echelon()
     for i, img in enumerate(images):
         row, den = _integer_row(img)
         row[width + i] = den
@@ -226,55 +225,37 @@ def _combination_echelon(images, width: int) -> Echelon:
 
 
 def kernel_combos(images, width: int) -> list[dict]:
-    """Coefficient vectors c with sum_i c_i * images[i] == 0.
+    """The canonical (reduced echelon) basis of the kernel of the linear map
+    e_i -> images[i], rows {c : sum_i c_i * images[i] == 0} in Q^n,
+    n = len(images), ordered by leading column.
 
-    `images` is a list of vectors in Q^width; the kernel of the linear map
-    e_i -> images[i] is returned as echelonized combination rows, each a
-    vector in Q^n.
+    One `Echelon` of the transposed matrix, whose row j holds the j-th
+    entries of the images, with column i stored as -i: so each reduced row
+    R_p leads at its pivot p and is nonzero otherwise only at free columns
+    below p.  Each free column f then gives
+    z_f = e_f - sum_{p > f} (R_p[f] / R_p[p]) e_p, which leads at f and is
+    zero at every other free column: the reduced echelon kernel row.  No
+    combination columns are carried.  `width`, the images' dimension, is
+    not needed for that.
     """
-    ech = _combination_echelon(images, width)
-    out = []
-    for col, ri in sorted(ech.pivots.items()):
-        if col >= width:
-            # the pivot is the least column, so the whole row lies past width
-            row = ech.rows[ri]
-            out.append(_rational({j - width: a for j, a in row.items()}, row[col]))
-    return out
-
-
-def kernel_span(images) -> list[dict]:
-    """Integer coefficient vectors c spanning {c : sum_i c_i * images[i] == 0},
-    one per free column (the images' width is not needed).
-
-    The basis spans the kernel, and that is its one contract: it is not the
-    canonical (reduced echelon) kernel basis of kernel_combos, so a caller
-    that lets the basis itself reach output must use kernel_combos.  It
-    comes from one `Echelon` of the transposed matrix, whose row j holds
-    the j-th entries of the images: each column f that is no pivot of its
-    reduced rows R gives z_f = e_f - sum_p (R[p][f] / R[p][p]) e_p, with p
-    over the pivot columns, scaled by the least common multiple of the
-    R[p][p] so that its entries are ints.  No combination columns are
-    carried.
-    """
-    n = len(images)
     transposed: dict[int, dict] = {}
     for i, img in enumerate(images):
         for j, c in img.items():
-            transposed.setdefault(j, {})[i] = c
-    ech = Echelon(n)
+            transposed.setdefault(j, {})[-i] = c
+    ech = Echelon()
     for row in transposed.values():
         ech.add(row)
+    rows, leads, holders = ech.rows, ech._leads, ech._holders
     out = []
-    for f in range(n):
-        if f in ech.pivots:
+    for f in range(len(images)):
+        if -f in ech.pivots:
             continue
-        held = [(ech._leads[ri], ech.rows[ri]) for ri in ech._holders.get(f, ())
-                if f in ech.rows[ri]]
-        den = lcm(*(row[p] for p, row in held))
-        z = {f: den}
+        held = sorted((-leads[ri], rows[ri]) for ri in holders.get(-f, ())
+                      if -f in rows[ri])
+        z = {f: 1}
         for p, row in held:
-            z[p] = -row[f] * (den // row[p])
-        out.append(dict(sorted(z.items())))
+            z[p] = _fraction(-row[-f], row[-p])
+        out.append(z)
     return out
 
 
@@ -318,8 +299,7 @@ class LinearSystem:
     RHS = 1 << 62  # above any unknown's index
 
     def __init__(self):
-        # the width is only a bound
-        self._ech = Echelon(self.RHS + 1)
+        self._ech = Echelon()
         self.equations = 0
 
     def add(self, coeffs: dict, rhs: Rational) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from secat.core import AlgebraElement, RangeExceedsCap, quotient_by_ideal
 from secat.homology import HomologyReport, homology, induced_kernel, kernel_basis
-from secat.linalg import Echelon, kernel_combos
+from secat.linalg import Echelon
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def kernel_ideal_generators_full_span(phi, hi):
         n = P.dim(d)
         if n == 0:
             continue
-        span = Echelon(n)
+        span = Echelon()
         for g in gens:
             e = g.degree()
             if e is None or e > d:
@@ -394,7 +394,7 @@ def ideal_echelon(P, d):
     if ech is None:
         ctx = P._ctx
         index = ctx.free.index(d)
-        ech = Echelon(len(index))
+        ech = Echelon()
         for rel in P.relations:
             e = ctx.mono_degree(next(iter(rel)))
             if e > d:
@@ -440,6 +440,17 @@ def reduce_raw_eliminated(P, terms):
     return out
 
 
+def kernel_combos(images, width):
+    """linalg.kernel_combos through the combination echelon: the rows
+    (images[i], e_i) in Q^(width + n) echelonized, and each basis row whose
+    pivot lies past `width` read back as a kernel row."""
+    ech = Echelon()
+    for i, img in enumerate(images):
+        ech.add({**img, width + i: 1})
+    return [{j - width: c for j, c in row.items()}
+            for row in ech.basis() if next(iter(row)) >= width]
+
+
 class CanonicalKernelHomology(HomologyReport):
     """HomologyReport with each degree filled in from the canonical kernel:
     the cycles are kernel_combos of the differential matrix, every boundary
@@ -450,8 +461,7 @@ class CanonicalKernelHomology(HomologyReport):
         X = self.complex
         n = X.dim(d)
         if n == 0:
-            self._boundaries[d] = Echelon(0)
-            self._classes[d] = Echelon(0)
+            self._boundaries[d] = Echelon()
             self._class_rows[d] = []
             self._reps[d] = []
             return []
@@ -459,14 +469,13 @@ class CanonicalKernelHomology(HomologyReport):
         cycles = kernel_combos(matrix, X.dim(d + 1))
         if below is None and d >= 1:
             below = X.differential_vectors(d - 1)
-        bech = Echelon(n)
+        bech = Echelon()
         for v in below or ():
             bech.add(v)
         self._boundaries[d] = bech
-        hech = Echelon(n)
+        hech = Echelon()
         for v in cycles:
             hech.add(bech.reduce(v))
-        self._classes[d] = hech
         self._class_rows[d] = hech.basis()
         self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
         return matrix

@@ -300,6 +300,59 @@ def test_monomial_tables_match_the_oracle_on_forty_generators():
         assert list(grown.free_monomials(d)) == want[d]
 
 
+@pytest.mark.parametrize("filename,label,cap", [("truncated_mix.cdga", "T", 22),
+                                                ("wedge.cdga", "W", 26)])
+def test_tables_extended_by_each_hit_and_kill_step_equal_fresh_ones(
+        monkeypatch, filename, label, cap):
+    """hit_and_kill adjoins generators that rank above every old one, so
+    each extension also keeps the old groups at and above the lowest new
+    degree whose tails lie below it, and adds the new generators' own
+    groups there.  Every extended table must give a fresh table's
+    monomials and positions in every degree <= cap + 2."""
+    A = load_model(filename, cap=cap + 1)[0][label]
+    steps = []
+    extended = _SignEngine.extended
+
+    def recorded(self, gens):
+        ext = extended(self, gens)
+        low = min(g.degree for g in gens)
+        steps.append((ext, any(n >= low for n in ext.free._groups)))
+        return ext
+
+    monkeypatch.setattr(_SignEngine, "extended", recorded)
+    build_minimal_model(A, cap)
+    assert len(steps) > 10 and any(kept for _, kept in steps)
+    for engine, _ in steps:
+        fresh = _MonomialTable(engine)
+        for d in range(cap + 3):
+            assert engine.free.monomials(d) == fresh.monomials(d), d
+            assert engine.free.index(d) == fresh.index(d), d
+
+
+@pytest.mark.parametrize("gens,kept", [([("z", 5)], True), ([("z", 6)], True),
+                                       ([("z", 5), ("zz", 5)], True), ([("b", 5)], False),
+                                       ([("a", 4)], False), ([("u", 7), ("b", 5)], False)])
+def test_an_adjoin_below_an_old_rank_keeps_only_the_tables_below_it(gens, kept):
+    """A new generator that ranks below an old one (a lower degree, or the
+    same degree and an earlier name) moves the old ranks: the extension
+    keeps only the tables below the lowest new degree and builds the rest.
+    New generators that all rank above keep groups above it too, up to
+    twice that degree, where a square or a product of two new ones is the
+    first monomial they add beyond themselves.  Either way every degree
+    equals a fresh build."""
+    old = [("x", 3), ("y", 5)]
+    P = Presentation(old, 24, validate=False)
+    for d in range(25):
+        P.free_monomials(d)
+    ext = P.adjoin(gens, {})
+    low = min(degree for _, degree in gens)
+    assert any(n >= low for n in ext._ctx.free._groups) == kept
+    fresh = Presentation(old + gens, 24, validate=False)
+    for d in range(25):
+        assert ext.free_monomials(d) == fresh.free_monomials(d)
+        assert ext._ctx.free.index(d) == fresh._ctx.free.index(d)
+
+
 def test_adjoin_coerces_only_the_new_differentials(monkeypatch):
     """Adjoining one generator to the minimal model of T at cap 22 coerces
     one differential, its own: the old ones are taken as they are, in their

@@ -156,15 +156,21 @@ def _printed(rep):
     return [(g, list(c.terms.items())) for g, c in rep.items()]
 
 
+def _assert_same_degree(got, want, d):
+    """Equal class rows, representatives (terms in order) and boundary
+    bases in degree d."""
+    assert got._class_rows[d] == want._class_rows[d]
+    assert ([_printed(r) for r in got.representatives(d)]
+            == [_printed(r) for r in want.representatives(d)])
+    assert got._boundaries[d].basis() == want._boundaries[d].basis()
+
+
 def _assert_same_report(got, want, lo, hi):
-    """Equal betti numbers, class rows, representatives (terms in order) and
+    """Equal betti numbers, and equal class rows, representatives and
     boundary bases in every degree."""
     assert got.betti_table() == want.betti_table()
     for d in range(lo, hi + 1):
-        assert got._class_rows[d] == want._class_rows[d]
-        assert ([_printed(r) for r in got.representatives(d)]
-                == [_printed(r) for r in want.representatives(d)])
-        assert got._boundaries[d].basis() == want._boundaries[d].basis()
+        _assert_same_degree(got, want, d)
 
 
 @pytest.mark.parametrize("name", ["T", "W", "S2", "fraction-quotient", "diagonal-source",
@@ -227,6 +233,37 @@ def test_homology_matches_the_canonical_kernel_oracle_on_random_complexes(case):
                         lo, hi)
 
 
+def _assert_range_is_its_single_degrees(X, hi):
+    """homology(X, 0, hi) feeds each B^d past degree 0 only the rows of d at
+    the degree-(d-1) elements off the pivots of B^{d-1}; homology(X, d, d)
+    feeds it every row.  Both must give the same report in degree d."""
+    whole = homology(X, 0, hi)
+    for d in range(hi + 1):
+        single = homology(X, d, d)
+        assert single.betti(d) == whole.betti(d)
+        _assert_same_degree(single, whole, d)
+
+
+@pytest.mark.parametrize("name", ["S3", "S2", "S4", "CP2", "C", "T", "W",
+                                  "P", "G", "A", "B", "Q"])
+def test_range_reports_equal_single_degree_reports_on_the_models(models, name):
+    P = models[name]
+    _assert_range_is_its_single_degrees(P, min((P.cap if P.is_free else P.cap - 1), 12))
+
+
+@pytest.mark.parametrize("name", ["fraction-quotient", "resolution", "span"])
+def test_range_reports_equal_single_degree_reports_on_other_complexes(models, name):
+    X, _, hi = _homology_oracle_case(models, name)
+    _assert_range_is_its_single_degrees(X, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=random_complexes())
+def test_range_reports_equal_single_degree_reports_on_random_complexes(case):
+    X, _, hi = case
+    _assert_range_is_its_single_degrees(X, hi)
+
+
 @pytest.mark.parametrize("name", ["T", "diagonal-source", "resolution"])
 def test_range_reports_stop_each_boundary_echelon_at_the_rank_below(monkeypatch,
                                                                     models, name):
@@ -235,8 +272,8 @@ def test_range_reports_stop_each_boundary_echelon_at_the_rank_below(monkeypatch,
     takes no row once it has that rank; on these complexes some rows are
     left out."""
     class Counting(Echelon):
-        def __init__(self, width):
-            super().__init__(width)
+        def __init__(self):
+            super().__init__()
             self.fed_at = []  # the rank before each add
 
         def add(self, v):

@@ -17,9 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles as orc
 
-from secat.linalg import (
-    Echelon, combine, kernel_combos, kernel_span, solve_combo, solve_sparse,
-)
+from secat.linalg import Echelon, combine, kernel_combos, solve_combo, solve_sparse
 
 ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
 
@@ -56,7 +54,7 @@ def _combine(coeffs, rows, width):
 
 def _echelon(width, rows):
     """An Echelon fed the dense rows."""
-    ech = Echelon(width)
+    ech = Echelon()
     for row in rows:
         ech.add(orc.sparse(row))
     return ech
@@ -267,10 +265,9 @@ def _normal(c) -> bool:
 @given(m=st.one_of(matrix_and_vector(), wide_matrix_and_vector()))
 def test_exits_give_ints_unless_a_denominator_remains(m):
     """Every vector returned by basis, reduce, coordinates, combine,
-    kernel_combos, kernel_span and solve_combo is a dict with ascending keys
-    and no zero value; every value they and solve_sparse return is in the
-    normal form, and each answer but kernel_span's (which only spans)
-    equals the one read off the oracle RREF."""
+    kernel_combos and solve_combo is a dict with ascending keys and no zero
+    value; every value they and solve_sparse return is in the normal form,
+    and each answer equals the one read off the oracle RREF."""
     width, rows, v = m
     want = orc.rref(rows)
     pivots = _pivot_columns(want)
@@ -291,7 +288,6 @@ def test_exits_give_ints_unless_a_denominator_remains(m):
         "kernel_combos": (kernel_combos(images, width),
                           [orc.sparse(r[width:]) for r, p in zip(aug, _pivot_columns(aug))
                            if p >= width]),
-        "kernel_span": (kernel_span(images), None),
         "solve_combo": (solve_combo(images, width, orc.sparse(v)),
                         None if any(rest[:width]) else orc.sparse([-c for c in rest[width:]])),
     }
@@ -303,13 +299,12 @@ def test_exits_give_ints_unless_a_denominator_remains(m):
             None if nx in pivots else ({p: r[nx] for r, p in zip(want, pivots)},
                                        [j for j in range(nx) if j not in pivots]))
     for name, (got, expected) in exits.items():
-        if name != "kernel_span":
-            assert got == expected, name
+        assert got == expected, name
         if name == "solve_sparse":
             if got is not None:
                 assert all(_normal(c) for c in got[0].values()), (name, got)
             continue
-        vectors = got if name in ("basis", "kernel_combos", "kernel_span") else [got]
+        vectors = got if name in ("basis", "kernel_combos") else [got]
         for vec in vectors:
             if vec is not None:
                 assert isinstance(vec, dict), (name, vec)
@@ -323,19 +318,17 @@ def test_exits_give_ints_unless_a_denominator_remains(m):
 @example(m=(3, []))
 @example(m=(0, [[], [], []]))
 @example(m=(2, [[Fraction(1, 2), 0], [0, 0], [Fraction(1, 2), 0]]))
-def test_kernel_span_spans_the_canonical_kernel(m):
-    """kernel_span gives n - rank integer vectors, indexed by the images,
-    that each map to 0 and together span what kernel_combos spans."""
+def test_kernel_combos_is_the_combination_echelon_kernel(m):
+    """kernel_combos, read off one elimination of the transposed images, is
+    the kernel that the combination echelon of the rows (images[i], e_i)
+    gives, value for value and type for type (ints unless a denominator
+    remains), on zero, repeated and empty image lists and at width 0."""
     width, rows = m
-    n = len(rows)
     images = [orc.sparse(r) for r in rows]
-    span = kernel_span(images)
-    combos = kernel_combos(images, width)
-    assert len(span) == n - orc.rank(rows) == len(combos)
-    for z in span:
-        assert isinstance(z, dict)
-        assert all(type(c) is int for c in z.values())
-        assert all(0 <= i < n for i in z)
-        assert _combine(orc.dense(z, n), rows, width) == [0] * width
-    assert (_echelon(n, [orc.dense(z, n) for z in span]).basis()
-            == _echelon(n, [orc.dense(c, n) for c in combos]).basis())
+    got = kernel_combos(images, width)
+    want = orc.kernel_combos(images, width)
+    assert len(got) == len(rows) - orc.rank(rows)
+
+    def typed(rows):
+        return [[(j, c, type(c)) for j, c in z.items()] for z in rows]
+    assert typed(got) == typed(want)

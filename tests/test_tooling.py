@@ -1,13 +1,16 @@
 """Tooling guards: the benchmark's tracer patches secat by dotted names,
-which must resolve, no float may enter the exact arithmetic, every
+which must resolve, and sizes calls by their arguments, which must read a
+real call; no float may enter the exact arithmetic, every
 definition in the package has a caller outside tests, and no module imports
 a name it does not use."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
+from conftest import load_model
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,6 +33,39 @@ def test_tracer_target_resolves(name):
         assert hasattr(owner, part), f"{name}: secat.{module} has no {part}"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_size_recorders_read_real_calls(monkeypatch):
+    """Each size recorder in perfbench/tracer.py reads the arguments of a
+    real call of its target, through the tracer's own wrapper: kernel_combos
+    as the homology report calls it, solve_sparse on a small system.  A
+    signature drift that would break `--trace 1` fails here."""
+    tracer = _load_tracer()
+    assert {name for name, (sizes, _) in tracer.TARGETS.items() if sizes} == {
+        "linalg.kernel_combos", "linalg.solve_sparse"}
+    traced = tracer.Tracer()
+    linalg = importlib.import_module("secat.linalg")
+    homology = importlib.import_module("secat.homology")
+    T = load_model("truncated_mix.cdga")[0]["T"]
+    want = homology.homology(T, 0, 8).betti_table()
+    monkeypatch.setattr(homology, "kernel_combos",
+                        traced.wrap("linalg.kernel_combos", linalg.kernel_combos))
+    assert homology.homology(T, 0, 8).betti_table() == want
+    equations = [({0: 1, 1: 1}, 1), ({1: 2}, 2)]
+    solve = traced.wrap("linalg.solve_sparse", linalg.solve_sparse)
+    assert solve(iter(equations), 2) == linalg.solve_sparse(equations, 2)
+    stats = traced.stats
+    assert stats["linalg.kernel_combos"]["calls"] == sum(1 for d in range(9) if T.dim(d))
+    assert stats["linalg.kernel_combos"]["cells"] > 0
+    assert dict(stats["linalg.solve_sparse"]) == {"rows": 2, "cols": 2, "nnz": 3,
+                                                   "calls": 1}
 
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "secat"
