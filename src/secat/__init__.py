@@ -26,8 +26,7 @@ from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        kernel_basis, kernel_ideal_generators, nil_ideal,
-                       poincare_duality_check, positive_part_generators,
-                       quasi_iso_failure)
+                       poincare_duality_check, quasi_iso_failure)
 from .construct import (DiagonalModel, SullivanModelResult,
                         build_minimal_model, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
@@ -38,7 +37,7 @@ from .invariants import (Bound, CatReport, Certificate, SurjectionReport,
                          TCReport, augmentation_morphism, cat_bounds,
                          certificate_from_json, certificate_to_json,
                          split_retraction_certificate, surjection_bounds,
-                         tc_bounds, toomer, verify_certificate)
+                         tc_bounds, verify_certificate)
 from .lang import (ParseError, make_presentation, parse_document,
                    parse_element, print_presentation, realize_document)
 

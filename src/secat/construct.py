@@ -15,7 +15,7 @@ carry frees and push caps onto homology requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (CdgaError, CdgaMorphism, NotQuasiIso, NotSimplyConnected,
                    Presentation, RangeExceedsCap, _build_combined,
@@ -27,12 +27,11 @@ from .homology import hit_and_kill, homology, quasi_iso_failure
 # minimal models
 
 
-@dataclass
-class SullivanModelResult:
+class SullivanModelResult(NamedTuple):
     model: Presentation
     morphism: CdgaMorphism          # model -> target, quasi-iso on the range
     valid_up_to: int                # homology matched exactly in degrees <= this
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
 
 def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
@@ -74,7 +73,7 @@ def sullivan_model_of(A: Presentation, cap: int) -> SullivanModelResult:
     """A itself when it is already free Sullivan, else a fresh minimal model."""
     if A.is_free and A.is_sullivan:
         return SullivanModelResult(A, identity_morphism(A), cap,
-                                   notes=["input is already a Sullivan presentation"])
+                                   notes=("input is already a Sullivan presentation",))
     return build_minimal_model(A, cap)
 
 
@@ -82,8 +81,7 @@ def sullivan_model_of(A: Presentation, cap: int) -> SullivanModelResult:
 # multiplication / diagonal surjections
 
 
-@dataclass
-class MultiplicationModel:
+class MultiplicationModel(NamedTuple):
     power: object                   # TensorPowerResult
     morphism: CdgaMorphism          # A^{ox n} -> A, every copy to the original
 
@@ -110,8 +108,7 @@ def multiplication_morphism(A: Presentation, n: int, *, cap: int | None = None):
 # the diagonal surjection through a Sullivan model
 
 
-@dataclass
-class DiagonalModel:
+class DiagonalModel(NamedTuple):
     """Surjection source -> A standing in for the n-fold diagonal.
 
     source = A ox (Sullivan model)^{ox (n-1)}; the morphism multiplies the
@@ -126,7 +123,7 @@ class DiagonalModel:
     n: int
     pedigree: str
     model: SullivanModelResult
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
 
 def diagonal_model(A: Presentation, n: int, cap: int,

@@ -54,10 +54,9 @@ integral may stay a Fraction: it compares, hashes and prints like the int.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .linalg import Echelon, Rational
 
@@ -121,14 +120,28 @@ class NotQuasiIso(CdgaError):
 # generators and the sign engine
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    degree: int
+    """A named generator of degree >= 1; equal to, and hashed as, any
+    generator with the same name and degree.  Never changed once built."""
 
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise DegreeMismatch(f"generator {self.name!r} must have degree >= 1")
+    __slots__ = ("name", "degree")
+
+    def __init__(self, name: str, degree: int):
+        if not isinstance(degree, int) or degree < 1:
+            raise DegreeMismatch(f"generator {name!r} must have degree >= 1")
+        self.name = name
+        self.degree = degree
+
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return self.name == other.name and self.degree == other.degree
+
+    def __hash__(self):
+        return hash((self.name, self.degree))
+
+    def __repr__(self):
+        return f"Generator(name={self.name!r}, degree={self.degree!r})"
 
     @property
     def odd(self) -> bool:
@@ -1415,8 +1428,7 @@ def _fresh_names(gens_a, gens_b, suffix_a: str, suffix_b: str):
     return map_a, map_b
 
 
-@dataclass
-class TensorResult:
+class TensorResult(NamedTuple):
     pres: Presentation
     include_left: CdgaMorphism
     include_right: CdgaMorphism
@@ -1479,10 +1491,8 @@ def tensor(A: Presentation, B: Presentation, *,
     return TensorResult(combined, inc_a, inc_b)
 
 
-@dataclass
-class TensorPowerResult:
+class TensorPowerResult(NamedTuple):
     pres: Presentation
-    injections: tuple[CdgaMorphism, ...]
     renames: tuple[dict, ...]
 
 
@@ -1503,11 +1513,7 @@ def tensor_power(A: Presentation, n: int, *, cap: int | None = None) -> TensorPo
             rn[g.name] = cand
         renames.append(rn)
     combined = _build_combined([(A, rn) for rn in renames], cap, A.simply_connected)
-    injections = tuple(
-        CdgaMorphism(A, combined, {g.name: combined.gen(rn[g.name]) for g in A.generators},
-                     check=False, name=f"in{i+1}")
-        for i, rn in enumerate(renames))
-    return TensorPowerResult(combined, injections, tuple(renames))
+    return TensorPowerResult(combined, tuple(renames))
 
 
 def quotient_by_ideal(P: Presentation, ideal_gens: Iterable[AlgebraElement]):

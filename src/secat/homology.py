@@ -23,6 +23,17 @@ and shares its memo of d, and it reuses the kill step's H^{k+1} for the
 next hit step whenever the kill generators leave the degree-(k+1) piece
 the same size.  That holds unless the source has degree-1 elements.
 
+Ideal powers and nilpotency work in a graded view of degrees 0..view.hi,
+the algebra itself (PresentationView) or its homology (HomologyView), with
+
+    view.hi                       the top degree of the view
+    view.dim(d)                   dimension of the degree-d piece
+    view.basis_elements(d)        a basis of it, as elements
+    view.to_coords(el, d)         coordinates of a degree-d element, a dict
+                                  from basis index to coefficient
+    view.mul(a, b)                the product, in the view
+    view.one()                    the unit
+
 Degree conventions: for a presentation with relations the graded pieces are
 faithful only up to the cap, and computing H^d needs the differential into
 degree d+1, so a homology request must satisfy hi + 1 <= cap.  Free
@@ -39,7 +50,7 @@ stay reduced when lifted.  No cycle outside it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .linalg import Echelon, Rational, combine, combo_solver, kernel_combos
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
@@ -417,33 +428,11 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
 
 
 # ---------------------------------------------------------------------------
-# graded views: a common face for "the algebra itself" and "its homology"
+# graded views: "the algebra itself" and "its homology", with the view
+# protocol of the module docstring
 
 
-class GradedView:
-    """Graded vector-space access with multiplication, degrees 0..hi."""
-
-    hi: int
-
-    def dim(self, d: int) -> int:
-        raise NotImplementedError
-
-    def basis_elements(self, d: int) -> list[AlgebraElement]:
-        raise NotImplementedError
-
-    def to_coords(self, el: AlgebraElement, d: int):
-        """Coordinates of a degree-d element: a dict from basis index to
-        coefficient."""
-        raise NotImplementedError
-
-    def mul(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        raise NotImplementedError
-
-    def one(self) -> AlgebraElement:
-        raise NotImplementedError
-
-
-class PresentationView(GradedView):
+class PresentationView:
     def __init__(self, P: Presentation, hi: int | None = None):
         self.pres = P
         self.hi = P.cap if hi is None else hi
@@ -466,7 +455,7 @@ class PresentationView(GradedView):
         return self.pres.one()
 
 
-class HomologyView(GradedView):
+class HomologyView:
     """Homology as a graded algebra; products reduce to canonical cycles."""
 
     def __init__(self, H: HomologyReport):
@@ -497,11 +486,18 @@ class HomologyView(GradedView):
 # ideal powers and nilpotency inside a view
 
 
-@dataclass
 class SpanningProduct:
-    element: AlgebraElement
-    degree: int
-    factors: tuple[int, ...]  # indices into the generating set
+    """A product of ideal generators with its degree and factor chain.
+    Slotted rather than a NamedTuple, which is slower to build and to read:
+    IdealPowers.level builds one per product and reads them in its loops."""
+
+    __slots__ = ("element", "degree", "factors")
+
+    def __init__(self, element: AlgebraElement, degree: int,
+                 factors: tuple[int, ...]):
+        self.element = element
+        self.degree = degree
+        self.factors = factors      # indices into the generating set
 
 
 class IdealPowers:
@@ -514,7 +510,8 @@ class IdealPowers:
     span.  Every kept product carries its factor chain for witnesses.
     """
 
-    def __init__(self, view: GradedView, generators: list[AlgebraElement]):
+    def __init__(self, view: PresentationView | HomologyView,
+                 generators: list[AlgebraElement]):
         self.view = view
         self.generators = []
         self.gen_degrees = []
@@ -600,47 +597,32 @@ class IdealPowers:
         return self.span_echelon(m, d).contains(self.view.to_coords(el, d))
 
 
-@dataclass
-class NilpotencyResult:
-    """nil = largest m with I^m != 0 inside degrees <= range_hi.
-
-    `range_relative` is False only when the ambient graded space is certified
-    to vanish above range_hi, making the value absolute.
-    """
+class NilpotencyResult(NamedTuple):
+    """nil = largest m with I^m != 0 inside the view's degrees, with a
+    nonzero m-fold product (None when m = 0), its factors as indices into
+    `generators`, and the generators that the view holds."""
     nil: int
-    range_hi: int
-    range_relative: bool
-    witness: AlgebraElement | None = None
-    witness_factors: tuple[int, ...] = ()
-    generators: list = field(default_factory=list)
+    witness: AlgebraElement | None
+    witness_factors: tuple[int, ...]
+    generators: list
 
 
-def nil_ideal(view: GradedView, generators: list[AlgebraElement],
-              *, range_relative: bool = True) -> NilpotencyResult:
+def nil_ideal(view: PresentationView | HomologyView,
+              generators: list[AlgebraElement]) -> NilpotencyResult:
     powers = IdealPowers(view, generators)
     nil, witness = powers.nil()
-    return NilpotencyResult(nil, view.hi, range_relative,
+    return NilpotencyResult(nil,
                             witness=witness.element if witness else None,
                             witness_factors=witness.factors if witness else (),
                             generators=list(powers.generators))
-
-
-def positive_part_generators(view: GradedView) -> list[AlgebraElement]:
-    """Basis elements of all positive degrees up to the view range."""
-    out = []
-    for d in range(1, view.hi + 1):
-        out.extend(view.basis_elements(d))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Poincare duality
 
 
-@dataclass
-class DualityResult:
+class DualityResult(NamedTuple):
     satisfied: bool
-    top: int
     reason: str = ""
 
 
@@ -654,12 +636,11 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
     if top > H.hi:
         raise RangeExceedsCap("duality check needs homology up to the top degree")
     if H.betti(top) != 1:
-        return DualityResult(False, top, f"dim H^{top} = {H.betti(top)} != 1")
+        return DualityResult(False, f"dim H^{top} = {H.betti(top)} != 1")
     for k in range(0, top + 1):
         bk, bo = H.betti(k), H.betti(top - k)
         if bk != bo:
-            return DualityResult(False, top,
-                                 f"betti {bk} in degree {k} vs {bo} opposite")
+            return DualityResult(False, f"betti {bk} in degree {k} vs {bo} opposite")
         if bk == 0:
             continue
         ech = Echelon()
@@ -671,9 +652,8 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
                     row[j] = c
             ech.add(row)
         if ech.rank != bk:
-            return DualityResult(False, top,
-                                 f"degenerate pairing in degree {k}")
-    return DualityResult(True, top)
+            return DualityResult(False, f"degenerate pairing in degree {k}")
+    return DualityResult(True)
 
 
 # ---------------------------------------------------------------------------

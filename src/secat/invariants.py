@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, IdealNotClosed,
                    NotSurjective, Presentation, RangeExceedsCap,
@@ -37,8 +37,8 @@ from .core import (AlgebraElement, CdgaError, CdgaMorphism, IdealNotClosed,
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        induced_kernel, kernel_ideal_generators, nil_ideal,
-                       poincare_duality_check, positive_part_generators,
-                       quotient_kernel, span_complex_homology)
+                       poincare_duality_check, quotient_kernel,
+                       span_complex_homology)
 from .linalg import Echelon, solve_combo
 from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
@@ -65,8 +65,7 @@ CERT_KINDS = (
 # certificates and bounds
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     context: dict
     data: dict
@@ -104,17 +103,24 @@ def certificate_from_json(text: str) -> Certificate:
     return certificate_from_dict(d)
 
 
-@dataclass
 class Bound:
     """An interval verdict; merge_* only ever tightens it and refuses a cross."""
-    name: str
-    lower: int | None = None
-    upper: int | None = None
-    lower_absolute: bool = False
-    upper_absolute: bool = False
-    verified_up_to: int | None = None
-    certificates: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+
+    __slots__ = ("name", "lower", "upper", "lower_absolute", "upper_absolute",
+                 "verified_up_to", "certificates", "notes")
+
+    def __init__(self, name: str, lower: int | None = None,
+                 upper: int | None = None, lower_absolute: bool = False,
+                 upper_absolute: bool = False,
+                 verified_up_to: int | None = None):
+        self.name = name
+        self.lower = lower
+        self.upper = upper
+        self.lower_absolute = lower_absolute
+        self.upper_absolute = upper_absolute
+        self.verified_up_to = verified_up_to
+        self.certificates: list[Certificate] = []
+        self.notes: list[str] = []
 
     def merge_lower(self, value, absolute=False, cert=None, note=None):
         self._merge("lower", value, absolute, cert, note)
@@ -228,19 +234,17 @@ def homology_kernel_classes(phi: CdgaMorphism, H_src: HomologyReport,
 # the surjection engine
 
 
-@dataclass
-class SurjectionReport:
+class SurjectionReport(NamedTuple):
     morphism: CdgaMorphism
     hi: int                              # degrees the verdicts were checked in
     source_homology: HomologyReport      # H(source) in degrees 0..hi
     kernel_generators: list
-    kernel_complete: bool
     h_bound: Bound
     m_bound: Bound | None
     map_bound: Bound
-    nil_kernel_h: NilpotencyResult | None
+    nil_kernel_h: NilpotencyResult       # nil ker H(phi) in degrees <= hi
     nil_kernel: int
-    notes: list = field(default_factory=list)
+    notes: list
 
     def bounds(self):
         """The chain h <= m <= map, without m when it was skipped."""
@@ -262,21 +266,20 @@ class SurjectionReport:
 
 
 def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
-                      kernel_gens=None, kernel_complete: bool | None = None,
-                      context: dict | None = None, pedigree: str | None = None,
-                      with_m: bool = True, pd_space=None,
-                      content_top: int | None = None,
+                      kernel_gens=None, context: dict | None = None,
+                      pedigree: str | None = None, with_m: bool = True,
+                      pd_space=None, content_top: int | None = None,
                       names=("h-invariant", "m-invariant", "sectional")
                       ) -> SurjectionReport:
     """Run the full chain of bounds for a degree-wise surjection.
 
     `names` names the three ends of the chain h <= m <= map in the report.
-    `kernel_gens` must generate ker phi as an ideal when given; set
-    `kernel_complete` accordingly.  When omitted they are derived degree by
-    degree, which is complete exactly when the source has a certified top
-    degree inside the range.  `pd_space` is an optional (HomologyReport, top,
-    label) triple for the space the surjection is about; a verified duality
-    pairing there collapses the m-invariant onto the h-invariant.
+    `kernel_gens` must generate ker phi as an ideal when given.  When
+    omitted they are derived degree by degree, which is complete exactly
+    when the source has a certified top degree inside the range.
+    `pd_space` is an optional (HomologyReport, top, label) triple for the
+    space the surjection is about; a verified duality pairing there
+    collapses the m-invariant onto the h-invariant.
 
     `content_top` asserts that H(source) vanishes absolutely above that
     degree for reasons the source presentation cannot see on its own,
@@ -307,9 +310,6 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     view_hi = min(cap, hi + 1)
     if kernel_gens is None:
         kernel_gens = kernel_ideal_generators(phi, view_hi)
-        kernel_complete = htop is not None and htop <= view_hi
-    elif kernel_complete is None:
-        kernel_complete = False
     finite_range = (htop is not None and htop <= hi) or \
                    (content_top is not None and content_top <= hi)
 
@@ -332,8 +332,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
 
     # nil of the kernel of the induced map on homology: a lower bound
     kclasses = homology_kernel_classes(phi, H_S, H_B, hi)
-    nil_h = nil_ideal(HomologyView(H_S), kclasses,
-                      range_relative=not finite_range)
+    nil_h = nil_ideal(HomologyView(H_S), kclasses)
     if nil_h.nil > 0:
         cert = Certificate(
             "nil-witness", ctx,
@@ -347,7 +346,8 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     # powers of the kernel ideal drive everything else
     powers = IdealPowers(PresentationView(S, view_hi), kernel_gens)
     nil_k, _ = powers.nil()
-    kernel_absolute = kernel_complete and htop is not None and htop <= view_hi
+    # the generators are complete: given, or derived through a certified top
+    kernel_absolute = htop is not None and htop <= view_hi
     cert = Certificate(
         "kernel-power-vanishes", ctx,
         {"m": nil_k, "hi": view_hi,
@@ -428,9 +428,8 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
             h_bound.merge_lower(m_bound.lower, m_bound.lower_absolute,
                                 note="duality collapse")
 
-    report = SurjectionReport(phi, hi, H_S, list(kernel_gens),
-                              bool(kernel_complete), h_bound, m_bound,
-                              map_bound, nil_h, nil_k, notes)
+    report = SurjectionReport(phi, hi, H_S, list(kernel_gens), h_bound,
+                              m_bound, map_bound, nil_h, nil_k, notes)
     report.settle(with_notes=True)
     return report
 
@@ -439,9 +438,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
 # augmentation specialization: toomer / mcat / cat
 
 
-@dataclass
-class CatReport:
-    presentation: Presentation
+class CatReport(NamedTuple):
     model: SullivanModelResult
     hi: int
     cup: NilpotencyResult
@@ -449,7 +446,7 @@ class CatReport:
     mcat: Bound | None
     cat: Bound
     surjection: SurjectionReport
-    notes: list = field(default_factory=list)
+    notes: list
 
     def bounds(self):
         return self.surjection.bounds()
@@ -481,18 +478,17 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
     rep = surjection_bounds(
         augmentation_morphism(M), hi=hi,
         kernel_gens=[M.gen(g.name) for g in M.generators],
-        kernel_complete=True, context=ctx, pedigree="augmentation",
+        context=ctx, pedigree="augmentation",
         with_m=with_m, pd_space=pd_space, content_top=htop,
         names=("toomer", "mcat", "cat"))
     cat = rep.map_bound
 
-    # cup length: nil of the positive part of homology, H(M) in degrees
-    # <= hi as the surjection report built it (its hi is this one, since
-    # the augmentation's target is free at M's cap)
-    view = HomologyView(rep.source_homology)
-    finite_range = htop is not None and htop <= hi
-    cup = nil_ideal(view, positive_part_generators(view),
-                    range_relative=not finite_range)
+    # cup length: nil of the positive part of H(M) in degrees <= hi (the
+    # report's hi is this one, since the augmentation's target is free at
+    # M's cap).  The report's nil ker H(aug) is exactly that: ker H(aug) is
+    # all of H+(M), its classes come degree by degree in basis order, and
+    # each already lies in ker aug, so _into_kernel keeps it.
+    cup = rep.nil_kernel_h
     if cup.nil > 0:
         cert = Certificate(
             "nil-witness", ctx,
@@ -528,22 +524,15 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
                         note=f"nil of the input positive part is {nilA}")
 
     rep.settle()
-    return CatReport(A, model_res, hi, cup, rep.h_bound, rep.m_bound, cat,
-                     rep, notes + rep.notes)
-
-
-def toomer(A: Presentation, cap: int | None = None, *, label: str = "A") -> Bound:
-    """Least m with H injecting into the homology of the length-m quotient."""
-    return cat_bounds(A, cap, with_m=False, label=label).toomer
+    return CatReport(model_res, hi, cup, rep.h_bound, rep.m_bound, cat, rep,
+                     notes + rep.notes)
 
 
 # ---------------------------------------------------------------------------
 # diagonal specialization: htc / mtc / tc
 
 
-@dataclass
-class TCReport:
-    presentation: Presentation
+class TCReport(NamedTuple):
     n: int
     cap: int
     hi: int
@@ -552,7 +541,7 @@ class TCReport:
     htc: Bound
     mtc: Bound | None
     tc: Bound
-    notes: list = field(default_factory=list)
+    notes: list
 
     def bounds(self):
         return self.surjection.bounds()
@@ -577,8 +566,7 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
 
     suffix = "" if n == 2 else str(n)
     rep = surjection_bounds(dm.morphism, kernel_gens=dm.kernel_generators,
-                            kernel_complete=True, context=ctx,
-                            pedigree=dm.pedigree, with_m=with_m,
+                            context=ctx, pedigree=dm.pedigree, with_m=with_m,
                             pd_space=pd_space,
                             content_top=n * htop if htop is not None else None,
                             names=(f"htc{suffix}", f"mtc{suffix}", f"tc{suffix}"))
@@ -612,7 +600,7 @@ def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
                            note=f"multiplication kernel has nil {nil_mult}")
 
     rep.settle()
-    return TCReport(A, n, cap, rep.hi, dm, rep, rep.h_bound, rep.m_bound, tc,
+    return TCReport(n, cap, rep.hi, dm, rep, rep.h_bound, rep.m_bound, tc,
                     notes + rep.notes)
 
 

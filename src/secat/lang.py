@@ -19,8 +19,8 @@ element printer emits exactly this syntax, so printed elements parse back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import AlgebraElement, CdgaError, CdgaMorphism, Presentation, _coerce_coeff
 
@@ -39,12 +39,18 @@ class ParseError(CdgaError):
 _PUNCT = ("->", "{", "}", ":", ";", "=", "+", "-", "*", "^", "(", ")", ",")
 
 
-@dataclass
 class Token:
-    kind: str       # 'name' | 'number' | 'punct' | 'eof'
-    text: str
-    line: int
-    col: int
+    """A lexer token.  Slotted rather than a NamedTuple, which is slower
+    to build and to read: the lexer builds one per token and the parser
+    reads each several times."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind            # 'name' | 'number' | 'punct' | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str) -> list[Token]:
@@ -221,34 +227,31 @@ def parse_element(text: str, pres: Presentation) -> AlgebraElement:
 # documents
 
 
-@dataclass
-class CdgaSpec:
+class CdgaSpec(NamedTuple):
     name: str
-    gens: list = field(default_factory=list)          # (name, degree)
-    rels: list = field(default_factory=list)          # expression ASTs
-    diffs: dict = field(default_factory=dict)         # gen -> AST
-    flags: set = field(default_factory=set)
-    cap: int | None = None
+    gens: list                  # (name, degree)
+    rels: list                  # expression ASTs
+    diffs: dict                 # gen -> AST
+    flags: set
+    cap: int | None
 
 
-@dataclass
-class MorphismSpec:
+class MorphismSpec(NamedTuple):
     name: str
     source: str
     target: str
-    images: dict = field(default_factory=dict)        # gen -> AST
+    images: dict                # gen -> AST
 
 
-@dataclass
-class Document:
-    cdgas: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)         # (kind, name) as parsed
+class Document(NamedTuple):
+    cdgas: dict
+    morphisms: dict
+    order: list                 # (kind, name) as parsed
 
 
 def parse_document(text: str) -> Document:
     p = _Parser(tokenize(text))
-    doc = Document()
+    doc = Document({}, {}, [])
     while p.peek().kind != "eof":
         t = p.expect("name")
         if t.text == "cdga":
@@ -271,7 +274,7 @@ def parse_document(text: str) -> Document:
 
 def _parse_cdga(p: _Parser) -> CdgaSpec:
     name = p.expect("name").text
-    spec = CdgaSpec(name)
+    gens, rels, diffs, flags, cap = [], [], {}, set(), None
     p.expect("punct", "{")
     while not p.at_punct("}"):
         kw = p.expect("name")
@@ -282,26 +285,25 @@ def _parse_cdga(p: _Parser) -> CdgaSpec:
             if "/" in deg.text:
                 raise ParseError("generator degree must be an integer",
                                  deg.line, deg.col)
-            spec.gens.append((gname, int(deg.text)))
+            gens.append((gname, int(deg.text)))
         elif kw.text == "d":
             gname = p.expect("name").text
             p.expect("punct", "=")
-            if gname in spec.diffs:
+            if gname in diffs:
                 raise ParseError(f"duplicate differential for {gname!r}",
                                  kw.line, kw.col)
-            spec.diffs[gname] = p.parse_expr()
+            diffs[gname] = p.parse_expr()
         elif kw.text == "rel":
-            spec.rels.append(p.parse_expr())
+            rels.append(p.parse_expr())
         elif kw.text == "flag":
-            spec.flags.add(p.expect("name").text)
+            flags.add(p.expect("name").text)
         elif kw.text == "cap":
-            cap = p.expect("number")
-            spec.cap = int(cap.text)
+            cap = int(p.expect("number").text)
         else:
             raise ParseError(f"unknown item {kw.text!r}", kw.line, kw.col)
         p.expect("punct", ";")
     p.expect("punct", "}")
-    return spec
+    return CdgaSpec(name, gens, rels, diffs, flags, cap)
 
 
 def _parse_morphism(p: _Parser) -> MorphismSpec:
@@ -310,18 +312,18 @@ def _parse_morphism(p: _Parser) -> MorphismSpec:
     source = p.expect("name").text
     p.expect("punct", "->")
     target = p.expect("name").text
-    spec = MorphismSpec(name, source, target)
+    images = {}
     p.expect("punct", "{")
     while not p.at_punct("}"):
         gname = p.expect("name").text
         p.expect("punct", "->")
-        if gname in spec.images:
+        if gname in images:
             raise ParseError(f"duplicate image for {gname!r}",
                              p.peek().line, p.peek().col)
-        spec.images[gname] = p.parse_expr()
+        images[gname] = p.parse_expr()
         p.expect("punct", ";")
     p.expect("punct", "}")
-    return spec
+    return MorphismSpec(name, source, target, images)
 
 
 # ---------------------------------------------------------------------------

@@ -300,12 +300,10 @@ class LinearSystem:
 
     def __init__(self):
         self._ech = Echelon()
-        self.equations = 0
 
     def add(self, coeffs: dict, rhs: Rational) -> bool:
         """Feed one equation; False when the system has become inconsistent
         (it stays so, whatever comes after)."""
-        self.equations += 1
         row = dict(coeffs)
         if rhs:
             row[self.RHS] = rhs

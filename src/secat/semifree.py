@@ -27,7 +27,7 @@ cohomology.  Three constructions live on top:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .linalg import LinearSystem, Rational
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
@@ -253,14 +253,19 @@ class SemiFreeModule:
 # semifree resolution of A / ideal
 
 
-@dataclass
 class QuotientResolution:
-    module: SemiFreeModule
-    quotient: Presentation
-    projection: CdgaMorphism             # A -> quotient
-    eps: dict                            # module gen -> element of the quotient
-    valid_up_to: int
-    notes: list[str] = field(default_factory=list)
+    """A semifree module over A with eps: module -> A/I, its augmentation
+    onto the quotient; the builder grows `module` and `eps` degree by degree."""
+
+    __slots__ = ("module", "quotient", "projection", "eps", "valid_up_to")
+
+    def __init__(self, module: SemiFreeModule, quotient: Presentation,
+                 projection: CdgaMorphism, eps: dict, valid_up_to: int):
+        self.module = module
+        self.quotient = quotient
+        self.projection = projection     # A -> quotient
+        self.eps = eps                   # module gen -> element of the quotient
+        self.valid_up_to = valid_up_to
 
     def eps_apply(self, mel: ModuleElement) -> AlgebraElement:
         out = self.quotient.zero()
@@ -328,11 +333,9 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
 # module retraction: the decision procedure for the m-invariants
 
 
-@dataclass
-class RetractionResult:
+class RetractionResult(NamedTuple):
     values: dict                        # gen name -> AlgebraElement in the base
     free_unknowns: int
-    equations: int
     checked_up_to: int
 
 
@@ -436,7 +439,7 @@ class RetractionSearch:
         for name, (deg, off, width) in self.slots.items():
             values[name] = base.from_vector(
                 deg, {i: solution[off + i] for i in range(width) if off + i in solution})
-        return RetractionResult(values, len(free), self.system.equations, self.E)
+        return RetractionResult(values, len(free), self.E)
 
 
 def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult | None:

@@ -292,6 +292,13 @@ def diffs_of(pres):
 # ---------------------------------------------------------------------------
 # the engine's plain loops, without their memos and early exits
 
+def positive_part_generators(view):
+    """Every basis element of the view in degrees 1..view.hi, degree by
+    degree: the generators of its positive part, whose nil is the cup
+    length when the view is a homology."""
+    return [b for d in range(1, view.hi + 1) for b in view.basis_elements(d)]
+
+
 def apply_raw_unmemoised(phi, terms):
     """CdgaMorphism.apply_raw formed afresh: each monomial factor by factor,
     piece * image(g)**e, reducing after each product."""

@@ -18,8 +18,8 @@ from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             PresentationView,
                             _SpanComplex, homology, induced_matrix,
                             kernel_basis, kernel_ideal_generators, nil_ideal,
-                            poincare_duality_check, positive_part_generators,
-                            quasi_iso_failure, span_complex_homology)
+                            poincare_duality_check, quasi_iso_failure,
+                            span_complex_homology)
 from secat.construct import (build_minimal_model, diagonal_model,
                              multiplication_morphism)
 from secat.semifree import SemiFreeModule, resolve_quotient
@@ -382,34 +382,33 @@ def test_nil_ideal_values(models):
     CP2 = models["CP2"]
     H = homology(CP2, 0, 4)
     view = HomologyView(H)
-    res = nil_ideal(view, positive_part_generators(view), range_relative=False)
+    res = nil_ideal(view, orc.positive_part_generators(view))
     assert res.nil == 2
     assert res.witness is not None and res.witness.degree() == 4
 
     S3 = models["S3"]
     H3 = homology(S3, 0, 3)
     v3 = HomologyView(H3)
-    assert nil_ideal(v3, positive_part_generators(v3)).nil == 1
+    assert nil_ideal(v3, orc.positive_part_generators(v3)).nil == 1
 
     C = models["C"]
     HC = homology(C, 0, 11)
     vc = HomologyView(HC)
-    rc = nil_ideal(vc, positive_part_generators(vc), range_relative=False)
+    rc = nil_ideal(vc, orc.positive_part_generators(vc))
     assert rc.nil == 2        # [a][b x] is a nonzero 2-fold product
 
     W = models["W"]
     HW = homology(W, 0, 13)
     vw = HomologyView(HW)
-    assert nil_ideal(vw, positive_part_generators(vw),
-                     range_relative=False).nil == 1
+    assert nil_ideal(vw, orc.positive_part_generators(vw)).nil == 1
 
 
 def test_nil_witness_factors_reverify(models):
     C = models["C"]
     H = homology(C, 0, 11)
     view = HomologyView(H)
-    gens = positive_part_generators(view)
-    res = nil_ideal(view, gens, range_relative=False)
+    gens = orc.positive_part_generators(view)
+    res = nil_ideal(view, gens)
     prod = view.one()
     for i in res.witness_factors:
         prod = view.mul(prod, gens[i])

@@ -7,16 +7,17 @@ import sys
 import pytest
 
 from conftest import MODELS
+import oracles as orc
 
 import secat.core
 from secat.cli import main
 from secat.core import CdgaError, RangeExceedsCap
-from secat.homology import IdealPowers, homology
+from secat.homology import HomologyView, IdealPowers, homology, nil_ideal
 from secat.lang import make_presentation, parse_document
 from secat.invariants import (
     Bound, CERT_FORMAT, Certificate, augmentation_morphism, cat_bounds,
     certificate_from_json, certificate_to_json, split_retraction_certificate,
-    surjection_bounds, tc_bounds, toomer, verify_certificate,
+    surjection_bounds, tc_bounds, verify_certificate,
 )
 
 
@@ -186,18 +187,23 @@ def test_degree_one_example_reports_model_relative_category(models):
 
 
 def test_toomer_shortcut_matches_the_report(models, truncated_report):
-    assert toomer(models["T"], label="T").lower == 2
+    toomer = cat_bounds(models["T"], with_m=False, label="T").toomer
+    assert toomer.lower == truncated_report.toomer.lower == 2
 
 
 @pytest.mark.parametrize("label", ["C", "T", "CP2", "P", "S2", "Q", "G", "W"])
 def test_cup_length_reads_the_surjection_reports_homology(models, label):
-    """cat's cup length takes H(M) from the augmentation's report, whose
-    range is cat's own: the augmentation's target is free at M's cap."""
+    """cat's cup length is the augmentation report's nil ker H(aug), over
+    H(M) in cat's own range (the augmentation's target is free at M's cap),
+    and equals the nil of every positive basis class of H(M), witness,
+    factors and generators alike."""
     rep = cat_bounds(models[label], label=label)
     H = rep.surjection.source_homology
     assert H.complex is rep.model.model
     assert (H.lo, H.hi) == (0, rep.hi) == (0, rep.surjection.hi)
     assert H.betti_table() == homology(rep.model.model, 0, rep.hi).betti_table()
+    view = HomologyView(H)
+    assert rep.cup == nil_ideal(view, orc.positive_part_generators(view))
 
 
 # ---------------------------------------------------------------------------

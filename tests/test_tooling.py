@@ -1,13 +1,17 @@
 """Tooling guards: the benchmark's tracer patches secat by dotted names,
 which must resolve, and sizes calls by their arguments, which must read a
 real call; no float may enter the exact arithmetic, every
-definition in the package has a caller outside tests, and no module imports
-a name it does not use."""
+definition in the package has a caller outside tests, no module imports
+a name it does not use, and importing the CLI loads no dataclass
+machinery."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from conftest import load_model
@@ -182,6 +186,24 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line} {name}" for path in sorted(paths)
              for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, found
+
+
+# modules that `dataclasses` pulls in and nothing else in secat needs
+DATACLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """Records are NamedTuples or slotted classes, so a fresh interpreter
+    that imports secat.cli loads none of `dataclasses`' imports; a record
+    written as a dataclass again would add them to every CLI call's
+    start-up."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, secat.cli; print(*sorted(m for m in sys.argv[1:] "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, *DATACLASS_MACHINERY],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_unused_import_scan_sees_plain_from_and_aliased_imports():
