@@ -985,25 +985,37 @@ class Presentation:
     # -- structural predicates
 
     def sullivan_order(self) -> tuple[str, ...] | None:
-        """A nilpotence ordering of the generators, or None if there is none."""
+        """A nilpotence ordering of the generators, or None if there is none.
+
+        Round r holds, by degree then name, the generators whose d involves
+        only generators of earlier rounds and one of round r - 1.  One pass
+        over the generators counts each one's unplaced dependencies; placing
+        a round counts down those of the generators whose d involves it.  A
+        generator left with a count above zero lies on a cycle of
+        dependencies, or its d involves a name that is not a generator.
+        """
         if not self.is_free:
             return None
+        waiting: dict[str, int] = {}   # generator -> dependencies not placed
+        users: dict[str, list[str]] = {}
+        for g in self.generators:
+            deps = {dep for m in self._diff_raw.get(g.name, {}) for dep, _ in m}
+            waiting[g.name] = len(deps)
+            for dep in deps:
+                users.setdefault(dep, []).append(g.name)
         placed: list[str] = []
-        placed_set: set[str] = set()
-        remaining = {g.name for g in self.generators}
-        while remaining:
-            progress = [n for n in sorted(remaining,
-                                          key=lambda n: (self._ctx.degree_of[n], n))
-                        if all(dep in placed_set
-                               for m in self._diff_raw.get(n, {})
-                               for dep, _ in m)]
-            if not progress:
-                return None
-            for n in progress:
-                placed.append(n)
-                placed_set.add(n)
-                remaining.remove(n)
-        return tuple(placed)
+        rnd = [n for n, k in waiting.items() if not k]
+        while rnd:
+            rnd.sort(key=lambda n: (self._ctx.degree_of[n], n))
+            placed += rnd
+            nxt = []
+            for dep in rnd:
+                for n in users.get(dep, ()):
+                    waiting[n] -= 1
+                    if not waiting[n]:
+                        nxt.append(n)
+            rnd = nxt
+        return tuple(placed) if len(placed) == len(waiting) else None
 
     @property
     def is_sullivan(self) -> bool:

@@ -31,8 +31,20 @@ the algebra itself (PresentationView) or its homology (HomologyView), with
     view.basis_elements(d)        a basis of it, as elements
     view.to_coords(el, d)         coordinates of a degree-d element, a dict
                                   from basis index to coefficient
+    view.from_coords(d, v)        the degree-d element with coordinates v
     view.mul(a, b)                the product, in the view
     view.one()                    the unit
+
+An ideal enters IdealPowers by ideal generators, not by a vector basis:
+ideal_generators reduces, degree by degree, each basis element of the ideal
+against the span of (generators kept so far) x (view basis), and keeps a
+nonzero remainder as a new generator.  It serves the kernel of a morphism
+(kernel_ideal_generators, in the algebra) and the kernel of an induced map
+on homology (in its HomologyView).  Each level of IdealPowers multiplies
+ascending factor chains and never squares an odd last factor: an odd
+element squares to zero in a graded-commutative algebra, and in a
+HomologyView that product is a boundary, which reduces to 0.  So skipping
+it leaves every level unchanged.
 
 Degree conventions: for a presentation with relations the graded pieces are
 faithful only up to the cap, and computing H^d needs the differential into
@@ -369,17 +381,46 @@ def kernel_basis(phi: CdgaMorphism, d: int) -> list[AlgebraElement]:
     return [P.from_vector(d, combo) for combo in kernel_combos(images, B.dim(d))]
 
 
+def ideal_generators(view, degrees, basis_of) -> list[AlgebraElement]:
+    """Ideal generators, degree by degree, of a graded ideal J of a view.
+
+    `degrees` ascend, and `basis_of(d)` is a basis of J_d.  In each degree
+    the span of the products g * b, g a generator kept so far and b a view
+    basis element, is built first, and a basis element reduced against it
+    becomes a generator when something is left.  The products lie in the
+    ideal J, so once their span has the rank of J_d it is J_d: no further
+    product is formed, and every basis element reduces to 0 as it would
+    against the full span.  A degree where the view is zero is skipped
+    without calling basis_of.
+    """
+    gens: list[tuple[AlgebraElement, int]] = []
+    for d in degrees:
+        if not view.dim(d):
+            continue
+        basis = basis_of(d)
+        span = Echelon()
+        for g, e in gens:
+            if span.rank == len(basis):
+                break
+            for b in view.basis_elements(d - e):
+                prod = view.mul(g, b)
+                if prod.terms:
+                    span.add(view.to_coords(prod, d))
+                    if span.rank == len(basis):
+                        break
+        for el in basis:
+            v = span.reduce(view.to_coords(el, d))
+            if v:
+                gens.append((view.from_coords(d, v), d))
+                span.add(v)
+    return [g for g, _ in gens]
+
+
 def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
                             degrees: set[int] | None = None) -> list[AlgebraElement]:
-    """A finite ideal generating set for ker phi in degrees <= hi.
-
-    Degrees ascend; in each degree the span of products of the generators
-    found so far is eliminated first, so only genuinely new kernel directions
-    become generators.  Every returned element is verified to map to zero.
-
-    The products lie in ker phi, an ideal, so once their span has the rank of
-    ker_d it is ker_d: no further product is formed, and every kernel basis
-    element reduces to 0 as it would against the full span.
+    """A finite ideal generating set for ker phi in degrees <= hi: the
+    ideal_generators of ker phi in the source algebra, each verified to map
+    to zero.
 
     `degrees`, when given, must hold the degrees of some set G that
     generates ker phi as an ideal; only those degrees are visited, and the
@@ -391,39 +432,17 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
     multiplication A^{ox n} -> A these are the degrees of A's generators
     (see construct.multiplication_morphism).
     """
-    P, B = phi.source, phi.target
+    B = phi.target
     b_hi = B.cap if B.is_free else B.cap - 1
-    gens: list[AlgebraElement] = []
-    for d in range(1, hi + 1):
-        if degrees is not None and d not in degrees:
-            continue
-        n = P.dim(d)
-        if n == 0:
-            continue
-        kernel = kernel_basis(phi, d)
-        span = Echelon()
-        for g in gens:
-            if span.rank == len(kernel):
-                break
-            e = g.degree()
-            if e is None or e > d:
-                continue
-            for mono in P.basis(d - e):
-                prod = g * AlgebraElement(P, {mono: 1})
-                if prod.terms:
-                    span.add(P.to_sparse(prod, d))
-                    if span.rank == len(kernel):
-                        break
-        for el in kernel:
-            v = span.reduce(P.to_sparse(el, d))
-            red = P.from_vector(d, v)
-            if red.terms:
-                # beyond b_hi the target vanishes (kernel_basis checked), so
-                # re-applying phi there is neither possible nor needed
-                if d <= b_hi and phi.apply(red).terms:
-                    raise CdgaError("kernel reduction produced a non-kernel element")
-                gens.append(red)
-                span.add(P.to_sparse(red, d))
+    gens = ideal_generators(
+        PresentationView(phi.source),
+        [d for d in range(1, hi + 1) if degrees is None or d in degrees],
+        lambda d: kernel_basis(phi, d))
+    for g in gens:
+        # beyond b_hi the target vanishes (kernel_basis checked), so
+        # re-applying phi there is neither possible nor needed
+        if g.degree() <= b_hi and phi.apply(g).terms:
+            raise CdgaError("kernel reduction produced a non-kernel element")
     return gens
 
 
@@ -448,6 +467,9 @@ class PresentationView:
     def to_coords(self, el, d):
         return self.pres.to_sparse(el, d)
 
+    def from_coords(self, d, v):
+        return self.pres.from_vector(d, v)
+
     def mul(self, a, b):
         return a * b
 
@@ -471,6 +493,9 @@ class HomologyView:
 
     def to_coords(self, el, d):
         return self.H.class_coords(el, d)
+
+    def from_coords(self, d, v):
+        return self.H.cycle(v, d)
 
     def mul(self, a, b):
         prod = a * b
@@ -551,12 +576,14 @@ class IdealPowers:
                                                          self.gen_degrees))]
                 self.levels.append(self._prune(first))
                 continue
-            prev = self.levels[-1]
             nxt = []
-            for p in prev:
-                for i, (g, dg) in enumerate(zip(self.generators, self.gen_degrees)):
-                    if i < p.factors[-1]:
-                        continue  # commutative up to sign: ordered factor chains suffice
+            for p in self.levels[-1]:
+                # commutative up to sign: ascending factor chains suffice; and
+                # g * g = 0 for an odd g, so an odd last factor does not repeat
+                last = p.factors[-1]
+                for i in range(last + self.gen_degrees[last] % 2,
+                               len(self.generators)):
+                    g, dg = self.generators[i], self.gen_degrees[i]
                     nd = p.degree + dg
                     if nd > self.view.hi or not self.view.dim(nd):
                         continue  # the product lies in a zero piece

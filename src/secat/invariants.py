@@ -36,7 +36,8 @@ from .core import (AlgebraElement, CdgaError, CdgaMorphism, IdealNotClosed,
                    quotient_by_ideal, sub_presentation)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
-                       induced_kernel, kernel_ideal_generators, nil_ideal,
+                       ideal_generators, induced_kernel,
+                       kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, quotient_kernel,
                        span_complex_homology)
 from .linalg import Echelon, solve_combo
@@ -225,9 +226,11 @@ def _into_kernel(phi: CdgaMorphism, z: AlgebraElement, d: int) -> AlgebraElement
 
 def homology_kernel_classes(phi: CdgaMorphism, H_src: HomologyReport,
                             H_tgt: HomologyReport, hi: int):
-    """Cycles spanning ker H(phi) in degrees <= hi, adjusted into ker phi."""
-    return [_into_kernel(phi, z, d) for d in range(1, hi + 1)
-            for z in induced_kernel(phi, H_src, H_tgt, d)]
+    """Cycles generating ker H(phi) in degrees <= hi as an ideal of H(source),
+    each adjusted into ker phi."""
+    gens = ideal_generators(HomologyView(H_src), range(1, hi + 1),
+                            lambda d: induced_kernel(phi, H_src, H_tgt, d))
+    return [_into_kernel(phi, z, z.degree()) for z in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +400,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                 cert = Certificate(
                     "module-retraction", ctx,
                     {"m": mm, "E": E,
-                     "values": {g: str(v) for g, v in sorted(ret.values.items())},
-                     "kernel_generators": [str(g) for g in kernel_gens]},
+                     "values": {g: str(v) for g, v in sorted(ret.values.items())}},
                     claim=f"the resolution of S/I^{mm + 1} retracts onto S up to degree {E}")
                 m_bound.merge_upper(mm, False, cert)
                 break
@@ -486,8 +488,8 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
     # cup length: nil of the positive part of H(M) in degrees <= hi (the
     # report's hi is this one, since the augmentation's target is free at
     # M's cap).  The report's nil ker H(aug) is exactly that: ker H(aug) is
-    # all of H+(M), its classes come degree by degree in basis order, and
-    # each already lies in ker aug, so _into_kernel keeps it.
+    # all of H+(M), and its ideal generators, of positive degree, already lie
+    # in ker aug, so _into_kernel keeps them.
     cup = rep.nil_kernel_h
     if cup.nil > 0:
         cert = Certificate(

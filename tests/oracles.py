@@ -299,6 +299,41 @@ def positive_part_generators(view):
     return [b for d in range(1, view.hi + 1) for b in view.basis_elements(d)]
 
 
+def homology_kernel_basis(phi, H_src, H_tgt, hi):
+    """Every cycle of the canonical vector basis of ker H(phi) in degrees
+    1..hi, degree by degree: what invariants.homology_kernel_classes prunes
+    to ideal generators."""
+    return [z for d in range(1, hi + 1)
+            for z in induced_kernel(phi, H_src, H_tgt, d)]
+
+
+def ideal_power_levels(view, generators, m):
+    """The first m levels of homology.IdealPowers, each formed from every
+    product of a pruned product with a generator at or after its last
+    factor, odd squares included, and pruned the same way: by degree, a
+    product kept when it grows the echelon of those kept before it."""
+    gens = [(g, g.degree()) for g in generators
+            if g.terms and g.degree() <= view.hi]
+    levels = []
+    products = [(g, e, (i,)) for i, (g, e) in enumerate(gens)]
+    for _ in range(m):
+        echs, kept = {}, []
+        for p in products:
+            if echs.setdefault(p[1], Echelon()).add(
+                    view.to_coords(p[0], p[1])) is not None:
+                kept.append(p)
+        levels.append(kept)
+        products = []
+        for el, e, factors in kept:
+            for i in range(factors[-1], len(gens)):
+                g, dg = gens[i]
+                if e + dg <= view.hi and view.dim(e + dg):
+                    prod = view.mul(el, g)
+                    if prod.terms:
+                        products.append((prod, e + dg, factors + (i,)))
+    return levels
+
+
 def apply_raw_unmemoised(phi, terms):
     """CdgaMorphism.apply_raw formed afresh: each monomial factor by factor,
     piece * image(g)**e, reducing after each product."""

@@ -941,3 +941,23 @@ def test_an_integral_fraction_is_the_int(models):
         assert same == two
         assert format_element(same) == format_element(two) == "2*a*b"
     assert [type(c) for c in W.element({mono: Fraction(2, 1)}).terms.values()] == [int]
+
+
+def test_sullivan_order_places_each_generator_after_its_differential():
+    """Round by round, by degree then name, each generator comes after every
+    generator its d involves, even one of higher degree; a cycle of such
+    dependencies leaves no order."""
+    contractible = Presentation([("x", 2), ("y", 3)], 10,
+                                differentials={"x": {(("y", 1),): 1}})
+    assert contractible.sullivan_order() == ("y", "x")
+    assert contractible.is_sullivan and not contractible.is_minimal_sullivan
+    odd = [("c", 1), ("b", 1), ("a", 1)]
+    heisenberg = Presentation(odd, 10, simply_connected=False,
+                              differentials={"c": {(("a", 1), ("b", 1)): 1}})
+    assert heisenberg.sullivan_order() == ("a", "b", "c")
+    assert heisenberg.is_minimal_sullivan
+    cyclic = Presentation(odd, 10, simply_connected=False,
+                          differentials={"a": {(("b", 1), ("c", 1)): 1},
+                                         "b": {(("a", 1), ("c", 1)): 1}})
+    assert cyclic.sullivan_order() is None
+    assert not cyclic.is_sullivan and not cyclic.is_minimal_sullivan

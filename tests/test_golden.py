@@ -11,6 +11,9 @@ reports and the certificate corpus.
 Regenerate the pinned data (only for an intended output change) with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
+
+which prints one line per case whose pinned stdout or certificate files
+changed, naming what changed, so the change can name its keys.
 """
 
 import contextlib
@@ -112,12 +115,39 @@ def test_cli_output_is_byte_identical(golden, case, filename, label, key, option
         assert got["certs"][name] == text, f"certificate {name} changed"
 
 
+def changes(old, new):
+    """What differs between a pinned case and a fresh one: "stdout" and the
+    names of the certificate files added, removed or changed, in order."""
+    out = ["stdout"] if old["stdout"] != new["stdout"] else []
+    names = sorted(set(old["certs"]) | set(new["certs"]))
+    return out + [n for n in names
+                  if old["certs"].get(n) != new["certs"].get(n)]
+
+
+def test_changes_names_the_stdout_and_each_certificate_that_differs():
+    old = {"stdout": "a", "certs": {"x.json": "1", "y.json": "2"}}
+    assert changes(old, old) == []
+    assert changes(old, {"stdout": "b", "certs": {"x.json": "1", "z.json": "3"}}) \
+        == ["stdout", "y.json", "z.json"]
+    assert changes(old, {"stdout": "a", "certs": {"x.json": "0", "y.json": "2"}}) \
+        == ["x.json"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python3 tests/test_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
+    pinned = (json.loads(GOLDEN.read_text(encoding="utf-8"))
+              if GOLDEN.exists() else {})
     data = {case: run_case(f, label, key, options)
             for case, f, label, key, options in cases()}
+    for case, got in data.items():
+        if case not in pinned:
+            print(f"new {case}")
+        elif diff := changes(pinned[case], got):
+            print(f"changed {case}: {', '.join(diff)}")
+    for case in sorted(set(pinned) - set(data)):
+        print(f"dropped {case}")
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(data)} cases to {GOLDEN}")

@@ -194,16 +194,21 @@ def test_toomer_shortcut_matches_the_report(models, truncated_report):
 @pytest.mark.parametrize("label", ["C", "T", "CP2", "P", "S2", "Q", "G", "W"])
 def test_cup_length_reads_the_surjection_reports_homology(models, label):
     """cat's cup length is the augmentation report's nil ker H(aug), over
-    H(M) in cat's own range (the augmentation's target is free at M's cap),
-    and equals the nil of every positive basis class of H(M), witness,
-    factors and generators alike."""
+    H(M) in cat's own range (the augmentation's target is free at M's cap).
+    Its generators are ideal generators of H+(M): they generate the same
+    ideal as every positive basis class of H(M), degree by degree, and give
+    the same nil."""
     rep = cat_bounds(models[label], label=label)
     H = rep.surjection.source_homology
     assert H.complex is rep.model.model
     assert (H.lo, H.hi) == (0, rep.hi) == (0, rep.surjection.hi)
     assert H.betti_table() == homology(rep.model.model, 0, rep.hi).betti_table()
     view = HomologyView(H)
-    assert rep.cup == nil_ideal(view, orc.positive_part_generators(view))
+    positive = orc.positive_part_generators(view)
+    assert rep.cup.nil == nil_ideal(view, positive).nil
+    ours, full = IdealPowers(view, rep.cup.generators), IdealPowers(view, positive)
+    for d in range(1, rep.hi + 1):
+        assert ours.span_echelon(1, d).basis() == full.span_echelon(1, d).basis()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,11 +15,11 @@ import oracles as orc
 from secat.construct import diagonal_model, multiplication_morphism
 from secat.core import (AlgebraElement, CdgaError, Presentation, RangeExceedsCap,
                         quotient_by_ideal, tensor, tensor_power)
-from secat.homology import (IdealPowers, PresentationView, homology,
-                            kernel_ideal_generators, quotient_kernel)
+from secat.homology import (HomologyView, IdealPowers, PresentationView,
+                            homology, kernel_ideal_generators, quotient_kernel)
 from secat.invariants import (
-    cat_bounds, certificate_from_json, tc_bounds,
-    verify_certificate,
+    augmentation_morphism, cat_bounds, certificate_from_json,
+    homology_kernel_classes, tc_bounds, verify_certificate,
 )
 
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -397,14 +398,21 @@ def _bundled_surjections():
     return out
 
 
+@cache
+def _bundled_report(filename, label, n):
+    """The surjection report of the augmentation (n None) or the n-th
+    diagonal of a bundled cdga, h-loop only."""
+    A = load_model(filename)[0][label]
+    return (cat_bounds(A, with_m=False, label=label) if n is None
+            else tc_bounds(A, n, with_m=False, label=label)).surjection
+
+
 @pytest.mark.parametrize("filename,label,n",
                          [c[1:] for c in _bundled_surjections()],
                          ids=[c[0] for c in _bundled_surjections()])
 def test_quotient_kernel_matches_the_quotient_on_bundled_surjections(
         filename, label, n):
-    A = load_model(filename)[0][label]
-    rep = (cat_bounds(A, with_m=False, label=label) if n is None
-           else tc_bounds(A, n, with_m=False, label=label)).surjection
+    rep = _bundled_report(filename, label, n)
     _assert_quotient_kernels_match(rep.morphism.source, rep.source_homology,
                                    rep.kernel_generators, rep.hi)
 
@@ -416,6 +424,73 @@ def test_quotient_kernel_matches_the_quotient_on_random_augmentations(P):
     hi = P.cap - 1
     _assert_quotient_kernels_match(P, homology(P, 0, hi),
                                    [P.gen(g.name) for g in P.generators], hi)
+
+
+# ---------------------------------------------------------------------------
+# ker H(phi) enters its powers by ideal generators, and no odd factor is
+# squared
+
+
+def _levels(powers, m):
+    return [[(p.degree, p.factors, list(p.element.terms.items()))
+             for p in powers.level(k)] for k in range(1, m + 1)]
+
+
+def _assert_levels_match_the_oracle(view, generators):
+    """IdealPowers, which never squares an odd last factor, keeps the same
+    products at every level up to nil + 1 as the oracle that forms them."""
+    powers = IdealPowers(view, generators)
+    m = powers.nil()[0] + 1
+    want = orc.ideal_power_levels(view, generators, m)
+    assert _levels(powers, m) == [
+        [(e, factors, list(el.terms.items())) for el, e, factors in level]
+        for level in want]
+
+
+def _assert_kernel_h_generators(phi, H_S, hi):
+    """homology_kernel_classes keeps no more classes than the vector basis
+    of ker H(phi), each in ker phi, and they generate the same ideal of
+    H(S): its powers agree in every degree 1..hi up to the nil, which agrees
+    too.  The powers over both lists match the no-skip oracle.  Returns the
+    classes kept."""
+    H_B = homology(phi.target, 0, hi)
+    gens = homology_kernel_classes(phi, H_S, H_B, hi)
+    basis = orc.homology_kernel_basis(phi, H_S, H_B, hi)
+    assert len(gens) <= len(basis)
+    assert all(not phi.apply(g).terms for g in gens)
+    view = HomologyView(H_S)
+    ours, full = IdealPowers(view, gens), IdealPowers(view, basis)
+    nil = ours.nil()[0]
+    assert full.nil()[0] == nil
+    for m in range(1, nil + 2):
+        for d in range(1, hi + 1):
+            assert ours.span_echelon(m, d).basis() == \
+                full.span_echelon(m, d).basis(), (m, d)
+    _assert_levels_match_the_oracle(view, gens)
+    _assert_levels_match_the_oracle(view, basis)
+    return gens
+
+
+@pytest.mark.parametrize("filename,label,n",
+                         [c[1:] for c in _bundled_surjections()],
+                         ids=[c[0] for c in _bundled_surjections()])
+def test_kernel_h_generators_and_levels_on_bundled_surjections(
+        filename, label, n):
+    rep = _bundled_report(filename, label, n)
+    assert rep.nil_kernel_h.generators == _assert_kernel_h_generators(
+        rep.morphism, rep.source_homology, rep.hi)
+    S = rep.morphism.source
+    _assert_levels_match_the_oracle(PresentationView(S, min(S.cap, rep.hi + 1)),
+                                    rep.kernel_generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=_relation_quotients())
+def test_kernel_h_generators_and_levels_on_random_augmentations(P):
+    hi = P.cap - 1
+    _assert_kernel_h_generators(augmentation_morphism(P), homology(P, 0, hi), hi)
+    _assert_levels_match_the_oracle(PresentationView(P),
+                                    [P.gen(g.name) for g in P.generators])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ a verdict or a CdgaError.
 import copy
 import json
 import pathlib
+import re
 import sys
 import tempfile
 from functools import cache
@@ -286,3 +287,21 @@ def test_an_injectivity_range_the_model_cannot_decide_is_refused(
                        data)
     with pytest.raises(error, match=f"^{message}$"):
         verify_certificate(cert, presentations, morphisms)
+
+
+@pytest.mark.parametrize("generator", ["u", "u + u_2"])
+def test_a_nil_witness_over_a_class_outside_the_kernel_is_rejected(generator):
+    """A nil-witness lists ideal generators of ker H(phi), and a lower bound
+    needs no complete list; but each listed class must lie in the kernel.
+    For the diagonal of S3, u and u + u_2 are nonzero classes, so their
+    one-fold product is a nonzero witness, yet neither maps to zero."""
+    presentations, morphisms, corpus = _fuzz_corpus()
+    pristine = next(cert for cert, _ in corpus if cert.kind == "nil-witness"
+                    and cert.context == {"construction": "diagonal",
+                                         "cdga": "S3", "n": 2, "cap": 10})
+    assert verify_certificate(pristine, presentations, morphisms)[0]
+    forged = Certificate(pristine.kind, pristine.context,
+                         dict(pristine.data, generators=[generator]))
+    with pytest.raises(CdgaError, match=re.escape(
+            f"claimed kernel generator {generator!r} does not map to zero")):
+        verify_certificate(forged, presentations, morphisms)
