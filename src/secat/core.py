@@ -909,20 +909,25 @@ class Presentation:
         ext._d_memo = self._d_memo
         return ext
 
-    def differential_vectors(self, d: int) -> list[dict[int, Rational]]:
-        """Images under d of the degree-d basis, as sparse degree-(d+1) vectors.
+    def differential_vectors(self, d: int, which=None) -> list[dict[int, Rational]]:
+        """Images under d of the degree-d basis, or of its elements at the
+        indices `which` in that order, as sparse degree-(d+1) vectors.
 
         Each row is the memoised image of its basis monomial (see _derive),
         read into basis indices in the image's own term order, as
         to_sparse(self.d(monomial), d + 1) gives it, and with the same
         errors in the same order: a generator in d_unknown raises d's
         RangeExceedsCap, then the image, then the degree-(d+1) basis may
-        raise theirs.
+        raise theirs.  Only the listed monomials are looked at.  A d_unknown
+        generator is one whose d lies above the cap, so its degree is at
+        least the cap: inside a homology range (hi + 1 <= cap) no monomial
+        holds one.
         """
         memo, unknown = self._d_memo, self.d_unknown
+        basis = self.basis(d)
         index = None
         rows = []
-        for mono in self.basis(d):
+        for mono in basis if which is None else [basis[i] for i in which]:
             if unknown:
                 bad = {n for n, _ in mono if n in unknown}
                 if bad:

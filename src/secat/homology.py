@@ -8,20 +8,31 @@ canonical representatives.  It works on any cochain complex X with
                                   dict from basis index to coefficient
     X.from_vector(d, v)           the element with coordinates v, a dict
                                   from basis index to coefficient
-    X.differential_vectors(d)     images under d of the degree-d basis, as
-                                  sparse degree-(d+1) vectors
+    X.differential_vectors(d, which=None)
+                                  images under d of the degree-d basis, or
+                                  of its elements at the indices `which`
+                                  in that order, as sparse degree-(d+1)
+                                  vectors
     X.check_cycle(x)              raises CdgaError unless dx = 0
     X.cap, X.is_free              the window of faithful degrees
 
 Presentations and semifree modules implement it; the span complex behind
-span_complex_homology implements the part that betti numbers need.
+span_complex_homology implements the part that betti numbers need.  A
+report asks for d on the whole basis only in the degree below its range,
+and in each degree of the range only on the basis elements off the
+boundary pivots.  Each boundary space is eliminated once: the free rows
+of degree d span B^{d+1} and are fed to its echelon, which degree d + 1
+takes as its boundaries; where they are independent, H^d = 0 and no
+kernel is computed.
 hit_and_kill is the one degreewise "hit the cokernel, kill the kernel"
 builder behind minimal models and quotient resolutions.  It hands back the
 source after each finished degree, so a caller can stop early.  It grows one
 source complex through X.adjoin(gens, diffs), which keeps the old basis
 and shares its memo of d, and it reuses the kill step's H^{k+1} for the
 next hit step whenever the kill generators leave the degree-(k+1) piece
-the same size.  That holds unless the source has degree-1 elements.
+the same size.  That holds unless the source has degree-1 elements.  Each
+of its single-degree reports starts from the free rows of the report
+before it, while the degree above keeps its size.
 
 Ideal powers and nilpotency work in a graded view of degrees 0..view.hi,
 the algebra itself (PresentationView) or its homology (HomologyView), with
@@ -75,19 +86,24 @@ class HomologyReport:
     The complex X is any object with the small protocol of this module's
     docstring, such as a Presentation or a SemiFreeModule.
 
-    Degree d first echelonizes the boundaries B^d.  In the first degree of
-    the range they are fed every row of the degree-(d-1) differential, and
-    the echelon stops only at rank dim C^d.  Past it they are fed only the
-    rows at the degree-(d-1) basis elements off the pivots of B^{d-1},
-    which degree d - 1 built for its kernel: a pivot element differs from
-    a combination of those free elements by a boundary, whose d is 0, so
-    they span B^d.  Its rank is then the number of those rows less
-    b_{d-1}, and the echelon stops there, since the rows left out would not
-    change its canonical basis.  The classes are the kernel_combos of d on
-    the free elements of degree d, each row lifted back.
+    The boundaries B^lo are the echelon of every row of d on C^{lo-1},
+    stopped at rank dim C^lo; or, when the caller holds `boundary_rows` =
+    (rows, rank), rows spanning B^lo and the rank of their span, of those
+    rows, stopped at that rank.  Each degree d then reads d only on its free
+    elements, the basis elements off the pivots of B^d.  A pivot element
+    differs from a combination of free ones by a boundary, whose d is 0, so
+    the free rows span B^{d+1}.  Below hi they are all fed to the echelon
+    that degree d + 1 takes as its boundaries, and b_d is the number of
+    free rows less its rank.  The classes are the kernel_combos of the free
+    rows, each row lifted back to degree d.  That elimination runs only
+    where b_d > 0, and at hi, where no echelon of B^{hi+1} is built.  The
+    report keeps the free rows of degree hi with the rank of their span,
+    rank B^{hi+1} = #rows - b_hi, as its `boundary_rows`: a report that
+    starts at degree hi + 1 on the same complex may take them.
     """
 
-    def __init__(self, X, lo: int, hi: int):
+    def __init__(self, X, lo: int, hi: int,
+                 boundary_rows: tuple[list, int] | None = None):
         if lo < 0 or hi < lo:
             raise CdgaError(f"bad homology range [{lo}, {hi}]")
         if not X.is_free and hi + 1 > X.cap:
@@ -99,40 +115,40 @@ class HomologyReport:
         self._boundaries: dict[int, Echelon] = {}
         self._class_rows: dict[int, list] = {}  # the canonical class basis rows
         self._reps: dict[int, list] = {}
-        below = None  # the free rows of degree d - 1, once built
-        for d in range(lo, hi + 1):
-            below = self._compute_degree(d, below)
-
-    def _compute_degree(self, d: int, below: list | None) -> list:
-        """Fill in degree d from `below`, the rows of d at the degree-(d-1)
-        basis elements off the pivots of B^{d-1} (None when not yet built);
-        return those rows of degree d."""
-        X = self.complex
-        n = X.dim(d)
-        if n == 0:
-            self._boundaries[d] = Echelon()
-            self._class_rows[d] = []
-            self._reps[d] = []
-            return []
-        if below is None:
-            full = n
-            below = X.differential_vectors(d - 1) if d >= 1 else []
-        else:
-            # rank B^d = dim C^{d-1} - rank B^{d-1} - b_{d-1}
-            full = len(below) - len(self._class_rows[d - 1])
         bech = Echelon()
-        for v in below:
-            if bech.rank == full:
-                break
-            bech.add(v)
+        if X.dim(lo):
+            if boundary_rows is None:
+                rows = X.differential_vectors(lo - 1) if lo >= 1 else []
+                rank = X.dim(lo)
+            else:
+                rows, rank = boundary_rows
+            for v in rows:
+                if bech.rank == rank:
+                    break
+                bech.add(v)
+        for d in range(lo, hi + 1):
+            bech, rows = self._compute_degree(d, bech)
+        self.boundary_rows = (rows, len(rows) - len(self._class_rows[hi]))
+
+    def _compute_degree(self, d: int, bech: Echelon) -> tuple[Echelon | None, list]:
+        """Fill in degree d from `bech`, the echelon of B^d; return the
+        echelon of B^{d+1} (None at hi) and the free rows of degree d."""
+        X = self.complex
         self._boundaries[d] = bech
-        matrix = X.differential_vectors(d)
-        free = [i for i in range(n) if i not in bech.pivots]
-        rows = [matrix[i] for i in free]
-        self._class_rows[d] = [{free[j]: c for j, c in z.items()}
-                               for z in kernel_combos(rows, X.dim(d + 1))]
+        free = [i for i in range(X.dim(d)) if i not in bech.pivots]
+        rows = X.differential_vectors(d, free)
+        above = None
+        kernel = rows
+        if d < self.hi:
+            above = Echelon()
+            for v in rows:
+                above.add(v)
+            if above.rank == len(rows):
+                kernel = []  # independent rows: no nonzero cycle in their span
+        combos = kernel_combos(kernel, X.dim(d + 1)) if kernel else []
+        self._class_rows[d] = [{free[j]: c for j, c in z.items()} for z in combos]
         self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
-        return rows
+        return above, rows
 
     def _check_range(self, d: int):
         if d < self.lo or d > self.hi:
@@ -194,10 +210,11 @@ class HomologyReport:
         return f"HomologyReport({self.complex!r}, betti={self.betti_table()})"
 
 
-def homology(X, lo: int = 0, hi: int | None = None) -> HomologyReport:
+def homology(X, lo: int = 0, hi: int | None = None,
+             boundary_rows: tuple[list, int] | None = None) -> HomologyReport:
     if hi is None:
         hi = X.cap - 1 if not X.is_free else X.cap
-    return HomologyReport(X, lo, hi)
+    return HomologyReport(X, lo, hi, boundary_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +313,14 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
     hit step when the kill generators leave the degree-(k+1) piece the same
     size: then its cycles and boundaries grow only by the killed classes,
     which map to zero, so the induced columns span the same image.  Only a
-    source with degree-1 elements can grow there.
+    source with degree-1 elements can grow there.  The report on degree j
+    hands its free rows and their rank (HomologyReport.boundary_rows) to
+    the next report, on degree j + 1, which stops B^{j+1} at that rank.  In
+    between, degree j gains hit generators, whose d is 0, so the rows
+    still span B^{j+1}; when the kill step grows degree j too, the hit step
+    builds a new report there, whose rows replace them.  They are used
+    only while dim C^{j+1}, the length of their coordinates, is unchanged
+    since they were read.
 
     A generator is named {prefix}{k}_{i}, with prefixes[0] for hit and
     prefixes[1] for kill generators, and i counting from 0 per prefix and
@@ -325,9 +349,12 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
 
     phi = chain_map(X, images)
     cols = None  # the induced columns on H^k, when the kill step left them
+    below = None  # rows spanning B^{k+1} with their rank, and dim C^{k+1} then
     for k in range(lo, hi + 1):
         if cols is None:
-            cols = induced_matrix(phi, homology(X, k, k), H_tgt, k)
+            H_src = homology(X, k, k)
+            cols = induced_matrix(phi, H_src, H_tgt, k)
+            below = (H_src.boundary_rows, X.dim(k + 1)) if k < hi else None
         hit = Echelon()
         for col in cols:
             hit.add(col)
@@ -341,7 +368,9 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
         if k == hi:
             yield X, images
             return
-        H_src = homology(X, k + 1, k + 1)
+        rows = below[0] if below and X.dim(k + 1) == below[1] else None
+        H_src = homology(X, k + 1, k + 1, rows)
+        below = (H_src.boundary_rows, X.dim(k + 2)) if k + 1 < hi else None
         cols = induced_matrix(phi, H_src, H_tgt, k + 1)
         kernel = [H_src.cycle(combo, k + 1)
                   for combo in kernel_combos(cols, H_tgt.betti(k + 1))]
@@ -707,10 +736,11 @@ class _SpanComplex:
     def from_vector(self, d: int, vec: dict) -> AlgebraElement:
         return self.P.from_vector(d, combine(vec, self._span(d).basis()))
 
-    def differential_vectors(self, d: int):
+    def differential_vectors(self, d: int, which=None):
         P, nxt = self.P, self._span(d + 1)
+        basis = self._span(d).basis()
         out = []
-        for row in self._span(d).basis():
+        for row in basis if which is None else [basis[i] for i in which]:
             img = P.d(P.from_vector(d, row))
             v = nxt.coordinates(P.to_sparse(img, d + 1))
             if v is None:

@@ -307,7 +307,8 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     hi = min(hi, cap - 1, B.cap if B.is_free else B.cap - 1)
     bad = phi.is_surjective_up_to(hi)
     if bad is not None:
-        raise NotSurjective(bad)
+        raise NotSurjective(f"morphism {phi.name or '?'} is not surjective "
+                            f"in degree {bad}", degree=bad)
 
     htop = S.top_degree_if_finite()
     view_hi = min(cap, hi + 1)

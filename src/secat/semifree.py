@@ -211,9 +211,12 @@ class SemiFreeModule:
     def basis_element(self, name: str, mono) -> ModuleElement:
         return {name: AlgebraElement(self.base, {mono: 1})}
 
-    def differential_vectors(self, n: int):
+    def differential_vectors(self, n: int, which=None):
+        """Images under d of the degree-n basis, or of its elements at the
+        indices `which` in that order, as sparse degree-(n+1) vectors."""
+        keys = self.basis(n)
         out = []
-        for key in self.basis(n):
+        for key in keys if which is None else [keys[i] for i in which]:
             img = self._d_memo.get(key)
             if img is None:
                 img = self._d_memo[key] = self.d_element(self.basis_element(*key))

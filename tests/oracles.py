@@ -497,30 +497,22 @@ class CanonicalKernelHomology(HomologyReport):
     """HomologyReport with each degree filled in from the canonical kernel:
     the cycles are kernel_combos of the differential matrix, every boundary
     row goes into the boundary echelon and every cycle, reduced, into the
-    class echelon, with no early exit."""
+    class echelon, with no early exit.  Each degree is built on its own,
+    from every row of d on the degrees d - 1 and d."""
 
-    def _compute_degree(self, d, below):
-        X = self.complex
-        n = X.dim(d)
-        if n == 0:
-            self._boundaries[d] = Echelon()
-            self._class_rows[d] = []
-            self._reps[d] = []
-            return []
-        matrix = X.differential_vectors(d)
-        cycles = kernel_combos(matrix, X.dim(d + 1))
-        if below is None and d >= 1:
-            below = X.differential_vectors(d - 1)
-        bech = Echelon()
-        for v in below or ():
-            bech.add(v)
-        self._boundaries[d] = bech
-        hech = Echelon()
-        for v in cycles:
-            hech.add(bech.reduce(v))
-        self._class_rows[d] = hech.basis()
-        self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
-        return matrix
+    def __init__(self, X, lo, hi):
+        self.complex, self.lo, self.hi = X, lo, hi
+        self._boundaries, self._class_rows, self._reps = {}, {}, {}
+        for d in range(lo, hi + 1):
+            bech, hech = Echelon(), Echelon()
+            if X.dim(d):
+                for v in X.differential_vectors(d - 1) if d >= 1 else ():
+                    bech.add(v)
+                for v in kernel_combos(X.differential_vectors(d), X.dim(d + 1)):
+                    hech.add(bech.reduce(v))
+            self._boundaries[d] = bech
+            self._class_rows[d] = hech.basis()
+            self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
 
 
 def quotient_kernels(S, elements, hi):

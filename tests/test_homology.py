@@ -59,17 +59,20 @@ class CountingComplex:
     def __getattr__(self, name):
         return getattr(self.X, name)
 
-    def differential_vectors(self, d):
+    def differential_vectors(self, d, which=None):
         self.built[d] += 1
-        return self.X.differential_vectors(d)
+        return self.X.differential_vectors(d, which)
 
 
 def _check_sparse_rows(X, n, images, dense):
     """X.differential_vectors(n) against `dense`, the dense coordinates of
     each of `images`, the differentials of the degree-n basis; and
-    from_vector reads a sparse row back as the same element."""
+    from_vector reads a sparse row back as the same element.  Rows asked
+    for by index are those rows, in the order asked."""
     rows = X.differential_vectors(n)
     assert len(rows) == len(images) == X.dim(n)
+    which = list(range(X.dim(n)))[::-2]
+    assert X.differential_vectors(n, which) == [rows[i] for i in which]
     for row, img, vec in zip(rows, images, dense):
         assert isinstance(row, dict)
         assert row == orc.sparse(vec)
@@ -264,34 +267,108 @@ def test_range_reports_equal_single_degree_reports_on_random_complexes(case):
     _assert_range_is_its_single_degrees(X, hi)
 
 
+class FedEchelon(Echelon):
+    """An echelon that records its rank before each add."""
+
+    def __init__(self):
+        super().__init__()
+        self.fed_at = []
+
+    def add(self, v):
+        self.fed_at.append(self.rank)
+        return super().add(v)
+
+
+def _free_rows(X, H, d):
+    """The rows of d at the degree-d basis elements off the pivots of B^d."""
+    pivots = H._boundaries[d].pivots
+    return X.differential_vectors(d, [i for i in range(X.dim(d)) if i not in pivots])
+
+
 @pytest.mark.parametrize("name", ["T", "diagonal-source", "resolution"])
-def test_range_reports_stop_each_boundary_echelon_at_the_rank_below(monkeypatch,
-                                                                    models, name):
-    """Past the first degree of a range report, rank B^d = dim C^{d-1} -
-    rank B^{d-1} - b_{d-1} is known before B^d is built, and its echelon
-    takes no row once it has that rank; on these complexes some rows are
-    left out."""
-    class Counting(Echelon):
-        def __init__(self):
-            super().__init__()
-            self.fed_at = []  # the rank before each add
-
-        def add(self, v):
-            self.fed_at.append(self.rank)
-            return super().add(v)
-
+def test_range_reports_feed_free_rows_to_the_next_boundaries(monkeypatch, models, name):
+    """Below hi, degree d feeds every free row, those at the basis elements
+    off the pivots of B^d, to the echelon of B^{d+1}: rank B^{d+1} = #free
+    rows - b_d.  kernel_combos runs on the free rows exactly in the degrees
+    d < hi with b_d > 0, and at hi when it has free rows; on these
+    complexes it runs in fewer degrees than there are nonzero ones."""
     X, lo, hi = _homology_oracle_case(models, name)
-    # the package exports the function homology under the module's name
-    monkeypatch.setattr(importlib.import_module("secat.homology"), "Echelon", Counting)
+    homology_module = importlib.import_module("secat.homology")
+    calls = []
+
+    def kernel(images, width):
+        calls.append(list(images))
+        return kernel_combos(images, width)
+
+    monkeypatch.setattr(homology_module, "Echelon", FedEchelon)
+    monkeypatch.setattr(homology_module, "kernel_combos", kernel)
     H = HomologyReport(X, lo, hi)
-    skipped = 0
     for d in range(lo + 1, hi + 1):
+        B, nfree = H._boundaries[d], X.dim(d - 1) - H._boundaries[d - 1].rank
+        assert B.rank == nfree - H.betti(d - 1)
+        assert len(B.fed_at) == nfree
+    ran = [d for d in range(lo, hi + 1) if _free_rows(X, H, d) and (d == hi or H.betti(d))]
+    assert calls == [_free_rows(X, H, d) for d in ran]
+    assert len(ran) < sum(1 for d in range(lo, hi + 1) if X.dim(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=random_complexes())
+def test_handed_over_boundary_echelons_equal_fresh_ones_on_random_complexes(case):
+    """The echelon that degree d - 1 hands over as B^d, and the rows with
+    their rank that the report keeps for B^{hi+1}, span the boundaries of
+    every row of d on C^{d-1}."""
+    X, lo, hi = case
+    H = HomologyReport(X, lo, hi)
+
+    def fresh(d):
+        ech = Echelon()
+        for v in X.differential_vectors(d - 1) if d >= 1 else ():
+            ech.add(v)
+        return ech
+
+    for d in range(lo + 1, hi + 1):
+        assert H._boundaries[d].basis() == fresh(d).basis()
+    rows, rank = H.boundary_rows
+    handed = Echelon()
+    for v in rows:
+        handed.add(v)
+    assert handed.rank == rank
+    assert handed.basis() == fresh(hi + 1).basis()
+
+
+@pytest.mark.parametrize("build", ["minimal-model", "resolution"])
+def test_hit_and_kill_stops_each_carried_boundary_echelon_at_its_rank(monkeypatch,
+                                                                      models, build):
+    """A report that hit_and_kill hands the previous report's free rows
+    feeds them to B^lo only until their rank, and its boundaries equal
+    those of a fresh report on the same complex; some rows are left out."""
+    homology_module = importlib.import_module("secat.homology")
+    carried = []
+
+    def counted_report(init):
+        def report(self, X, lo, hi, boundary_rows=None):
+            init(self, X, lo, hi, boundary_rows)
+            if boundary_rows is not None:
+                carried.append((self, boundary_rows))
+        return report
+
+    monkeypatch.setattr(homology_module, "Echelon", FedEchelon)
+    monkeypatch.setattr(HomologyReport, "__init__", counted_report(HomologyReport.__init__))
+    W = models["W"]
+    if build == "minimal-model":
+        build_minimal_model(W, W.cap - 1)
+    else:
+        resolve_quotient(W, [W.gen("a"), W.gen("b")], W.cap - 1)
+    monkeypatch.undo()
+    assert carried
+    skipped = 0
+    for H, (rows, rank) in carried:
+        X, d = H.complex, H.lo
         B = H._boundaries[d]
-        full = X.dim(d - 1) - H._boundaries[d - 1].rank - H.betti(d - 1)
-        assert B.rank == full
-        if X.dim(d):
-            assert all(rank < full for rank in B.fed_at)
-            skipped += X.dim(d - 1) - len(B.fed_at)
+        assert B.rank == rank and all(r < rank for r in B.fed_at)
+        skipped += len(rows) - len(B.fed_at)
+        assert B.basis() == HomologyReport(X, d, d)._boundaries[d].basis()
     assert skipped
 
 
@@ -490,10 +567,10 @@ def _census(monkeypatch, target=None):
     checking = []
 
     def counted_report(init):
-        def report(self, X, lo, hi):
+        def report(self, X, lo, hi, boundary_rows=None):
             if lo == hi:
                 reports[lo] += 1
-            init(self, X, lo, hi)
+            init(self, X, lo, hi, boundary_rows)
         return report
 
     def counted_leibniz(leibniz):

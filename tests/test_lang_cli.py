@@ -12,7 +12,8 @@ from test_golden import GOLDEN
 
 from secat import cli
 from secat.cli import main
-from secat.core import Presentation
+from secat.core import NotSurjective, Presentation
+from secat.invariants import surjection_bounds
 from secat.lang import (
     ParseError, default_cap, make_presentation, parse_document, parse_element,
     parse_expression, print_presentation, realize_document,
@@ -322,6 +323,25 @@ def test_cli_map_selection(capsys, tmp_path):
     assert code == 2 and "pick one with --map" in err
     code, out, _ = run(capsys, "secat", str(f), "--map", "g")
     assert code == 0 and "sectional = 0" in out
+
+
+def test_cli_secat_names_the_morphism_and_degree_it_misses(capsys, tmp_path):
+    """The inclusion CP^1 -> CP^2 as Λ(a, z; dz = a^3) -> Λ(a, x; dx = a^2)
+    with z -> a x misses x in degree 3: exit 2 with a message that names
+    the morphism and the degree, and no traceback."""
+    f = tmp_path / "inclusion.cdga"
+    f.write_text("""
+    cdga A { cap 12; gen a : 2; gen z : 5; d z = a^3; }
+    cdga B { cap 12; gen a : 2; gen x : 3; d x = a^2; }
+    morphism f : A -> B { a -> a; z -> a*x; }
+    """)
+    code, out, err = run(capsys, "secat", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: morphism f is not surjective in degree 3\n"
+    phi = realize_document(parse_document(f.read_text()))[1]["f"]
+    with pytest.raises(NotSurjective) as exc:
+        surjection_bounds(phi)
+    assert exc.value.degree == 3
 
 
 def test_cli_timings_go_to_stderr_only(capsys):
