@@ -27,7 +27,7 @@ import argparse
 import pathlib
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -40,13 +40,15 @@ from secat.invariants import (
 from secat.lang import parse_document, realize_document
 
 
-@dataclass
-class FuzzConfig:
+CAT_LABELS = ("C", "T", "CP2", "P", "S3", "S4", "Q", "G", "W")
+TC_CASES = (("S3", 2), ("S3", 3), ("P", 2), ("W", 2))
+FROZEN = ("stanley_retraction.cert",)
+
+
+class FuzzConfig(NamedTuple):
+    """The model directory the sweep reads; perfbench/make_corpus.py points
+    it at perfbench/models."""
     models_dir: pathlib.Path = ROOT / "models"
-    cat_labels: tuple = ("C", "T", "CP2", "P", "S3", "S4", "Q", "G", "W")
-    tc_cases: tuple = (("S3", 2), ("S3", 3), ("P", 2), ("W", 2))
-    frozen: tuple = ("stanley_retraction.cert",)
-    verbose: bool = False
 
 
 def load_all(cfg: FuzzConfig):
@@ -60,17 +62,17 @@ def load_all(cfg: FuzzConfig):
 
 def corpus(cfg: FuzzConfig, presentations):
     """Yield (certificate, nil of the report's kernel ideal)."""
-    for label in cfg.cat_labels:
+    for label in CAT_LABELS:
         rep = cat_bounds(presentations[label], label=label)
         for bound in rep.bounds():
             for cert in bound.certificates:
                 yield cert, rep.surjection.nil_kernel
-    for label, n in cfg.tc_cases:
+    for label, n in TC_CASES:
         rep = tc_bounds(presentations[label], n, label=label)
         for bound in rep.bounds():
             for cert in bound.certificates:
                 yield cert, rep.surjection.nil_kernel
-    for name in cfg.frozen:
+    for name in FROZEN:
         cert = certificate_from_json((cfg.models_dir / name).read_text())
         yield cert, 0
     # a handcrafted containment certificate so every kind appears in the sweep
@@ -140,7 +142,7 @@ def main(argv=None) -> int:
     ap.add_argument("-v", "--verbose", action="store_true",
                     help="print one line per corruption")
     args = ap.parse_args(argv)
-    cfg = FuzzConfig(verbose=args.verbose)
+    cfg = FuzzConfig()
 
     presentations, morphisms = load_all(cfg)
     pristine = Counter()
@@ -166,7 +168,7 @@ def main(argv=None) -> int:
                 verdict = "ACCEPTED (soundness bug!)"
             else:
                 verdict = "rejected"
-            if cfg.verbose or ok:
+            if args.verbose or ok:
                 print(f"  {bad.kind:28s} {desc:42s} {verdict}: {detail}")
 
     total = sum(tried.values())

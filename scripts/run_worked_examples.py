@@ -16,7 +16,6 @@ import json
 import pathlib
 import sys
 import time
-from dataclasses import dataclass, field
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -25,22 +24,16 @@ from secat.homology import homology
 from secat.invariants import Bound, cat_bounds, tc_bounds
 from secat.lang import parse_document, realize_document
 
-
-@dataclass
-class SweepConfig:
-    models_dir: pathlib.Path = ROOT / "models"
-    # (label, n) pairs for the tc table; labels must appear in the cat sweep
-    tc_cases: tuple = (("S3", 2), ("S3", 3), ("S2", 2), ("CP2", 2),
-                      ("P", 2), ("C", 2), ("W", 2))
-    as_json: bool = False
-    timings: bool = False
-    skip_labels: tuple = field(default=())
+MODELS = ROOT / "models"
+# (label, n) pairs for the tc table; labels must appear in the cat sweep
+TC_CASES = (("S3", 2), ("S3", 3), ("S2", 2), ("CP2", 2), ("P", 2), ("C", 2),
+            ("W", 2))
 
 
-def load_all(cfg: SweepConfig):
+def load_all():
     presentations = {}
     origin = {}
-    for path in sorted(cfg.models_dir.glob("*.cdga")):
+    for path in sorted(MODELS.glob("*.cdga")):
         pres, _ = realize_document(parse_document(path.read_text()))
         for label, P in pres.items():
             presentations[label] = P
@@ -63,11 +56,9 @@ def betti_string(P, hi: int) -> str:
     return " ".join(f"{d}:{b}" for d, b in sorted(table.items()) if b)
 
 
-def category_sweep(cfg: SweepConfig, presentations, origin):
+def category_sweep(presentations, origin):
     rows = []
     for label in sorted(presentations):
-        if label in cfg.skip_labels:
-            continue
         start = time.perf_counter()
         rep = cat_bounds(presentations[label], label=label)
         elapsed = time.perf_counter() - start
@@ -86,9 +77,9 @@ def category_sweep(cfg: SweepConfig, presentations, origin):
     return rows
 
 
-def tc_sweep(cfg: SweepConfig, presentations):
+def tc_sweep(presentations):
     rows = []
-    for label, n in cfg.tc_cases:
+    for label, n in TC_CASES:
         start = time.perf_counter()
         rep = tc_bounds(presentations[label], n, label=label)
         elapsed = time.perf_counter() - start
@@ -125,13 +116,12 @@ def main(argv=None) -> int:
     ap.add_argument("--timings", action="store_true",
                     help="print per-row wall time to stderr")
     args = ap.parse_args(argv)
-    cfg = SweepConfig(as_json=args.as_json, timings=args.timings)
 
-    presentations, origin = load_all(cfg)
-    cat_rows = category_sweep(cfg, presentations, origin)
-    tc_rows = tc_sweep(cfg, presentations)
+    presentations, origin = load_all()
+    cat_rows = category_sweep(presentations, origin)
+    tc_rows = tc_sweep(presentations)
 
-    if cfg.timings:
+    if args.timings:
         for r in cat_rows:
             print(f"[timing] cat {r['label']}: {r['_elapsed']:.3f}s",
                   file=sys.stderr)
@@ -139,7 +129,7 @@ def main(argv=None) -> int:
             print(f"[timing] tc  {r['label']} n={r['n']}: "
                   f"{r['_elapsed']:.3f}s", file=sys.stderr)
 
-    if cfg.as_json:
+    if args.as_json:
         doc = {
             "category": [{k: v for k, v in r.items()
                           if not k.startswith("_") and k != "betti"}

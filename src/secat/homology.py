@@ -44,7 +44,7 @@ the algebra itself (PresentationView) or its homology (HomologyView), with
                                   from basis index to coefficient
     view.from_coords(d, v)        the degree-d element with coordinates v
     view.mul(a, b)                the product, in the view
-    view.one()                    the unit
+    view.one()                    the unit (HomologyView only)
 
 An ideal enters IdealPowers by ideal generators, not by a vector basis:
 ideal_generators reduces, degree by degree, each basis element of the ideal
@@ -501,9 +501,6 @@ class PresentationView:
 
     def mul(self, a, b):
         return a * b
-
-    def one(self):
-        return self.pres.one()
 
 
 class HomologyView:

@@ -271,7 +271,7 @@ class SurjectionReport(NamedTuple):
 def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                       kernel_gens=None, context: dict | None = None,
                       pedigree: str | None = None, with_m: bool = True,
-                      pd_space=None, content_top: int | None = None,
+                      space=None, content_top: int | None = None,
                       names=("h-invariant", "m-invariant", "sectional")
                       ) -> SurjectionReport:
     """Run the full chain of bounds for a degree-wise surjection.
@@ -280,9 +280,11 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     `kernel_gens` must generate ker phi as an ideal when given.  When
     omitted they are derived degree by degree, which is complete exactly
     when the source has a certified top degree inside the range.
-    `pd_space` is an optional (HomologyReport, top, label) triple for the
-    space the surjection is about; a verified duality pairing there
-    collapses the m-invariant onto the h-invariant.
+    `space` is an optional (presentation, label) pair for the space the
+    surjection is about.  When the m-loop runs and that presentation has a
+    certified top degree inside its faithful range, its homology is built
+    up to the top; a nondegenerate duality pairing there collapses the
+    m-invariant onto the h-invariant.
 
     `content_top` asserts that H(source) vanishes absolutely above that
     degree for reasons the source presentation cannot see on its own,
@@ -414,13 +416,11 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                 break
 
     # duality collapse: a verified pairing makes the two invariants agree
-    if pd_space is not None and with_m:
-        H_X, top, label = pd_space
-        try:
-            dual = poincare_duality_check(H_X, top)
-        except RangeExceedsCap:
-            dual = None
-        if dual is not None and dual.satisfied:
+    if space is not None and with_m:
+        X, label = space
+        top = X.top_degree_if_finite()
+        if (top is not None and top <= (X.cap if X.is_free else X.cap - 1)
+                and poincare_duality_check(homology(X, 0, top), top).satisfied):
             cert = Certificate(
                 "pd-collapse", {"construction": "presentation", "cdga": label},
                 {"top": top},
@@ -455,11 +455,10 @@ class CatReport(NamedTuple):
         return self.surjection.bounds()
 
 
-def cat_bounds(A: Presentation, cap: int | None = None, *,
-               with_m: bool = True, label: str = "A") -> CatReport:
+def cat_bounds(A: Presentation, *, with_m: bool = True,
+               label: str = "A") -> CatReport:
     """Category-style bounds through the augmentation of a minimal model."""
-    if cap is None:
-        cap = A.cap if A.is_free else A.cap - 1
+    cap = A.cap if A.is_free else A.cap - 1
     model_res = sullivan_model_of(A, cap)
     M = model_res.model
     hi = min(model_res.valid_up_to, M.cap - 1)
@@ -473,34 +472,13 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
         notes.append("the differential is zero, so homology equals the "
                      "algebra and the bounds meet when the range suffices")
 
-    pd_space = None
-    if htop is not None and htop <= (A.cap if A.is_free else A.cap - 1):
-        H_A = homology(A, 0, htop)
-        pd_space = (H_A, htop, label)
-
     rep = surjection_bounds(
         augmentation_morphism(M), hi=hi,
         kernel_gens=[M.gen(g.name) for g in M.generators],
         context=ctx, pedigree="augmentation",
-        with_m=with_m, pd_space=pd_space, content_top=htop,
+        with_m=with_m, space=(A, label), content_top=htop,
         names=("toomer", "mcat", "cat"))
     cat = rep.map_bound
-
-    # cup length: nil of the positive part of H(M) in degrees <= hi (the
-    # report's hi is this one, since the augmentation's target is free at
-    # M's cap).  The report's nil ker H(aug) is exactly that: ker H(aug) is
-    # all of H+(M), and its ideal generators, of positive degree, already lie
-    # in ker aug, so _into_kernel keeps them.
-    cup = rep.nil_kernel_h
-    if cup.nil > 0:
-        cert = Certificate(
-            "nil-witness", ctx,
-            {"level": cup.nil, "view": "homology", "hi": hi,
-             "generators": [str(g) for g in cup.generators],
-             "factors": list(cup.witness_factors)},
-            claim=f"a {cup.nil}-fold cup product is nonzero")
-        cat.merge_lower(cup.nil, True, cert,
-                        note=f"cup length is {cup.nil}")
 
     # all-odd free minimal models have cat = number of generators
     gens = [(g.name, g.degree) for g in M.generators]
@@ -527,8 +505,12 @@ def cat_bounds(A: Presentation, cap: int | None = None, *,
                         note=f"nil of the input positive part is {nilA}")
 
     rep.settle()
-    return CatReport(model_res, hi, cup, rep.h_bound, rep.m_bound, cat, rep,
-                     notes + rep.notes)
+    # cup length: nil of the positive part of H(M) in degrees <= hi (the
+    # report's hi is this one, since the augmentation's target is free at
+    # M's cap).  The report's nil ker H(aug) is exactly that: ker H(aug) is
+    # all of H+(M).  It already lifted, absolute, along the chain to cat.
+    return CatReport(model_res, hi, rep.nil_kernel_h, rep.h_bound,
+                     rep.m_bound, cat, rep, notes + rep.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -550,27 +532,22 @@ class TCReport(NamedTuple):
         return self.surjection.bounds()
 
 
-def tc_bounds(A: Presentation, n: int = 2, cap: int | None = None, *,
-              with_m: bool = True, label: str = "A") -> TCReport:
+def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
+              label: str = "A") -> TCReport:
     """Topological-complexity style bounds through a diagonal surjection."""
     if A.d_unknown:
         raise CdgaError("the input has generators with unrepresentable "
                         "differentials; raise the cap first")
     htop = A.top_degree_if_finite()
     maxgen = max((g.degree for g in A.generators), default=1)
-    if cap is None:
-        cap = n * htop + maxgen + 1 if htop is not None else A.cap
+    cap = n * htop + maxgen + 1 if htop is not None else A.cap
     dm = diagonal_model(A, n, cap)
     ctx = {"construction": "diagonal", "cdga": label, "n": n, "cap": cap}
-
-    pd_space = None
-    if htop is not None and htop <= (A.cap if A.is_free else A.cap - 1):
-        pd_space = (homology(A, 0, htop), htop, label)
 
     suffix = "" if n == 2 else str(n)
     rep = surjection_bounds(dm.morphism, kernel_gens=dm.kernel_generators,
                             context=ctx, pedigree=dm.pedigree, with_m=with_m,
-                            pd_space=pd_space,
+                            space=(A, label),
                             content_top=n * htop if htop is not None else None,
                             names=(f"htc{suffix}", f"mtc{suffix}", f"tc{suffix}"))
     tc = rep.map_bound
@@ -859,7 +836,6 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "nil-witness":
         level, hi = data["level"], data["hi"]
-        viewname = data.get("view", "homology")
         if ctx.get("construction") == "presentation":
             P = _ctx_presentation(ctx, presentations)
             gens = _parse_over(data["generators"], P)
@@ -872,27 +848,20 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
             return False, f"witness has {len(factors)} factors, claim says {level}"
         if any(i < 0 or i >= len(gens) for i in factors):
             return False, "witness factor index out of range"
-        if viewname == "homology":
-            H = homology(P, 0, hi)
-            view = HomologyView(H)
-            for i, g in enumerate(gens):
-                if g.d().terms:
-                    return False, f"generator {i} is not a cycle"
-            prod = view.one()
-            for i in factors:
-                prod = view.mul(prod, gens[i])
-                if not prod.terms:
-                    return False, "witness product vanishes in homology"
-            deg = prod.degree()
-            if deg is None or deg > hi or H.is_zero_class(prod, deg):
-                return False, "witness product is a zero class"
-            return True, f"{level}-fold product is a nonzero class in degree {deg}"
-        prod = P.one()
+        H = homology(P, 0, hi)
+        view = HomologyView(H)
+        for i, g in enumerate(gens):
+            if g.d().terms:
+                return False, f"generator {i} is not a cycle"
+        prod = view.one()
         for i in factors:
-            prod = prod * gens[i]
+            prod = view.mul(prod, gens[i])
             if not prod.terms:
-                return False, "witness product vanishes"
-        return True, f"{level}-fold product is nonzero in degree {prod.degree()}"
+                return False, "witness product vanishes in homology"
+        deg = prod.degree()
+        if deg is None or deg > hi or H.is_zero_class(prod, deg):
+            return False, "witness product is a zero class"
+        return True, f"{level}-fold product is a nonzero class in degree {deg}"
 
     if kind == "rho-noninjectivity-witness":
         m, deg = data["m"], data["degree"]

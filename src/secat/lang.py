@@ -136,6 +136,12 @@ class _Parser:
                              t.line, t.col)
         return self.next()
 
+    def expect_int(self, what: str) -> int:
+        t = self.expect("number")
+        if "/" in t.text:
+            raise ParseError(f"{what} must be an integer", t.line, t.col)
+        return int(t.text)
+
     def at_punct(self, text) -> bool:
         t = self.peek()
         return t.kind == "punct" and t.text == text
@@ -165,10 +171,7 @@ class _Parser:
         node = self.parse_atom()
         if self.at_punct("^"):
             self.next()
-            t = self.expect("number")
-            if "/" in t.text:
-                raise ParseError("exponent must be an integer", t.line, t.col)
-            node = ("pow", node, int(t.text))
+            node = ("pow", node, self.expect_int("exponent"))
         return node
 
     def parse_atom(self):
@@ -281,11 +284,7 @@ def _parse_cdga(p: _Parser) -> CdgaSpec:
         if kw.text == "gen":
             gname = p.expect("name").text
             p.expect("punct", ":")
-            deg = p.expect("number")
-            if "/" in deg.text:
-                raise ParseError("generator degree must be an integer",
-                                 deg.line, deg.col)
-            gens.append((gname, int(deg.text)))
+            gens.append((gname, p.expect_int("generator degree")))
         elif kw.text == "d":
             gname = p.expect("name").text
             p.expect("punct", "=")
@@ -298,7 +297,7 @@ def _parse_cdga(p: _Parser) -> CdgaSpec:
         elif kw.text == "flag":
             flags.add(p.expect("name").text)
         elif kw.text == "cap":
-            cap = int(p.expect("number").text)
+            cap = p.expect_int("cap")
         else:
             raise ParseError(f"unknown item {kw.text!r}", kw.line, kw.col)
         p.expect("punct", ";")

@@ -122,14 +122,6 @@ class SemiFreeModule:
 
     # -- elements
 
-    def zero(self) -> ModuleElement:
-        return {}
-
-    def gen(self, name: str) -> ModuleElement:
-        if name not in self.degree_of:
-            raise CdgaError(f"unknown module generator {name!r}")
-        return {name: self.base.one()}
-
     def d_element(self, mel: ModuleElement) -> ModuleElement:
         out: ModuleElement = {}
         for g, coeff in mel.items():
@@ -241,15 +233,6 @@ class SemiFreeModule:
             if dd:
                 return name, dd
         return None
-
-    def format(self, mel: ModuleElement) -> str:
-        if not mel:
-            return "0"
-        parts = []
-        for name, _ in self.gen_list:
-            if name in mel:
-                parts.append(f"({mel[name]}).{name}")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -681,6 +681,12 @@ RECOMPUTE_CASES = [
 ]
 
 
+def _render(M, mel):
+    """A module element as `(coefficient).generator` terms in generator order."""
+    return " + ".join(f"({mel[name]}).{name}" for name, _ in M.gen_list
+                      if name in mel) or "0"
+
+
 @pytest.mark.parametrize("label,body,ideal,E,census,digest,recomputed",
                          RECOMPUTE_CASES, ids=[case[0] for case in RECOMPUTE_CASES])
 def test_resolution_over_degree_one_recomputes_and_keeps_its_output(
@@ -694,6 +700,6 @@ def test_resolution_over_degree_one_recomputes_and_keeps_its_output(
     assert max(basis_elements.values()) == 1
     assert collections.Counter(d for _, d in M.gen_list) == census
     printed = {"gens": [[n, d] for n, d in M.gen_list],
-               "d": {n: M.format(M.d[n]) for n, _ in M.gen_list if n in M.d}}
+               "d": {n: _render(M, M.d[n]) for n, _ in M.gen_list if n in M.d}}
     blob = json.dumps(printed, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest()[:16] == digest

@@ -10,10 +10,12 @@ from conftest import MODELS
 import oracles as orc
 
 import secat.core
+import secat.invariants
 from secat.cli import main
 from secat.core import CdgaError, RangeExceedsCap
 from secat.homology import HomologyView, IdealPowers, homology, nil_ideal
-from secat.lang import make_presentation, parse_document
+from secat.lang import make_presentation, parse_document, realize_document
+from secat.linalg import solve_combo
 from secat.invariants import (
     Bound, CERT_FORMAT, Certificate, augmentation_morphism, cat_bounds,
     certificate_from_json, certificate_to_json, split_retraction_certificate,
@@ -272,6 +274,36 @@ def test_quotient_surjection_is_model_relative(morphisms):
     assert any(n.startswith("model-relative") for n in rep.notes)
     assert rep.h_bound.lower == 1 and rep.h_bound.lower_absolute
     assert rep.h_bound.upper == 1 and not rep.h_bound.upper_absolute
+
+
+ADJUSTED = """
+cdga S { cap 10; gen a : 2; gen x : 3; gen b : 4; d x = a^2; }
+cdga B { cap 10; gen a : 2; gen x : 3; d x = a^2; }
+morphism f : S -> B { a -> a; x -> x; b -> a^2; }
+"""
+
+
+def test_a_kernel_class_is_moved_into_the_kernel(monkeypatch):
+    """f(b) = a^2 = d x is a boundary but not 0, so the class of b lies in
+    ker H(f) while b does not lie in ker f.  The nil-witness generator is b
+    moved by the boundary d x, which f sends to 0."""
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return solve_combo(*args)
+
+    monkeypatch.setattr(secat.invariants, "solve_combo", counted)
+    presentations, morphisms = realize_document(parse_document(ADJUSTED))
+    rep = surjection_bounds(morphisms["f"],
+                            context={"construction": "morphism", "morphism": "f"})
+    assert len(solves) == 2          # the boundary, then its lift to S
+    [witness] = [c for c in rep.h_bound.certificates if c.kind == "nil-witness"]
+    assert witness.data["generators"] == ["b - a^2"]
+    for b in rep.bounds():
+        assert (b.lower, b.upper, b.verified_up_to) == (2, 2, 9), b.name
+        for cert in b.certificates:
+            assert verify_certificate(cert, presentations, morphisms)[0], cert.kind
 
 
 @pytest.mark.parametrize("argv,built", [

@@ -285,6 +285,14 @@ def test_cli_exit_code_for_parse_errors(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+def test_cli_fractional_cap_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "fractional_cap.cdga"
+    f.write_text("cdga X {\n  cap 3/2;\n  gen a : 3;\n}\n")
+    code, out, err = run(capsys, "cat", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: cap must be an integer at line 2, column 7\n"
+
+
 def test_cli_exit_code_for_bad_range(capsys):
     code, _, err = run(capsys, "homology", path("sphere3.cdga"),
                        "--range", "everything")

@@ -129,7 +129,9 @@ def _definitions(tree):
 
 def _references(tree):
     """Every name a module uses: names, attributes, imported names, and the
-    dotted parts of string constants (the tracer's TARGETS keys)."""
+    parts of dotted string constants (the tracer's TARGETS keys).  A string
+    without a dot, such as a certificate key, is data and keeps no
+    definition of the same name alive."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -139,7 +141,8 @@ def _references(tree):
             yield from node.name.split(".")
             if node.asname:
                 yield node.asname
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "." in node.value):
             yield from node.value.split(".")
 
 

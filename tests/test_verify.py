@@ -305,3 +305,18 @@ def test_a_nil_witness_over_a_class_outside_the_kernel_is_rejected(generator):
     with pytest.raises(CdgaError, match=re.escape(
             f"claimed kernel generator {generator!r} does not map to zero")):
         verify_certificate(forged, presentations, morphisms)
+
+
+def test_a_nil_witness_is_checked_in_homology_whatever_its_view():
+    """A nil-witness bounds nil ker H(phi), so its product must be a nonzero
+    class.  v2_0 is a cycle of T's minimal model whose fifth power is
+    nonzero in the model but zero in homology (toomer T = 2, cat T = 3); a
+    certificate that names another view must not turn it into a 5-fold
+    lower bound."""
+    presentations, morphisms, _ = _fuzz_corpus()
+    forged = Certificate("nil-witness",
+                         {"construction": "augmentation", "cdga": "T", "cap": 13},
+                         {"level": 5, "view": "algebra", "hi": 12,
+                          "generators": ["v2_0"], "factors": [0, 0, 0, 0, 0]})
+    assert verify_certificate(forged, presentations, morphisms) == (
+        False, "witness product vanishes in homology")
