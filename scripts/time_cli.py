@@ -9,8 +9,10 @@ Each run is a fresh interpreter started in the current directory, so
 relative model paths resolve there.  One line is printed per run: the
 tree, the wall time from spawn to exit, the child's peak RSS (from
 `os.wait4`), its exit code and the sha256 of its stdout.  The last line
-says whether all four stdouts were identical.  The child's stderr passes
-through.
+says whether all four runs agreed, with the same stdout and the same exit
+code.  The child's stderr passes through.  The script exits 0 when the
+runs agree and 1 when they do not, so a byte-identity check can rest on
+it.
 """
 
 from __future__ import annotations
@@ -50,16 +52,18 @@ def main(argv=None) -> int:
     query = args.query[1:] if args.query[:1] == ["--"] else args.query
     if not query:
         ap.error("give the secat arguments after --")
-    digests = set()
+    outcomes = set()
     for label, src in (("A", args.src_a), ("B", args.src_b),
                        ("B", args.src_b), ("A", args.src_a)):
         wall, rss, code, digest = run_once(src, query)
-        digests.add(digest)
+        outcomes.add((code, digest))
         print(f"{label} {src}: wall {wall:.3f} s, peak RSS {rss:.1f} MB, "
               f"exit {code}, stdout sha256 {digest}", flush=True)
-    print("stdout identical in all runs" if len(digests) == 1
-          else "stdout DIFFERS between runs")
-    return 0
+    if len(outcomes) == 1:
+        print("stdout identical in all runs")
+        return 0
+    print("stdout or exit code DIFFERS between runs")
+    return 1
 
 
 if __name__ == "__main__":

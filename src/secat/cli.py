@@ -25,7 +25,7 @@ from .homology import homology
 from .construct import sullivan_model_of
 from .invariants import (cat_bounds, certificate_from_json, certificate_to_json,
                          surjection_bounds, tc_bounds, verify_certificate)
-from .lang import (make_presentation, parse_document, print_presentation,
+from .lang import (default_cap, make_presentation, parse_document, print_presentation,
                    realize_document)
 
 
@@ -56,9 +56,12 @@ def _build(args):
         origin = "from --cap"
     elif spec.cap is not None:
         origin = "from the file"
-    else:
+    elif P.cap == default_cap(spec.gens):
         origin = ("default rule: 2 * max generator degree + 2, or the sum "
                   "of the degrees + 1 if larger and all are odd")
+    else:
+        origin = ("default rule: the largest relation degree + 1, above "
+                  "2 * max generator degree + 2")
     return label, P, origin
 
 

@@ -53,10 +53,18 @@ def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
     if HA.betti(1) != 0:
         raise NotSimplyConnected("H^1 does not vanish")
 
-    for M, images in hit_and_kill(
-            HA, 2, cap, Presentation((), cap + 2),
-            lambda X, images: CdgaMorphism(X, A, images, check=False),
-            ("v", "w"), {}, NotQuasiIso):
+    # each adjoin keeps the old generators' images, so the successive chain
+    # maps share one memo of monomial images, as the sources share d's memo
+    memo: dict = {}
+    powers: dict = {}
+
+    def chain_map(X, images):
+        phi = CdgaMorphism(X, A, images, check=False)
+        phi._memo, phi._powers = memo, powers
+        return phi
+
+    for M, images in hit_and_kill(HA, 2, cap, Presentation((), cap + 2), chain_map,
+                                  ("v", "w"), {}, NotQuasiIso):
         pass  # the whole model: keep the last degree's
     # hit_and_kill adjoins without validating; check d*d = 0 once on the result
     M._validate()

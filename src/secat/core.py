@@ -32,14 +32,23 @@ Representation constraints:
 * In a free presentation the differential of a monomial g^e t comes from
   the memoised differentials of g^e and of its tail t; with relations it is
   one Leibniz expansion in the free algebra followed by one reduction when
-  the image lies at or under the cap (see _derive).  The result is memoised
-  per monomial for the life of the presentation, and validation checks
-  d*d = 0 through that memo (a d that contains a generator whose d is
-  unknown is expanded from the stored d instead).  Presentation.adjoin
-  extends a free presentation by new generators; the old monomials keep
-  their d, so the extension shares the memo, takes the old differentials as
-  they are (only the new ones are coerced and checked) and starts from the
-  monomial groups that the new generators leave unchanged.
+  the image lies at or under the cap (see _monomial_d).  The result is
+  memoised per monomial for the life of the presentation.  The memo is
+  filled one monomial at a time, each image built straight into the dict
+  the memo keeps; only d of an element (_derive) sums images with their
+  coefficients.  Validation checks d*d = 0 through that memo (a d that
+  contains a generator whose d is unknown is expanded from the stored d
+  instead).  Presentation.adjoin extends a free presentation by new
+  generators; the old monomials keep their d, so the extension shares the
+  memo, takes the old differentials as they are (only the new ones are
+  coerced and checked) and starts from the monomial groups that the new
+  generators leave unchanged.  coordinates_from gives the extension's
+  index of each old basis monomial, so that a vector read on the old
+  basis can be re-keyed.
+* A CdgaMorphism memoises each source monomial's image.  A minimal-model
+  builder's successive chain maps, one per adjoin, share that memo and the
+  memo of generator powers, the way the sources share d's memo: an adjoin
+  keeps the old generators and their images.
 * A presentation carries an explicit degree cap.  Graded pieces up to the cap
   are faithful; operations that would need information beyond the cap raise
   RangeExceedsCap instead of answering silently.
@@ -913,7 +922,7 @@ class Presentation:
         """Images under d of the degree-d basis, or of its elements at the
         indices `which` in that order, as sparse degree-(d+1) vectors.
 
-        Each row is the memoised image of its basis monomial (see _derive),
+        Each row is the memoised image of its basis monomial (see _monomial_d),
         read into basis indices in the image's own term order, as
         to_sparse(self.d(monomial), d + 1) gives it, and with the same
         errors in the same order: a generator in d_unknown raises d's
@@ -934,12 +943,23 @@ class Presentation:
                     raise self._d_unknown_error(bad)
             img = memo.get(mono)
             if img is None:
-                img = _derive(self, self._d_values, memo, {mono: 1})
+                img = _monomial_d(self, self._d_values, memo, mono)
             if index is None:
                 self.basis(d + 1)
                 index = self._index[d + 1]
             rows.append({index[m]: c for m, c in img.items()})
         return rows
+
+    def coordinates_from(self, older: "Presentation", d: int) -> list[int] | None:
+        """For this presentation or one that it extends by adjoin, `older`:
+        the index here of each degree-d basis monomial of `older`, or None
+        when the degree-d basis is unchanged.  An adjoin keeps every old
+        monomial, so an unchanged dimension means an unchanged basis."""
+        old = older.basis(d)
+        if len(old) == self.dim(d):
+            return None
+        index = self._index[d]
+        return [index[m] for m in old]
 
     def _d_unknown_error(self, names) -> RangeExceedsCap:
         return RangeExceedsCap(f"differential of generators {sorted(names)} "
@@ -1206,16 +1226,36 @@ def format_element(el: AlgebraElement) -> str:
 def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
             memo: dict, terms: Mapping[Monomial, Rational]) -> dict:
     """The terms of d(terms) for the differential of `pres` with generator
-    values `raw`; `memo` keeps each monomial's image.
+    values `raw`: the sum over `terms` of the monomials' images in `memo`,
+    each filled in first by _monomial_d when missing."""
+    out: dict[Monomial, Rational] = {}
+    for m, c in terms.items():
+        img = memo.get(m)
+        if img is None:
+            img = _monomial_d(pres, raw, memo, m)
+        for mono, v in img.items():
+            val = out.get(mono, 0) + c * v
+            if val:
+                out[mono] = val
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def _monomial_d(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
+                memo: dict, m: Monomial) -> dict:
+    """Store the terms of d(m) as memo[m], for an m that is missing from
+    `memo`, and return them.
 
     In a free presentation a monomial m = g^e t, with g its first factor,
     takes its image from those of g^e and of its tail t:
 
         d(m) = d(g^e) t + (-1)^{e|g|} g^e d(t),
 
-    and a missing factor image is derived first, so that a tail already in
+    and a missing factor image is stored first, so that a tail already in
     the memo (an adjoin lineage shares it) is never expanded again.  The
-    power g^e alone is one Leibniz expansion.
+    power g^e alone is one Leibniz expansion.  The image is built directly
+    into the dict that the memo keeps; no copy of it is summed.
 
     With relations, d(f1...fs) = sum_j (-1)^{|f1..f_{j-1}|} (f1..f_{j-1})
     d(f_j) (f_{j+1}..fs) is expanded in the free algebra, then reduced once.
@@ -1227,49 +1267,42 @@ def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
     """
     ctx = pres._ctx
     free = pres.is_free
-    out: dict[Monomial, Rational] = {}
-    for m, c in terms.items():
-        img = memo.get(m)
-        if img is None:
-            if free and len(m) > 1:
-                head, tail = m[:1], m[1:]
-                for part in (head, tail):
-                    if part not in memo:
-                        _derive(pres, raw, memo, {part: 1})
-                g, e = m[0]
-                odd = e * ctx.degree_of[g] % 2
-                mul = ctx.mul_mono
-                products = [(mul(v, tail), a) for v, a in memo[head].items()]
-                products += [(mul(head, v), -a if odd else a) for v, a in memo[tail].items()]
-                img = {}
-                for prod, a in products:
-                    if prod is None:
-                        continue
-                    k, mono = prod
-                    if k < 0:
-                        a = -a
-                    old = img.get(mono)
-                    if old is not None:
-                        a += old
-                        if not a:
-                            del img[mono]
-                            continue
-                    img[mono] = a
-            elif free:
-                img = ctx.leibniz({m: 1}, raw)
-            elif ctx.mono_degree(m) > pres.cap - 1:
-                _check_above_cap(pres, raw, m)
-                img = {}
-            else:
-                img = pres.reduce_raw(ctx.leibniz({m: 1}, raw))
-            memo[m] = img
-        for mono, v in img.items():
-            val = out.get(mono, 0) + c * v
-            if val:
-                out[mono] = val
-            elif mono in out:
-                del out[mono]
-    return out
+    if free and len(m) > 1:
+        head, tail = m[:1], m[1:]
+        head_d = memo.get(head)
+        if head_d is None:
+            head_d = _monomial_d(pres, raw, memo, head)
+        tail_d = memo.get(tail)
+        if tail_d is None:
+            tail_d = _monomial_d(pres, raw, memo, tail)
+        g, e = m[0]
+        odd = e * ctx.degree_of[g] % 2
+        mul = ctx.mul_mono
+        products = [(mul(v, tail), a) for v, a in head_d.items()]
+        products += [(mul(head, v), -a if odd else a) for v, a in tail_d.items()]
+        img = {}
+        for prod, a in products:
+            if prod is None:
+                continue
+            k, mono = prod
+            if k < 0:
+                a = -a
+            old = img.get(mono)
+            if old is not None:
+                a += old
+                if not a:
+                    del img[mono]
+                    continue
+            img[mono] = a
+    elif free:
+        img = ctx.leibniz({m: 1}, raw)
+    elif ctx.mono_degree(m) > pres.cap - 1:
+        _check_above_cap(pres, raw, m)
+        img = {}
+    else:
+        img = pres.reduce_raw(ctx.leibniz({m: 1}, raw))
+    memo[m] = img
+    return img
 
 
 def _check_above_cap(pres: Presentation, raw, m: Monomial):

@@ -15,15 +15,19 @@ canonical representatives.  It works on any cochain complex X with
                                   vectors
     X.check_cycle(x)              raises CdgaError unless dx = 0
     X.cap, X.is_free              the window of faithful degrees
+    X.coordinates_from(Y, d)      for X or a complex Y that X extends by
+                                  adjoin: X's index of each degree-d basis
+                                  element of Y, or None when Y's degree-d
+                                  coordinates are X's
 
 Presentations and semifree modules implement it; the span complex behind
-span_complex_homology implements the part that betti numbers need.  A
-report asks for d on the whole basis only in the degree below its range,
-and in each degree of the range only on the basis elements off the
-boundary pivots.  Each boundary space is eliminated once: the free rows
-of degree d span B^{d+1} and are fed to its echelon, which degree d + 1
-takes as its boundaries; where they are independent, H^d = 0 and no
-kernel is computed.
+span_complex_homology implements the part that betti numbers need, which
+leaves out coordinates_from.  A report asks for d on the whole basis only
+in the degree below its range, and in each degree of the range only on
+the basis elements off the boundary pivots.  Each boundary space is
+eliminated once: the free rows of degree d span B^{d+1} and are fed to
+its echelon, which degree d + 1 takes as its boundaries; where they are
+independent, H^d = 0 and no kernel is computed.
 hit_and_kill is the one degreewise "hit the cokernel, kill the kernel"
 builder behind minimal models and quotient resolutions.  It hands back the
 source after each finished degree, so a caller can stop early.  It grows one
@@ -32,7 +36,8 @@ and shares its memo of d, and it reuses the kill step's H^{k+1} for the
 next hit step whenever the kill generators leave the degree-(k+1) piece
 the same size.  That holds unless the source has degree-1 elements.  Each
 of its single-degree reports starts from the free rows of the report
-before it, while the degree above keeps its size.
+before it, re-keyed across the adjoins in between: they still span the
+boundaries, and only their indices move.
 
 Ideal powers and nilpotency work in a graded view of degrees 0..view.hi,
 the algebra itself (PresentationView) or its homology (HomologyView), with
@@ -88,9 +93,12 @@ class HomologyReport:
 
     The boundaries B^lo are the echelon of every row of d on C^{lo-1},
     stopped at rank dim C^lo; or, when the caller holds `boundary_rows` =
-    (rows, rank), rows spanning B^lo and the rank of their span, of those
-    rows, stopped at that rank.  Each degree d then reads d only on its free
-    elements, the basis elements off the pivots of B^d.  A pivot element
+    (rows, rank, Y), rows spanning B^lo read on the complex Y and the rank
+    of their span, of those rows, stopped at that rank.  Y is X or a
+    complex that X extends by adjoin, whose old basis elements keep their
+    d; a row is re-keyed from Y's coordinates to X's (X.coordinates_from)
+    as it is fed.  Each degree d then reads d only on its free elements,
+    the basis elements off the pivots of B^d.  A pivot element
     differs from a combination of free ones by a boundary, whose d is 0, so
     the free rows span B^{d+1}.  Below hi they are all fed to the echelon
     that degree d + 1 takes as its boundaries, and b_d is the number of
@@ -98,12 +106,13 @@ class HomologyReport:
     rows, each row lifted back to degree d.  That elimination runs only
     where b_d > 0, and at hi, where no echelon of B^{hi+1} is built.  The
     report keeps the free rows of degree hi with the rank of their span,
-    rank B^{hi+1} = #rows - b_hi, as its `boundary_rows`: a report that
-    starts at degree hi + 1 on the same complex may take them.
+    rank B^{hi+1} = #rows - b_hi, and X as its `boundary_rows`: a report
+    that starts at degree hi + 1 on X, or on an extension of X whose new
+    basis elements of degree hi have d in B^{hi+1}, may take them.
     """
 
     def __init__(self, X, lo: int, hi: int,
-                 boundary_rows: tuple[list, int] | None = None):
+                 boundary_rows: tuple[list, int, object] | None = None):
         if lo < 0 or hi < lo:
             raise CdgaError(f"bad homology range [{lo}, {hi}]")
         if not X.is_free and hi + 1 > X.cap:
@@ -119,16 +128,17 @@ class HomologyReport:
         if X.dim(lo):
             if boundary_rows is None:
                 rows = X.differential_vectors(lo - 1) if lo >= 1 else []
-                rank = X.dim(lo)
+                rank, keys = X.dim(lo), None
             else:
-                rows, rank = boundary_rows
+                rows, rank, Y = boundary_rows
+                keys = X.coordinates_from(Y, lo)  # None: the rows are keyed as X
             for v in rows:
                 if bech.rank == rank:
                     break
-                bech.add(v)
+                bech.add(v if keys is None else {keys[i]: c for i, c in v.items()})
         for d in range(lo, hi + 1):
             bech, rows = self._compute_degree(d, bech)
-        self.boundary_rows = (rows, len(rows) - len(self._class_rows[hi]))
+        self.boundary_rows = (rows, len(rows) - len(self._class_rows[hi]), X)
 
     def _compute_degree(self, d: int, bech: Echelon) -> tuple[Echelon | None, list]:
         """Fill in degree d from `bech`, the echelon of B^d; return the
@@ -211,7 +221,7 @@ class HomologyReport:
 
 
 def homology(X, lo: int = 0, hi: int | None = None,
-             boundary_rows: tuple[list, int] | None = None) -> HomologyReport:
+             boundary_rows: tuple[list, int, object] | None = None) -> HomologyReport:
     if hi is None:
         hi = X.cap - 1 if not X.is_free else X.cap
     return HomologyReport(X, lo, hi, boundary_rows)
@@ -314,13 +324,15 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
     size: then its cycles and boundaries grow only by the killed classes,
     which map to zero, so the induced columns span the same image.  Only a
     source with degree-1 elements can grow there.  The report on degree j
-    hands its free rows and their rank (HomologyReport.boundary_rows) to
-    the next report, on degree j + 1, which stops B^{j+1} at that rank.  In
-    between, degree j gains hit generators, whose d is 0, so the rows
-    still span B^{j+1}; when the kill step grows degree j too, the hit step
-    builds a new report there, whose rows replace them.  They are used
-    only while dim C^{j+1}, the length of their coordinates, is unchanged
-    since they were read.
+    hands its free rows, their rank and its complex
+    (HomologyReport.boundary_rows) to the next report, on degree j + 1,
+    which re-keys them into the grown complex and stops B^{j+1} at that
+    rank.  In between, degree j gains hit generators, whose d is 0, so the
+    rows still span B^{j+1}; when the kill step grows degree j too, the hit
+    step builds a new report there, whose rows replace them.  An adjoin
+    changes neither the old basis elements nor their d, so only the rows'
+    indices in C^{j+1} move: a kill generator times a degree-2 generator,
+    say, is a new element there.
 
     A generator is named {prefix}{k}_{i}, with prefixes[0] for hit and
     prefixes[1] for kill generators, and i counting from 0 per prefix and
@@ -349,12 +361,10 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
 
     phi = chain_map(X, images)
     cols = None  # the induced columns on H^k, when the kill step left them
-    below = None  # rows spanning B^{k+1} with their rank, and dim C^{k+1} then
     for k in range(lo, hi + 1):
         if cols is None:
             H_src = homology(X, k, k)
             cols = induced_matrix(phi, H_src, H_tgt, k)
-            below = (H_src.boundary_rows, X.dim(k + 1)) if k < hi else None
         hit = Echelon()
         for col in cols:
             hit.add(col)
@@ -368,9 +378,8 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
         if k == hi:
             yield X, images
             return
-        rows = below[0] if below and X.dim(k + 1) == below[1] else None
-        H_src = homology(X, k + 1, k + 1, rows)
-        below = (H_src.boundary_rows, X.dim(k + 2)) if k + 1 < hi else None
+        # H_src is the report on degree k
+        H_src = homology(X, k + 1, k + 1, H_src.boundary_rows)
         cols = induced_matrix(phi, H_src, H_tgt, k + 1)
         kernel = [H_src.cycle(combo, k + 1)
                   for combo in kernel_combos(cols, H_tgt.betti(k + 1))]

@@ -332,28 +332,34 @@ def _parse_morphism(p: _Parser) -> MorphismSpec:
 KNOWN_FLAGS = {"non_simply_connected"}
 
 
-def default_cap(gens) -> int:
+def default_cap(gens, relation_degrees=()) -> int:
     """2 * max degree + 2; when every generator is odd, at least one above
-    the sum of the degrees, so the window reaches the certified top degree."""
+    the sum of the degrees, so the window reaches the certified top degree;
+    and at least one above every relation degree, so that each relation and
+    its differential lie under the cap."""
     degrees = [d for _, d in gens]
     cap = 2 * max(degrees, default=1) + 2
     if degrees and all(d % 2 for d in degrees):
         cap = max(cap, sum(degrees) + 1)
-    return cap
+    return max(cap, max(relation_degrees, default=0) + 1)
 
 
 def make_presentation(spec: CdgaSpec, cap: int | None = None) -> Presentation:
-    """Build the presentation; explicit cap argument beats the file's cap."""
+    """Build the presentation; explicit cap argument beats the file's cap,
+    and the file's cap beats default_cap, which reads the relation degrees
+    off their terms as evaluated on a scratch free presentation."""
     unknown = spec.flags - KNOWN_FLAGS
     if unknown:
         raise ParseError(f"unknown flags {sorted(unknown)} in cdga {spec.name!r}")
-    use_cap = cap if cap is not None else (spec.cap if spec.cap is not None
-                                           else default_cap(spec.gens))
+    use_cap = cap if cap is not None else spec.cap
     simply_connected = "non_simply_connected" not in spec.flags
-    scratch = Presentation(spec.gens, use_cap, simply_connected=simply_connected,
-                           validate=False)
+    scratch = Presentation(spec.gens, default_cap(spec.gens) if use_cap is None else use_cap,
+                           simply_connected=simply_connected, validate=False)
     rels = [dict(evaluate(ast, scratch).terms) for ast in spec.rels]
     diffs = {g: dict(evaluate(ast, scratch).terms) for g, ast in spec.diffs.items()}
+    if use_cap is None:
+        use_cap = default_cap(spec.gens, [scratch._ctx.mono_degree(m)
+                                          for r in rels for m in r])
     return Presentation(spec.gens, use_cap, relations=rels, differentials=diffs,
                         simply_connected=simply_connected, _engine=scratch._ctx)
 

@@ -215,6 +215,12 @@ class SemiFreeModule:
             out.append(self.to_sparse(img, n + 1))
         return out
 
+    def coordinates_from(self, older: "SemiFreeModule", n: int) -> None:
+        """None: adjoin appends the new generators' blocks after the old
+        ones in every degree, so the coordinates of a module that this one
+        extends are this module's as they are."""
+        return None
+
     def check_cycle(self, mel: ModuleElement) -> None:
         if self.d_element(mel):
             raise CdgaError("module element is not a cycle")

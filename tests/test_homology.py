@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_model
 
 from secat import linalg
-from secat.core import (AlgebraElement, CdgaError, Presentation, _SignEngine,
-                        quotient_by_ideal)
+from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, Presentation,
+                        _SignEngine, quotient_by_ideal)
 from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             PresentationView,
                             _SpanComplex, homology, induced_matrix,
@@ -22,7 +22,7 @@ from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             span_complex_homology)
 from secat.construct import (build_minimal_model, diagonal_model,
                              multiplication_morphism)
-from secat.semifree import SemiFreeModule, resolve_quotient
+from secat.semifree import SemiFreeModule, madd, resolve_quotient
 from secat.lang import parse_document, parse_element, realize_document
 from secat.linalg import Echelon, kernel_combos
 
@@ -193,27 +193,38 @@ def test_homology_matches_the_canonical_kernel_oracle(models, name):
                    for c in row.values())
 
 
-@st.composite
-def random_complexes(draw):
-    """(complex, lo, hi): a free presentation on up to three generators with
+def _draw_cycle(draw, P, d):
+    """A random combination of the canonical cycles of degree d of P."""
+    z = {}
+    for combo in kernel_combos(P.differential_vectors(d), P.dim(d + 1)):
+        c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+        for j, a in combo.items():
+            z[j] = z.get(j, 0) + c * a
+    return P.from_vector(d, z)
+
+
+def _draw_free_complex(draw, cap):
+    """(P, base): a free presentation on up to three generators `base` with
     d = 0, odd and even, grown by adjoin with generators whose d is a random
-    cycle of the complex so far; at times its quotient by a monomial ideal,
-    spanned by monomials in the d = 0 generators and at times by every
-    monomial from some degree on, which keeps the ideal closed under d."""
-    cap = 10
+    cycle of the complex so far."""
     base = [(f"c{i}", draw(st.integers(1, 5))) for i in range(draw(st.integers(1, 3)))]
     P = Presentation(base, cap, simply_connected=False)
     for i in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, cap - 2))
-        cycles = kernel_combos(P.differential_vectors(k + 1), P.dim(k + 2))
-        z = {}
-        for combo in cycles:
-            c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
-            for j, a in combo.items():
-                z[j] = z.get(j, 0) + c * a
-        z = P.from_vector(k + 1, z)
+        z = _draw_cycle(draw, P, k + 1)
         if z.terms:
             P = P.adjoin([(f"x{i}", k)], {f"x{i}": z})
+    return P, base
+
+
+@st.composite
+def random_complexes(draw):
+    """(complex, lo, hi): a random free complex (_draw_free_complex); at
+    times its quotient by a monomial ideal, spanned by monomials in the
+    d = 0 generators and at times by every monomial from some degree on,
+    which keeps the ideal closed under d."""
+    cap = 10
+    P, base = _draw_free_complex(draw, cap)
     hi = cap
     if draw(st.booleans()):
         closed = [m for d in range(1, cap + 1) for m in orc.free_monomials(base, d)]
@@ -329,7 +340,8 @@ def test_handed_over_boundary_echelons_equal_fresh_ones_on_random_complexes(case
 
     for d in range(lo + 1, hi + 1):
         assert H._boundaries[d].basis() == fresh(d).basis()
-    rows, rank = H.boundary_rows
+    rows, rank, read_on = H.boundary_rows
+    assert read_on is X
     handed = Echelon()
     for v in rows:
         handed.add(v)
@@ -337,9 +349,77 @@ def test_handed_over_boundary_echelons_equal_fresh_ones_on_random_complexes(case
     assert handed.basis() == fresh(hi + 1).basis()
 
 
-@pytest.mark.parametrize("build", ["minimal-model", "resolution"])
+@st.composite
+def random_adjoins(draw):
+    """(X, lo, hi, Y): a report range [lo, hi] on a random free complex X,
+    and Y, X grown by one adjoin as hit_and_kill grows its source between
+    the report on degree hi and the one on hi + 1: generators of degree hi
+    with d = 0; of degree hi + 1 with d a random cycle, 0 included; and,
+    when X has no degree-1 element, of degree hi - 1 >= 2 with d a random
+    cycle.  So Y's new elements of degree hi have d in B^{hi+1}, while the
+    degree-(hi+1) basis grows.  New names may rank below old ones."""
+    X, _ = _draw_free_complex(draw, 10)
+    hi = draw(st.integers(1, 8))
+    lo = draw(st.integers(0, hi))
+    gens, diffs = [], {}
+    for i in range(draw(st.integers(0, 2))):
+        gens.append((f"h{i}", hi))
+    for i in range(draw(st.integers(0, 2))):
+        gens.append((f"u{i}", hi + 1))
+        diffs[f"u{i}"] = _draw_cycle(draw, X, hi + 2)
+    if hi >= 3 and not X.dim(1):
+        for i in range(draw(st.integers(0, 2))):
+            gens.append((f"k{i}", hi - 1))
+            diffs[f"k{i}"] = _draw_cycle(draw, X, hi)
+    return X, lo, hi, X.adjoin(gens, diffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=random_adjoins())
+def test_carried_boundary_rows_survive_random_adjoins(case):
+    """The boundary rows that a report hands over, re-keyed into a complex
+    that adjoin grew, give the boundaries and the whole report of a fresh
+    report there."""
+    X, lo, hi, Y = case
+    handed = HomologyReport(X, lo, hi).boundary_rows
+    carried = HomologyReport(Y, hi + 1, hi + 1, handed)
+    _assert_same_report(carried, HomologyReport(Y, hi + 1, hi + 1), hi + 1, hi + 1)
+    assert carried._boundaries[hi + 1].rank == handed[1]
+
+
+@pytest.mark.parametrize("label, ideal", [("S2", ("a",)), ("T", ("a", "b"))])
+def test_carried_boundary_rows_survive_module_adjoins(models, label, ideal):
+    """As on random complexes, for a semifree module: adjoin appends the
+    new generators' blocks, so the rows carry over as they are."""
+    A = models[label]
+    M = resolve_quotient(A, [A.gen(n) for n in ideal], A.cap - 1).module
+    for hi in range(2, A.cap - 2):
+        H = HomologyReport(M, hi - 1, hi + 2)
+        boundary = M.d_element(M.basis_element(*M.basis(hi + 1)[-1]))
+        above = {}
+        for z in H.representatives(hi + 2) + [boundary]:
+            above = madd(above, z)
+        # every extension of M shares its memo of d: fresh names each time
+        gens = [(f"h{hi}", hi), (f"u{hi}", hi + 1)]
+        diffs = {f"u{hi}": above}
+        if H.betti(hi):
+            gens.append((f"k{hi}", hi - 1))
+            diffs[f"k{hi}"] = H.representatives(hi)[0]
+        N = M.adjoin(gens, diffs)
+        assert N.dim(hi + 1) > M.dim(hi + 1)
+        assert N.coordinates_from(M, hi + 1) is None
+        handed = HomologyReport(M, hi, hi).boundary_rows
+        carried = HomologyReport(N, hi + 1, hi + 1, handed)
+        _assert_same_report(carried, HomologyReport(N, hi + 1, hi + 1), hi + 1, hi + 1)
+
+
+@pytest.mark.parametrize("build,label", [("minimal-model", "W"), ("resolution", "W"),
+                                         ("minimal-model", "T"), ("resolution", "T")],
+                         ids=["minimal-model", "resolution", "T-minimal-model",
+                              "T-resolution"])
 def test_hit_and_kill_stops_each_carried_boundary_echelon_at_its_rank(monkeypatch,
-                                                                      models, build):
+                                                                      models, build,
+                                                                      label):
     """A report that hit_and_kill hands the previous report's free rows
     feeds them to B^lo only until their rank, and its boundaries equal
     those of a fresh report on the same complex; some rows are left out."""
@@ -355,21 +435,50 @@ def test_hit_and_kill_stops_each_carried_boundary_echelon_at_its_rank(monkeypatc
 
     monkeypatch.setattr(homology_module, "Echelon", FedEchelon)
     monkeypatch.setattr(HomologyReport, "__init__", counted_report(HomologyReport.__init__))
-    W = models["W"]
+    A = models[label]
     if build == "minimal-model":
-        build_minimal_model(W, W.cap - 1)
+        build_minimal_model(A, A.cap - 1)
     else:
-        resolve_quotient(W, [W.gen("a"), W.gen("b")], W.cap - 1)
+        resolve_quotient(A, [A.gen("a"), A.gen("b")], A.cap - 1)
     monkeypatch.undo()
     assert carried
     skipped = 0
-    for H, (rows, rank) in carried:
+    for H, (rows, rank, _) in carried:
         X, d = H.complex, H.lo
         B = H._boundaries[d]
         assert B.rank == rank and all(r < rank for r in B.fed_at)
         skipped += len(rows) - len(B.fed_at)
         assert B.basis() == HomologyReport(X, d, d)._boundaries[d].basis()
     assert skipped
+
+
+def test_minimal_model_of_T_starts_only_its_first_report_fresh(monkeypatch):
+    """On T, whose degree-2 generator times a kill generator is a new
+    element two degrees up, every single-degree report of the minimal model
+    after the first starts from the previous one's rows, re-keyed."""
+    started, rekeyed = [], []
+
+    def report(init):
+        def start(self, X, lo, hi, boundary_rows=None):
+            if lo == hi:
+                started.append((lo, boundary_rows is None))
+            init(self, X, lo, hi, boundary_rows)
+        return start
+
+    def coordinates_from(method):
+        def keys(self, older, d):
+            out = method(self, older, d)
+            rekeyed.append(out is not None)
+            return out
+        return keys
+
+    monkeypatch.setattr(HomologyReport, "__init__", report(HomologyReport.__init__))
+    monkeypatch.setattr(Presentation, "coordinates_from",
+                        coordinates_from(Presentation.coordinates_from))
+    T = load_model("truncated_mix.cdga", cap=23)[0]["T"]
+    build_minimal_model(T, 22)
+    assert started == [(2, True)] + [(d, False) for d in range(3, 23)]
+    assert sum(rekeyed) > len(rekeyed) // 2
 
 
 def test_representatives_are_independent_nonzero_cycles(models):
@@ -560,10 +669,12 @@ def _census(monkeypatch, target=None):
     """Count what a construction computes on its source complexes: the
     single-degree homology reports by degree (both builders ask for target
     homology over a range), the Leibniz expansions of monomials of
-    presentations other than `target` by monomial, and the differentials of
-    module basis elements by (generator, monomial).  The final _validate
-    and d2_failure checks recompute d on purpose and are left out."""
-    reports, monomials, basis_elements = (collections.Counter() for _ in range(3))
+    presentations other than `target` by monomial, the differentials of
+    module basis elements by (generator, monomial), and the images that the
+    builder's unnamed chain maps form, by source monomial.  The final
+    _validate and d2_failure checks recompute d, and the named final
+    morphism its images, on purpose and are left out."""
+    reports, monomials, basis_elements, images = (collections.Counter() for _ in range(4))
     checking = []
 
     def counted_report(init):
@@ -589,6 +700,13 @@ def _census(monkeypatch, target=None):
             return d_element(self, mel)
         return d
 
+    def counted_image(monomial_image):
+        def image(self, m):
+            if not self.name and m and m not in self._memo:
+                images[m] += 1
+            return monomial_image(self, m)
+        return image
+
     def uncounted(check):
         def run(self, *args, **kw):
             checking.append(check)
@@ -601,22 +719,34 @@ def _census(monkeypatch, target=None):
     for cls, name, wrap in [(HomologyReport, "__init__", counted_report),
                             (_SignEngine, "leibniz", counted_leibniz),
                             (SemiFreeModule, "d_element", counted_d),
+                            (CdgaMorphism, "_monomial_image", counted_image),
                             (Presentation, "_validate", uncounted),
                             (SemiFreeModule, "d2_failure", uncounted)]:
         monkeypatch.setattr(cls, name, wrap(getattr(cls, name)))
-    return reports, monomials, basis_elements
+    return reports, monomials, basis_elements, images
 
 
 @pytest.mark.parametrize("filename,label", [("truncated_mix.cdga", "T"),
                                             ("wedge.cdga", "W")])
 def test_minimal_model_computes_each_differential_once(monkeypatch, filename, label):
     A = load_model(filename)[0][label]
-    reports, monomials, _ = _census(monkeypatch, A)
+    reports, monomials, _, _ = _census(monkeypatch, A)
     model = build_minimal_model(A, A.cap - 1).model
     assert len(model.generators) > 5
     # the hit step in each degree reuses the kill step's report
     assert set(reports) == set(range(2, A.cap)) and max(reports.values()) == 1
     assert monomials and max(monomials.values()) == 1
+
+
+@pytest.mark.parametrize("filename,label", [("truncated_mix.cdga", "T"),
+                                            ("wedge.cdga", "W")])
+def test_minimal_model_forms_each_monomial_image_once(monkeypatch, filename, label):
+    """The builder's successive chain maps share one memo of monomial
+    images: each source monomial's image into A is formed once."""
+    A = load_model(filename)[0][label]
+    _, _, _, images = _census(monkeypatch, A)
+    build_minimal_model(A, A.cap - 1)
+    assert len(images) > 5 and max(images.values()) == 1
 
 
 @pytest.mark.parametrize("filename,label,ideal,E", [
@@ -626,7 +756,7 @@ def test_minimal_model_computes_each_differential_once(monkeypatch, filename, la
 def test_resolution_computes_each_differential_once(monkeypatch, filename, label,
                                                     ideal, E):
     A = load_model(filename)[0][label]
-    reports, _, basis_elements = _census(monkeypatch)
+    reports, _, basis_elements, _ = _census(monkeypatch)
     res = resolve_quotient(A, [A.gen(n) for n in ideal], E)
     assert len(res.module.gen_list) > 1
     assert set(reports) == set(range(1, E + 1)) and max(reports.values()) == 1
@@ -693,7 +823,7 @@ def test_resolution_over_degree_one_recomputes_and_keeps_its_output(
         monkeypatch, label, body, ideal, E, census, digest, recomputed):
     text = f"cdga A {{ cap 8; flag non_simply_connected; {body} }}"
     A = realize_document(parse_document(text))[0]["A"]
-    reports, _, basis_elements = _census(monkeypatch)
+    reports, _, basis_elements, _ = _census(monkeypatch)
     res = resolve_quotient(A, [A.gen(n) for n in ideal], E)
     M = res.module
     assert sum(reports.values()) - E == recomputed

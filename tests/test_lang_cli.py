@@ -120,8 +120,18 @@ def test_unknown_flag_is_rejected():
 def test_cap_precedence():
     assert default_cap([("a", 3), ("x", 5)]) == 12
     assert default_cap([("a", 3), ("b", 3), ("c", 3)]) == 10
+    # a relation degree at or above the rule's cap lifts the cap one above
+    # it, so the relation and its differential lie under it; a lower one
+    # changes nothing
+    assert default_cap([("a", 2)], [8]) == 9
+    assert default_cap([("a", 2)], [6]) == 7
+    assert default_cap([("a", 2)], [4]) == 6
+    assert default_cap([("a", 3), ("b", 3), ("c", 3)], [6, 9]) == 10
     doc = parse_document("cdga A { gen a : 3; gen x : 5; }")
     assert make_presentation(doc.cdgas["A"]).cap == 12
+    doc = parse_document("cdga A { gen a : 2; gen b : 2; rel a^4 - a^2*b^2; rel a*b; }")
+    assert make_presentation(doc.cdgas["A"]).cap == 9
+    assert make_presentation(doc.cdgas["A"], 10).cap == 10
     doc = parse_document("cdga A { cap 9; gen a : 3; gen x : 5; }")
     assert make_presentation(doc.cdgas["A"]).cap == 9
     assert make_presentation(doc.cdgas["A"], 7).cap == 7
@@ -368,6 +378,23 @@ def test_cli_default_cap_note(capsys, tmp_path):
     assert "cap 8" in out and "default rule" in out
     code, out, _ = run(capsys, "homology", str(f), "--cap", "6")
     assert "cap 6" in out and "from --cap" in out
+
+
+def test_cli_default_cap_admits_every_relation(capsys, tmp_path):
+    """A relation above 2 * max degree + 2 sets the default cap, and the
+    origin note says so; CP^3 then has cat = 3, absolute."""
+    f = tmp_path / "cp3.cdga"
+    f.write_text("cdga CP3 { gen a : 2; rel a^4; }\n")
+    code, out, err = run(capsys, "cat", str(f))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:4] == [
+        "cdga CP3 (cap 9, default rule: the largest relation degree + 1, "
+        "above 2 * max generator degree + 2)",
+        "  toomer = 3", "  mcat = 3", "  cat = 3"]
+    # a relation under the rule's cap leaves both the cap and the note
+    f.write_text("cdga CP1 { gen a : 2; rel a^2; }\n")
+    code, out, _ = run(capsys, "cat", str(f))
+    assert code == 0 and "(cap 6, default rule: 2 * max generator degree + 2," in out
 
 
 def test_cli_requires_a_subcommand(capsys):

@@ -11,9 +11,12 @@ change) with
     python3 scripts/fuzz_certificates.py -v > tests/golden/fuzz_details.txt
 """
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKED = ROOT / "tests" / "golden" / "worked_examples.json"
@@ -47,3 +50,29 @@ def test_time_cli_runs_a_query_abba():
     assert all(", exit 0, stdout sha256 " in line for line in lines[:4])
     assert len({line.rsplit(" ", 1)[1] for line in lines[:4]}) == 1
     assert lines[4:] == ["stdout identical in all runs"]
+
+
+def _time_cli():
+    spec = importlib.util.spec_from_file_location("time_cli", ROOT / "scripts" / "time_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("outcomes", [
+    [(0, "aa"), (0, "bb"), (0, "bb"), (0, "aa")],
+    [(0, "aa"), (3, "aa"), (3, "aa"), (0, "aa")],
+], ids=["stdout", "exit-code"])
+def test_time_cli_fails_when_the_runs_disagree(monkeypatch, capsys, outcomes):
+    """A different stdout or exit code in any run makes time_cli exit 1."""
+    time_cli = _time_cli()
+    runs = iter(outcomes)
+
+    def run_once(src, argv):
+        code, digest = next(runs)
+        return 0.5, 20.0, code, digest
+
+    monkeypatch.setattr(time_cli, "run_once", run_once)
+    assert time_cli.main(["a", "b", "--", "cat", "x.cdga"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "stdout or exit code DIFFERS between runs"
