@@ -108,7 +108,7 @@ def _write_certs(dirpath, bounds):
 
 def _parse_range(text, P):
     if text is None:
-        return 0, P.cap if P.is_free else P.cap - 1
+        return 0, P.homology_hi
     lo, sep, hi = text.partition("..")
     if not sep:
         raise CdgaError("--range expects the form a..b")
@@ -147,8 +147,7 @@ def cmd_homology(args):
 
 def cmd_minimal_model(args):
     label, P, origin = _build(args)
-    model_cap = P.cap if P.is_free else P.cap - 1
-    res = sullivan_model_of(P, model_cap)
+    res = sullivan_model_of(P, P.homology_hi)
     M = res.model
     census = [[g.name, g.degree] for g in M.generators]
     lines = [f"cdga {label} (cap {P.cap}, {origin})",
@@ -235,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="degree cap (default: 2 * max generator degree + "
                             "2, or the sum of the degrees + 1 if larger and "
-                            "all are odd)")
+                            "all are odd, raised to the largest relation "
+                            "degree + 1 if that is larger)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.add_argument("--timings", action="store_true",

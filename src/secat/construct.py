@@ -44,7 +44,7 @@ def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
     """
     if cap < 2:
         raise CdgaError("minimal model cap must be >= 2")
-    if not A.is_free and cap + 1 > A.cap:
+    if not A.is_free and cap > A.homology_hi:
         raise RangeExceedsCap(
             f"minimal model up to {cap} needs target cap >= {cap + 1}, have {A.cap}")
     HA = homology(A, 0, cap)
@@ -134,13 +134,11 @@ class DiagonalModel(NamedTuple):
     notes: list[str]
 
 
-def diagonal_model(A: Presentation, n: int, cap: int,
-                   model: SullivanModelResult | None = None) -> DiagonalModel:
+def diagonal_model(A: Presentation, n: int, cap: int) -> DiagonalModel:
     """Build the standard surjection used for the n-fold diagonal of A."""
     if n < 2:
         raise CdgaError("diagonal model needs n >= 2")
-    if model is None:
-        model = sullivan_model_of(A, min(cap, A.cap - 1) if not A.is_free else cap)
+    model = sullivan_model_of(A, cap if A.is_free else min(cap, A.homology_hi))
     S = model.model
     theta = model.morphism
 

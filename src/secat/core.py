@@ -36,13 +36,15 @@ Representation constraints:
   memoised per monomial for the life of the presentation.  The memo is
   filled one monomial at a time, each image built straight into the dict
   the memo keeps; only d of an element (_derive) sums images with their
-  coefficients.  Validation checks d*d = 0 through that memo (a d that
-  contains a generator whose d is unknown is expanded from the stored d
-  instead).  Presentation.adjoin extends a free presentation by new
-  generators; the old monomials keep their d, so the extension shares the
-  memo, takes the old differentials as they are (only the new ones are
-  coerced and checked) and starts from the monomial groups that the new
-  generators leave unchanged.  coordinates_from gives the extension's
+  coefficients.  Validation checks d*d = 0 through that memo.
+  Presentation.adjoin extends a free presentation by new generators; the
+  old monomials keep their d, so the extension shares the memo, takes the
+  old differentials as they are (only the new ones are coerced and
+  checked) and starts from the monomial groups that the new generators
+  leave unchanged.  Next to the memo the lineage keeps every generator
+  name adjoined along it, and an extension that adjoins one of them again,
+  as a sibling of an earlier extension may, starts a fresh memo: one name
+  then stands for two generators.  coordinates_from gives the extension's
   index of each old basis monomial, so that a vector read on the old
   basis can be re-keyed.
 * A CdgaMorphism memoises each source monomial's image.  A minimal-model
@@ -552,12 +554,12 @@ class Presentation:
     maps generator names to images (missing names mean zero).  `cap` bounds
     the degrees in which the presentation is faithful; validation (d*d = 0,
     ideal closure under d) is performed in all degrees it can reach below the
-    cap and the outcome is recorded in `validated_notes`.
+    cap.
     """
 
     def __init__(self, generators, cap: int, *, relations=(), differentials=None,
                  simply_connected: bool = True, validate: bool = True,
-                 extra_d_unknown=(), _engine: _SignEngine | None = None,
+                 _engine: _SignEngine | None = None,
                  _diff_raw: Mapping[str, dict] | None = None,
                  _table: _MonomialTable | None = None):
         gens = tuple(g if isinstance(g, Generator) else Generator(*g) for g in generators)
@@ -603,15 +605,10 @@ class Presentation:
         self._parts_top: int | None = None
 
         diffs = dict(differentials or {})
-        self.d_unknown: frozenset[str] = frozenset()
         # differentials already coerced and checked (Presentation.adjoin)
         # are taken as they are; only `differentials` is checked here
         self._diff_raw: dict[str, dict] = dict(_diff_raw or {})
         unknown = set()
-        for name in extra_d_unknown:
-            if name not in self._ctx.degree_of:
-                raise CdgaError(f"unknown generator {name!r} in extra_d_unknown")
-            unknown.add(name)
         for name, img in diffs.items():
             if name not in self._ctx.degree_of:
                 raise CdgaError(f"differential given for unknown generator {name!r}")
@@ -633,7 +630,8 @@ class Presentation:
         # no reference cycle keeps a presentation alive after its last use
         self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
         self._d_memo: dict[Monomial, dict] = {}
-        self.validated_notes: list[str] = []
+        # the generator names adjoined along the lineage that shares the memo
+        self._d_lineage: set[str] = set(names)
         if validate:
             self._validate()
 
@@ -686,6 +684,13 @@ class Presentation:
     @property
     def is_free(self) -> bool:
         return not self.relations
+
+    @property
+    def homology_hi(self) -> int:
+        """The top of the default homology range: the cap when free, and
+        with relations cap - 1, the highest degree whose d lies under the
+        cap and so the highest that a homology report or a kernel reaches."""
+        return self.cap - 1 if self.relations else self.cap
 
     def free_monomials(self, d: int) -> tuple[Monomial, ...]:
         return self._ctx.free_monomials(d)
@@ -895,12 +900,14 @@ class Presentation:
 
         Adjoining generators changes neither the d of an old monomial nor the
         monomials below the lowest new degree, so the result shares this
-        presentation's memo of d and starts from its monomial tables there.
-        The old differentials are already coerced and degree-checked, so the
-        result takes them as they are, in their order; only `diffs` is
-        coerced and checked, with the errors a fresh build would raise.  An
-        old generator's differential cannot change, since the memo of d is
-        shared.
+        presentation's memo of d and starts from its monomial tables there;
+        it starts a fresh memo instead when it adjoins a name that the
+        lineage sharing the memo already adjoined, since the memo is keyed
+        by monomial.  The old differentials are already coerced and
+        degree-checked, so the result takes them as they are, in their
+        order; only `diffs` is coerced and checked, with the errors a fresh
+        build would raise.  An old generator's differential cannot change,
+        since the memo of d is shared.
         """
         if not self.is_free:
             raise NotFree("only a free presentation can be extended")
@@ -913,9 +920,12 @@ class Presentation:
         ext = Presentation(self.generators + gens, self.cap, differentials=diffs,
                            simply_connected=all(g.degree >= 2 for g in gens)
                            and self.simply_connected,
-                           validate=False, extra_d_unknown=self.d_unknown,
-                           _engine=self._ctx.extended(gens), _diff_raw=self._diff_raw)
-        ext._d_memo = self._d_memo
+                           validate=False, _engine=self._ctx.extended(gens),
+                           _diff_raw=self._diff_raw)
+        new = [g.name for g in gens]
+        if self._d_lineage.isdisjoint(new):
+            self._d_lineage.update(new)
+            ext._d_memo, ext._d_lineage = self._d_memo, self._d_lineage
         return ext
 
     def differential_vectors(self, d: int, which=None) -> list[dict[int, Rational]]:
@@ -970,40 +980,22 @@ class Presentation:
         if img.terms:
             raise CdgaError(f"element {el} is not a cycle: d gives {img}")
 
-    def d_raw(self, terms: Mapping) -> dict:
-        """Leibniz expansion in the free algebra, no reduction (used for closure checks)."""
-        return self._ctx.leibniz(terms, self._diff_raw)
-
     # -- validation
 
     def _validate(self):
+        """Check d*d = 0 on each generator and d(relation) in the ideal, in
+        the degrees under the cap.  A generator in d_unknown has d above the
+        cap, so its degree is at least the cap: it is skipped here, and no
+        d or relation checked here contains it."""
         for name, raw in self._diff_raw.items():
-            if name in self.d_unknown:
-                self.validated_notes.append(f"d({name}) stored unreduced beyond cap")
+            if not self.is_free and self._ctx.degree_of[name] + 2 > self.cap:
                 continue
-            gdeg = self._ctx.degree_of[name]
-            if not self.is_free and gdeg + 2 > self.cap:
-                self.validated_notes.append(f"d*d({name}) unchecked beyond cap")
-                continue
-            if self.d_unknown and any(n in self.d_unknown for m in raw for n, _ in m):
-                # a generator whose d is unknown has no value in d's values,
-                # so this d*d is expanded from the stored d and not memoised
-                dd = self.reduce_raw(self.d_raw(raw))
-            else:
-                dd = _derive(self, self._d_values, self._d_memo, raw)
-            if dd:
+            if _derive(self, self._d_values, self._d_memo, raw):
                 raise NotSquareZero(f"d(d({name})) != 0", witness=name)
         for rel in self.relations:
-            e = self._ctx.mono_degree(next(iter(rel)))
-            if e + 1 > self.cap:
-                self.validated_notes.append("relation differential unchecked beyond cap")
+            if self._ctx.mono_degree(next(iter(rel))) + 1 > self.cap:
                 continue
-            if any(n in self.d_unknown for m in rel for n, _ in m):
-                self.validated_notes.append(
-                    "relation involves a generator with unrepresentable differential")
-                continue
-            image = self.d_raw(rel)
-            if self.reduce_raw(image):
+            if self.reduce_raw(self._ctx.leibniz(rel, self._diff_raw)):
                 raise IdealNotClosed(
                     "differential of a relation is not in the ideal", witness=rel)
 
@@ -1488,9 +1480,7 @@ def _build_combined(parts, cap, simply_connected):
     ctx = _SignEngine(tuple(gens))
     relations = []
     diffs = {}
-    unknown = []
     for P, rename in parts:
-        unknown.extend(rename[n] for n in P.d_unknown if n not in P._diff_raw)
         def subst(raw):
             out: dict[Monomial, Rational] = {}
             for m, c in raw.items():
@@ -1503,8 +1493,7 @@ def _build_combined(parts, cap, simply_connected):
         for n, raw in P._diff_raw.items():
             diffs[rename[n]] = subst(raw)
     combined = Presentation(gens, cap, relations=relations, differentials=diffs,
-                            simply_connected=simply_connected,
-                            extra_d_unknown=unknown, _engine=ctx)
+                            simply_connected=simply_connected, _engine=ctx)
     combined._parts = tuple(P for P, _ in parts)
     # a part free on an even generator has no top: answer before any scan
     if not any(_free_on_an_even(P) for P in combined._parts):
@@ -1561,23 +1550,16 @@ def quotient_by_ideal(P: Presentation, ideal_gens: Iterable[AlgebraElement]):
     """Quotient presentation plus the projection morphism."""
     extra = []
     for el in ideal_gens:
-        if isinstance(el, AlgebraElement):
-            if el.pres is not P:
-                raise PresentationMismatch("ideal generator outside the presentation")
-            raw = dict(el.terms)
-        else:
-            raw = P._coerce_terms(el)
-        if not raw:
-            continue
-        extra.append(raw)
+        if el.pres is not P:
+            raise PresentationMismatch("ideal generator outside the presentation")
+        if el.terms:
+            extra.append(el.terms)
     # no new monomial relation: the standard monomials stay P's
     table = None if any(len(raw) == 1 for raw in extra) else P._table
     Q = Presentation(P.generators, P.cap,
                      relations=tuple(P.relations) + tuple(extra),
                      differentials=P._diff_raw,
                      simply_connected=P.simply_connected,
-                     extra_d_unknown=sorted(n for n in P.d_unknown
-                                            if n not in P._diff_raw),
                      _engine=P._ctx, _table=table)
     proj = CdgaMorphism(P, Q, {g.name: Q.gen(g.name) for g in P.generators},
                         check=False, name="proj")

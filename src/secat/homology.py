@@ -14,7 +14,10 @@ canonical representatives.  It works on any cochain complex X with
                                   in that order, as sparse degree-(d+1)
                                   vectors
     X.check_cycle(x)              raises CdgaError unless dx = 0
-    X.cap, X.is_free              the window of faithful degrees
+    X.homology_hi, X.is_free      the top of the default range; when X
+                                  is not free, also the highest degree a
+                                  report may reach (the cap - 1 of its
+                                  presentation)
     X.coordinates_from(Y, d)      for X or a complex Y that X extends by
                                   adjoin: X's index of each degree-d basis
                                   element of Y, or None when Y's degree-d
@@ -64,8 +67,9 @@ it leaves every level unchanged.
 
 Degree conventions: for a presentation with relations the graded pieces are
 faithful only up to the cap, and computing H^d needs the differential into
-degree d+1, so a homology request must satisfy hi + 1 <= cap.  Free
-presentations are exact in every degree and carry no such restriction.
+degree d+1, so a homology request must satisfy hi <= homology_hi = cap - 1.
+Free presentations are exact in every degree and carry no such
+restriction; their default range ends at homology_hi = cap.
 
 Representatives are canonical: the basis of H^d is the reduced-echelon basis
 of the cycles that vanish at every pivot of the reduced-echelon basis of the
@@ -115,9 +119,9 @@ class HomologyReport:
                  boundary_rows: tuple[list, int, object] | None = None):
         if lo < 0 or hi < lo:
             raise CdgaError(f"bad homology range [{lo}, {hi}]")
-        if not X.is_free and hi + 1 > X.cap:
-            raise RangeExceedsCap(
-                f"homology up to degree {hi} needs cap >= {hi + 1}, have {X.cap}")
+        if not X.is_free and hi > X.homology_hi:
+            raise RangeExceedsCap(f"homology up to degree {hi} needs cap >= {hi + 1}, "
+                                  f"have {X.homology_hi + 1}")
         self.complex = X
         self.lo = lo
         self.hi = hi
@@ -223,7 +227,7 @@ class HomologyReport:
 def homology(X, lo: int = 0, hi: int | None = None,
              boundary_rows: tuple[list, int, object] | None = None) -> HomologyReport:
     if hi is None:
-        hi = X.cap - 1 if not X.is_free else X.cap
+        hi = X.homology_hi
     return HomologyReport(X, lo, hi, boundary_rows)
 
 
@@ -407,7 +411,7 @@ def kernel_basis(phi: CdgaMorphism, d: int) -> list[AlgebraElement]:
     """Basis of the degree-d piece of ker phi (echelonized, canonical)."""
     P, B = phi.source, phi.target
     monos = P.basis(d)
-    if d > (B.cap if B.is_free else B.cap - 1):
+    if d > B.homology_hi:
         # beyond the target's evaluable range the kernel is only computable
         # when the target provably vanishes there; then it is everything
         btop = B.top_degree_if_finite()
@@ -471,7 +475,7 @@ def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
     (see construct.multiplication_morphism).
     """
     B = phi.target
-    b_hi = B.cap if B.is_free else B.cap - 1
+    b_hi = B.homology_hi
     gens = ideal_generators(
         PresentationView(phi.source),
         [d for d in range(1, hi + 1) if degrees is None or d in degrees],
@@ -731,7 +735,7 @@ class _SpanComplex:
     def __init__(self, P: Presentation, spans: dict[int, Echelon]):
         self.P = P
         self.spans = spans
-        self.cap, self.is_free = P.cap, P.is_free
+        self.homology_hi, self.is_free = P.homology_hi, P.is_free
 
     def _span(self, d: int) -> Echelon:
         return self.spans.get(d, Echelon())

@@ -304,9 +304,9 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     cap = S.cap
     if hi is None:
         hi = cap - 1
-    if not S.is_free and hi + 1 > cap:
+    if not S.is_free and hi > S.homology_hi:
         raise RangeExceedsCap("surjection bounds need hi + 1 <= source cap")
-    hi = min(hi, cap - 1, B.cap if B.is_free else B.cap - 1)
+    hi = min(hi, cap - 1, B.homology_hi)
     bad = phi.is_surjective_up_to(hi)
     if bad is not None:
         raise NotSurjective(f"morphism {phi.name or '?'} is not surjective "
@@ -419,7 +419,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     if space is not None and with_m:
         X, label = space
         top = X.top_degree_if_finite()
-        if (top is not None and top <= (X.cap if X.is_free else X.cap - 1)
+        if (top is not None and top <= X.homology_hi
                 and poincare_duality_check(homology(X, 0, top), top).satisfied):
             cert = Certificate(
                 "pd-collapse", {"construction": "presentation", "cdga": label},
@@ -458,7 +458,7 @@ class CatReport(NamedTuple):
 def cat_bounds(A: Presentation, *, with_m: bool = True,
                label: str = "A") -> CatReport:
     """Category-style bounds through the augmentation of a minimal model."""
-    cap = A.cap if A.is_free else A.cap - 1
+    cap = A.homology_hi
     model_res = sullivan_model_of(A, cap)
     M = model_res.model
     hi = min(model_res.valid_up_to, M.cap - 1)
@@ -992,7 +992,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
             return False, "no certified top degree, duality cannot be absolute"
         if top > htop:
             return False, f"claimed top {top} exceeds the certified top {htop}"
-        H = homology(P, 0, min(htop, P.cap if P.is_free else P.cap - 1))
+        H = homology(P, 0, min(htop, P.homology_hi))
         for d in range(top + 1, H.hi + 1):
             if H.betti(d):
                 return False, f"homology does not vanish above {top} (degree {d})"

@@ -105,19 +105,25 @@ class SemiFreeModule:
             if clean:
                 self.d[name] = clean
         self._blocks: dict[int, tuple[dict[str, tuple[int, int]], int]] = {}
-        # d of each basis element (name, monomial), for differential_vectors
+        # d of each basis element (name, monomial), for differential_vectors,
+        # and the generator names adjoined along the lineage that shares it
         self._d_memo: dict[tuple[str, tuple], ModuleElement] = {}
+        self._d_lineage: set[str] = seen
 
     def adjoin(self, gens, diffs) -> "SemiFreeModule":
         """This module with the generators `gens` [(name, degree)] and their
         differentials `diffs` {name: ModuleElement} added, unchecked.
 
         The old basis elements keep their d, so the result shares this
-        module's memo of it.
+        module's memo of it, unless it adjoins a name that the lineage
+        sharing the memo already adjoined: the memo is keyed by name.
         """
         ext = SemiFreeModule(self.base, self.gen_list[1:] + list(gens),
                              {**self.d, **diffs}, check=False)
-        ext._d_memo = self._d_memo
+        new = [name for name, _ in gens]
+        if self._d_lineage.isdisjoint(new):
+            self._d_lineage.update(new)
+            ext._d_memo, ext._d_lineage = self._d_memo, self._d_lineage
         return ext
 
     # -- elements
@@ -138,8 +144,8 @@ class SemiFreeModule:
     # -- graded pieces: the cochain-complex protocol of homology.HomologyReport
 
     @property
-    def cap(self) -> int:
-        return self.base.cap
+    def homology_hi(self) -> int:
+        return self.base.homology_hi
 
     @property
     def is_free(self) -> bool:
@@ -313,7 +319,7 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
     base with degree-1 elements a class such as t.1 in Lambda(t: 1, x: 2)/(t)
     can survive in the module although it dies in the quotient.
     """
-    if not A.is_free and E + 1 > A.cap:
+    if not A.is_free and E > A.homology_hi:
         raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
     Q, proj = quotient_by_ideal(A, ideal_elements)
     for res in _resolution_by_degree(proj, homology(Q, 0, E), E):
@@ -347,7 +353,7 @@ class RetractionSearch:
 
     def __init__(self, base: Presentation, E: int):
         if not base.is_free:
-            E = min(E, base.cap - 1)
+            E = min(E, base.homology_hi)
         self.base = base
         self.E = E
         self.system = LinearSystem()

@@ -15,6 +15,7 @@ import pytest
 import test_properties as props
 from conftest import MODELS
 
+import secat.construct
 from secat.cli import main
 from secat.construct import (
     SullivanModelResult, build_minimal_model, diagonal_model,
@@ -136,7 +137,7 @@ def test_degree_one_product_lower_bound_witness(models):
           "lies in the kernel cube, and h = 3 is tagged model-relative")
 
 
-def test_wedge_tc_three_routes(models):
+def test_wedge_tc_three_routes(monkeypatch, models):
     """Wedge of two spheres: lower 3 by witness, upper 3 by kernel power,
     while the homology-kernel nil stops at 2."""
     W = models["W"]
@@ -147,7 +148,10 @@ def test_wedge_tc_three_routes(models):
     theta = CdgaMorphism(manual, W, {"a": W.gen("a"), "b": W.gen("b"),
                                      "x": W.gen("x"), "y": W.zero()},
                          check=True)
-    dm = diagonal_model(W, 2, 14, model=SullivanModelResult(manual, theta, 12))
+    with monkeypatch.context() as patch:  # the diagonal on this model
+        patch.setattr(secat.construct, "sullivan_model_of",
+                      lambda A, cap: SullivanModelResult(manual, theta, 12))
+        dm = diagonal_model(W, 2, 14)
     src = dm.source
     a, b, x = src.gen("a"), src.gen("b"), src.gen("x")
     a2, b2, x2, y2 = (src.gen("a_2"), src.gen("b_2"), src.gen("x_2"),

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import load_model
 
+import secat.construct
+
 from secat.core import (
     CdgaMorphism, NotSimplyConnected, Presentation, RangeExceedsCap,
 )
@@ -165,7 +167,8 @@ def test_diagonal_model_on_a_presented_quotient(models):
         assert dm.morphism.apply(el) == T.zero()
 
 
-def test_diagonal_model_accepts_a_supplied_model(models):
+def test_diagonal_model_accepts_a_supplied_model(monkeypatch, models):
+    """The diagonal is built on whatever model sullivan_model_of supplies."""
     W = models["W"]
     manual = Presentation([("a", 3), ("b", 3), ("x", 5), ("y", 10)], W.cap,
                           differentials={"x": {(("a", 1), ("b", 1)): 1},
@@ -173,7 +176,10 @@ def test_diagonal_model_accepts_a_supplied_model(models):
     theta = CdgaMorphism(manual, W, {"a": W.gen("a"), "b": W.gen("b"),
                                      "x": W.gen("x"), "y": W.zero()}, check=True)
     assert quasi_iso_failure(theta, 0, 12) is None
-    dm = diagonal_model(W, 2, 14, model=SullivanModelResult(manual, theta, 12))
+    monkeypatch.setattr(secat.construct, "sullivan_model_of",
+                        lambda A, cap: SullivanModelResult(manual, theta, 12))
+    dm = diagonal_model(W, 2, 14)
+    assert dm.model.model is manual
     names = [g.name for g in dm.source.generators]
     assert names == ["a", "b", "x", "a_2", "b_2", "x_2", "y_2"]
     assert dm.morphism.image_of("y_2") == W.zero()

@@ -148,17 +148,15 @@ def test_differential_vectors_are_d_read_into_the_basis(models):
             rows = P.differential_vectors(d)
             want = [P.to_sparse(P.d(P.monomial(m)), d + 1) for m in P.basis(d)]
             assert [list(r.items()) for r in rows] == [list(w.items()) for w in want]
-    unknown = Presentation([("a", 2), ("x", 5)], 5, relations=[{(("a", 2),): 1}],
-                           differentials={"x": {(("a", 3),): 1}})
-    assert unknown.d_unknown == {"x"}
-    free = Presentation([("a", 2), ("x", 5)], 12, extra_d_unknown=["x"])
-    for P in (unknown, free):
-        with pytest.raises(RangeExceedsCap) as from_d:
-            P.d(P.gen("x"))
-        with pytest.raises(RangeExceedsCap) as from_rows:
-            P.differential_vectors(5)
-        assert str(from_rows.value) == str(from_d.value)
-        assert "['x']" in str(from_rows.value)
+    P = Presentation([("a", 2), ("x", 5)], 5, relations=[{(("a", 2),): 1}],
+                     differentials={"x": {(("a", 3),): 1}})
+    assert P.d_unknown == {"x"}
+    with pytest.raises(RangeExceedsCap) as from_d:
+        P.d(P.gen("x"))
+    with pytest.raises(RangeExceedsCap) as from_rows:
+        P.differential_vectors(5)
+    assert str(from_rows.value) == str(from_d.value)
+    assert "['x']" in str(from_rows.value)
 
 
 def test_adjoin_matches_the_presentation_built_at_once():
@@ -177,6 +175,22 @@ def test_adjoin_matches_the_presentation_built_at_once():
         assert ext.differential_vectors(d) == fresh.differential_vectors(d)
     with pytest.raises(NotFree):
         load_model("truncated_mix.cdga")[0]["T"].adjoin([("y", 3)], {})
+
+
+def test_sibling_adjoins_of_one_name_keep_their_own_d():
+    """Two extensions of one presentation that adjoin the name u with other
+    degrees and differentials each read their own d of u, whichever derived
+    it first; an extension that adjoins only new names still shares the
+    memo of d."""
+    P = Presentation([("a", 2)], 12)
+    Q1 = P.adjoin([("u", 3)], {"u": P.gen("a") ** 2})
+    Q1.differential_vectors(3)
+    Q2 = P.adjoin([("u", 4)], {})
+    assert Q2.d(Q2.gen("u")) == Q2.zero()
+    assert Q2.differential_vectors(4) == [{}, {}]
+    assert Q1.d(Q1.gen("u")) == Q1.gen("a") ** 2
+    assert Q1.adjoin([("v", 5)], {})._d_memo is Q1._d_memo is P._d_memo
+    assert Q2.adjoin([("v", 5)], {})._d_memo is Q2._d_memo
 
 
 @st.composite
@@ -450,9 +464,10 @@ def _square_nonzero(validate):
 def test_d_squared_check_reads_the_memo_and_names_the_first_witness():
     """A free presentation checks d*d through its memo of d: with the memo
     cold (at construction) and warm (every monomial up to degree 9 already
-    derived) it raises on the first generator whose d*d is not 0.  A
-    generator whose d is marked unknown is skipped with its note, and a d
-    that contains one is checked with its stored d."""
+    derived) it raises on the first generator whose d*d is not 0.  With
+    relations a generator x whose d lies above the cap has degree at least
+    the cap, so a d(y) that contains x has d*d above the cap too: y is
+    skipped, and no monomial holding x enters the memo."""
     with pytest.raises(NotSquareZero, match=r"^d\(d\(x\)\) != 0$") as cold:
         _square_nonzero(validate=True)
     assert cold.value.witness == "x"
@@ -463,22 +478,16 @@ def test_d_squared_check_reads_the_memo_and_names_the_first_witness():
     with pytest.raises(NotSquareZero, match=r"^d\(d\(x\)\) != 0$") as warm:
         P._validate()
     assert warm.value.witness == "x"
-    noted = Presentation([("a", 2), ("b", 3), ("x", 4)], 12, extra_d_unknown=["x"],
-                         differentials={"b": {(("a", 2),): 1},
-                                        "x": {(("a", 1), ("b", 1)): 1}})
-    assert noted.validated_notes == ["d(x) stored unreduced beyond cap"]
-    # d(y) contains x: d*d is expanded from the stored d(x), never with
-    # d(x) = 0, and nothing on a monomial with x enters the memo
-    cancels = Presentation([("a", 2), ("b", 3), ("x", 3), ("y", 2)], 12,
-                           extra_d_unknown=["x"],
-                           differentials={"b": {(("a", 2),): 1}, "x": {(("a", 2),): 1},
-                                          "y": {(("b", 1),): 1, (("x", 1),): -1}})
-    assert cancels.validated_notes == ["d(x) stored unreduced beyond cap"]
-    assert not any(n == "x" for m in cancels._d_memo for n, _ in m)
-    with pytest.raises(NotSquareZero, match=r"^d\(d\(y\)\) != 0$") as hidden:
-        Presentation([("a", 2), ("x", 3), ("y", 2)], 12, extra_d_unknown=["x"],
-                     differentials={"x": {(("a", 2),): 1}, "y": {(("x", 1),): 1}})
-    assert hidden.value.witness == "y"
+    # d(x) = a^2 b lies in degree 7, above the cap 6; d(y) = x, and d(d(y))
+    # = a^2 b is not 0, but only above the cap
+    unknown = Presentation([("a", 2), ("b", 3), ("y", 5), ("x", 6)], 6,
+                           relations=[{(("a", 3),): 1}],
+                           differentials={"b": {(("a", 2),): 1},
+                                          "x": {(("a", 2), ("b", 1)): 1},
+                                          "y": {(("x", 1),): 1}})
+    assert unknown.d_unknown == {"x"}
+    assert unknown._d_memo
+    assert not any(n == "x" for m in unknown._d_memo for n, _ in m)
 
 
 @st.composite

@@ -13,7 +13,8 @@ from conftest import load_model
 
 from secat import linalg
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, Presentation,
-                        _SignEngine, quotient_by_ideal)
+                        RangeExceedsCap, _SignEngine, quotient_by_ideal,
+                        tensor_power)
 from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             PresentationView,
                             _SpanComplex, homology, induced_matrix,
@@ -129,6 +130,25 @@ def test_homology_builds_each_differential_matrix_once(models, name, lo, hi):
     H = homology(counting, lo, hi)
     assert counting.built and max(counting.built.values()) == 1
     assert H.betti_table() == homology(X, lo, hi).betti_table()
+
+
+def test_the_default_homology_window_is_homology_hi(models):
+    """On every bundled model, a quotient and a tensor power, the default
+    range ends at homology_hi: the cap when free, else cap - 1; with
+    relations one degree more is refused with the cap it would need."""
+    S2, T = models["S2"], models["T"]
+    cases = dict(models)
+    cases["S2/(a^2)"] = quotient_by_ideal(S2, [S2.gen("a") ** 2])[0]
+    cases["T^2"] = tensor_power(T, 2).pres
+    for name, P in cases.items():
+        assert homology(P).hi == P.homology_hi == P.cap - (not P.is_free), name
+        if P.is_free:
+            continue
+        with pytest.raises(RangeExceedsCap) as refused:
+            homology(P, 0, P.homology_hi + 1)
+        assert str(refused.value) == (f"homology up to degree {P.cap} needs cap >= "
+                                      f"{P.cap + 1}, have {P.cap}"), name
+    assert not cases["S2/(a^2)"].is_free and not cases["T^2"].is_free
 
 
 def _homology_oracle_case(models, name):
@@ -399,12 +419,12 @@ def test_carried_boundary_rows_survive_module_adjoins(models, label, ideal):
         above = {}
         for z in H.representatives(hi + 2) + [boundary]:
             above = madd(above, z)
-        # every extension of M shares its memo of d: fresh names each time
-        gens = [(f"h{hi}", hi), (f"u{hi}", hi + 1)]
-        diffs = {f"u{hi}": above}
+        # each extension of M adjoins the same names with other degrees
+        gens = [("h", hi), ("u", hi + 1)]
+        diffs = {"u": above}
         if H.betti(hi):
-            gens.append((f"k{hi}", hi - 1))
-            diffs[f"k{hi}"] = H.representatives(hi)[0]
+            gens.append(("k", hi - 1))
+            diffs["k"] = H.representatives(hi)[0]
         N = M.adjoin(gens, diffs)
         assert N.dim(hi + 1) > M.dim(hi + 1)
         assert N.coordinates_from(M, hi + 1) is None

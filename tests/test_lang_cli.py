@@ -397,6 +397,19 @@ def test_cli_default_cap_admits_every_relation(capsys, tmp_path):
     assert code == 0 and "(cap 6, default rule: 2 * max generator degree + 2," in out
 
 
+def test_cap_help_names_every_default_rule(capsys):
+    """--cap's help states each rule of lang.default_cap, the relation rule
+    too, wherever the option is offered."""
+    rules = ("2 * max generator degree + 2",
+             "the sum of the degrees + 1 if larger and all are odd",
+             "the largest relation degree + 1 if that is larger")
+    for command in ("homology", "minimal-model", "cat", "tc", "secat", "verify-cert"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert all(rule in text for rule in rules), command
+
+
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -100,6 +100,18 @@ def test_module_square_failure_is_reported(models):
     assert bad[1] == {UNIT: S2.gen("a") * S2.gen("a")}
 
 
+def test_sibling_module_adjoins_of_one_name_keep_their_own_d():
+    """As for presentations: two extensions of one module that adjoin the
+    name u with other degrees and differentials each read their own d."""
+    P = Presentation([("a", 2)], 12)
+    M = SemiFreeModule(P, (), {})
+    N1 = M.adjoin([("u", 3)], {"u": {UNIT: P.gen("a") ** 2}})
+    assert N1.differential_vectors(3) == [{0: 1}]
+    N2 = M.adjoin([("u", 4)], {})
+    assert N2.differential_vectors(4) == [{}, {}]
+    assert N1.adjoin([("v", 5)], {})._d_memo is N1._d_memo is M._d_memo
+
+
 def test_module_vector_roundtrip(models):
     Q = models["Q"]
     base, _ = sub_presentation(Q, ["a"])

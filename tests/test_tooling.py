@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -166,6 +167,83 @@ def test_every_definition_has_a_caller():
     assert not uncalled, uncalled
     # an allow-list entry whose definition is gone is stale
     assert set(KEPT_UNCALLED) <= {name for _, _, name in defined}
+
+
+# calls that change an attribute's value in place: a write, not a read
+MUTATORS = {"append", "extend", "add", "update"}
+
+
+def _attribute_uses(tree):
+    """({attribute: line of its first write}, {attributes read}) in a
+    module.  A write is an assignment to the attribute or a MUTATORS call
+    on it; every other use of an attribute reads it."""
+    writes, reads, mutated = {}, set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS
+                and isinstance(node.func.value, ast.Attribute)):
+            mutated.add(node.func.value)
+            writes.setdefault(node.func.value.attr, node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Store):
+                writes.setdefault(node.attr, node.lineno)
+            elif node not in mutated:
+                reads.add(node.attr)
+    return writes, reads
+
+
+def _string_reads(tree):
+    """Patterns of the attribute names that a module's strings may read
+    by name: each dotted part of a string constant, and for an f-string its
+    literal text with a word for each replacement field, when that text
+    holds a letter (getattr(self, f"{side}_absolute")).  __slots__ lists
+    declare attributes and read none."""
+    slots = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+             for c in ast.walk(node.value)}
+    pieces = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+              for v in node.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+            if any(ch.isalpha() for ch in text):
+                yield "".join(re.escape(v.value) if isinstance(v, ast.Constant) else r"\w+"
+                              for v in node.values)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in slots and id(node) not in pieces):
+            yield from (re.escape(part) for part in node.value.split("."))
+
+
+def test_no_attribute_is_only_written():
+    """An attribute that package code sets or fills but that no package,
+    script or benchmark code reads is state no pipeline uses."""
+    written = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        writes, _ = _attribute_uses(ast.parse(path.read_text(encoding="utf-8")))
+        for name, line in writes.items():
+            written.setdefault(name, f"{path.name}:{line}")
+    reads, patterns = set(), set()
+    for path in _callers() + [PACKAGE / "__init__.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= _attribute_uses(tree)[1]
+        patterns.update(_string_reads(tree))
+    unread = [f"{where} {name}" for name, where in sorted(written.items())
+              if name not in reads and not any(re.fullmatch(p, name) for p in patterns)]
+    assert not unread, unread
+
+
+def test_write_only_scan_sees_assignments_mutations_and_string_reads():
+    tree = ast.parse("self.a = 1\nself.b.append(2)\nx, self.c = f(self.d)\n"
+                     "self.e.update(self.f)\ng(self.e)\n"
+                     "getattr(self, f'{side}_absolute')\nh(f'{a}_{b}', 'k.m')\n"
+                     "__slots__ = ('n',)\n")
+    writes, reads = _attribute_uses(tree)
+    assert sorted(writes) == ["a", "b", "c", "e"]
+    assert sorted(reads) == ["append", "d", "e", "f", "update"]
+    patterns = list(_string_reads(tree))
+    assert [n for n in ("lower_absolute", "k", "m", "n", "x_y")
+            if any(re.fullmatch(p, n) for p in patterns)] == ["lower_absolute", "k", "m"]
 
 
 def _unused_imports(tree):
