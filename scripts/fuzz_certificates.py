@@ -41,7 +41,7 @@ from secat.lang import parse_document, realize_document
 
 
 CAT_LABELS = ("C", "T", "CP2", "P", "S3", "S4", "Q", "G", "W")
-TC_CASES = (("S3", 2), ("S3", 3), ("P", 2), ("W", 2))
+TC_CASES = (("S3", 2), ("S3", 3), ("P", 2), ("W", 2), ("CP2", 2), ("C", 2))
 FROZEN = ("stanley_retraction.cert",)
 
 

@@ -90,15 +90,11 @@ class Inhomogeneous(CdgaError):
 
 
 class NotSquareZero(CdgaError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class IdealNotClosed(CdgaError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class PresentationMismatch(CdgaError):
@@ -991,13 +987,13 @@ class Presentation:
             if not self.is_free and self._ctx.degree_of[name] + 2 > self.cap:
                 continue
             if _derive(self, self._d_values, self._d_memo, raw):
-                raise NotSquareZero(f"d(d({name})) != 0", witness=name)
+                raise NotSquareZero(f"d(d({name})) != 0")
         for rel in self.relations:
             if self._ctx.mono_degree(next(iter(rel))) + 1 > self.cap:
                 continue
             if self.reduce_raw(self._ctx.leibniz(rel, self._diff_raw)):
                 raise IdealNotClosed(
-                    "differential of a relation is not in the ideal", witness=rel)
+                    "differential of a relation is not in the ideal")
 
     # -- structural predicates
 

@@ -272,6 +272,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                       kernel_gens=None, context: dict | None = None,
                       pedigree: str | None = None, with_m: bool = True,
                       space=None, content_top: int | None = None,
+                      settled_upper: tuple[int, Certificate] | None = None,
                       names=("h-invariant", "m-invariant", "sectional")
                       ) -> SurjectionReport:
     """Run the full chain of bounds for a degree-wise surjection.
@@ -285,6 +286,12 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     certified top degree inside its faithful range, its homology is built
     up to the top; a nondegenerate duality pairing there collapses the
     m-invariant onto the h-invariant.
+
+    `settled_upper` is an optional (value, certificate) pair: an absolute
+    upper end of the map bound that needs no m-search.  The m-loop settles
+    before solving: once its lower end is absolute and reaches that value,
+    the chain m <= map fixes the m-invariant there, so the value becomes its
+    absolute upper end and no further level is built.
 
     `content_top` asserts that H(source) vanishes absolutely above that
     degree for reasons the source presentation cannot see on its own,
@@ -394,6 +401,14 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
         E = hi
         mm = m_bound.lower or 0
         while True:
+            if (settled_upper is not None and m_bound.lower_absolute
+                    and m_bound.lower >= settled_upper[0]):
+                value, cert = settled_upper
+                m_bound.merge_upper(
+                    value, True, cert,
+                    note=f"settled before solving level {mm}: {names[1]} <= "
+                         f"{names[2]} <= {value} meets its absolute lower end")
+                break
             Q, proj = quotient_by_ideal(S, [p.element for p in powers.level(mm + 1)])
             module, ret = resolve_and_retract(proj, homology(Q, 0, hi), E)
             if ret is not None:
@@ -472,12 +487,25 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
         notes.append("the differential is zero, so homology equals the "
                      "algebra and the bounds meet when the range suffices")
 
+    # nil of the positive part of the input algebra bounds cat above; the
+    # bound is absolute only from a window that reaches the certified top,
+    # and then it also settles mcat before the m-loop solves past it
+    input_nil = None
+    if htop is not None and htop <= A.cap:
+        pgens = [A.gen(g.name) for g in A.generators]
+        nilA, _ = IdealPowers(PresentationView(A, htop), pgens).nil()
+        input_nil = (nilA, Certificate(
+            "kernel-power-vanishes",
+            {"construction": "input-augmentation", "cdga": label},
+            {"m": nilA, "hi": htop, "generators": [str(g) for g in pgens]},
+            claim=f"the positive part of the input satisfies (A+)^{nilA + 1} = 0"))
+
     rep = surjection_bounds(
         augmentation_morphism(M), hi=hi,
         kernel_gens=[M.gen(g.name) for g in M.generators],
         context=ctx, pedigree="augmentation",
         with_m=with_m, space=(A, label), content_top=htop,
-        names=("toomer", "mcat", "cat"))
+        settled_upper=input_nil, names=("toomer", "mcat", "cat"))
     cat = rep.map_bound
 
     # all-odd free minimal models have cat = number of generators
@@ -491,16 +519,8 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
         cat.merge_upper(len(gens), True)
         cat.certificates.append(cert)
 
-    # nil of the positive part of the input algebra bounds cat above; the
-    # bound is absolute only from a window that reaches the certified top
-    if htop is not None and htop <= A.cap:
-        pgens = [A.gen(g.name) for g in A.generators]
-        nilA, _ = IdealPowers(PresentationView(A, htop), pgens).nil()
-        cert = Certificate(
-            "kernel-power-vanishes",
-            {"construction": "input-augmentation", "cdga": label},
-            {"m": nilA, "hi": htop, "generators": [str(g) for g in pgens]},
-            claim=f"the positive part of the input satisfies (A+)^{nilA + 1} = 0")
+    if input_nil is not None:
+        nilA, cert = input_nil
         cat.merge_upper(nilA, True, cert,
                         note=f"nil of the input positive part is {nilA}")
 
@@ -805,8 +825,7 @@ def _kernel_powers(phi: CdgaMorphism, listed, pedigreed, m: int,
             continue
         dp = p.element.d()
         if dp.terms and not powers.contains(m + 1, dp, p.degree + 1):
-            raise IdealNotClosed("differential of a relation is not in the ideal",
-                                 witness=p.element.terms)
+            raise IdealNotClosed("differential of a relation is not in the ideal")
     return powers
 
 

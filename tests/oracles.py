@@ -10,9 +10,11 @@ The last section keeps plain loops that the engine has since shortened:
 they call the engine's arithmetic, but none of its memos or early exits.
 """
 
+import contextlib
 import weakref
 from fractions import Fraction
 
+import secat.invariants
 from secat.core import AlgebraElement, RangeExceedsCap, quotient_by_ideal
 from secat.homology import HomologyReport, homology, induced_kernel, kernel_basis
 from secat.linalg import Echelon
@@ -523,3 +525,21 @@ def quotient_kernels(S, elements, hi):
     Q, proj = quotient_by_ideal(S, elements)
     H_S, H_Q = homology(S, 0, hi), homology(Q, 0, hi)
     return {d: induced_kernel(proj, H_S, H_Q, d) for d in range(1, hi + 1)}
+
+
+@contextlib.contextmanager
+def full_m_search():
+    """Within the block, `cat_bounds` runs its m-loop to the first level with
+    a retraction: its `surjection_bounds` call gets no settled upper end, so
+    nothing settles mcat before solving.  The input-nil merge onto cat and
+    `settle` then run as they do in `cat_bounds`."""
+    search = secat.invariants.surjection_bounds
+
+    def unsettled(*args, settled_upper=None, **kwargs):
+        return search(*args, **kwargs)
+
+    secat.invariants.surjection_bounds = unsettled
+    try:
+        yield
+    finally:
+        secat.invariants.surjection_bounds = search

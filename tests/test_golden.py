@@ -4,9 +4,9 @@ For every cdga in every bundled model file, at its default cap, the exact
 `--json` standard output of `cat`, `tc --n 2` and `minimal-model` is pinned,
 and so is that of `secat` for every morphism, together with every
 certificate file that `--emit-certs` writes for `cat`, `tc` and `secat`.
-Cases away from the defaults (`EXTRA_CASES`) pin large linear systems, the
-n = 3 diagonal and the deepest minimal models too.  A refactor that keeps these bytes keeps the
-reports and the certificate corpus.
+Cases away from the defaults (`EXTRA_CASES`) pin high caps, the n = 3
+diagonal and the deepest minimal models too.  A refactor that keeps these
+bytes keeps the reports and the certificate corpus.
 
 Regenerate the pinned data (only for an intended output change) with
 
@@ -36,14 +36,17 @@ COMMANDS = {"cat": {}, "tc": {"n": 2}, "minimal-model": {}}
 # the command run on each morphism of a document
 MORPHISM_COMMAND = "secat"
 # (file name, cdga label, command key, options) run away from the defaults:
-# cat T at cap 16 solves a 3533 x 3467 module-retraction system; at cap 18
-# its full level-2 system would be 13476 x 12799 and level 3 is 6681 x 6549.
+# cat T at caps 16, 18 and 22 resolves level 2 alone, which has no
+# retraction; that lifts mcat to 3 = nil(T+), which settles it before level
+# 3 is built.  At cap 22 the full search would feed about 97,000 retraction
+# equations of level 3 to the solver.
 # tc T at n = 3 works on the diagonal T (x) M (x) M of T's minimal model M,
 # and at n = 4 on T (x) M^{(x) 3} beside the multiplication source T^{(x) 4}.
 # minimal-model T at cap 22 and W at cap 26 are the deepest models built, with
 # 58 and 83 generators.  With --no-m, cat and tc run the h-loop alone.
 EXTRA_CASES = [("truncated_mix.cdga", "T", "cat", {"cap": 16}),
                ("truncated_mix.cdga", "T", "cat", {"cap": 18}),
+               ("truncated_mix.cdga", "T", "cat", {"cap": 22}),
                ("truncated_mix.cdga", "T", "tc", {"n": 3}),
                ("truncated_mix.cdga", "T", "tc", {"n": 4}),
                ("truncated_mix.cdga", "T", "tc", {"n": 3, "no-m": True}),

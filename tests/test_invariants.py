@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import MODELS
+from conftest import MODELS, load_model
 import oracles as orc
 
 import secat.core
@@ -18,8 +18,9 @@ from secat.lang import make_presentation, parse_document, realize_document
 from secat.linalg import solve_combo
 from secat.invariants import (
     Bound, CERT_FORMAT, Certificate, augmentation_morphism, cat_bounds,
-    certificate_from_json, certificate_to_json, split_retraction_certificate,
-    surjection_bounds, tc_bounds, verify_certificate,
+    certificate_from_dict, certificate_from_json, certificate_to_json,
+    split_retraction_certificate, surjection_bounds, tc_bounds,
+    verify_certificate,
 )
 
 
@@ -99,6 +100,18 @@ def proj_report(models):
     return cat_bounds(models["CP2"], label="CP2")
 
 
+@pytest.fixture(scope="module")
+def proj_tc_report(models):
+    """CP2's tc report: its mtc still carries a duality collapse."""
+    return tc_bounds(models["CP2"], 2, label="CP2")
+
+
+@pytest.fixture(scope="module")
+def truncated_tc_report(models):
+    """T's tc report: its mtc still carries a solved retraction."""
+    return tc_bounds(models["T"], 2, label="T")
+
+
 def test_odd_sphere_category(models):
     rep = cat_bounds(models["S3"], label="S3")
     for b, val in ((rep.toomer, 1), (rep.mcat, 1), (rep.cat, 1)):
@@ -139,14 +152,21 @@ def test_even_sphere_category_is_range_qualified(models):
     assert rep.cat.upper is not None and not rep.cat.upper_absolute
 
 
-def test_projective_plane_category(models, proj_report):
+def test_projective_plane_category(models, proj_report, proj_tc_report):
     rep = proj_report
     assert rep.toomer.exact and rep.toomer.lower == 2
     assert rep.mcat.exact and rep.mcat.lower == 2
     assert rep.cat.exact and rep.cat.lower == 2
     assert rep.cat.lower_absolute and rep.cat.upper_absolute
     assert rep.cup.nil == 2
-    assert any(c.kind == "pd-collapse" for c in rep.mcat.certificates)
+    # mcat settles on (A+)^3 = 0 before any level is solved ...
+    [settled] = rep.mcat.certificates
+    assert settled.kind == "kernel-power-vanishes"
+    assert settled.context["construction"] == "input-augmentation"
+    assert _verify(settled, models) == (
+        True, "the kernel power vanishes absolutely (top degree 4)")
+    # ... and the duality pairing of CP2 still collapses mtc onto htc
+    assert any(c.kind == "pd-collapse" for c in proj_tc_report.mtc.certificates)
     assert any("differential is zero" in n for n in rep.notes)
 
 
@@ -307,7 +327,7 @@ def test_a_kernel_class_is_moved_into_the_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,built", [
-    (["cat", "--cap", "15"], 2),   # h stops at level 2; m tries 2, then 3
+    (["cat", "--cap", "15"], 1),   # h stops at level 2; m tries 2, then settles
     (["tc", "--n", "2"], 1),       # h and m both stop at level 1
     (["cat", "--cap", "15", "--no-m"], 0),
     (["tc", "--n", "2", "--no-m"], 0),
@@ -330,6 +350,90 @@ def test_each_level_quotient_is_built_once(monkeypatch, capsys, argv, built):
                 + argv[1:] + ["--json"]) == 0
     capsys.readouterr()
     assert len(calls) == built
+
+
+def test_cat_at_cap_18_resolves_level_2_alone(monkeypatch, capsys):
+    """Level 2 has no retraction, which lifts mcat's absolute lower end to
+    3 = nil(T+); the chain then settles mcat before level 3 is resolved."""
+    resolve = secat.invariants.resolve_and_retract
+    levels = []
+
+    def counted(proj, *args):
+        levels.append(proj)
+        return resolve(proj, *args)
+
+    monkeypatch.setattr(secat.invariants, "resolve_and_retract", counted)
+    assert main(["cat", str(MODELS / "truncated_mix.cdga"), "--name", "T",
+                 "--cap", "18", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    mcat = next(b for b in report["bounds"] if b["name"] == "mcat")
+    assert len(levels) == 1
+    assert "no retraction exists at level 2: the chain equations are " \
+           "infeasible" in mcat["notes"]
+    assert any(n.startswith("settled before solving level 3") for n in mcat["notes"])
+    assert (mcat["lower"], mcat["upper"]) == (3, 3)
+    assert mcat["lower_absolute"] and mcat["upper_absolute"]
+    [settled] = [certificate_from_dict(c) for c in mcat["certificates"]]
+    assert (settled.kind, settled.context["construction"]) == (
+        "kernel-power-vanishes", "input-augmentation")
+    presentations, _ = load_model("truncated_mix.cdga", cap=18)
+    assert verify_certificate(settled, presentations) == (
+        True, "the kernel power vanishes absolutely (top degree 8)")
+
+
+def _ends(b):
+    return (b.lower, b.upper, b.lower_absolute, b.upper_absolute,
+            b.verified_up_to)
+
+
+BUNDLED_CDGAS = sorted(label for path in MODELS.glob("*.cdga")
+                       for label in parse_document(path.read_text()).cdgas)
+GENERATED_CDGAS = {
+    **{f"CP{k}": f"cdga CP{k} {{ gen a : 2; rel a^{k + 1}; }}" for k in (1, 2, 3)},
+    "S2xS2": "cdga S2xS2 { gen a : 2; gen b : 2; rel a^2; rel b^2; }",
+    "S2vS2": "cdga S2vS2 { gen a : 2; gen b : 2; rel a^2; rel b^2; rel a*b; }",
+}
+
+
+@pytest.mark.parametrize("label", BUNDLED_CDGAS + list(GENERATED_CDGAS))
+def test_settling_mcat_before_solving_changes_no_end(models, label):
+    """mcat's absolute lower end meeting the absolute cat <= nil(A+) fixes
+    mcat; every end, flag and window equals that of the full m-search."""
+    if label in GENERATED_CDGAS:
+        A = make_presentation(parse_document(GENERATED_CDGAS[label]).cdgas[label])
+    else:
+        A = models[label]
+    rep = cat_bounds(A, label=label)
+    with orc.full_m_search():
+        full = cat_bounds(A, label=label)
+    for ours, theirs in zip((rep.toomer, rep.mcat, rep.cat),
+                            (full.toomer, full.mcat, full.cat)):
+        assert _ends(ours) == _ends(theirs), ours.name
+    if label in GENERATED_CDGAS:  # each has its certified top under the cap
+        assert any(n.startswith("settled before solving")
+                   for n in rep.mcat.notes)
+
+
+def test_the_skip_needs_a_certified_top_under_the_cap(monkeypatch, models):
+    """Q has no certified top degree, and S^3 x S^3 x S^3 at cap 8 has top
+    9 above the cap: neither hands an input nil to the m-loop."""
+    search = secat.invariants.surjection_bounds
+    settled = []
+
+    def spy(*args, settled_upper=None, **kwargs):
+        settled.append(settled_upper)
+        return search(*args, settled_upper=settled_upper, **kwargs)
+
+    monkeypatch.setattr(secat.invariants, "surjection_bounds", spy)
+    Q = models["Q"]
+    assert Q.top_degree_if_finite() is None
+    cat_bounds(Q, label="Q")
+    S = make_presentation(parse_document(
+        "cdga S { gen a : 3; gen b : 3; gen c : 3; }").cdgas["S"], 8)
+    assert S.top_degree_if_finite() == 9
+    with pytest.raises(RangeExceedsCap):
+        cat_bounds(S, label="S")
+    assert settled == [None, None]
 
 
 def test_bound_chain_is_consistent_everywhere(models, coformal_report,
@@ -379,8 +483,9 @@ def _verify(cert, models, morphisms=None):
 
 def test_generated_certificates_all_verify(models, morphisms, coformal_report,
                                            truncated_report, proj_report,
-                                           wedge_tc_report):
-    reports = [coformal_report, truncated_report, proj_report, wedge_tc_report]
+                                           wedge_tc_report, proj_tc_report):
+    reports = [coformal_report, truncated_report, proj_report, wedge_tc_report,
+               proj_tc_report]
     seen = set()
     for rep in reports:
         for bound in rep.bounds():
@@ -525,8 +630,8 @@ def test_odd_generated_rejections(models):
     assert not ok and "do not match" in detail
 
 
-def test_pd_collapse_rejections(models, proj_report):
-    good = [c for c in proj_report.mcat.certificates if c.kind == "pd-collapse"]
+def test_pd_collapse_rejections(models, proj_tc_report):
+    good = [c for c in proj_tc_report.mtc.certificates if c.kind == "pd-collapse"]
     assert good and _verify(good[0], models)[0]
 
     wedge = Certificate("pd-collapse",
@@ -575,8 +680,8 @@ def test_split_retraction_feels_the_degree_window(models):
         split_retraction_certificate("T", models["T"], ["a"], 6)
 
 
-def test_module_retraction_certificate_rejection(models, truncated_report):
-    good = [c for c in truncated_report.mcat.certificates
+def test_module_retraction_certificate_rejection(models, truncated_tc_report):
+    good = [c for c in truncated_tc_report.mtc.certificates
             if c.kind == "module-retraction"]
     assert good
     cert = good[-1]

@@ -530,9 +530,11 @@ def test_tc_chains(models):
 
 
 def test_every_corruption_is_rejected(models, morphisms):
+    # Q has no certified top degree, so its mcat is a solved retraction
     reports = [cat_bounds(models["C"], label="C"),
                cat_bounds(models["T"], label="T"),
                cat_bounds(models["CP2"], label="CP2"),
+               cat_bounds(models["Q"], label="Q"),
                tc_bounds(models["S3"], 2, label="S3")]
     sample = []
     for rep in reports:

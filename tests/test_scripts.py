@@ -37,7 +37,7 @@ def test_worked_examples_json_is_byte_identical():
 def test_fuzz_certificates_rejects_every_corruption():
     out = _run("fuzz_certificates.py", "-v")
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "RESULT: all 122 corruptions rejected (100%)" in out.stdout
+    assert "RESULT: all 137 corruptions rejected (100%)" in out.stdout
     assert out.stdout == FUZZ_DETAILS.read_text(encoding="utf-8")
 
 

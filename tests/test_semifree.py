@@ -326,12 +326,14 @@ def test_streamed_search_matches_the_full_solve_at_every_level(models, label,
 
 def test_an_infeasible_level_builds_nothing_above_its_contradiction(monkeypatch,
                                                                    capsys):
-    """In `secat cat` on T at cap 15 the m-loop tries level 2 and then level
-    3.  Level 2 has no retraction, and its 5th equation already reduces to
-    0 = 1: r5_0 and r6_0 give three equations, and the second of
-    d(r7_0) = (v3_0*w5_0 + v2_0^2*w4_0).1 - v3_0.r5_0 contradicts the
-    first of r5_0.  So that level adjoins 4 generators, none above degree
-    7, where the whole resolution has 113."""
+    """In `secat cat` on T at cap 15 the m-loop tries level 2 alone: its
+    infeasibility lifts mcat's absolute lower end to 3 = nil(T+), which
+    settles mcat before level 3.  Level 2 has no retraction, and its 5th
+    equation already reduces to 0 = 1: r5_0 and r6_0 give three equations,
+    and the second of d(r7_0) = (v3_0*w5_0 + v2_0^2*w4_0).1 - v3_0.r5_0
+    contradicts the first of r5_0.  So that level adjoins 4 generators, none
+    above degree 7.  The full m-search goes on to solve the feasible level
+    3, whose resolution adjoins many more."""
     levels = []  # the generators adjoined in each resolution, in order
     resolution = secat.semifree._resolution_by_degree
     adjoin = SemiFreeModule.adjoin
@@ -346,11 +348,19 @@ def test_an_infeasible_level_builds_nothing_above_its_contradiction(monkeypatch,
 
     monkeypatch.setattr(secat.semifree, "_resolution_by_degree", new_level)
     monkeypatch.setattr(SemiFreeModule, "adjoin", counted)
-    assert main(["cat", str(MODELS / "truncated_mix.cdga"), "--name", "T",
-                 "--cap", "15", "--json"]) == 0
+    argv = ["cat", str(MODELS / "truncated_mix.cdga"), "--name", "T",
+            "--cap", "15", "--json"]
+    assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     mcat = next(b for b in report["bounds"] if b["name"] == "mcat")
     assert (mcat["lower"], mcat["upper"]) == (3, 3)
+    assert len(levels) == 1
+    assert levels[0] == [("r5_0", 5), ("r6_0", 6), ("r7_0", 7), ("r7_1", 7)]
+
+    levels.clear()
+    with orc.full_m_search():
+        assert main(argv) == 0
+    capsys.readouterr()
     assert len(levels) == 2
     assert levels[0] == [("r5_0", 5), ("r6_0", 6), ("r7_0", 7), ("r7_1", 7)]
     assert len(levels[1]) > 10

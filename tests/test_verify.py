@@ -81,7 +81,7 @@ def test_early_rejections_match_the_rebuild():
             assert early[0] is False, desc
             assert verify_certificate(bad, presentations, morphisms) == early
             assert _verify_rebuilt(bad, presentations, morphisms) == early, desc
-    # 26 nil-witness factor faults, 14 zeroed units, 3 zero witnesses
+    # 30 nil-witness factor faults, 9 zeroed units, 4 zero witnesses
     assert decided == 43
 
 
