@@ -24,6 +24,7 @@ Exit code 0 only when every corruption is rejected.
 from __future__ import annotations
 
 import argparse
+import itertools
 import pathlib
 import sys
 from collections import Counter
@@ -34,8 +35,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from secat.core import CdgaError
 from secat.invariants import (
-    Certificate, cat_bounds, certificate_from_json, tc_bounds,
-    verify_certificate,
+    Certificate, cat_bounds, certificate_from_json, certificate_to_json,
+    tc_bounds, verify_certificate,
 )
 from secat.lang import parse_document, realize_document
 
@@ -61,17 +62,20 @@ def load_all(cfg: FuzzConfig):
 
 
 def corpus(cfg: FuzzConfig, presentations):
-    """Yield (certificate, nil of the report's kernel ideal)."""
-    for label in CAT_LABELS:
-        rep = cat_bounds(presentations[label], label=label)
+    """Yield (certificate, nil of the report's kernel ideal), each distinct
+    certificate once: a report lists a certificate under every bound it
+    backs, as it lists the input-augmentation nil bound under mcat and cat."""
+    reports = itertools.chain(
+        (cat_bounds(presentations[label], label=label) for label in CAT_LABELS),
+        (tc_bounds(presentations[label], n, label=label) for label, n in TC_CASES))
+    seen = set()
+    for rep in reports:
         for bound in rep.bounds():
             for cert in bound.certificates:
-                yield cert, rep.surjection.nil_kernel
-    for label, n in TC_CASES:
-        rep = tc_bounds(presentations[label], n, label=label)
-        for bound in rep.bounds():
-            for cert in bound.certificates:
-                yield cert, rep.surjection.nil_kernel
+                key = certificate_to_json(cert)
+                if key not in seen:
+                    seen.add(key)
+                    yield cert, rep.surjection.nil_kernel
     for name in FROZEN:
         cert = certificate_from_json((cfg.models_dir / name).read_text())
         yield cert, 0

@@ -29,11 +29,11 @@ Representation constraints:
   and a parsed model their scratch engine's).  A presentation with
   monomial relations builds its own table of standard monomials, which a
   quotient by non-monomial relations shares.
-* In a free presentation the differential of a monomial g^e t comes from
-  the memoised differentials of g^e and of its tail t; with relations it is
-  one Leibniz expansion in the free algebra followed by one reduction when
-  the image lies at or under the cap (see _monomial_d).  The result is
-  memoised per monomial for the life of the presentation.  The memo is
+* The differential of a monomial g^e t comes from the memoised
+  differentials of g^e and of its tail t, by one product rule in every
+  presentation; with relations the sum is reduced once when the image lies
+  at or under the cap (see _monomial_d).  The result is memoised per
+  monomial for the life of the presentation.  The memo is
   filled one monomial at a time, each image built straight into the dict
   the memo keeps; only d of an element (_derive) sums images with their
   coefficients.  Validation checks d*d = 0 through that memo.
@@ -261,41 +261,14 @@ class _SignEngine:
 
     def leibniz_terms(self, m: Monomial, values: Mapping[str, Mapping[Monomial, Rational]]):
         """The Leibniz terms of d(m), m = f1...fs, for the differential d
-        with generator values `values`: one (k, f1..f_{j-1}, d(f_j),
-        f_{j+1}..fs) per position j with d(f_j) != 0, where k is the exponent
-        of f_j times the sign (-1)^{|f1..f_{j-1}|}.
+        with generator values `values`, signs left out: one (f1..f_{j-1},
+        d(f_j), f_{j+1}..fs) per position j with d(f_j) != 0.
         """
-        prefix_deg = 0
         for i, (name, exp) in enumerate(m):
             img = values.get(name)
             if img:
-                k = exp if prefix_deg % 2 == 0 else -exp
                 hole = ((name, exp - 1),) if exp > 1 else ()
-                yield k, m[:i], img, hole + m[i + 1:]
-            prefix_deg += self.degree_of[name] * exp
-
-    def leibniz(self, terms: Mapping[Monomial, Rational],
-                values: Mapping[str, Mapping[Monomial, Rational]]) -> dict:
-        """Free-algebra image of `terms` under the differential with
-        generator values `values`, unreduced."""
-        out: dict[Monomial, Rational] = {}
-        for m, c in terms.items():
-            for k, prefix, img, suffix in self.leibniz_terms(m, values):
-                coeff = c * k
-                for v, cv in img.items():
-                    left = self.mul_mono(prefix, v)
-                    if left is None:
-                        continue
-                    right = self.mul_mono(left[1], suffix)
-                    if right is None:
-                        continue
-                    mono = right[1]
-                    val = out.get(mono, 0) + left[0] * right[0] * coeff * cv
-                    if val:
-                        out[mono] = val
-                    elif mono in out:
-                        del out[mono]
-        return out
+                yield m[:i], img, hole + m[i + 1:]
 
     # -- free monomials
 
@@ -622,9 +595,8 @@ class Presentation:
             else:
                 self._diff_raw[name] = self.reduce_raw(raw)
         self.d_unknown = frozenset(unknown)
-        # d's values and memo are plain data with no reference back here, so
-        # no reference cycle keeps a presentation alive after its last use
-        self._d_values = {n: t for n, t in self._diff_raw.items() if n not in unknown}
+        # d's memo is plain data with no reference back here, so no
+        # reference cycle keeps a presentation alive after its last use
         self._d_memo: dict[Monomial, dict] = {}
         # the generator names adjoined along the lineage that shares the memo
         self._d_lineage: set[str] = set(names)
@@ -888,7 +860,7 @@ class Presentation:
             raise self._d_unknown_error(bad)
         if el.pres is not self:
             raise PresentationMismatch("element belongs to a different presentation")
-        return AlgebraElement(self, _derive(self, self._d_values, self._d_memo, el.terms))
+        return AlgebraElement(self, _derive(self, el.terms))
 
     def adjoin(self, gens, diffs) -> "Presentation":
         """This free presentation with the generators `gens` [(name, degree)]
@@ -949,7 +921,7 @@ class Presentation:
                     raise self._d_unknown_error(bad)
             img = memo.get(mono)
             if img is None:
-                img = _monomial_d(self, self._d_values, memo, mono)
+                img = _monomial_d(self, mono)
             if index is None:
                 self.basis(d + 1)
                 index = self._index[d + 1]
@@ -986,12 +958,12 @@ class Presentation:
         for name, raw in self._diff_raw.items():
             if not self.is_free and self._ctx.degree_of[name] + 2 > self.cap:
                 continue
-            if _derive(self, self._d_values, self._d_memo, raw):
+            if _derive(self, raw):
                 raise NotSquareZero(f"d(d({name})) != 0")
         for rel in self.relations:
             if self._ctx.mono_degree(next(iter(rel))) + 1 > self.cap:
                 continue
-            if self.reduce_raw(self._ctx.leibniz(rel, self._diff_raw)):
+            if _derive(self, rel):
                 raise IdealNotClosed(
                     "differential of a relation is not in the ideal")
 
@@ -1211,16 +1183,16 @@ def format_element(el: AlgebraElement) -> str:
 # the differential
 
 
-def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
-            memo: dict, terms: Mapping[Monomial, Rational]) -> dict:
-    """The terms of d(terms) for the differential of `pres` with generator
-    values `raw`: the sum over `terms` of the monomials' images in `memo`,
-    each filled in first by _monomial_d when missing."""
+def _derive(pres: Presentation, terms: Mapping[Monomial, Rational]) -> dict:
+    """The terms of d(terms) in `pres`: the sum over `terms` of the
+    monomials' images in d's memo, each filled in first by _monomial_d when
+    missing."""
+    memo = pres._d_memo
     out: dict[Monomial, Rational] = {}
     for m, c in terms.items():
         img = memo.get(m)
         if img is None:
-            img = _monomial_d(pres, raw, memo, m)
+            img = _monomial_d(pres, m)
         for mono, v in img.items():
             val = out.get(mono, 0) + c * v
             if val:
@@ -1230,39 +1202,40 @@ def _derive(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
     return out
 
 
-def _monomial_d(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational]],
-                memo: dict, m: Monomial) -> dict:
-    """Store the terms of d(m) as memo[m], for an m that is missing from
-    `memo`, and return them.
+def _monomial_d(pres: Presentation, m: Monomial) -> dict:
+    """Store the terms of d(m) in d's memo, for an m that is missing from
+    it, and return them.
 
-    In a free presentation a monomial m = g^e t, with g its first factor,
-    takes its image from those of g^e and of its tail t:
+    A monomial m = g^e t, with g its first factor, takes its image from
+    those of g^e and of its tail t:
 
         d(m) = d(g^e) t + (-1)^{e|g|} g^e d(t),
 
     and a missing factor image is stored first, so that a tail already in
     the memo (an adjoin lineage shares it) is never expanded again.  The
-    power g^e alone is one Leibniz expansion.  The image is built directly
-    into the dict that the memo keeps; no copy of it is summed.
+    power g^e alone is d(g) times e g^{e-1}.  With relations the sum is
+    reduced once.  Up to the cap this is the reduced free image: the
+    memoised d(g^e) and d(t) differ from their free images by elements of
+    the ideal, and so do their products with t and g^e.  The image is built
+    directly into the dict that the memo keeps; no copy of it is summed.
 
-    With relations, d(f1...fs) = sum_j (-1)^{|f1..f_{j-1}|} (f1..f_{j-1})
-    d(f_j) (f_{j+1}..fs) is expanded in the free algebra, then reduced once.
-    Up to the cap this equals the sum of products of reduced factors,
-    because the relations span an ideal.  Above the cap a term is formed
-    factor by factor, reducing after each product: it is 0 if a partial
-    product vanishes at or under the cap and raises RangeExceedsCap
-    otherwise.
+    Above the cap, with relations, each Leibniz term is formed factor by
+    factor, reducing after each product: it is 0 if a partial product
+    vanishes at or under the cap and raises RangeExceedsCap otherwise.
     """
-    ctx = pres._ctx
+    ctx, memo = pres._ctx, pres._d_memo
     free = pres.is_free
-    if free and len(m) > 1:
+    if not free and ctx.mono_degree(m) > pres.cap - 1:
+        _check_above_cap(pres, m)
+        img = {}
+    elif len(m) > 1:
         head, tail = m[:1], m[1:]
         head_d = memo.get(head)
         if head_d is None:
-            head_d = _monomial_d(pres, raw, memo, head)
+            head_d = _monomial_d(pres, head)
         tail_d = memo.get(tail)
         if tail_d is None:
-            tail_d = _monomial_d(pres, raw, memo, tail)
+            tail_d = _monomial_d(pres, tail)
         g, e = m[0]
         odd = e * ctx.degree_of[g] % 2
         mul = ctx.mul_mono
@@ -1282,22 +1255,22 @@ def _monomial_d(pres: Presentation, raw: Mapping[str, Mapping[Monomial, Rational
                     del img[mono]
                     continue
             img[mono] = a
-    elif free:
-        img = ctx.leibniz({m: 1}, raw)
-    elif ctx.mono_degree(m) > pres.cap - 1:
-        _check_above_cap(pres, raw, m)
-        img = {}
+    elif m:
+        (g, e), = m
+        img = ctx.raw_mul(pres._diff_raw.get(g, {}), {((g, e - 1),) if e > 1 else (): e})
     else:
-        img = pres.reduce_raw(ctx.leibniz({m: 1}, raw))
+        img = {}
+    if not free:
+        img = pres.reduce_raw(img)
     memo[m] = img
     return img
 
 
-def _check_above_cap(pres: Presentation, raw, m: Monomial):
+def _check_above_cap(pres: Presentation, m: Monomial):
     """Raise RangeExceedsCap unless every term of d(m), whose degree is
     above the cap, vanishes as a product of reduced factors."""
     ctx = pres._ctx
-    for _, prefix, img, suffix in ctx.leibniz_terms(m, raw):
+    for prefix, img, suffix in ctx.leibniz_terms(m, pres._diff_raw):
         left = pres.reduce_raw(ctx.raw_mul(pres.reduce_raw({prefix: 1}), img))
         pres.reduce_raw(ctx.raw_mul(left, pres.reduce_raw({suffix: 1})))
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, IdealNotClosed,
                    NotSurjective, Presentation, RangeExceedsCap,
-                   quotient_by_ideal, sub_presentation)
+                   sub_presentation)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        ideal_generators, induced_kernel,
@@ -409,8 +409,8 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                     note=f"settled before solving level {mm}: {names[1]} <= "
                          f"{names[2]} <= {value} meets its absolute lower end")
                 break
-            Q, proj = quotient_by_ideal(S, [p.element for p in powers.level(mm + 1)])
-            module, ret = resolve_and_retract(proj, homology(Q, 0, hi), E)
+            module, ret = resolve_and_retract(
+                S, [p.element for p in powers.level(mm + 1)], E)
             if ret is not None:
                 check = verify_module_retraction(module, ret.values, E)
                 if check is not None:
@@ -470,6 +470,11 @@ class CatReport(NamedTuple):
         return self.surjection.bounds()
 
 
+# the note of cat_bounds and tc_bounds on an input with degree-1 generators
+_NOT_SIMPLY_CONNECTED = ("the input is not flagged simply connected: verdicts "
+                         "describe the model built from this presentation")
+
+
 def cat_bounds(A: Presentation, *, with_m: bool = True,
                label: str = "A") -> CatReport:
     """Category-style bounds through the augmentation of a minimal model."""
@@ -481,8 +486,7 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
     ctx = {"construction": "augmentation", "cdga": label, "cap": cap}
     notes = []
     if not A.simply_connected:
-        notes.append("the input is not flagged simply connected: verdicts "
-                     "describe the model built from this presentation")
+        notes.append(_NOT_SIMPLY_CONNECTED)
     if not any(A._diff_raw.values()):
         notes.append("the differential is zero, so homology equals the "
                      "algebra and the bounds meet when the range suffices")
@@ -573,15 +577,13 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
     tc = rep.map_bound
     notes = list(dm.notes)
     if not A.simply_connected:
-        notes.append("the input is not flagged simply connected: verdicts "
-                     "describe the model built from this presentation")
+        notes.append(_NOT_SIMPLY_CONNECTED)
 
     # when the diagonal went through a substituted model, the plain
     # multiplication surjection of the input can still certify an absolute
     # upper bound: its source is finite whenever the input is
     if dm.pedigree != "diagonal-tensor" and htop is not None:
-        mcap = n * htop + maxgen + 1
-        mult = multiplication_morphism(A, n, cap=mcap)
+        mult = multiplication_morphism(A, n, cap=cap)
         T = mult.power.pres
         ttop = T.top_degree_if_finite()
         if ttop is not None:
@@ -590,7 +592,7 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
                                          {g.degree for g in A.generators})
             nil_mult, _ = IdealPowers(PresentationView(T, mview), kg).nil()
             mctx = {"construction": "multiplication", "cdga": label,
-                    "n": n, "cap": mcap}
+                    "n": n, "cap": cap}
             cert = Certificate(
                 "kernel-power-vanishes", mctx,
                 {"m": nil_mult, "hi": mview,

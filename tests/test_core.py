@@ -16,6 +16,7 @@ from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, DegreeMismatch,
                         Presentation, RangeExceedsCap, _MonomialTable, _SignEngine,
                         format_element, identity_morphism, quotient_by_ideal,
                         sub_presentation, tensor, tensor_power)
+from secat.homology import IdealPowers, PresentationView
 from secat.lang import parse_document, parse_element, realize_document
 
 from conftest import MODELS, load_model
@@ -37,6 +38,21 @@ def random_element(P, d, rng, density=0.6):
 
 def as_words(el, P):
     return orc.engine_to_words(el.terms, orc.odd_map(P))
+
+
+def from_words(element, P):
+    """{oracle word: coeff} -> {engine monomial: coeff}, the inverse of
+    as_words word by word: an engine monomial lists its generators by
+    (degree, name)."""
+    degree, odd = {g.name: g.degree for g in P.generators}, orc.odd_map(P)
+    out = {}
+    for word, c in element.items():
+        mono = tuple(sorted(collections.Counter(word).items(),
+                            key=lambda f: (degree[f[0]], f[0])))
+        (back, sign), = orc.engine_to_words({mono: 1}, odd).items()
+        assert back == word
+        out[mono] = sign * c
+    return out
 
 
 MIXED = Presentation([("a", 2), ("b", 3), ("c", 3), ("e", 4), ("f", 5)], 20)
@@ -115,6 +131,51 @@ def test_differential_matches_oracle(P):
         assert as_words(P.d(x), P) == want
 
 
+def _tc_level_quotient(m):
+    """S/I^{m+1} for the diagonal surjection S -> W (x) W behind tc of W
+    (n = 2), built as its m-loop builds a level: the relations of level 1
+    have 2 and 4 terms, the one added at level 2 has 7."""
+    W = load_model("wedge.cdga")[0]["W"]
+    surj = invariants.tc_bounds(W, 2).surjection
+    S, E = surj.morphism.source, surj.hi
+    powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)),
+                         surj.kernel_generators)
+    return quotient_by_ideal(S, [p.element for p in powers.level(m + 1)])[0]
+
+
+def _binomial_quotient():
+    """Lambda(a: 2, b: 2, x: 3, y: 3; dx = a^2, dy = b^2)/(ax - by, a^3 - b^3):
+    d(ax - by) = a^3 - b^3, so the ideal is d-stable."""
+    return Presentation(
+        [("a", 2), ("b", 2), ("x", 3), ("y", 3)], 14,
+        relations=[{(("a", 1), ("x", 1)): 1, (("b", 1), ("y", 1)): -1},
+                   {(("a", 3),): 1, (("b", 3),): -1}],
+        differentials={"x": {(("a", 2),): 1}, "y": {(("b", 2),): 1}})
+
+
+@pytest.mark.parametrize("build", [lambda: _tc_level_quotient(1),
+                                   lambda: _tc_level_quotient(2),
+                                   _binomial_quotient],
+                         ids=["tc-W-level-1", "tc-W-level-2", "binomial"])
+def test_differential_matches_oracle_modulo_relations(build):
+    """d against the word oracle where relations have several terms: the
+    oracle's free image, read back into monomials and reduced by
+    elimination against the echelon of the whole ideal."""
+    P = build()
+    assert any(len(rel) > 1 for rel in P.relations)
+    rng = random.Random(19)
+    odd = orc.odd_map(P)
+    diffs = orc.diffs_of(P)
+    nonzero = 0
+    for _ in range(80):
+        x = random_element(P, rng.randint(2, 12), rng)
+        free = orc.differentiate(as_words(x, P), diffs, odd)
+        want = orc.reduce_raw_eliminated(P, from_words(free, P))
+        assert P.d(x).terms == want
+        nonzero += bool(want)
+    assert nonzero > 10
+
+
 def test_differential_at_the_cap_raises_and_results_are_fresh():
     """d of a degree-cap monomial lands above the cap of a presentation with
     relations: it raises unless each Leibniz term, formed factor by factor,
@@ -142,8 +203,8 @@ def test_differential_at_the_cap_raises_and_results_are_fresh():
 def test_differential_vectors_are_d_read_into_the_basis(models):
     """Each row is to_sparse of d of its basis monomial, keys in the same
     order; a generator whose d is unknown raises d's own RangeExceedsCap."""
-    for name in ("T", "W", "S2", "CP2"):
-        P = models[name]
+    for P in [models[name] for name in ("T", "W", "S2", "CP2")] + [
+            _tc_level_quotient(1), _binomial_quotient()]:
         for d in range(P.cap - 1):
             rows = P.differential_vectors(d)
             want = [P.to_sparse(P.d(P.monomial(m)), d + 1) for m in P.basis(d)]

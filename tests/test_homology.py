@@ -13,8 +13,7 @@ from conftest import load_model
 
 from secat import linalg
 from secat.core import (AlgebraElement, CdgaError, CdgaMorphism, Presentation,
-                        RangeExceedsCap, _SignEngine, quotient_by_ideal,
-                        tensor_power)
+                        RangeExceedsCap, quotient_by_ideal, tensor_power)
 from secat.homology import (HomologyReport, HomologyView, IdealPowers,
                             PresentationView,
                             _SpanComplex, homology, induced_matrix,
@@ -688,8 +687,8 @@ def test_kernel_basis_beyond_target_range_requires_certified_vanishing(models):
 def _census(monkeypatch, target=None):
     """Count what a construction computes on its source complexes: the
     single-degree homology reports by degree (both builders ask for target
-    homology over a range), the Leibniz expansions of monomials of
-    presentations other than `target` by monomial, the differentials of
+    homology over a range), the memo misses of d on presentations other
+    than `target` by monomial, the differentials of
     module basis elements by (generator, monomial), and the images that the
     builder's unnamed chain maps form, by source monomial.  The final
     _validate and d2_failure checks recompute d, and the named final
@@ -704,12 +703,12 @@ def _census(monkeypatch, target=None):
             init(self, X, lo, hi, boundary_rows)
         return report
 
-    def counted_leibniz(leibniz):
-        def expand(self, terms, values):
-            if not checking and self is not getattr(target, "_ctx", None):
-                monomials.update(terms.keys())
-            return leibniz(self, terms, values)
-        return expand
+    def counted_monomial_d(monomial_d):
+        def d(pres, m):
+            if not checking and pres is not target:
+                monomials[m] += 1
+            return monomial_d(pres, m)
+        return d
 
     def counted_d(d_element):
         def d(self, mel):
@@ -737,7 +736,8 @@ def _census(monkeypatch, target=None):
         return run
 
     for cls, name, wrap in [(HomologyReport, "__init__", counted_report),
-                            (_SignEngine, "leibniz", counted_leibniz),
+                            (importlib.import_module("secat.core"), "_monomial_d",
+                             counted_monomial_d),
                             (SemiFreeModule, "d_element", counted_d),
                             (CdgaMorphism, "_monomial_image", counted_image),
                             (Presentation, "_validate", uncounted),

@@ -358,9 +358,9 @@ def test_cat_at_cap_18_resolves_level_2_alone(monkeypatch, capsys):
     resolve = secat.invariants.resolve_and_retract
     levels = []
 
-    def counted(proj, *args):
-        levels.append(proj)
-        return resolve(proj, *args)
+    def counted(A, ideal_elements, E):
+        levels.append(ideal_elements)
+        return resolve(A, ideal_elements, E)
 
     monkeypatch.setattr(secat.invariants, "resolve_and_retract", counted)
     assert main(["cat", str(MODELS / "truncated_mix.cdga"), "--name", "T",

@@ -1,4 +1,5 @@
-"""The two script-level byte-identity gates, and a smoke test of time_cli.
+"""The two script-level byte-identity gates, a smoke test of time_cli, and
+count_loc's count on a small source.
 
 `scripts/run_worked_examples.py --json` must print exactly the pinned tables
 in `tests/golden/worked_examples.json`, and `scripts/fuzz_certificates.py -v`
@@ -37,7 +38,7 @@ def test_worked_examples_json_is_byte_identical():
 def test_fuzz_certificates_rejects_every_corruption():
     out = _run("fuzz_certificates.py", "-v")
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "RESULT: all 137 corruptions rejected (100%)" in out.stdout
+    assert "RESULT: all 129 corruptions rejected (100%)" in out.stdout
     assert out.stdout == FUZZ_DETAILS.read_text(encoding="utf-8")
 
 
@@ -76,3 +77,47 @@ def test_time_cli_fails_when_the_runs_disagree(monkeypatch, capsys, outcomes):
     assert time_cli.main(["a", "b", "--", "cat", "x.cdga"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == \
         "stdout or exit code DIFFERS between runs"
+
+
+LOC_SOURCE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = 1
+
+    def f(self, y):
+        """Function docstring,
+
+        over three lines."""
+        return (y +
+                # a comment inside the expression
+                self.x)
+
+
+async def g():
+    """Async docstring."""
+    s = """a string, not a docstring,
+over two lines"""
+    return s
+'''
+
+
+def test_count_loc_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    """Counted: import, class, x = 1, def, the two lines of the return
+    expression, async def, the two lines of the string s, return s."""
+    spec = importlib.util.spec_from_file_location("count_loc", ROOT / "scripts" / "count_loc.py")
+    count_loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count_loc)
+    assert count_loc.code_lines(LOC_SOURCE) == 10
+    assert count_loc.code_lines('def f(): """one line"""; return 1\n') == 1
+    path = tmp_path / "sample.py"
+    path.write_text(LOC_SOURCE, encoding="utf-8")
+    out = _run("count_loc.py", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"     10  {path}", "     10  total"]
