@@ -52,7 +52,7 @@ def fmt(bound: Bound) -> str:
 
 
 def betti_string(P, hi: int) -> str:
-    table = homology(P, 0, min(hi, P.cap - (0 if P.is_free else 1))).betti_table()
+    table = homology(P, 0, min(hi, P.homology_hi)).betti_table()
     return " ".join(f"{d}:{b}" for d, b in sorted(table.items()) if b)
 
 

@@ -7,8 +7,8 @@ The layers, bottom up:
     core        presentations, elements, the differential, morphisms,
                 tensors, quotients
     homology    cohomology of any cochain complex (presentations, semifree
-                modules, spans), induced maps, the degreewise hit/kill
-                builder, kernels, ideal powers, nilpotency, duality
+                modules), induced maps, the degreewise hit/kill builder,
+                kernels, ideal powers, nilpotency, duality
     construct   minimal Sullivan models, multiplication and diagonal
                 surjections
     semifree    semifree modules, quotient resolutions, module retractions

@@ -5,7 +5,8 @@ invariant pipelines build on.
   quasi-iso M -> A whose homology is matched exactly in degrees <= cap; it
   is built by homology.hit_and_kill.  sullivan_model_of returns A itself
   when it is already free Sullivan.
-* multiplication_morphism is the n-fold multiplication A^{ox n} -> A.
+* multiplication_morphism is the n-fold multiplication A^{ox n} -> A, with
+  the ideal generators of its kernel.
 * diagonal_model is the surjection A ox M^{ox (n-1)} -> A standing in for
   the n-fold diagonal, with the ideal generators of its kernel.
 
@@ -92,24 +93,35 @@ def sullivan_model_of(A: Presentation, cap: int) -> SullivanModelResult:
 class MultiplicationModel(NamedTuple):
     power: object                   # TensorPowerResult
     morphism: CdgaMorphism          # A^{ox n} -> A, every copy to the original
+    kernel_generators: list         # ideal generators of ker morphism
 
 
 def multiplication_morphism(A: Presentation, n: int, *, cap: int | None = None):
     """The multiplication A^{ox n} -> A sending every copy v_i of a
     generator v of A to v.
 
-    Its kernel is the ideal generated by the differences v_i - v_1: the
-    quotient of A^{ox n} by them identifies the copies and is A again.  So
-    ker mu has ideal generators in the degrees of A's generators only, and
-    homology.kernel_ideal_generators need visit no other degree.
+    Its kernel is the ideal generated by the differences of copies: the
+    quotient of A^{ox n} by them identifies the copies and is A again.  The
+    kernel generators are, for each generator v of A in (degree, name)
+    order, v_c - v_last for each copy v_c of v but the last, the copies in
+    the source's rank order (by name, as they share a degree); a difference
+    that a relation makes zero is left out.
     """
     power = tensor_power(A, n, cap=cap)
+    P = power.pres
     images = {}
     for rn in power.renames:
         for orig, copy in rn.items():
             images[copy] = A.gen(orig)
-    mu = CdgaMorphism(power.pres, A, images, check=True, name=f"mu{n}")
-    return MultiplicationModel(power, mu)
+    mu = CdgaMorphism(P, A, images, check=True, name=f"mu{n}")
+    kernel_gens = []
+    for g in sorted(A.generators, key=lambda g: (g.degree, g.name)):
+        *copies, last = sorted(rn[g.name] for rn in power.renames)
+        for copy in copies:
+            el = P.gen(copy) - P.gen(last)
+            if el.terms:
+                kernel_gens.append(el)
+    return MultiplicationModel(power, mu, kernel_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +173,7 @@ def diagonal_model(A: Presentation, n: int, cap: int) -> DiagonalModel:
     images = {g.name: A.gen(g.name) for g in A.generators}
     for rn in renames:
         for orig, copy in rn.items():
-            images[copy] = theta.image_of(orig) if theta.images.get(orig) is not None \
-                else theta.apply(S.gen(orig))
+            images[copy] = theta.image_of(orig)
     mu = CdgaMorphism(source, A, images, check=True, name=f"diag{n}")
 
     kernel_gens = []

@@ -712,16 +712,6 @@ class Presentation:
         cached = self._basis.get(d)
         if cached is not None:
             return cached
-        if d < 0:
-            result: tuple = ()
-            self._basis[d] = result
-            self._index[d] = {}
-            return result
-        if d == 0:
-            result = ((),)
-            self._basis[d] = result
-            self._index[d] = {(): 0}
-            return result
         if not self.is_free and d > self.cap:
             raise RangeExceedsCap(
                 f"degree {d} exceeds cap {self.cap} of a presentation with relations")

@@ -23,11 +23,9 @@ canonical representatives.  It works on any cochain complex X with
                                   element of Y, or None when Y's degree-d
                                   coordinates are X's
 
-Presentations and semifree modules implement it; the span complex behind
-span_complex_homology implements the part that betti numbers need, which
-leaves out coordinates_from.  A report asks for d on the whole basis only
-in the degree below its range, and in each degree of the range only on
-the basis elements off the boundary pivots.  Each boundary space is
+Presentations and semifree modules implement it.  A report asks for d on
+the whole basis only in the degree below its range, and in each degree of
+the range only on the basis elements off the boundary pivots.  Each boundary space is
 eliminated once: the free rows of degree d span B^{d+1} and are fed to
 its echelon, which degree d + 1 takes as its boundaries; where they are
 independent, H^d = 0 and no kernel is computed.
@@ -58,8 +56,10 @@ An ideal enters IdealPowers by ideal generators, not by a vector basis:
 ideal_generators reduces, degree by degree, each basis element of the ideal
 against the span of (generators kept so far) x (view basis), and keeps a
 nonzero remainder as a new generator.  It serves the kernel of a morphism
-(kernel_ideal_generators, in the algebra) and the kernel of an induced map
-on homology (in its HomologyView).  Each level of IdealPowers multiplies
+(kernel_ideal_generators, in the algebra, over every degree up to its
+window) and the kernel of an induced map on homology (in its HomologyView).
+A construction that knows its kernel's generators names them instead (see
+construct.py), and then nothing is searched.  Each level of IdealPowers multiplies
 ascending factor chains and never squares an odd last factor: an odd
 element squares to zero in a graded-commutative algebra, and in a
 HomologyView that product is a boundary, which reduces to 0.  So skipping
@@ -458,28 +458,14 @@ def ideal_generators(view, degrees, basis_of) -> list[AlgebraElement]:
     return [g for g, _ in gens]
 
 
-def kernel_ideal_generators(phi: CdgaMorphism, hi: int,
-                            degrees: set[int] | None = None) -> list[AlgebraElement]:
+def kernel_ideal_generators(phi: CdgaMorphism, hi: int) -> list[AlgebraElement]:
     """A finite ideal generating set for ker phi in degrees <= hi: the
     ideal_generators of ker phi in the source algebra, each verified to map
-    to zero.
-
-    `degrees`, when given, must hold the degrees of some set G that
-    generates ker phi as an ideal; only those degrees are visited, and the
-    result is the same.  The loop keeps the invariant that after degree e,
-    ker_e lies in the ideal of the generators found so far.  In a degree d
-    outside `degrees`, ker_d is spanned by products g * m with g in G of a
-    degree e < d, and g lies in that ideal by the invariant, so the product
-    span would fill ker_d and the visit would add nothing.  For the
-    multiplication A^{ox n} -> A these are the degrees of A's generators
-    (see construct.multiplication_morphism).
-    """
+    to zero."""
     B = phi.target
     b_hi = B.homology_hi
-    gens = ideal_generators(
-        PresentationView(phi.source),
-        [d for d in range(1, hi + 1) if degrees is None or d in degrees],
-        lambda d: kernel_basis(phi, d))
+    gens = ideal_generators(PresentationView(phi.source), range(1, hi + 1),
+                            lambda d: kernel_basis(phi, d))
     for g in gens:
         # beyond b_hi the target vanishes (kernel_basis checked), so
         # re-applying phi there is neither possible nor needed
@@ -664,11 +650,10 @@ class IdealPowers:
 
 
 class NilpotencyResult(NamedTuple):
-    """nil = largest m with I^m != 0 inside the view's degrees, with a
-    nonzero m-fold product (None when m = 0), its factors as indices into
-    `generators`, and the generators that the view holds."""
+    """nil = largest m with I^m != 0 inside the view's degrees, the factors
+    of a nonzero m-fold product as indices into `generators` (none when
+    m = 0), and the generators that the view holds."""
     nil: int
-    witness: AlgebraElement | None
     witness_factors: tuple[int, ...]
     generators: list
 
@@ -678,7 +663,6 @@ def nil_ideal(view: PresentationView | HomologyView,
     powers = IdealPowers(view, generators)
     nil, witness = powers.nil()
     return NilpotencyResult(nil,
-                            witness=witness.element if witness else None,
                             witness_factors=witness.factors if witness else (),
                             generators=list(powers.generators))
 
@@ -720,50 +704,3 @@ def poincare_duality_check(H: HomologyReport, top: int) -> DualityResult:
         if ech.rank != bk:
             return DualityResult(False, f"degenerate pairing in degree {k}")
     return DualityResult(True)
-
-
-# ---------------------------------------------------------------------------
-# subcomplexes spanned inside a presentation
-
-
-class _SpanComplex:
-    """The subcomplex of P spanned by echelons, in echelon coordinates.
-
-    Only the part of the protocol that betti numbers need.
-    """
-
-    def __init__(self, P: Presentation, spans: dict[int, Echelon]):
-        self.P = P
-        self.spans = spans
-        self.homology_hi, self.is_free = P.homology_hi, P.is_free
-
-    def _span(self, d: int) -> Echelon:
-        return self.spans.get(d, Echelon())
-
-    def dim(self, d: int) -> int:
-        return self._span(d).rank
-
-    def from_vector(self, d: int, vec: dict) -> AlgebraElement:
-        return self.P.from_vector(d, combine(vec, self._span(d).basis()))
-
-    def differential_vectors(self, d: int, which=None):
-        P, nxt = self.P, self._span(d + 1)
-        basis = self._span(d).basis()
-        out = []
-        for row in basis if which is None else [basis[i] for i in which]:
-            img = P.d(P.from_vector(d, row))
-            v = nxt.coordinates(P.to_sparse(img, d + 1))
-            if v is None:
-                raise CdgaError(f"differential leaves the span in degree {d}")
-            out.append(v)
-        return out
-
-
-def span_complex_homology(P: Presentation, spans: dict[int, Echelon],
-                          lo: int, hi: int) -> dict[int, int]:
-    """Betti numbers of a d-stable span inside P, degrees lo..hi.
-
-    `spans[d]` is an echelon of degree-d coordinate vectors.  Raises when the
-    differential leaves the span, since then it is not a subcomplex.
-    """
-    return HomologyReport(_SpanComplex(P, spans), lo, hi).betti_table()

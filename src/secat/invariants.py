@@ -33,13 +33,12 @@ from typing import NamedTuple
 
 from .core import (AlgebraElement, CdgaError, CdgaMorphism, IdealNotClosed,
                    NotSurjective, Presentation, RangeExceedsCap,
-                   sub_presentation)
+                   quotient_by_ideal, sub_presentation)
 from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        ideal_generators, induced_kernel,
                        kernel_ideal_generators, nil_ideal,
-                       poincare_duality_check, quotient_kernel,
-                       span_complex_homology)
+                       poincare_duality_check, quotient_kernel)
 from .linalg import Echelon, solve_combo
 from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
@@ -240,7 +239,6 @@ def homology_kernel_classes(phi: CdgaMorphism, H_src: HomologyReport,
 class SurjectionReport(NamedTuple):
     morphism: CdgaMorphism
     hi: int                              # degrees the verdicts were checked in
-    source_homology: HomologyReport      # H(source) in degrees 0..hi
     kernel_generators: list
     h_bound: Bound
     m_bound: Bound | None
@@ -446,7 +444,7 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
             h_bound.merge_lower(m_bound.lower, m_bound.lower_absolute,
                                 note="duality collapse")
 
-    report = SurjectionReport(phi, hi, H_S, list(kernel_gens), h_bound,
+    report = SurjectionReport(phi, hi, list(kernel_gens), h_bound,
                               m_bound, map_bound, nil_h, nil_k, notes)
     report.settle(with_notes=True)
     return report
@@ -588,8 +586,7 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
         ttop = T.top_degree_if_finite()
         if ttop is not None:
             mview = min(T.cap, ttop + 1)
-            kg = kernel_ideal_generators(mult.morphism, mview,
-                                         {g.degree for g in A.generators})
+            kg = mult.kernel_generators
             nil_mult, _ = IdealPowers(PresentationView(T, mview), kg).nil()
             mctx = {"construction": "multiplication", "cdga": label,
                     "n": n, "cap": cap}
@@ -655,8 +652,7 @@ def _check_payload(cert: Certificate, presentations: dict, morphisms: dict):
         raise CdgaError(f"unknown certificate kind {kind!r}")
     if kind == "module-retraction" and c == "relative-split":
         kind = c
-    elif kind in ("acyclic-ideal-containment", "odd-generated", "pd-collapse") \
-            or (kind == "nil-witness" and c == "presentation"):
+    elif kind in ("acyclic-ideal-containment", "odd-generated", "pd-collapse"):
         c = "presentation"
     elif c not in _SURJECTIONS:
         raise CdgaError(f"unknown certificate construction {c!r}")
@@ -728,7 +724,7 @@ def _ctx_surjection(ctx: dict, presentations: dict, morphisms: dict):
         return augmentation_morphism(P), [P.gen(g.name) for g in P.generators]
     if c == "multiplication":
         mult = multiplication_morphism(P, ctx["n"], cap=ctx.get("cap"))
-        return mult.morphism, None
+        return mult.morphism, mult.kernel_generators
     raise CdgaError(f"unknown certificate construction {c!r}")
 
 
@@ -807,8 +803,9 @@ def _kernel_powers(phi: CdgaMorphism, listed, pedigreed, m: int,
     Nor need they generate a d-stable ideal, and without one there is no
     quotient complex: as a quotient presentation checks its relations, d of
     each spanning product must lie in the power's span one degree up, unless
-    that degree is above the cap or the product holds a generator whose d
-    lies beyond it.  A power of ker phi itself is d-stable.
+    that degree is above the cap.  (A generator whose d is unknown lies
+    above cap - 1, so a product that holds one is skipped as well.)  A
+    power of ker phi itself is d-stable.
     """
     S = phi.source
     if listed is not None:
@@ -822,8 +819,7 @@ def _kernel_powers(phi: CdgaMorphism, listed, pedigreed, m: int,
     if listed is None:
         return powers
     for p in level:
-        if p.degree + 1 > S.cap or any(
-                n in S.d_unknown for mono in p.element.terms for n, _ in mono):
+        if p.degree + 1 > S.cap:
             continue
         dp = p.element.d()
         if dp.terms and not powers.contains(m + 1, dp, p.degree + 1):
@@ -857,13 +853,9 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "nil-witness":
         level, hi = data["level"], data["hi"]
-        if ctx.get("construction") == "presentation":
-            P = _ctx_presentation(ctx, presentations)
-            gens = _parse_over(data["generators"], P)
-        else:
-            phi, _ = _ctx_surjection(ctx, presentations, morphisms)
-            P = phi.source
-            gens = _checked_kernel_gens(phi, data["generators"])
+        phi, _ = _ctx_surjection(ctx, presentations, morphisms)
+        P = phi.source
+        gens = _checked_kernel_gens(phi, data["generators"])
         factors = data["factors"]
         if len(factors) != level:
             return False, f"witness has {len(factors)} factors, claim says {level}"
@@ -936,7 +928,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
         absolute = htop is not None and htop <= hi
         # a smaller ideal has smaller powers, so the listed generators must
         # generate the kernel in the window: the pedigreed generators there,
-        # or those derived as the producer derived them
+        # or, for a morphism, those derived as the producer derived them
         if pedigreed is not None:
             needed = [g for g in pedigreed if g.terms and g.degree() <= view]
         else:
@@ -960,8 +952,14 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
             dg = g.d()
             if dg.terms and not powers.contains(1, dg, dg.degree()):
                 return False, f"the ideal is not d-stable: d(generator {i}) escapes"
-        spans = {d: powers.span_echelon(1, d) for d in range(0, hi + 2)}
-        betti = span_complex_homology(P, spans, 1, hi)
+        # H(J) off the long exact sequence of J -> P -> P/J: dim H^d(J) is
+        # dim ker(H^d P -> H^d(P/J)) + dim coker(H^{d-1} P -> H^{d-1}(P/J))
+        H = homology(P, 0, hi)
+        H_Q = homology(quotient_by_ideal(P, powers.generators)[0], 0, hi - 1)
+        dead = [len(quotient_kernel(H, powers.span_echelon(1, d), d))
+                for d in range(hi + 1)]
+        betti = {d: dead[d] + H_Q.betti(d - 1) - H.betti(d - 1) + dead[d - 1]
+                 for d in range(1, hi + 1)}
         bad = {d: b for d, b in betti.items() if b}
         if bad:
             return False, f"the ideal is not acyclic: homology {bad}"

@@ -5,9 +5,8 @@ these routines, so they are kept deliberately small: one reduced row echelon
 store, and the solvers built on it.
 
 * Sparse in and out.  A vector is a dict from column to nonzero rational,
-  and so is every vector answered here, its columns in ascending order;
-  `coordinates` are keyed by position in the echelon's basis.  Only
-  `solve_sparse`'s solution also names the pivot unknowns that are 0.
+  and so is every vector answered here, its columns in ascending order.
+  Only `solve_sparse`'s solution also names the pivot unknowns that are 0.
 * Integer rows inside.  An incoming vector is cleared to one common
   denominator once; each stored row is the primitive integer multiple of its
   canonical reduced row, with a positive pivot.  The systems are mostly +-1,
@@ -16,9 +15,9 @@ store, and the solvers built on it.
   when it is integral, and a Fraction only where a denominator remains;
   floats never appear.
 
-Because the reduced echelon basis of a subspace is unique, representatives
-extracted from an `Echelon` are canonical for the span regardless of the
-order rows were fed in or of how the rows are stored.  `kernel_combos` is
+Because the reduced echelon basis of a subspace is unique, a vector reduced
+against an `Echelon` is canonical for the span regardless of the order rows
+were fed in or of how the rows are stored.  `kernel_combos` is
 the one kernel routine: one elimination of the transposed matrix, with no
 combination columns, reads the canonical kernel basis off directly.
 `combo_solver` reduces any number of targets against one combination
@@ -72,9 +71,9 @@ class Echelon:
     Every pivot column is eliminated from all other rows, and each row is
     kept as a dict of nonzero ints, the primitive multiple of its canonical
     reduced row with a positive pivot; so `rows[i] / rows[i][lead]` is the
-    canonical RREF basis of the span.  `add`, `reduce`, `contains` and
-    `coordinates` take rational vectors (see the module docstring); the
-    module's own solvers feed integer rows to `_add` and `_reduce` directly.
+    canonical RREF basis of the span.  `add`, `reduce` and `contains` take
+    rational vectors (see the module docstring); the module's own solvers
+    feed integer rows to `_add` and `_reduce` directly.
     """
 
     def __init__(self):
@@ -181,24 +180,6 @@ class Echelon:
 
     def contains(self, v: dict) -> bool:
         return not self._reduce(_integer_row(v)[0])[0]
-
-    def basis(self) -> list[dict]:
-        """Canonical basis rows ordered by pivot column."""
-        return [_rational(self.rows[ri], self.rows[ri][col])
-                for col, ri in sorted(self.pivots.items())]
-
-    def coordinates(self, v: dict) -> dict | None:
-        """Coefficients of v by position in basis(), or None when v is not in
-        the span.
-
-        Rows are RREF, so the coefficient of a basis row is just the entry of v
-        at that row's pivot column.
-        """
-        w, den = _integer_row(v)
-        if self._reduce(w)[0]:
-            return None
-        return {i: _fraction(w[col], den)
-                for i, col in enumerate(sorted(self.pivots)) if col in w}
 
 
 def combine(coeffs: dict, rows: list[dict]) -> dict:

@@ -334,8 +334,6 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
 
 class RetractionResult(NamedTuple):
     values: dict                        # gen name -> AlgebraElement in the base
-    free_unknowns: int
-    checked_up_to: int
 
 
 class RetractionSearch:
@@ -433,12 +431,12 @@ class RetractionSearch:
         """The retraction of the consistent system fed so far, free unknowns
         pinned to zero, so the answer is deterministic."""
         base = self.base
-        solution, free = self.system.solution(self.n_unknowns)
+        solution, _ = self.system.solution(self.n_unknowns)
         values = {UNIT: base.one()}
         for name, (deg, off, width) in self.slots.items():
             values[name] = base.from_vector(
                 deg, {i: solution[off + i] for i in range(width) if off + i in solution})
-        return RetractionResult(values, len(free), self.E)
+        return RetractionResult(values)
 
 
 def find_module_retraction(module: SemiFreeModule, E: int) -> RetractionResult | None:

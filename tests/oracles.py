@@ -247,6 +247,36 @@ def betti_numbers(gens, diffs, rel_words, hi):
     return out
 
 
+def ideal_betti_numbers(gens, diffs, rel_words, ideal, hi):
+    """Betti numbers of a d-stable ideal J of the quotient complex, as a
+    complex of its own, in degrees 1..hi.
+
+    `ideal` lists J's generators as ({word: coeff}, degree) pairs, the
+    other arguments are those of betti_numbers.  J_d is the row space of
+    the products g * w, w a basis word of degree d - |g|, over the basis
+    words of degree d; b_d(J) = dim J_d - rank d|J_d - rank d|J_{d-1}.
+    """
+    odd_of = {n: o for n, _, o in gens}
+    bases = {d: quotient_basis(gens, rel_words, d) for d in range(hi + 2)}
+
+    def row(element, d):
+        index = {w: i for i, w in enumerate(bases[d])}
+        out = [Fraction(0)] * len(bases[d])
+        for w, c in strike(element, rel_words).items():
+            out[index[w]] = c
+        return out
+
+    def ideal_rows(d):
+        return rref([row(mul_elements(g, {w: Fraction(1)}, odd_of), d)
+                     for g, e in ideal if e <= d for w in bases[d - e]])
+
+    J = {d: ideal_rows(d) for d in range(hi + 1)}
+    ranks = {d: rank([row(differentiate({w: c for w, c in zip(bases[d], r) if c},
+                                        diffs, odd_of), d + 1) for r in J[d]])
+             for d in range(hi + 1)}
+    return {d: len(J[d]) - ranks[d] - ranks[d - 1] for d in range(1, hi + 1)}
+
+
 def convolve(b1, b2, hi):
     """Degreewise dimensions of a tensor product."""
     return {d: sum(b1.get(i, 0) * b2.get(d - i, 0) for i in range(d + 1))
@@ -484,6 +514,17 @@ def reduce_raw_eliminated(P, terms):
     return out
 
 
+def echelon_basis(ech):
+    """The canonical basis of an Echelon's span: each stored row divided by
+    its pivot entry, ordered by pivot column, with integral values as ints."""
+    out = []
+    for col, ri in sorted(ech.pivots.items()):
+        row = ech.rows[ri]
+        out.append({j: c // row[col] if c % row[col] == 0 else Fraction(c, row[col])
+                    for j, c in sorted(row.items())})
+    return out
+
+
 def kernel_combos(images, width):
     """linalg.kernel_combos through the combination echelon: the rows
     (images[i], e_i) in Q^(width + n) echelonized, and each basis row whose
@@ -492,7 +533,7 @@ def kernel_combos(images, width):
     for i, img in enumerate(images):
         ech.add({**img, width + i: 1})
     return [{j - width: c for j, c in row.items()}
-            for row in ech.basis() if next(iter(row)) >= width]
+            for row in echelon_basis(ech) if next(iter(row)) >= width]
 
 
 class CanonicalKernelHomology(HomologyReport):
@@ -513,7 +554,7 @@ class CanonicalKernelHomology(HomologyReport):
                 for v in kernel_combos(X.differential_vectors(d), X.dim(d + 1)):
                     hech.add(bech.reduce(v))
             self._boundaries[d] = bech
-            self._class_rows[d] = hech.basis()
+            self._class_rows[d] = echelon_basis(hech)
             self._reps[d] = [X.from_vector(d, row) for row in self._class_rows[d]]
 
 

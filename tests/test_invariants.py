@@ -12,7 +12,7 @@ import oracles as orc
 import secat.core
 import secat.invariants
 from secat.cli import main
-from secat.core import CdgaError, RangeExceedsCap
+from secat.core import CdgaError, Presentation, RangeExceedsCap
 from secat.homology import HomologyView, IdealPowers, homology, nil_ideal
 from secat.lang import make_presentation, parse_document, realize_document
 from secat.linalg import solve_combo
@@ -221,16 +221,15 @@ def test_cup_length_reads_the_surjection_reports_homology(models, label):
     ideal as every positive basis class of H(M), degree by degree, and give
     the same nil."""
     rep = cat_bounds(models[label], label=label)
-    H = rep.surjection.source_homology
-    assert H.complex is rep.model.model
-    assert (H.lo, H.hi) == (0, rep.hi) == (0, rep.surjection.hi)
-    assert H.betti_table() == homology(rep.model.model, 0, rep.hi).betti_table()
-    view = HomologyView(H)
+    assert rep.surjection.morphism.source is rep.model.model
+    assert rep.hi == rep.surjection.hi
+    view = HomologyView(homology(rep.model.model, 0, rep.hi))
     positive = orc.positive_part_generators(view)
     assert rep.cup.nil == nil_ideal(view, positive).nil
     ours, full = IdealPowers(view, rep.cup.generators), IdealPowers(view, positive)
     for d in range(1, rep.hi + 1):
-        assert ours.span_echelon(1, d).basis() == full.span_echelon(1, d).basis()
+        assert (orc.echelon_basis(ours.span_echelon(1, d))
+                == orc.echelon_basis(full.span_echelon(1, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +498,7 @@ def test_generated_certificates_all_verify(models, morphisms, coformal_report,
 
 
 def test_nil_witness_rejections(models):
-    ctx = {"construction": "presentation", "cdga": "S2"}
+    ctx = {"construction": "augmentation", "cdga": "S2", "cap": 10}
     zero_product = Certificate("nil-witness", ctx, {
         "level": 2, "view": "homology", "hi": 8,
         "generators": ["a"], "factors": [0, 0]})
@@ -593,11 +592,44 @@ def test_acyclic_ideal_certificates(models):
     assert not ok and "not in the ideal" in detail
 
 
+def test_acyclic_check_detects_acyclic_ideals(models):
+    """The ideal (a) of the even sphere S2 = Lambda(a, x; dx = a^2) is
+    d-stable but not acyclic: a and a^2 are cycles with no boundary inside
+    it (x is outside), while a^3 = d(a x) dies.  The augmentation ideal of
+    the contractible Lambda(u, h; dh = u) is acyclic.  The ideal (x) is not
+    d-stable: d(x) = a^2 leaves it."""
+    U = Presentation([("u", 3), ("h", 2)], 9, differentials={"h": {(("u", 1),): 1}})
+    presentations = {"S2": models["S2"], "U": U}
+
+    def verdict(cdga, generators):
+        cert = Certificate("acyclic-ideal-containment",
+                           {"construction": "presentation", "cdga": cdga},
+                           {"hi": 7, "generators": generators})
+        return verify_certificate(cert, presentations)
+
+    assert verdict("S2", ["a"]) == (
+        False, "the ideal is not acyclic: homology {2: 1, 4: 1}")
+    assert verdict("U", ["u", "h"]) == (True, "d-stable ideal, acyclic in degrees <= 7")
+    assert verdict("S2", ["x"]) == (
+        False, "the ideal is not d-stable: d(generator 0) escapes")
+
+
+def test_an_acyclic_check_above_the_cap_is_refused(models):
+    """H(J) is read off H(P) and H(P/J), and the quotient's homology stops
+    one degree below the cap."""
+    cert = Certificate("acyclic-ideal-containment",
+                       {"construction": "presentation", "cdga": "S2"},
+                       {"hi": models["S2"].cap + 1, "generators": ["a^2", "x"]})
+    with pytest.raises(RangeExceedsCap,
+                       match="^homology up to degree 10 needs cap >= 11, have 10$"):
+        verify_certificate(cert, models)
+
+
 def test_acyclic_ideal_containment_builds_each_span_echelon_once(monkeypatch, models):
     """The check reads the level-1 span of degree 4 for d(x) and for a^2,
-    that of degree 9 for a^3*x, and the homology every degree's span up to
-    9: each (level, degree) echelon is built once, however often it is
-    read."""
+    that of degree 9 for a^3*x, and that of each degree up to 8 where H(S2)
+    is nonzero for the classes that die in S2/J: each (level, degree)
+    echelon is built once, however often it is read."""
     built = collections.Counter()
     build = IdealPowers._build_span
 

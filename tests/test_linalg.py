@@ -71,7 +71,7 @@ def test_basis_is_the_oracle_rref_in_any_insertion_order(m, data):
     want = orc.rref(rows)
     for order in (rows, data.draw(st.permutations(rows))):
         ech = _echelon(width, order)
-        assert [orc.dense(b, width) for b in ech.basis()] == want
+        assert [orc.dense(b, width) for b in orc.echelon_basis(ech)] == want
         assert ech.rank == len(want)
         assert sorted(ech.pivots) == _pivot_columns(want)
 
@@ -84,13 +84,12 @@ def test_contains_coordinates_and_reduce_agree_with_the_oracle(m):
     basis = orc.rref(rows)
     inside = orc.rank(rows + [v]) == orc.rank(rows)
     assert ech.contains(orc.sparse(v)) == inside
-    coords = ech.coordinates(orc.sparse(v))
     if inside:
-        coords = orc.dense(coords, len(basis))
-        assert coords == [v[p] for p in _pivot_columns(basis)]
-        assert _combine(coords, basis, width) == v
-    else:
-        assert coords is None
+        # the stored rows are reduced: a member's coordinates over the
+        # canonical basis are its entries at the pivots
+        coords = [v[p] for p in sorted(ech.pivots)]
+        rows_out = [orc.dense(b, width) for b in orc.echelon_basis(ech)]
+        assert _combine(coords, rows_out, width) == v
     red = orc.dense(ech.reduce(orc.sparse(v)), width)
     assert all(red[p] == 0 for p in _pivot_columns(basis))
     assert orc.rank(rows + [[a - b for a, b in zip(v, red)]]) == orc.rank(rows)
@@ -187,17 +186,12 @@ def test_echelon_on_wide_entries_matches_the_oracle_exactly(m, data):
     pivots = _pivot_columns(want)
     for order in (rows, data.draw(st.permutations(rows))):
         ech = _echelon(width, order)
-        assert [orc.dense(b, width) for b in ech.basis()] == want
+        assert [orc.dense(b, width) for b in orc.echelon_basis(ech)] == want
         assert sorted(ech.pivots) == pivots
     reduced = _oracle_reduce(want, v)
     assert orc.dense(ech.reduce(orc.sparse(v)), width) == reduced
     inside = not any(reduced)
     assert ech.contains(orc.sparse(v)) == inside
-    coords = ech.coordinates(orc.sparse(v))
-    if inside:
-        assert orc.dense(coords, len(pivots)) == [v[p] for p in pivots]
-    else:
-        assert coords is None
 
 
 def test_solve_sparse_stops_at_the_first_contradiction(monkeypatch):
@@ -264,9 +258,8 @@ def _normal(c) -> bool:
 @settings(max_examples=200, deadline=None)
 @given(m=st.one_of(matrix_and_vector(), wide_matrix_and_vector()))
 def test_exits_give_ints_unless_a_denominator_remains(m):
-    """Every vector returned by basis, reduce, coordinates, combine,
-    kernel_combos and solve_combo is a dict with ascending keys and no zero
-    value; every value they and solve_sparse return is in the normal form,
+    """Every vector returned by reduce, combine, kernel_combos and
+    solve_combo is a dict with ascending keys and no zero value; every value they and solve_sparse return is in the normal form,
     and each answer equals the one read off the oracle RREF."""
     width, rows, v = m
     want = orc.rref(rows)
@@ -279,10 +272,7 @@ def test_exits_give_ints_unless_a_denominator_remains(m):
     images = [orc.sparse(r) for r in rows]
 
     exits = {
-        "basis": (ech.basis(), [orc.sparse(r) for r in want]),
         "reduce": (ech.reduce(orc.sparse(v)), orc.sparse(reduced)),
-        "coordinates": (ech.coordinates(orc.sparse(v)),
-                        orc.sparse([v[p] for p in pivots]) if not any(reduced) else None),
         "combine": (combine(dict.fromkeys(range(n), 1), images),
                     orc.sparse([sum(column) for column in zip(*rows)])),
         "kernel_combos": (kernel_combos(images, width),
@@ -304,7 +294,7 @@ def test_exits_give_ints_unless_a_denominator_remains(m):
             if got is not None:
                 assert all(_normal(c) for c in got[0].values()), (name, got)
             continue
-        vectors = got if name in ("basis", "kernel_combos") else [got]
+        vectors = got if name == "kernel_combos" else [got]
         for vec in vectors:
             if vec is not None:
                 assert isinstance(vec, dict), (name, vec)

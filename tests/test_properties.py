@@ -18,7 +18,7 @@ from secat.core import (AlgebraElement, CdgaError, Presentation, RangeExceedsCap
 from secat.homology import (HomologyView, IdealPowers, PresentationView,
                             homology, kernel_ideal_generators, quotient_kernel)
 from secat.invariants import (
-    augmentation_morphism, cat_bounds, certificate_from_json,
+    Certificate, augmentation_morphism, cat_bounds, certificate_from_json,
     homology_kernel_classes, tc_bounds, verify_certificate,
 )
 
@@ -208,15 +208,23 @@ def _small_presentations(draw, cap):
 
 @settings(max_examples=40, deadline=None)
 @given(A=_small_presentations(7), n=st.sampled_from([2, 3]))
-def test_multiplication_kernel_needs_only_the_generator_degrees(A, n):
-    """ker(A^{ox n} -> A) is generated by the differences of generator
-    copies, so visiting only A's generator degrees finds the same ideal
-    generators, in the same order, as visiting every degree."""
-    mu = multiplication_morphism(A, n).morphism
-    hi = A.cap if A.is_free else A.cap - 1
-    degrees = {g.degree for g in A.generators}
-    assert (kernel_ideal_generators(mu, hi, degrees)
-            == kernel_ideal_generators(mu, hi))
+def test_named_multiplication_generators_generate_the_derived_kernel(A, n):
+    """The differences of generator copies that multiplication_morphism
+    names generate ker(A^{ox n} -> A): the same ideal, in every degree
+    <= hi, as the generators derived over every degree.  Unless a relation
+    has a term of word length 1, which can make a difference a product of
+    lower ones, they are the same list."""
+    mult = multiplication_morphism(A, n)
+    hi = A.homology_hi
+    named = [g for g in mult.kernel_generators if g.degree() <= hi]
+    derived = kernel_ideal_generators(mult.morphism, hi)
+    view = PresentationView(mult.power.pres, hi)
+    ours, full = IdealPowers(view, named), IdealPowers(view, derived)
+    for d in range(1, hi + 1):
+        assert (orc.echelon_basis(ours.span_echelon(1, d))
+                == orc.echelon_basis(full.span_echelon(1, d))), d
+    if all(sum(e for _, e in mono) > 1 for rel in A.relations for mono in rel):
+        assert named == derived
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,10 +409,11 @@ def _bundled_surjections():
 @cache
 def _bundled_report(filename, label, n):
     """The surjection report of the augmentation (n None) or the n-th
-    diagonal of a bundled cdga, h-loop only."""
+    diagonal of a bundled cdga, h-loop only, with H(source) in its range."""
     A = load_model(filename)[0][label]
-    return (cat_bounds(A, with_m=False, label=label) if n is None
-            else tc_bounds(A, n, with_m=False, label=label)).surjection
+    rep = (cat_bounds(A, with_m=False, label=label) if n is None
+           else tc_bounds(A, n, with_m=False, label=label)).surjection
+    return rep, homology(rep.morphism.source, 0, rep.hi)
 
 
 @pytest.mark.parametrize("filename,label,n",
@@ -412,8 +421,8 @@ def _bundled_report(filename, label, n):
                          ids=[c[0] for c in _bundled_surjections()])
 def test_quotient_kernel_matches_the_quotient_on_bundled_surjections(
         filename, label, n):
-    rep = _bundled_report(filename, label, n)
-    _assert_quotient_kernels_match(rep.morphism.source, rep.source_homology,
+    rep, H_S = _bundled_report(filename, label, n)
+    _assert_quotient_kernels_match(rep.morphism.source, H_S,
                                    rep.kernel_generators, rep.hi)
 
 
@@ -464,8 +473,8 @@ def _assert_kernel_h_generators(phi, H_S, hi):
     assert full.nil()[0] == nil
     for m in range(1, nil + 2):
         for d in range(1, hi + 1):
-            assert ours.span_echelon(m, d).basis() == \
-                full.span_echelon(m, d).basis(), (m, d)
+            assert orc.echelon_basis(ours.span_echelon(m, d)) == \
+                orc.echelon_basis(full.span_echelon(m, d)), (m, d)
     _assert_levels_match_the_oracle(view, gens)
     _assert_levels_match_the_oracle(view, basis)
     return gens
@@ -476,9 +485,9 @@ def _assert_kernel_h_generators(phi, H_S, hi):
                          ids=[c[0] for c in _bundled_surjections()])
 def test_kernel_h_generators_and_levels_on_bundled_surjections(
         filename, label, n):
-    rep = _bundled_report(filename, label, n)
+    rep, H_S = _bundled_report(filename, label, n)
     assert rep.nil_kernel_h.generators == _assert_kernel_h_generators(
-        rep.morphism, rep.source_homology, rep.hi)
+        rep.morphism, H_S, rep.hi)
     S = rep.morphism.source
     _assert_levels_match_the_oracle(PresentationView(S, min(S.cap, rep.hi + 1)),
                                     rep.kernel_generators)
@@ -523,6 +532,60 @@ def test_tc_chains(models):
         cat = cat_bounds(models[label], label=label)
         if rep.tc.lower is not None and cat.cat.upper is not None:
             assert (cat.cat.lower or 0) <= (n - 1) * cat.cat.upper + rep.tc.upper
+
+
+# ---------------------------------------------------------------------------
+# the acyclic check reads H(J) off J -> P -> P/J
+
+
+# hosts whose relations are monomial, as the word oracle needs; U is the
+# contractible Lambda(u, h; dh = u), whose augmentation ideal is acyclic
+_IDEAL_HOSTS = {
+    **{label: _first_cdga(f"{name}.cdga") for label, name in (
+        ("S2", "sphere2"), ("Q", "sum_of_squares"), ("C", "coformal"),
+        ("T", "truncated_mix"), ("W", "wedge"))},
+    "U": Presentation([("u", 3), ("h", 2)], 9, differentials={"h": {(("u", 1),): 1}}),
+}
+
+
+@st.composite
+def _d_stable_ideals(draw):
+    """(host label, hi, generators): one or two homogeneous elements of
+    degree <= hi, each a sum of at most two basis monomials, with their
+    differentials, so the ideal they generate is d-stable."""
+    label = draw(st.sampled_from(sorted(_IDEAL_HOSTS)))
+    P = _IDEAL_HOSTS[label]
+    hi = draw(st.integers(3, 7))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from([d for d in range(1, hi + 1) if P.dim(d)]))
+        picks = draw(st.lists(st.sampled_from(P.basis(d)), min_size=1,
+                              max_size=2, unique=True))
+        g = P.element({m: draw(st.sampled_from([1, -1, 2])) for m in picks})
+        gens += [g, g.d()]
+    return label, hi, [g for g in gens if g.terms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_d_stable_ideals())
+def test_the_acyclic_verdict_reads_the_ideals_homology(case):
+    """The acyclic check's verdict names exactly the nonzero Betti numbers
+    of J in degrees 1..hi that a dense computation of H(J) finds."""
+    label, hi, gens = case
+    P = _IDEAL_HOSTS[label]
+    odd = orc.odd_map(P)
+    rels = [tuple(n for n, e in mono for _ in range(e))
+            for rel in P.relations for mono in rel]
+    betti = orc.ideal_betti_numbers(
+        orc.gen_triples(P), orc.diffs_of(P), rels,
+        [(orc.engine_to_words(g.terms, odd), g.degree()) for g in gens], hi)
+    bad = {d: b for d, b in betti.items() if b}
+    cert = Certificate("acyclic-ideal-containment",
+                       {"construction": "presentation", "cdga": label},
+                       {"hi": hi, "generators": [str(g) for g in gens]})
+    assert verify_certificate(cert, _IDEAL_HOSTS) == (
+        (False, f"the ideal is not acyclic: homology {bad}") if bad
+        else (True, f"d-stable ideal, acyclic in degrees <= {hi}"))
 
 
 # ---------------------------------------------------------------------------

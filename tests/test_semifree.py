@@ -17,7 +17,7 @@ from secat.homology import IdealPowers, PresentationView, homology
 from secat.invariants import cat_bounds, tc_bounds
 from secat.linalg import Echelon
 from secat.semifree import (
-    UNIT, SemiFreeModule, find_module_retraction, resolve_and_retract,
+    UNIT, RetractionSearch, SemiFreeModule, find_module_retraction, resolve_and_retract,
     resolve_quotient, semifree_from_relative, verify_module_retraction,
 )
 
@@ -226,8 +226,10 @@ def test_retraction_closed_form_on_even_powers(squares_module):
     assert ret.values["b"] == base.zero()
     assert ret.values["x"] == base.zero()
     assert ret.values[UNIT] == base.one()
-    assert ret.checked_up_to == 9
-    assert ret.free_unknowns > 0
+    # the zero values are pinned free unknowns, not forced ones
+    search = RetractionSearch(base, 9)
+    assert search.extend(module)
+    assert search.system.solution(search.n_unknowns)[1]
     assert verify_module_retraction(module, ret.values, 9) is None
 
 

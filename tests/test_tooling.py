@@ -193,12 +193,13 @@ def _attribute_uses(tree):
     return writes, reads
 
 
-def _string_reads(tree):
+def _string_reads(tree, plain=True):
     """Patterns of the attribute names that a module's strings may read
     by name: each dotted part of a string constant, and for an f-string its
     literal text with a word for each replacement field, when that text
     holds a letter (getattr(self, f"{side}_absolute")).  __slots__ lists
-    declare attributes and read none."""
+    declare attributes and read none.  With `plain` false, a string with no
+    dot reads nothing: it is data, such as a certificate's field name."""
     slots = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
              and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
              for c in ast.walk(node.value)}
@@ -211,26 +212,59 @@ def _string_reads(tree):
                 yield "".join(re.escape(v.value) if isinstance(v, ast.Constant) else r"\w+"
                               for v in node.values)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in slots and id(node) not in pieces):
+              and id(node) not in slots and id(node) not in pieces
+              and (plain or "." in node.value)):
             yield from (re.escape(part) for part in node.value.split("."))
 
 
+def _namedtuple_fields(tree):
+    """(field, line, class) of each field of a module-level NamedTuple."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, item.lineno, node.name
+
+
+# NamedTuple fields kept on purpose although no package, script or
+# benchmark code reads them, each with the reason.
+KEPT_UNREAD_FIELDS = {
+    "TensorResult.include_left": KEPT_UNCALLED["tensor"],
+    "TensorResult.include_right": KEPT_UNCALLED["tensor"],
+}
+
+
 def test_no_attribute_is_only_written():
-    """An attribute that package code sets or fills but that no package,
-    script or benchmark code reads is state no pipeline uses."""
-    written = {}
+    """An attribute that package code sets or fills, or a NamedTuple field,
+    that no package, script or benchmark code reads is state no pipeline
+    uses.  A field is read by name, as an attribute or in a dotted string;
+    a plain string such as a certificate's data key names no field."""
+    written, fields, declared = {}, {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
-        writes, _ = _attribute_uses(ast.parse(path.read_text(encoding="utf-8")))
-        for name, line in writes.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, line in _attribute_uses(tree)[0].items():
             written.setdefault(name, f"{path.name}:{line}")
-    reads, patterns = set(), set()
+        for name, line, cls in _namedtuple_fields(tree):
+            declared.add(f"{cls}.{name}")
+            if f"{cls}.{name}" not in KEPT_UNREAD_FIELDS:
+                fields[f"{path.name}:{line} {cls}.{name}"] = name
+    reads, patterns, dotted = set(), set(), set()
     for path in _callers() + [PACKAGE / "__init__.py"]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         reads |= _attribute_uses(tree)[1]
         patterns.update(_string_reads(tree))
-    unread = [f"{where} {name}" for name, where in sorted(written.items())
-              if name not in reads and not any(re.fullmatch(p, name) for p in patterns)]
-    assert not unread, unread
+        dotted.update(_string_reads(tree, plain=False))
+
+    def unread(name, strings):
+        return name not in reads and not any(re.fullmatch(p, name) for p in strings)
+
+    found = [f"{where} {name}" for name, where in sorted(written.items())
+             if unread(name, patterns)]
+    found += [where for where, name in sorted(fields.items()) if unread(name, dotted)]
+    assert not found, found
+    # an allow-list entry whose field is gone is stale
+    assert set(KEPT_UNREAD_FIELDS) <= declared
 
 
 def test_write_only_scan_sees_assignments_mutations_and_string_reads():
@@ -244,6 +278,12 @@ def test_write_only_scan_sees_assignments_mutations_and_string_reads():
     patterns = list(_string_reads(tree))
     assert [n for n in ("lower_absolute", "k", "m", "n", "x_y")
             if any(re.fullmatch(p, n) for p in patterns)] == ["lower_absolute", "k", "m"]
+    dotted = list(_string_reads(ast.parse("f('k.m', 'key')\n"), plain=False))
+    assert [n for n in ("k", "m", "key") if any(re.fullmatch(p, n) for p in dotted)] == [
+        "k", "m"]
+    fields = ast.parse("class R(NamedTuple):\n    a: int\n    b: str = ''\n"
+                       "    def f(self): pass\nclass S:\n    c: int\n")
+    assert list(_namedtuple_fields(fields)) == [("a", 2, "R"), ("b", 3, "R")]
 
 
 def _unused_imports(tree):

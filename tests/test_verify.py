@@ -23,9 +23,9 @@ from conftest import MODELS, ROOT
 
 from secat.cli import main
 from secat.core import CdgaError, IdealNotClosed, RangeExceedsCap
-from secat.invariants import (Certificate, _data_rejection, _verify_rebuilt,
-                              certificate_to_json, surjection_bounds,
-                              verify_certificate)
+from secat.invariants import (Certificate, _ctx_surjection, _data_rejection,
+                              _verify_rebuilt, certificate_to_json,
+                              surjection_bounds, verify_certificate)
 from secat.lang import parse_document
 
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -45,7 +45,7 @@ def _pool():
     """Pristine certificates of every kind and context form."""
     _, morphisms, corpus = _fuzz_corpus()
     witness = Certificate("nil-witness",
-                          {"construction": "presentation", "cdga": "S2"},
+                          {"construction": "augmentation", "cdga": "S2", "cap": 10},
                           {"level": 1, "view": "homology", "hi": 8,
                            "generators": ["a"], "factors": [0]})
     rep = surjection_bounds(morphisms["q"], context={"construction": "morphism",
@@ -115,7 +115,7 @@ def test_only_constants_the_rebuild_must_reject_are_decided_early():
 
 
 def test_a_structural_error_outranks_a_data_fault(models):
-    bad = Certificate("nil-witness", {"construction": "presentation", "cdga": "Z"},
+    bad = Certificate("nil-witness", {"construction": "augmentation", "cdga": "Z", "cap": 8},
                       {"level": 2, "view": "homology", "hi": 8,
                        "generators": ["a"], "factors": [0]})
     with pytest.raises(CdgaError, match="needs cdga 'Z', which the document "
@@ -255,6 +255,31 @@ def test_a_windowed_kernel_power_over_a_smaller_ideal_is_rejected(morphisms):
                          dict(pristine.data, generators=["a^2"], m=2))
     assert verify_certificate(forged, {}, morphisms) == (
         False, "listed generators miss a kernel element in degree 4")
+
+
+def test_pedigreed_kernel_powers_list_the_generators_the_verifier_rebuilds():
+    """Producer and verifier share one source of kernel generators for
+    each pedigreed construction: every kernel-power-vanishes certificate
+    of the sweep lists exactly the generators its rebuilt context names."""
+    presentations, morphisms, corpus = _fuzz_corpus()
+    seen = set()
+    for cert, _ in corpus:
+        if cert.kind != "kernel-power-vanishes":
+            continue
+        _, pedigreed = _ctx_surjection(cert.context, presentations, morphisms)
+        assert cert.data["generators"] == [str(g) for g in pedigreed], cert.context
+        seen.add(cert.context["construction"])
+    assert seen == {"augmentation", "input-augmentation", "diagonal", "multiplication"}
+
+
+def test_a_nil_witness_over_a_presentation_is_refused(models):
+    """A nil-witness bounds the kernel of a surjection, so its context
+    must name one."""
+    cert = Certificate("nil-witness", {"construction": "presentation", "cdga": "S2"},
+                       {"level": 1, "view": "homology", "hi": 8,
+                        "generators": ["a"], "factors": [0]})
+    with pytest.raises(CdgaError, match="^unknown certificate construction 'presentation'$"):
+        verify_certificate(cert, models, {})
 
 
 def test_a_witness_over_an_ideal_that_d_leaves_is_refused():
