@@ -645,6 +645,29 @@ class IdealPowers:
             m += 1
         return m, witness
 
+    def reaches(self, k: int) -> bool:
+        """True when a depth-first search over the factor chains of `level`
+        finds a nonzero k-fold product in the view.  It forms at most a
+        fixed number of products and builds no level, so False only says
+        that the search found none."""
+        gens, degs, budget = self.generators, self.gen_degrees, 2000
+        # each frame: a nonzero product, its degree, the factors left to try
+        stack = [(None, 0, iter(range(len(gens))))]
+        while stack and len(stack) <= k and budget:
+            el, deg, todo = stack[-1]
+            i = next(todo, None)
+            if i is None:
+                stack.pop()
+                continue
+            budget -= 1
+            if deg + degs[i] > self.view.hi:
+                continue
+            prod = gens[i] if el is None else self.view.mul(el, gens[i])
+            if prod.terms:
+                stack.append((prod, deg + degs[i],
+                              iter(range(i + degs[i] % 2, len(gens)))))
+        return len(stack) > k
+
     def contains(self, m: int, el: AlgebraElement, d: int) -> bool:
         return self.span_echelon(m, d).contains(self.view.to_coords(el, d))
 

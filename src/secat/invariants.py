@@ -473,6 +473,13 @@ _NOT_SIMPLY_CONNECTED = ("the input is not flagged simply connected: verdicts "
                          "describe the model built from this presentation")
 
 
+def _input_nil(A: Presentation, htop: int) -> tuple[int, list]:
+    """nil(A+) and A's generators, which generate A+, from the window up to
+    A's certified top degree `htop`."""
+    pgens = [A.gen(g.name) for g in A.generators]
+    return IdealPowers(PresentationView(A, htop), pgens).nil()[0], pgens
+
+
 def cat_bounds(A: Presentation, *, with_m: bool = True,
                label: str = "A") -> CatReport:
     """Category-style bounds through the augmentation of a minimal model."""
@@ -494,8 +501,7 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
     # and then it also settles mcat before the m-loop solves past it
     input_nil = None
     if htop is not None and htop <= A.cap:
-        pgens = [A.gen(g.name) for g in A.generators]
-        nilA, _ = IdealPowers(PresentationView(A, htop), pgens).nil()
+        nilA, pgens = _input_nil(A, htop)
         input_nil = (nilA, Certificate(
             "kernel-power-vanishes",
             {"construction": "input-augmentation", "cdga": label},
@@ -587,7 +593,13 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
         if ttop is not None:
             mview = min(T.cap, ttop + 1)
             kg = mult.kernel_generators
-            nil_mult, _ = IdealPowers(PresentationView(T, mview), kg).nil()
+            powers = IdealPowers(PresentationView(T, mview), kg)
+            # ker mu lies in the augmentation ideal, so (ker mu)^k lies in
+            # the sum of the (A+)^{i_1} ox ... ox (A+)^{i_n} with
+            # i_1 + ... + i_n >= k, which is 0 for k > n.nil(A+): a nonzero
+            # product of n.nil(A+) generators fixes the nil with no level built
+            k = n * _input_nil(A, htop)[0] if htop <= A.cap else None
+            nil_mult = k if k is not None and powers.reaches(k) else powers.nil()[0]
             mctx = {"construction": "multiplication", "cdga": label,
                     "n": n, "cap": cap}
             cert = Certificate(

@@ -12,6 +12,9 @@ cohomology.  Three constructions live on top:
 
 * resolve_quotient: a semifree resolution of A / ideal, built degreewise by
   homology.hit_and_kill, together with the quasi-iso onto the quotient.
+  A / ideal equals A below the ideal's lowest degree q, so the builder
+  starts at max(1, q - 1); a level with nothing in degrees <= E + 1 is
+  the unit alone.
 * find_module_retraction: a module chain retraction onto the base, the
   decision procedure behind the m-invariants.  RetractionSearch feeds the
   chain equations generator by generator to one incremental exact
@@ -277,25 +280,33 @@ class QuotientResolution:
 
 def _resolution_by_degree(A: Presentation, ideal_elements, E: int):
     """resolve_quotient's construction, one finished degree at a time: the
-    quotient Q = A/(ideal_elements), its projection and homology(Q, 0, E)
-    are built first, once.
+    quotient Q = A/(ideal_elements) and its projection are built first, once.
 
-    Yields the resolution once before degree 1 and then after each finished
-    degree, with `module` the module built so far, unchecked.
+    Below the lowest degree q of a nonzero ideal element Q equals A, d
+    included, so H^j(A) -> H^j(Q) is bijective for j <= q - 2 and injective
+    for j = q - 1: while the module is A.1 no hit or kill step can occur
+    below q - 1.  The builder starts at lo = max(1, q - 1), on homology(Q,
+    lo, E); when lo > E the module is the unit alone and nothing is built.
+
+    Yields the resolution once before degree lo and then after each
+    finished degree, with `module` the module built so far, unchecked.
     """
     if not A.is_free and E > A.homology_hi:
         raise RangeExceedsCap(f"resolution up to {E} needs cap >= {E + 1}")
     Q, proj = quotient_by_ideal(A, ideal_elements)
-    H_Q = homology(Q, 0, E)
     res = QuotientResolution(SemiFreeModule(A, (), {}), Q, proj,
                              {UNIT: Q.one()}, E)
+    yield res
+    lo = max(1, min((el.degree() for el in ideal_elements if el.terms),
+                    default=E + 2) - 1)
+    if lo > E:
+        return
 
     def chain_map(X, eps):
         res.eps = eps
         return res.eps_apply
 
-    yield res
-    for res.module, res.eps in hit_and_kill(H_Q, 1, E, res.module,
+    for res.module, res.eps in hit_and_kill(homology(Q, lo, E), lo, E, res.module,
                                             chain_map, ("r", "r"), res.eps, CdgaError):
         yield res
 
@@ -319,9 +330,10 @@ def resolve_quotient(A: Presentation, ideal_elements, E: int) -> QuotientResolut
     first new generators with zero differential hit unreached quotient
     classes, then generators are added to kill module classes that die in
     the quotient.  Generator names are r{degree}_{i}.  The builder starts
-    at degree 1, so a degree-0 kill generator is never adjoined: over a
-    base with degree-1 elements a class such as t.1 in Lambda(t: 1, x: 2)/(t)
-    can survive in the module although it dies in the quotient.
+    one degree below the ideal's lowest degree, and never below degree 1,
+    so a degree-0 kill generator is never adjoined: over a base with
+    degree-1 elements a class such as t.1 in Lambda(t: 1, x: 2)/(t) can
+    survive in the module although it dies in the quotient.
     """
     for res in _resolution_by_degree(A, ideal_elements, E):
         pass  # the whole resolution: keep the last degree's
@@ -461,7 +473,9 @@ def resolve_and_retract(A: Presentation, ideal_elements, E: int
     the module as far as it was built, whole when a retraction was found,
     with every generator checked as resolve_quotient checks them, and the
     retraction or None.  A feasible level feeds the same equations in the
-    same order as the two calls, so its retraction is the same.
+    same order as the two calls, so its retraction is the same.  A level
+    whose ideal has nothing in degrees <= E + 1 is the unit alone, and its
+    retraction the identity, with no homology of the quotient built.
     """
     search = RetractionSearch(A, E)
     for res in _resolution_by_degree(A, ideal_elements, E):

@@ -15,9 +15,11 @@ import weakref
 from fractions import Fraction
 
 import secat.invariants
-from secat.core import AlgebraElement, RangeExceedsCap, quotient_by_ideal
-from secat.homology import HomologyReport, homology, induced_kernel, kernel_basis
+from secat.core import AlgebraElement, CdgaError, RangeExceedsCap, quotient_by_ideal
+from secat.homology import (HomologyReport, hit_and_kill, homology, induced_kernel,
+                            kernel_basis)
 from secat.linalg import Echelon
+from secat.semifree import UNIT, QuotientResolution, SemiFreeModule
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +568,24 @@ def quotient_kernels(S, elements, hi):
     Q, proj = quotient_by_ideal(S, elements)
     H_S, H_Q = homology(S, 0, hi), homology(Q, 0, hi)
     return {d: induced_kernel(proj, H_S, H_Q, d) for d in range(1, hi + 1)}
+
+
+def resolution_from_degree_one(A, ideal_elements, E):
+    """The semifree resolution of A/(ideal_elements) built by hit_and_kill
+    from degree 1 on homology(Q, 0, E), whatever the lowest degree of the
+    ideal: the QuotientResolution after its last degree, unchecked."""
+    Q, proj = quotient_by_ideal(A, ideal_elements)
+    res = QuotientResolution(SemiFreeModule(A, (), {}), Q, proj,
+                             {UNIT: Q.one()}, E)
+
+    def chain_map(X, eps):
+        res.eps = eps
+        return res.eps_apply
+
+    for res.module, res.eps in hit_and_kill(homology(Q, 0, E), 1, E, res.module,
+                                            chain_map, ("r", "r"), res.eps, CdgaError):
+        pass
+    return res
 
 
 @contextlib.contextmanager

@@ -11,6 +11,7 @@ import oracles as orc
 
 import secat.core
 import secat.invariants
+import secat.semifree
 from secat.cli import main
 from secat.core import CdgaError, Presentation, RangeExceedsCap
 from secat.homology import HomologyView, IdealPowers, homology, nil_ideal
@@ -378,6 +379,64 @@ def test_cat_at_cap_18_resolves_level_2_alone(monkeypatch, capsys):
     presentations, _ = load_model("truncated_mix.cdga", cap=18)
     assert verify_certificate(settled, presentations) == (
         True, "the kernel power vanishes absolutely (top degree 8)")
+
+
+def test_tc_reads_the_multiplication_nil_off_a_witness(monkeypatch, capsys):
+    """On T at n = 5 a nonzero product of 5.nil(T+) = 15 generators of ker mu
+    fixes the multiplication kernel's nil, so no power of ker mu over
+    T^{ox 5} is built."""
+    mult = secat.invariants.multiplication_morphism
+    level, reaches = IdealPowers.level, IdealPowers.reaches
+    powers, views, searches = [], [], []
+
+    def recorded_mult(*args, **kwargs):
+        out = mult(*args, **kwargs)
+        powers.append(out.power.pres)
+        return out
+
+    def recorded_level(self, m):
+        views.append(self.view.pres)
+        return level(self, m)
+
+    def recorded_reaches(self, k):
+        searches.append((k, reaches(self, k)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(secat.invariants, "multiplication_morphism", recorded_mult)
+    monkeypatch.setattr(IdealPowers, "level", recorded_level)
+    monkeypatch.setattr(IdealPowers, "reaches", recorded_reaches)
+    assert main(["tc", str(MODELS / "truncated_mix.cdga"), "--name", "T",
+                 "--n", "5", "--json"]) == 0
+    capsys.readouterr()
+    assert searches == [(15, True)]
+    [power] = powers
+    assert views and all(pres is not power for pres in views)
+
+
+def test_an_empty_level_is_resolved_as_the_unit_alone(monkeypatch, capsys):
+    """On W at n = 2 the m-loop resolves level 3 alone, whose ideal I^4 has
+    no element in the window: the resolution is the unit, built with no
+    homology of S/I^4 and no hit or kill step, and it retracts."""
+    resolve = secat.invariants.resolve_and_retract
+    levels, reports, builders = [], [], []
+
+    def recorded(A, ideal_elements, E):
+        levels.append(ideal_elements)
+        return resolve(A, ideal_elements, E)
+
+    monkeypatch.setattr(secat.invariants, "resolve_and_retract", recorded)
+    build = secat.semifree.hit_and_kill
+    monkeypatch.setattr(secat.semifree, "homology",
+                        lambda *args: reports.append(args) or homology(*args))
+    monkeypatch.setattr(secat.semifree, "hit_and_kill",
+                        lambda *args: builders.append(args) or build(*args))
+    assert main(["tc", str(MODELS / "wedge.cdga"), "--name", "W",
+                 "--n", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    mtc = next(b for b in report["bounds"] if b["name"] == "mtc")
+    assert levels == [[]]
+    assert reports == [] and builders == []
+    assert (mtc["lower"], mtc["upper"]) == (3, 3)
 
 
 def _ends(b):

@@ -227,6 +227,67 @@ def test_named_multiplication_generators_generate_the_derived_kernel(A, n):
         assert named == derived
 
 
+@st.composite
+def _monomial_quotients(draw):
+    """A presentation at cap 12 on one to three of a, b, c of degrees 1-3
+    with d = 0 and monomial relations only: a power of each even generator,
+    and up to two more monomials in degrees 2-6."""
+    gens = [(n, draw(st.integers(1, 3)))
+            for n in ("a", "b", "c")[:draw(st.integers(1, 3))]]
+    free = Presentation(gens, 12, simply_connected=False)
+    relations = [{((n, draw(st.integers(2, 3))),): 1}
+                 for n, e in gens if e % 2 == 0]
+    for _ in range(draw(st.integers(0, 2))):
+        monos = free.free_monomials(draw(st.integers(2, 6)))
+        if monos:
+            relations.append({draw(st.sampled_from(monos)): 1})
+    return Presentation(gens, 12, relations=relations,
+                        simply_connected=all(e >= 2 for _, e in gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=_monomial_quotients(), n=st.sampled_from([2, 3]))
+def test_a_witness_of_n_times_the_input_nil_is_the_multiplication_nil(A, n):
+    """On A^{ox n}, at the cap tc_bounds gives it (raised to the largest
+    relation degree 6), the powers of ker mu vanish above n.nil(A+).  A
+    search builds no level and never reaches past the nil of its view, the
+    window tc_bounds reads or one cut below the top: so when it reaches
+    n.nil(A+) in that window, that is the nil."""
+    htop = A.top_degree_if_finite()
+    assume(htop is not None and n * htop <= 15)
+    cap = max(n * htop + max(g.degree for g in A.generators) + 1, 6)
+    mult = multiplication_morphism(A, n, cap=cap)
+    T = mult.power.pres
+    ttop = T.top_degree_if_finite()
+    assume(ttop is not None)
+    k = n * IdealPowers(PresentationView(A, htop),
+                        [A.gen(g.name) for g in A.generators]).nil()[0]
+    for hi in (max(ttop - 1, 0), min(T.cap, ttop + 1)):
+        view = PresentationView(T, hi)
+        nil = IdealPowers(view, mult.kernel_generators).nil()[0]
+        search = IdealPowers(view, mult.kernel_generators)
+        for j in range(k + 2):
+            assert not search.reaches(j) or j <= nil, (hi, j)
+        assert search.levels == []
+    assert nil <= k
+    if search.reaches(k):
+        assert nil == k
+
+
+def test_the_wedge_square_has_no_witness_and_builds_its_nil(models):
+    """W at n = 2: nil(ker mu) = 3 < 2.nil(W+) = 4, so the search finds no
+    product of 4 kernel generators and tc_bounds builds the levels."""
+    W = models["W"]
+    [cert] = [c for c in tc_bounds(W, 2).tc.certificates
+              if c.context["construction"] == "multiplication"]
+    mult = multiplication_morphism(W, 2, cap=cert.context["cap"])
+    powers = IdealPowers(PresentationView(mult.power.pres, cert.data["hi"]),
+                         mult.kernel_generators)
+    assert not powers.reaches(4)
+    assert powers.reaches(3)
+    assert powers.nil()[0] == cert.data["m"] == 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(A=_small_presentations(12), B=_small_presentations(12),
        n=st.sampled_from([0, 2, 3]), extra=st.integers(1, 3), data=st.data())

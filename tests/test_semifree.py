@@ -205,6 +205,50 @@ def test_resolution_range_guard(models):
         resolve_quotient(models["T"], [models["T"].gen("a")], 14)
 
 
+def _surjection_cases():
+    """(label, n) for the augmentation (n None) and the n = 2 diagonal of
+    every bundled cdga, and the n = 3 diagonals of T and W."""
+    labels = sorted(label for path in sorted(MODELS.glob("*.cdga"))
+                    for label in load_model(path.name)[0])
+    return [(label, n) for label in labels for n in (None, 2)] + \
+        [("T", 3), ("W", 3)]
+
+
+@pytest.mark.parametrize("label,n", _surjection_cases(),
+                         ids=[f"{label}-{'cat' if n is None else f'tc{n}'}"
+                              for label, n in _surjection_cases()])
+def test_each_level_resolution_matches_the_one_built_from_degree_one(models,
+                                                                    label, n):
+    """At every level m of the surjection behind cat or tc, the resolution
+    that starts one degree below the level's ideal has the generators,
+    differentials and augmentation of the one built from degree 1
+    (oracles.resolution_from_degree_one).  The levels run from 0 to
+    nil + 1; at n = 3 they start at the h-invariant's lower end, where the
+    m-loop starts, since the lower levels on T take a minute to resolve."""
+    A = models[label]
+    surj = (cat_bounds(A, with_m=False) if n is None
+            else tc_bounds(A, n, with_m=False)).surjection
+    S, E = surj.morphism.source, surj.hi
+    powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)),
+                         surj.kernel_generators)
+    lowest = {}  # level -> the lowest degree of its ideal, or None
+    for m in range(surj.h_bound.lower if n == 3 else 0, surj.nil_kernel + 2):
+        elements = [p.element for p in powers.level(m + 1)]
+        lowest[m] = min((el.degree() for el in elements), default=None)
+        got = resolve_quotient(S, elements, E)
+        want = orc.resolution_from_degree_one(S, elements, E)
+        assert got.module.gen_list == want.module.gen_list, m
+        assert got.module.d == want.module.d, m
+        assert {g: list(v.terms.items()) for g, v in got.eps.items()} == \
+            {g: list(v.terms.items()) for g, v in want.eps.items()}, m
+    if label == "T" and n != 3:
+        assert lowest[0] == 2  # the builder still starts at degree 1
+    if (label, n) == ("W", 2):
+        assert lowest[3] is None  # the empty level: the unit alone
+    if (label, n) == ("G", 2):
+        assert min(g.degree for g in S.generators) == 1
+
+
 # ---------------------------------------------------------------------------
 # module retractions
 
