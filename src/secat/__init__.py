@@ -27,7 +27,7 @@ from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        kernel_basis, kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, quasi_iso_failure)
-from .construct import (DiagonalModel, SullivanModelResult,
+from .construct import (DiagonalModel, SullivanModelResult, Surjection,
                         build_minimal_model, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
 from .semifree import (QuotientResolution, RetractionResult, SemiFreeModule,
@@ -36,8 +36,7 @@ from .semifree import (QuotientResolution, RetractionResult, SemiFreeModule,
 from .invariants import (Bound, CatReport, Certificate, SurjectionReport,
                          TCReport, augmentation_morphism, cat_bounds,
                          certificate_from_json, certificate_to_json,
-                         split_retraction_certificate, surjection_bounds,
-                         tc_bounds, verify_certificate)
+                         surjection_bounds, tc_bounds, verify_certificate)
 from .lang import (ParseError, make_presentation, parse_document,
                    parse_element, print_presentation, realize_document)
 

@@ -22,7 +22,7 @@ import time
 
 from .core import CdgaError, RangeExceedsCap
 from .homology import homology
-from .construct import sullivan_model_of
+from .construct import Surjection, sullivan_model_of
 from .invariants import (cat_bounds, certificate_from_json, certificate_to_json,
                          surjection_bounds, tc_bounds, verify_certificate)
 from .lang import (default_cap, make_presentation, parse_document, print_presentation,
@@ -193,7 +193,7 @@ def cmd_secat(args):
     if name not in morphisms:
         raise CdgaError(f"the document does not define morphism {name!r}")
     phi = morphisms[name]
-    rep = surjection_bounds(phi, with_m=not args.no_m,
+    rep = surjection_bounds(Surjection(phi), with_m=not args.no_m,
                             context={"construction": "morphism",
                                      "morphism": name})
     lines = [f"morphism {name} (source cap {phi.source.cap})"]

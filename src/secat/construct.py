@@ -5,10 +5,14 @@ invariant pipelines build on.
   quasi-iso M -> A whose homology is matched exactly in degrees <= cap; it
   is built by homology.hit_and_kill.  sullivan_model_of returns A itself
   when it is already free Sullivan.
-* multiplication_morphism is the n-fold multiplication A^{ox n} -> A, with
-  the ideal generators of its kernel.
+* A Surjection is the value the bound chain reads: the morphism, plus the
+  ideal generators of its kernel and its pedigree when the construction
+  names them.
+* multiplication_morphism is the n-fold multiplication A^{ox n} -> A, as a
+  Surjection with the ideal generators of its kernel.
 * diagonal_model is the surjection A ox M^{ox (n-1)} -> A standing in for
-  the n-fold diagonal, with the ideal generators of its kernel.
+  the n-fold diagonal, with the ideal generators of its kernel and its
+  pedigree under the same names.
 
 Free presentations never lose information, so the constructions prefer to
 carry frees and push caps onto homology requests.
@@ -65,7 +69,7 @@ def build_minimal_model(A: Presentation, cap: int) -> SullivanModelResult:
         return phi
 
     for M, images in hit_and_kill(HA, 2, cap, Presentation((), cap + 2), chain_map,
-                                  ("v", "w"), {}, NotQuasiIso):
+                                  ("v", "w"), {}):
         pass  # the whole model: keep the last degree's
     # hit_and_kill adjoins without validating; check d*d = 0 once on the result
     M._validate()
@@ -90,13 +94,18 @@ def sullivan_model_of(A: Presentation, cap: int) -> SullivanModelResult:
 # multiplication / diagonal surjections
 
 
-class MultiplicationModel(NamedTuple):
-    power: object                   # TensorPowerResult
-    morphism: CdgaMorphism          # A^{ox n} -> A, every copy to the original
-    kernel_generators: list         # ideal generators of ker morphism
+class Surjection(NamedTuple):
+    """A surjection as its construction knows it.  `kernel_generators`
+    generate the kernel as an ideal, and `pedigree` records why verdicts on
+    it apply to an underlying map; None where the construction does not
+    name them."""
+    morphism: CdgaMorphism
+    kernel_generators: list | None = None
+    pedigree: str | None = None
 
 
-def multiplication_morphism(A: Presentation, n: int, *, cap: int | None = None):
+def multiplication_morphism(A: Presentation, n: int, *,
+                            cap: int | None = None) -> Surjection:
     """The multiplication A^{ox n} -> A sending every copy v_i of a
     generator v of A to v.
 
@@ -121,7 +130,7 @@ def multiplication_morphism(A: Presentation, n: int, *, cap: int | None = None):
             el = P.gen(copy) - P.gen(last)
             if el.terms:
                 kernel_gens.append(el)
-    return MultiplicationModel(power, mu, kernel_gens)
+    return Surjection(mu, kernel_gens)
 
 
 # ---------------------------------------------------------------------------

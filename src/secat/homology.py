@@ -303,7 +303,7 @@ def quasi_iso_failure(phi: CdgaMorphism, lo: int, hi: int,
 
 
 def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes,
-                 images: dict, error: type[CdgaError]):
+                 images: dict):
     """Adjoin generators degree by degree until a map into the complex of
     H_tgt induces a bijection on H^lo .. H^hi.
 
@@ -340,7 +340,7 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
 
     A generator is named {prefix}{k}_{i}, with prefixes[0] for hit and
     prefixes[1] for kill generators, and i counting from 0 per prefix and
-    degree.  `error` is raised when a killed class has no primitive.
+    degree.  CdgaError is raised when a killed class has no primitive.
 
     This is a generator: after each finished degree k it yields the source
     complex and the images of its generators, so a caller can look at the
@@ -392,7 +392,7 @@ def hit_and_kill(H_tgt: HomologyReport, lo: int, hi: int, X, chain_map, prefixes
             for z in kernel:
                 combo = primitive(T.to_sparse(phi(z), k + 1))
                 if combo is None:
-                    raise error(f"class killed in degree {k + 1} has no primitive")
+                    raise CdgaError(f"class killed in degree {k + 1} has no primitive")
                 adjoin(prefixes[1], k, T.from_vector(k, combo), z)
             size = X.dim(k + 1)
             X = X.adjoin(gens, diffs)

@@ -22,7 +22,9 @@ absolute, RangeExceedsCap when one is range-qualified.
 
 Certificates are small JSON documents ("secat-cert/1"): a context recipe that
 rebuilds the construction deterministically plus the data needed to re-check
-the claim independently.
+the claim independently.  Each surjection is a `construct.Surjection` value
+built from its recipe by `_ctx_surjection`: the pipelines, which write the
+recipes, and the verifier, which reads them, build it the same way.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from .homology import (HomologyReport, HomologyView, IdealPowers,
                        kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, quotient_kernel)
 from .linalg import Echelon, solve_combo
-from .construct import (DiagonalModel, SullivanModelResult, diagonal_model,
+from .construct import (DiagonalModel, Surjection, diagonal_model,
                         multiplication_morphism, sullivan_model_of)
-from .semifree import (UNIT, find_module_retraction, resolve_and_retract,
-                       resolve_quotient, semifree_from_relative,
-                       verify_module_retraction)
+from .semifree import (UNIT, resolve_and_retract, resolve_quotient,
+                       semifree_from_relative, verify_module_retraction)
 from .lang import parse_element, parse_expression
 
 CERT_FORMAT = "secat-cert/1"
@@ -266,37 +267,61 @@ class SurjectionReport(NamedTuple):
                 if with_notes else None)
 
 
-def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
-                      kernel_gens=None, context: dict | None = None,
-                      pedigree: str | None = None, with_m: bool = True,
-                      space=None, content_top: int | None = None,
+def _vanishing_power(S: Presentation, gens, hi: int, ctx: dict, claim,
+                     witness_at: int | None = None):
+    """(m, powers, certificate): the least m with no nonzero (m+1)-fold
+    product of `gens` in degrees <= hi of S, the powers of their ideal
+    there, and the kernel-power-vanishes certificate of the construction
+    `ctx`, whose claim is claim(m).
+
+    `witness_at` is a level k that a theorem bounds the nil by: a nonzero
+    product of k generators, when IdealPowers.reaches finds one, fixes m = k
+    with no level of the powers built.
+    """
+    powers = IdealPowers(PresentationView(S, hi), gens)
+    if witness_at is not None and powers.reaches(witness_at):
+        m = witness_at
+    else:
+        m = powers.nil()[0]
+    return m, powers, Certificate(
+        "kernel-power-vanishes", ctx,
+        {"m": m, "hi": hi, "generators": [str(g) for g in gens]}, claim=claim(m))
+
+
+def surjection_bounds(surjection, *, context: dict | None = None,
+                      with_m: bool = True, space=None,
                       settled_upper: tuple[int, Certificate] | None = None,
                       names=("h-invariant", "m-invariant", "sectional")
                       ) -> SurjectionReport:
     """Run the full chain of bounds for a degree-wise surjection.
 
-    `names` names the three ends of the chain h <= m <= map in the report.
-    `kernel_gens` must generate ker phi as an ideal when given.  When
-    omitted they are derived degree by degree, which is complete exactly
-    when the source has a certified top degree inside the range.
+    `surjection` is a construct.Surjection, or a value with its three
+    fields, built from the recipe `context`.  Its kernel generators must
+    generate the kernel as an ideal when named; else they are derived
+    degree by degree, which is complete exactly when the source has a
+    certified top degree inside the range.  `names` names the three ends of
+    the chain h <= m <= map in the report.
+
+    The window is hi = min(cap, S.cap - 1, B.homology_hi) for the source S
+    and target B, where cap is the recipe's cap when it has one: the degree
+    up to which its construction is valid.
+
     `space` is an optional (presentation, label) pair for the space the
-    surjection is about.  When the m-loop runs and that presentation has a
-    certified top degree inside its faithful range, its homology is built
-    up to the top; a nondegenerate duality pairing there collapses the
-    m-invariant onto the h-invariant.
+    surjection is about.  When that presentation has a certified top degree
+    t, H(S) vanishes absolutely above n * t, n the recipe's n (1 when it has
+    none), since H(S) is H(space)^{ox n}.  When n * t sits inside the
+    window, injectivity verdicts extend to all degrees: the quotient
+    complexes in degrees <= hi are insensitive to generators above hi, and
+    above n * t the source homology is zero.  When the m-loop runs and t
+    lies inside the space's faithful range, its homology is built up to t;
+    a nondegenerate duality pairing there collapses the m-invariant onto
+    the h-invariant.
 
     `settled_upper` is an optional (value, certificate) pair: an absolute
     upper end of the map bound that needs no m-search.  The m-loop settles
     before solving: once its lower end is absolute and reaches that value,
     the chain m <= map fixes the m-invariant there, so the value becomes its
     absolute upper end and no further level is built.
-
-    `content_top` asserts that H(source) vanishes absolutely above that
-    degree for reasons the source presentation cannot see on its own,
-    typically a verified quasi-iso to a finite-dimensional algebra.  When it
-    sits inside the range, injectivity verdicts extend to all degrees: the
-    quotient complexes in degrees <= hi are insensitive to generators above
-    hi, and above content_top the source homology is zero.
 
     Level m is the quotient S/I^{m+1}.  The h-loop tries levels upward from
     nil ker H(phi) and stops at the h-invariant's upper end.  It builds no
@@ -305,29 +330,27 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     level and builds S/I^{m+1}, with its homology in degrees <= hi, only
     for the levels it resolves.
     """
+    phi = surjection.morphism
     S, B = phi.source, phi.target
-    cap = S.cap
-    if hi is None:
-        hi = cap - 1
-    if not S.is_free and hi > S.homology_hi:
-        raise RangeExceedsCap("surjection bounds need hi + 1 <= source cap")
-    hi = min(hi, cap - 1, B.homology_hi)
+    ctx = dict(context) if context else {"construction": "morphism"}
+    hi = min(ctx.get("cap", S.cap), S.cap - 1, B.homology_hi)
     bad = phi.is_surjective_up_to(hi)
     if bad is not None:
         raise NotSurjective(f"morphism {phi.name or '?'} is not surjective "
                             f"in degree {bad}", degree=bad)
 
     htop = S.top_degree_if_finite()
-    view_hi = min(cap, hi + 1)
+    view_hi = hi + 1
+    kernel_gens = surjection.kernel_generators
     if kernel_gens is None:
         kernel_gens = kernel_ideal_generators(phi, view_hi)
+    top = space[0].top_degree_if_finite() if space is not None else None
     finite_range = (htop is not None and htop <= hi) or \
-                   (content_top is not None and content_top <= hi)
+                   (top is not None and ctx.get("n", 1) * top <= hi)
 
-    ctx = dict(context) if context else {"construction": "morphism"}
     notes = []
-    if pedigree:
-        notes.append(f"pedigree: {pedigree}")
+    if surjection.pedigree:
+        notes.append(f"pedigree: {surjection.pedigree}")
     else:
         notes.append("model-relative: verdicts describe this surjection; no "
                      "pedigree ties it to an underlying map")
@@ -355,15 +378,11 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
                             note=f"nil of ker H(phi) is {nil_h.nil}")
 
     # powers of the kernel ideal drive everything else
-    powers = IdealPowers(PresentationView(S, view_hi), kernel_gens)
-    nil_k, _ = powers.nil()
-    # the generators are complete: given, or derived through a certified top
+    nil_k, powers, cert = _vanishing_power(
+        S, kernel_gens, view_hi, ctx,
+        lambda m: f"(ker phi)^{m + 1} = 0, so the sectional invariant is <= {m}")
+    # the generators are complete: named, or derived through a certified top
     kernel_absolute = htop is not None and htop <= view_hi
-    cert = Certificate(
-        "kernel-power-vanishes", ctx,
-        {"m": nil_k, "hi": view_hi,
-         "generators": [str(g) for g in kernel_gens]},
-        claim=f"(ker phi)^{nil_k + 1} = 0, so the sectional invariant is <= {nil_k}")
     map_bound.merge_upper(
         nil_k, kernel_absolute, cert,
         note=f"(ker phi)^{nil_k + 1} = 0 with certified top degree {htop}"
@@ -431,7 +450,6 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
     # duality collapse: a verified pairing makes the two invariants agree
     if space is not None and with_m:
         X, label = space
-        top = X.top_degree_if_finite()
         if (top is not None and top <= X.homology_hi
                 and poincare_duality_check(homology(X, 0, top), top).satisfied):
             cert = Certificate(
@@ -455,7 +473,6 @@ def surjection_bounds(phi: CdgaMorphism, *, hi: int | None = None,
 
 
 class CatReport(NamedTuple):
-    model: SullivanModelResult
     hi: int
     cup: NilpotencyResult
     toomer: Bound
@@ -473,22 +490,25 @@ _NOT_SIMPLY_CONNECTED = ("the input is not flagged simply connected: verdicts "
                          "describe the model built from this presentation")
 
 
-def _input_nil(A: Presentation, htop: int) -> tuple[int, list]:
-    """nil(A+) and A's generators, which generate A+, from the window up to
-    A's certified top degree `htop`."""
-    pgens = [A.gen(g.name) for g in A.generators]
-    return IdealPowers(PresentationView(A, htop), pgens).nil()[0], pgens
+def _input_nil(A: Presentation, htop: int, label: str) -> tuple[int, Certificate]:
+    """nil(A+), from the window up to A's certified top degree `htop`, and
+    its certificate: A+ is the kernel of the input's augmentation."""
+    ctx = {"construction": "input-augmentation", "cdga": label}
+    aug = _ctx_surjection(ctx, {label: A}, {})
+    m, _, cert = _vanishing_power(
+        A, aug.kernel_generators, htop, ctx,
+        lambda m: f"the positive part of the input satisfies (A+)^{m + 1} = 0")
+    return m, cert
 
 
 def cat_bounds(A: Presentation, *, with_m: bool = True,
                label: str = "A") -> CatReport:
     """Category-style bounds through the augmentation of a minimal model."""
     cap = A.homology_hi
-    model_res = sullivan_model_of(A, cap)
-    M = model_res.model
-    hi = min(model_res.valid_up_to, M.cap - 1)
-    htop = A.top_degree_if_finite()
     ctx = {"construction": "augmentation", "cdga": label, "cap": cap}
+    aug = _ctx_surjection(ctx, {label: A}, {})
+    M = aug.morphism.source
+    htop = A.top_degree_if_finite()
     notes = []
     if not A.simply_connected:
         notes.append(_NOT_SIMPLY_CONNECTED)
@@ -499,21 +519,12 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
     # nil of the positive part of the input algebra bounds cat above; the
     # bound is absolute only from a window that reaches the certified top,
     # and then it also settles mcat before the m-loop solves past it
-    input_nil = None
-    if htop is not None and htop <= A.cap:
-        nilA, pgens = _input_nil(A, htop)
-        input_nil = (nilA, Certificate(
-            "kernel-power-vanishes",
-            {"construction": "input-augmentation", "cdga": label},
-            {"m": nilA, "hi": htop, "generators": [str(g) for g in pgens]},
-            claim=f"the positive part of the input satisfies (A+)^{nilA + 1} = 0"))
+    input_nil = (_input_nil(A, htop, label)
+                 if htop is not None and htop <= A.cap else None)
 
-    rep = surjection_bounds(
-        augmentation_morphism(M), hi=hi,
-        kernel_gens=[M.gen(g.name) for g in M.generators],
-        context=ctx, pedigree="augmentation",
-        with_m=with_m, space=(A, label), content_top=htop,
-        settled_upper=input_nil, names=("toomer", "mcat", "cat"))
+    rep = surjection_bounds(aug, context=ctx, with_m=with_m, space=(A, label),
+                            settled_upper=input_nil,
+                            names=("toomer", "mcat", "cat"))
     cat = rep.map_bound
 
     # all-odd free minimal models have cat = number of generators
@@ -533,12 +544,11 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
                         note=f"nil of the input positive part is {nilA}")
 
     rep.settle()
-    # cup length: nil of the positive part of H(M) in degrees <= hi (the
-    # report's hi is this one, since the augmentation's target is free at
-    # M's cap).  The report's nil ker H(aug) is exactly that: ker H(aug) is
-    # all of H+(M).  It already lifted, absolute, along the chain to cat.
-    return CatReport(model_res, hi, rep.nil_kernel_h, rep.h_bound,
-                     rep.m_bound, cat, rep, notes + rep.notes)
+    # cup length: nil of the positive part of H(M) in degrees <= hi.  The
+    # report's nil ker H(aug) is exactly that: ker H(aug) is all of H+(M).
+    # It already lifted, absolute, along the chain to cat.
+    return CatReport(rep.hi, rep.nil_kernel_h, rep.h_bound, rep.m_bound, cat,
+                     rep, notes + rep.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +579,11 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
     htop = A.top_degree_if_finite()
     maxgen = max((g.degree for g in A.generators), default=1)
     cap = n * htop + maxgen + 1 if htop is not None else A.cap
-    dm = diagonal_model(A, n, cap)
     ctx = {"construction": "diagonal", "cdga": label, "n": n, "cap": cap}
+    dm = _ctx_surjection(ctx, {label: A}, {})
 
     suffix = "" if n == 2 else str(n)
-    rep = surjection_bounds(dm.morphism, kernel_gens=dm.kernel_generators,
-                            context=ctx, pedigree=dm.pedigree, with_m=with_m,
-                            space=(A, label),
-                            content_top=n * htop if htop is not None else None,
+    rep = surjection_bounds(dm, context=ctx, with_m=with_m, space=(A, label),
                             names=(f"htc{suffix}", f"mtc{suffix}", f"tc{suffix}"))
     tc = rep.map_bound
     notes = list(dm.notes)
@@ -587,26 +594,21 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
     # multiplication surjection of the input can still certify an absolute
     # upper bound: its source is finite whenever the input is
     if dm.pedigree != "diagonal-tensor" and htop is not None:
-        mult = multiplication_morphism(A, n, cap=cap)
-        T = mult.power.pres
+        mctx = {"construction": "multiplication", "cdga": label,
+                "n": n, "cap": cap}
+        mult = _ctx_surjection(mctx, {label: A}, {})
+        T = mult.morphism.source
         ttop = T.top_degree_if_finite()
         if ttop is not None:
-            mview = min(T.cap, ttop + 1)
-            kg = mult.kernel_generators
-            powers = IdealPowers(PresentationView(T, mview), kg)
             # ker mu lies in the augmentation ideal, so (ker mu)^k lies in
             # the sum of the (A+)^{i_1} ox ... ox (A+)^{i_n} with
             # i_1 + ... + i_n >= k, which is 0 for k > n.nil(A+): a nonzero
             # product of n.nil(A+) generators fixes the nil with no level built
-            k = n * _input_nil(A, htop)[0] if htop <= A.cap else None
-            nil_mult = k if k is not None and powers.reaches(k) else powers.nil()[0]
-            mctx = {"construction": "multiplication", "cdga": label,
-                    "n": n, "cap": cap}
-            cert = Certificate(
-                "kernel-power-vanishes", mctx,
-                {"m": nil_mult, "hi": mview,
-                 "generators": [str(g) for g in kg]},
-                claim=f"(ker mult)^{nil_mult + 1} = 0 with certified top degree {ttop}")
+            k = n * _input_nil(A, htop, label)[0] if htop <= A.cap else None
+            nil_mult, _, cert = _vanishing_power(
+                T, mult.kernel_generators, min(T.cap, ttop + 1), mctx,
+                lambda m: f"(ker mult)^{m + 1} = 0 with certified top degree {ttop}",
+                witness_at=k)
             tc.merge_upper(nil_mult, True, cert,
                            note=f"multiplication kernel has nil {nil_mult}")
 
@@ -718,25 +720,27 @@ def _ctx_presentation(ctx: dict, presentations: dict) -> Presentation:
 
 
 def _ctx_surjection(ctx: dict, presentations: dict, morphisms: dict):
-    """(phi, pedigreed kernel generators or None) from a context recipe."""
+    """The surjection a context recipe builds, as a construct.Surjection (a
+    DiagonalModel for the diagonal): the one construction path of the
+    pipelines and the verifier."""
     c = ctx.get("construction")
     if c == "morphism":
         name = ctx.get("morphism")
         if not morphisms or name not in morphisms:
             raise CdgaError(f"certificate context needs morphism {name!r}")
-        return morphisms[name], None
+        return Surjection(morphisms[name])
     P = _ctx_presentation(ctx, presentations)
     if c == "diagonal":
-        dm = diagonal_model(P, ctx["n"], ctx["cap"])
-        return dm.morphism, dm.kernel_generators
+        return diagonal_model(P, ctx["n"], ctx["cap"])
     if c == "augmentation":
         M = sullivan_model_of(P, ctx["cap"]).model
-        return augmentation_morphism(M), [M.gen(g.name) for g in M.generators]
+        return Surjection(augmentation_morphism(M),
+                          [M.gen(g.name) for g in M.generators], "augmentation")
     if c == "input-augmentation":
-        return augmentation_morphism(P), [P.gen(g.name) for g in P.generators]
+        return Surjection(augmentation_morphism(P),
+                          [P.gen(g.name) for g in P.generators])
     if c == "multiplication":
-        mult = multiplication_morphism(P, ctx["n"], cap=ctx.get("cap"))
-        return mult.morphism, mult.kernel_generators
+        return multiplication_morphism(P, ctx["n"], cap=ctx.get("cap"))
     raise CdgaError(f"unknown certificate construction {c!r}")
 
 
@@ -749,29 +753,6 @@ def _split_module(total: Presentation, base_names, cap: int):
     base, _ = sub_presentation(total, base_names)
     module = semifree_from_relative(total, base_names, hat_names, base, cap=cap)
     return module, base
-
-
-def split_retraction_certificate(label: str, total: Presentation, base_names,
-                                 E: int):
-    """Certificate that (base ox Lambda(rest), D) retracts onto base below E.
-
-    Returns None when the retraction equations are infeasible in range.
-    """
-    module, base = _split_module(total, list(base_names),
-                                 min(total.cap, E + 1))
-    ret = find_module_retraction(module, E)
-    if ret is None:
-        return None
-    check = verify_module_retraction(module, ret.values, E)
-    if check is not None:
-        raise CdgaError(f"retraction failed its re-check: {check}")
-    return Certificate(
-        "module-retraction",
-        {"construction": "relative-split", "cdga": label,
-         "base": sorted(base_names)},
-        {"E": E, "values": {g: str(v) for g, v in sorted(ret.values.items())}},
-        claim=("the relative extension retracts onto its base "
-               f"up to degree {E}"))
 
 
 def _parse_over(exprs, pres: Presentation):
@@ -803,27 +784,27 @@ def _first_outside(powers: IdealPowers, listed, needed):
     return None
 
 
-def _kernel_powers(phi: CdgaMorphism, listed, pedigreed, m: int,
-                   view_hi: int) -> IdealPowers:
+def _kernel_powers(surjection, listed, m: int, view_hi: int) -> IdealPowers:
     """Powers of the kernel ideal in degrees <= view_hi, with the spanning
     products of (ker phi)^(m+1) built.
 
     The kernel generators are the `listed` expressions, checked to map to
-    zero, else the pedigreed ones, else those derived up to view_hi.  Only a
-    lower-bound claim may pass `listed`: listed elements need not generate
-    the whole kernel, and a smaller ideal only makes such a claim harder.
-    Nor need they generate a d-stable ideal, and without one there is no
-    quotient complex: as a quotient presentation checks its relations, d of
-    each spanning product must lie in the power's span one degree up, unless
-    that degree is above the cap.  (A generator whose d is unknown lies
-    above cap - 1, so a product that holds one is skipped as well.)  A
-    power of ker phi itself is d-stable.
+    zero, else those the construction names, else those derived up to
+    view_hi.  Only a lower-bound claim may pass `listed`: listed elements
+    need not generate the whole kernel, and a smaller ideal only makes such
+    a claim harder.  Nor need they generate a d-stable ideal, and without
+    one there is no quotient complex: as a quotient presentation checks its
+    relations, d of each spanning product must lie in the power's span one
+    degree up, unless that degree is above the cap.  (A generator whose d is
+    unknown lies above cap - 1, so a product that holds one is skipped as
+    well.)  A power of ker phi itself is d-stable.
     """
+    phi = surjection.morphism
     S = phi.source
     if listed is not None:
         kgens = _checked_kernel_gens(phi, listed)
-    elif pedigreed is not None:
-        kgens = pedigreed
+    elif surjection.kernel_generators is not None:
+        kgens = surjection.kernel_generators
     else:
         kgens = kernel_ideal_generators(phi, view_hi)
     powers = IdealPowers(PresentationView(S, view_hi), kgens)
@@ -865,7 +846,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "nil-witness":
         level, hi = data["level"], data["hi"]
-        phi, _ = _ctx_surjection(ctx, presentations, morphisms)
+        phi = _ctx_surjection(ctx, presentations, morphisms).morphism
         P = phi.source
         gens = _checked_kernel_gens(phi, data["generators"])
         factors = data["factors"]
@@ -890,8 +871,8 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "rho-noninjectivity-witness":
         m, deg = data["m"], data["degree"]
-        phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
-        S = phi.source
+        surj = _ctx_surjection(ctx, presentations, morphisms)
+        S = surj.morphism.source
         if deg + 1 > S.cap:
             raise RangeExceedsCap("witness degree does not fit under the cap")
         z = parse_element(data["witness"], S)
@@ -902,8 +883,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
         H = homology(S, deg, deg)
         if H.is_zero_class(z, deg):
             return False, "witness class is zero before passing to the quotient"
-        powers = _kernel_powers(phi, data.get("kernel_generators"),
-                                pedigreed, m, deg + 1)
+        powers = _kernel_powers(surj, data.get("kernel_generators"), m, deg + 1)
         dead = Echelon()
         for k in quotient_kernel(H, powers.span_echelon(m + 1, deg), deg):
             dead.add(H.class_coords(k, deg))
@@ -914,9 +894,9 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "rho-injectivity-range":
         m, hi = data["m"], data["hi"]
-        phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
-        S = phi.source
-        powers = _kernel_powers(phi, None, pedigreed, m, min(S.cap, hi + 1))
+        surj = _ctx_surjection(ctx, presentations, morphisms)
+        S = surj.morphism.source
+        powers = _kernel_powers(surj, None, m, min(S.cap, hi + 1))
         if hi + 1 > S.cap:  # the quotient's homology would be refused
             raise RangeExceedsCap(
                 f"homology up to degree {hi} needs cap >= {hi + 1}, have {S.cap}")
@@ -927,7 +907,8 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "kernel-power-vanishes":
         m, hi = data["m"], data["hi"]
-        phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
+        surj = _ctx_surjection(ctx, presentations, morphisms)
+        phi = surj.morphism
         S = phi.source
         view = min(S.cap, hi)
         kgens = _checked_kernel_gens(phi, data["generators"])
@@ -939,10 +920,12 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
         htop = S.top_degree_if_finite()
         absolute = htop is not None and htop <= hi
         # a smaller ideal has smaller powers, so the listed generators must
-        # generate the kernel in the window: the pedigreed generators there,
-        # or, for a morphism, those derived as the producer derived them
-        if pedigreed is not None:
-            needed = [g for g in pedigreed if g.terms and g.degree() <= view]
+        # generate the kernel in the window: the generators the construction
+        # names there, or, for a morphism, those derived as the producer
+        # derived them
+        if surj.kernel_generators is not None:
+            needed = [g for g in surj.kernel_generators
+                      if g.terms and g.degree() <= view]
         else:
             needed = kernel_ideal_generators(phi, min(S.cap, htop) if absolute
                                              else view)
@@ -1002,9 +985,9 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
                                          min(total.cap, E + 1))
             done = f"the relative extension retracts onto its base up to degree {E}"
         else:
-            phi, pedigreed = _ctx_surjection(ctx, presentations, morphisms)
-            base, m = phi.source, data["m"]
-            powers = _kernel_powers(phi, None, pedigreed, m, min(base.cap, E + 1))
+            surj = _ctx_surjection(ctx, presentations, morphisms)
+            base, m = surj.morphism.source, data["m"]
+            powers = _kernel_powers(surj, None, m, min(base.cap, E + 1))
             module = resolve_quotient(base, [p.element for p in powers.level(m + 1)],
                                       E).module
             done = f"retraction verified up to degree {E}: m-invariant <= {m}"

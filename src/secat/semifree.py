@@ -307,7 +307,7 @@ def _resolution_by_degree(A: Presentation, ideal_elements, E: int):
         return res.eps_apply
 
     for res.module, res.eps in hit_and_kill(homology(Q, lo, E), lo, E, res.module,
-                                            chain_map, ("r", "r"), res.eps, CdgaError):
+                                            chain_map, ("r", "r"), res.eps):
         yield res
 
 

@@ -15,7 +15,7 @@ import weakref
 from fractions import Fraction
 
 import secat.invariants
-from secat.core import AlgebraElement, CdgaError, RangeExceedsCap, quotient_by_ideal
+from secat.core import AlgebraElement, RangeExceedsCap, quotient_by_ideal
 from secat.homology import (HomologyReport, hit_and_kill, homology, induced_kernel,
                             kernel_basis)
 from secat.linalg import Echelon
@@ -583,7 +583,7 @@ def resolution_from_degree_one(A, ideal_elements, E):
         return res.eps_apply
 
     for res.module, res.eps in hit_and_kill(homology(Q, 0, E), 1, E, res.module,
-                                            chain_map, ("r", "r"), res.eps, CdgaError):
+                                            chain_map, ("r", "r"), res.eps):
         pass
     return res
 

@@ -810,7 +810,7 @@ def test_tc_n4_builds_no_free_monomial_table_and_no_echelon(monkeypatch, models)
 
     def recorded(*args, **kwargs):
         mult = multiplication(*args, **kwargs)
-        built.append(mult.power.pres)
+        built.append(mult.morphism.source)
         return mult
 
     monkeypatch.setattr(invariants, "multiplication_morphism", recorded)

@@ -539,7 +539,7 @@ def test_kernel_generators_map_to_zero_and_span_kernel(models):
     # kernel element degree by degree
     W = models["W"]
     mult2 = multiplication_morphism(W, 2, cap=12)
-    GG = mult2.power.pres
+    GG = mult2.morphism.source
     kgens = kernel_ideal_generators(mult2.morphism, 9)
     powers = IdealPowers(PresentationView(GG, 9), kgens)
     for d in range(1, 9):
@@ -604,7 +604,7 @@ def test_nil_witness_factors_reverify(models):
 def test_ideal_powers_membership(models):
     G = models["G"]
     mult = multiplication_morphism(G, 2)
-    GG = mult.power.pres
+    GG = mult.morphism.source
     kgens = [parse_element(s, GG) for s in ("a1 - a2", "b1 - b2", "c1 - c2")]
     powers = IdealPowers(PresentationView(GG, 5), kgens)
     omega = parse_element("(a1-a2)*(b1-b2)*(c1-c2)", GG)
@@ -625,7 +625,7 @@ def test_poincare_duality_check(models):
 def test_kernel_basis_beyond_target_range_requires_certified_vanishing(models):
     W = models["W"]
     mult = multiplication_morphism(W, 2, cap=18)
-    GG = mult.power.pres
+    GG = mult.morphism.source
     # degree 16 exceeds the wedge cap 14, but its certified top degree is 8,
     # so the kernel there is everything
     kb = kernel_basis(mult.morphism, 16)

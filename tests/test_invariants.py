@@ -13,14 +13,15 @@ import secat.core
 import secat.invariants
 import secat.semifree
 from secat.cli import main
+from secat.construct import Surjection
 from secat.core import CdgaError, Presentation, RangeExceedsCap
 from secat.homology import HomologyView, IdealPowers, homology, nil_ideal
 from secat.lang import make_presentation, parse_document, realize_document
 from secat.linalg import solve_combo
 from secat.invariants import (
-    Bound, CERT_FORMAT, Certificate, augmentation_morphism, cat_bounds,
-    certificate_from_dict, certificate_from_json, certificate_to_json,
-    split_retraction_certificate, surjection_bounds, tc_bounds,
+    Bound, CERT_FORMAT, Certificate, _ctx_surjection, _input_nil,
+    augmentation_morphism, cat_bounds, certificate_from_dict,
+    certificate_from_json, certificate_to_json, surjection_bounds, tc_bounds,
     verify_certificate,
 )
 
@@ -197,14 +198,14 @@ def test_truncated_example_separates_the_invariants(truncated_report):
     for b in (rep.toomer, rep.mcat, rep.cat):
         assert b.lower_absolute and b.upper_absolute
     # the degree-8 class of the model mixes the two generator blocks
-    H = homology(rep.model.model, 8, 8)
+    H = homology(rep.surjection.morphism.source, 8, 8)
     assert [str(z) for z in H.representatives(8)] == [
         "v3_0*w5_0 + v2_0^2*w4_0"]
 
 
 def test_degree_one_example_reports_model_relative_category(models):
     rep = cat_bounds(models["G"], label="G")
-    assert [g.name for g in rep.model.model.generators] == ["v3_0"]
+    assert [g.name for g in rep.surjection.morphism.source.generators] == ["v3_0"]
     assert rep.cat.exact and rep.cat.lower == 1
     assert any("not flagged simply connected" in n for n in rep.notes)
 
@@ -212,6 +213,31 @@ def test_degree_one_example_reports_model_relative_category(models):
 def test_toomer_shortcut_matches_the_report(models, truncated_report):
     toomer = cat_bounds(models["T"], with_m=False, label="T").toomer
     assert toomer.lower == truncated_report.toomer.lower == 2
+
+
+# nil(A+) of each bundled cdga whose top degree is certified under its cap
+INPUT_NILS = {"C": 3, "G": 3, "B": 1, "P": 2, "CP2": 2, "S3": 1, "S4": 1,
+              "T": 3, "W": 2}
+
+
+def test_input_nils_cover_every_certified_top(models):
+    assert {label for label, A in models.items()
+            if (top := A.top_degree_if_finite()) is not None
+            and top <= A.cap} == set(INPUT_NILS)
+
+
+@pytest.mark.parametrize("label", sorted(INPUT_NILS))
+def test_input_nil_equals_the_chain_on_the_input_augmentation(models, label):
+    """One helper, two recipes, one answer: the bound chain run on the
+    input-augmentation recipe ends at an absolute map bound equal to the
+    input-nil certificate that cat_bounds uses."""
+    A = models[label]
+    ctx = {"construction": "input-augmentation", "cdga": label}
+    rep = surjection_bounds(_ctx_surjection(ctx, {label: A}, {}),
+                            context=ctx, with_m=False)
+    m, cert = _input_nil(A, A.top_degree_if_finite(), label)
+    assert cert.data["m"] == m == INPUT_NILS[label]
+    assert rep.map_bound.upper == m and rep.map_bound.upper_absolute
 
 
 @pytest.mark.parametrize("label", ["C", "T", "CP2", "P", "S2", "Q", "G", "W"])
@@ -222,9 +248,8 @@ def test_cup_length_reads_the_surjection_reports_homology(models, label):
     ideal as every positive basis class of H(M), degree by degree, and give
     the same nil."""
     rep = cat_bounds(models[label], label=label)
-    assert rep.surjection.morphism.source is rep.model.model
     assert rep.hi == rep.surjection.hi
-    view = HomologyView(homology(rep.model.model, 0, rep.hi))
+    view = HomologyView(homology(rep.surjection.morphism.source, 0, rep.hi))
     positive = orc.positive_part_generators(view)
     assert rep.cup.nil == nil_ideal(view, positive).nil
     ours, full = IdealPowers(view, rep.cup.generators), IdealPowers(view, positive)
@@ -290,7 +315,7 @@ def test_wedge_tc_reproduces_all_three_readings(wedge_tc_report):
 
 
 def test_quotient_surjection_is_model_relative(morphisms):
-    rep = surjection_bounds(morphisms["q"])
+    rep = surjection_bounds(Surjection(morphisms["q"]))
     assert any(n.startswith("model-relative") for n in rep.notes)
     assert rep.h_bound.lower == 1 and rep.h_bound.lower_absolute
     assert rep.h_bound.upper == 1 and not rep.h_bound.upper_absolute
@@ -315,7 +340,7 @@ def test_a_kernel_class_is_moved_into_the_kernel(monkeypatch):
 
     monkeypatch.setattr(secat.invariants, "solve_combo", counted)
     presentations, morphisms = realize_document(parse_document(ADJUSTED))
-    rep = surjection_bounds(morphisms["f"],
+    rep = surjection_bounds(Surjection(morphisms["f"]),
                             context={"construction": "morphism", "morphism": "f"})
     assert len(solves) == 2          # the boundary, then its lift to S
     [witness] = [c for c in rep.h_bound.certificates if c.kind == "nil-witness"]
@@ -391,7 +416,7 @@ def test_tc_reads_the_multiplication_nil_off_a_witness(monkeypatch, capsys):
 
     def recorded_mult(*args, **kwargs):
         out = mult(*args, **kwargs)
-        powers.append(out.power.pres)
+        powers.append(out.morphism.source)
         return out
 
     def recorded_level(self, m):
@@ -739,18 +764,12 @@ def test_pd_collapse_rejections(models, proj_tc_report):
 
 
 def test_split_retraction_certificate_roundtrip(models):
-    Q = models["Q"]
-    cert = split_retraction_certificate("Q", Q, ["a"], 9)
-    assert cert is not None
+    text = (MODELS / "stanley_retraction.cert").read_text()
+    cert = certificate_from_json(text)
+    assert certificate_to_json(cert) == text
     assert cert.data["values"]["b^2"] == "-a^2"
     ok, detail = _verify(cert, models)
     assert ok and "retracts onto its base" in detail
-
-    frozen = certificate_from_json(
-        (MODELS / "stanley_retraction.cert").read_text())
-    assert frozen.data == cert.data
-    ok, _ = _verify(frozen, models)
-    assert ok
 
     bad = Certificate(cert.kind, cert.context,
                       {"E": 9, "values": dict(cert.data["values"], **{"b^2": "a^2"})})
@@ -760,15 +779,19 @@ def test_split_retraction_certificate_roundtrip(models):
 
 def test_split_retraction_feels_the_degree_window(models):
     # r(dx) = a^2 needs a degree-7 primitive over Lambda(a), which does not
-    # exist; the equation only bites once degree |x| + 1 enters the window
-    A = models["A"]
-    assert split_retraction_certificate("A", A, ["a"], 8) is None
-    cert = split_retraction_certificate("A", A, ["a"], 6)
-    assert cert is not None
-    ok, _ = _verify(cert, models)
+    # exist; the equation only bites once degree |x| + 1 enters the window.
+    # Over Lambda(a4) the degree-7 value of x can only be 0.
+    ctx = {"construction": "relative-split", "cdga": "A", "base": ["a"]}
+    values = {"1": "1", "x": "0"}
+    ok, _ = _verify(Certificate("module-retraction", ctx,
+                                {"E": 6, "values": values}), models)
     assert ok
+    ok, detail = _verify(Certificate("module-retraction", ctx,
+                                     {"E": 8, "values": values}), models)
+    assert not ok and "r(dx) = a^2 but d(r(x)) = 0" in detail
     with pytest.raises(CdgaError):
-        split_retraction_certificate("T", models["T"], ["a"], 6)
+        _verify(Certificate("module-retraction", dict(ctx, cdga="T"),
+                            {"E": 6, "values": values}), models)
 
 
 def test_module_retraction_certificate_rejection(models, truncated_tc_report):
@@ -794,7 +817,7 @@ def test_module_retraction_certificate_rejection(models, truncated_tc_report):
 def test_module_retraction_reads_the_whole_kernel(models, morphisms):
     # listing no kernel generators would make the quotient S itself, which
     # retracts at level 0, below the witnessed h-invariant 1
-    rep = surjection_bounds(morphisms["q"],
+    rep = surjection_bounds(Surjection(morphisms["q"]),
                             context={"construction": "morphism", "morphism": "q"})
     good = next(c for c in rep.m_bound.certificates
                 if c.kind == "module-retraction")

@@ -12,6 +12,7 @@ from test_golden import GOLDEN
 
 from secat import cli
 from secat.cli import main
+from secat.construct import Surjection
 from secat.core import NotSurjective, Presentation
 from secat.invariants import surjection_bounds
 from secat.lang import (
@@ -361,7 +362,7 @@ def test_cli_secat_names_the_morphism_and_degree_it_misses(capsys, tmp_path):
     assert err == "error: morphism f is not surjective in degree 3\n"
     phi = realize_document(parse_document(f.read_text()))[1]["f"]
     with pytest.raises(NotSurjective) as exc:
-        surjection_bounds(phi)
+        surjection_bounds(Surjection(phi))
     assert exc.value.degree == 3
 
 

@@ -218,7 +218,7 @@ def test_named_multiplication_generators_generate_the_derived_kernel(A, n):
     hi = A.homology_hi
     named = [g for g in mult.kernel_generators if g.degree() <= hi]
     derived = kernel_ideal_generators(mult.morphism, hi)
-    view = PresentationView(mult.power.pres, hi)
+    view = PresentationView(mult.morphism.source, hi)
     ours, full = IdealPowers(view, named), IdealPowers(view, derived)
     for d in range(1, hi + 1):
         assert (orc.echelon_basis(ours.span_echelon(1, d))
@@ -257,7 +257,7 @@ def test_a_witness_of_n_times_the_input_nil_is_the_multiplication_nil(A, n):
     assume(htop is not None and n * htop <= 15)
     cap = max(n * htop + max(g.degree for g in A.generators) + 1, 6)
     mult = multiplication_morphism(A, n, cap=cap)
-    T = mult.power.pres
+    T = mult.morphism.source
     ttop = T.top_degree_if_finite()
     assume(ttop is not None)
     k = n * IdealPowers(PresentationView(A, htop),
@@ -281,7 +281,7 @@ def test_the_wedge_square_has_no_witness_and_builds_its_nil(models):
     [cert] = [c for c in tc_bounds(W, 2).tc.certificates
               if c.context["construction"] == "multiplication"]
     mult = multiplication_morphism(W, 2, cap=cert.context["cap"])
-    powers = IdealPowers(PresentationView(mult.power.pres, cert.data["hi"]),
+    powers = IdealPowers(PresentationView(mult.morphism.source, cert.data["hi"]),
                          mult.kernel_generators)
     assert not powers.reaches(4)
     assert powers.reaches(3)

@@ -2,12 +2,13 @@
 which must resolve, and sizes calls by their arguments, which must read a
 real call; no float may enter the exact arithmetic, every
 definition in the package has a caller outside tests, no module imports
-a name it does not use, and importing the CLI loads no dataclass
-machinery."""
+a name it does not use, importing the CLI loads no dataclass machinery,
+and the bound pipeline takes no knob that a construction knows."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import re
@@ -109,9 +110,6 @@ KEPT_UNCALLED = {
     "monomial": "Presentation.monomial: the element factory that tests use",
     "tensor": "products of presentations for tests and for the metamorphic "
               "suite of ROADMAP item 3",
-    "split_retraction_certificate": "the only producer of relative-split "
-                                    "certificates; models/stanley_retraction.cert "
-                                    "is its frozen output",
 }
 
 
@@ -332,3 +330,12 @@ def test_unused_import_scan_sees_plain_from_and_aliased_imports():
     tree = ast.parse("from __future__ import annotations\nimport os.path\n"
                      "import json as j\nfrom a import b, c\nb(os)\n")
     assert _unused_imports(tree) == [(3, "j"), (4, "c")]
+
+
+def test_surjection_bounds_takes_no_knob_a_construction_knows():
+    """The kernel generators, the pedigree, the window and the content top
+    of a surjection come from its value and its recipe; a caller passes
+    only the value, the recipe and its own choices."""
+    from secat.invariants import surjection_bounds
+    assert list(inspect.signature(surjection_bounds).parameters) == [
+        "surjection", "context", "with_m", "space", "settled_upper", "names"]

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import MODELS, ROOT
 
 from secat.cli import main
+from secat.construct import Surjection
 from secat.core import CdgaError, IdealNotClosed, RangeExceedsCap
 from secat.invariants import (Certificate, _ctx_surjection, _data_rejection,
                               _verify_rebuilt, certificate_to_json,
@@ -48,8 +49,8 @@ def _pool():
                           {"construction": "augmentation", "cdga": "S2", "cap": 10},
                           {"level": 1, "view": "homology", "hi": 8,
                            "generators": ["a"], "factors": [0]})
-    rep = surjection_bounds(morphisms["q"], context={"construction": "morphism",
-                                                     "morphism": "q"})
+    rep = surjection_bounds(Surjection(morphisms["q"]),
+                            context={"construction": "morphism", "morphism": "q"})
     return ([cert for cert, _ in corpus] + [witness]
             + [cert for bound in rep.bounds() for cert in bound.certificates])
 
@@ -241,8 +242,8 @@ def test_a_windowed_kernel_power_over_a_smaller_ideal_is_rejected(morphisms):
     """The Hopf projection q has no certified top, so its kernel-power bound
     is windowed; the verifier derives the kernel up to the window, as the
     producer did, and finds a outside the ideal of a^2."""
-    rep = surjection_bounds(morphisms["q"], context={"construction": "morphism",
-                                                     "morphism": "q"})
+    rep = surjection_bounds(Surjection(morphisms["q"]),
+                            context={"construction": "morphism", "morphism": "q"})
     [pristine] = [c for b in rep.bounds() for c in b.certificates
                   if c.kind == "kernel-power-vanishes"]
     assert pristine.data == {"m": 4, "hi": 16, "generators": ["a"]}
@@ -266,8 +267,8 @@ def test_pedigreed_kernel_powers_list_the_generators_the_verifier_rebuilds():
     for cert, _ in corpus:
         if cert.kind != "kernel-power-vanishes":
             continue
-        _, pedigreed = _ctx_surjection(cert.context, presentations, morphisms)
-        assert cert.data["generators"] == [str(g) for g in pedigreed], cert.context
+        named = _ctx_surjection(cert.context, presentations, morphisms).kernel_generators
+        assert cert.data["generators"] == [str(g) for g in named], cert.context
         seen.add(cert.context["construction"])
     assert seen == {"augmentation", "input-augmentation", "diagonal", "multiplication"}
 
