@@ -9,8 +9,8 @@ The layers, bottom up:
     homology    cohomology of any cochain complex (presentations, semifree
                 modules), induced maps, the degreewise hit/kill builder,
                 kernels, ideal powers, nilpotency, duality
-    construct   minimal Sullivan models, multiplication and diagonal
-                surjections
+    construct   minimal Sullivan models, and the Surjection value with its
+                multiplication and diagonal constructions
     semifree    semifree modules, quotient resolutions, module retractions
     invariants  the bound chains (toomer/mcat/cat, htc/mtc/tc, sectional)
                 and machine-checkable certificates
@@ -27,16 +27,17 @@ from .homology import (HomologyReport, HomologyView, IdealPowers,
                        NilpotencyResult, PresentationView, homology,
                        kernel_basis, kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, quasi_iso_failure)
-from .construct import (DiagonalModel, SullivanModelResult, Surjection,
-                        build_minimal_model, diagonal_model,
-                        multiplication_morphism, sullivan_model_of)
+from .construct import (SullivanModelResult, Surjection, build_minimal_model,
+                        diagonal_model, multiplication_morphism,
+                        sullivan_model_of)
 from .semifree import (QuotientResolution, RetractionResult, SemiFreeModule,
                        find_module_retraction, resolve_quotient,
                        semifree_from_relative, verify_module_retraction)
 from .invariants import (Bound, CatReport, Certificate, SurjectionReport,
                          TCReport, augmentation_morphism, cat_bounds,
                          certificate_from_json, certificate_to_json,
-                         surjection_bounds, tc_bounds, verify_certificate)
+                         surjection_bounds, surjection_of, tc_bounds,
+                         verify_certificate)
 from .lang import (ParseError, make_presentation, parse_document,
                    parse_element, print_presentation, realize_document)
 

@@ -22,9 +22,10 @@ import time
 
 from .core import CdgaError, RangeExceedsCap
 from .homology import homology
-from .construct import Surjection, sullivan_model_of
+from .construct import sullivan_model_of
 from .invariants import (cat_bounds, certificate_from_json, certificate_to_json,
-                         surjection_bounds, tc_bounds, verify_certificate)
+                         surjection_bounds, surjection_of, tc_bounds,
+                         verify_certificate)
 from .lang import (default_cap, make_presentation, parse_document, print_presentation,
                    realize_document)
 
@@ -192,11 +193,10 @@ def cmd_secat(args):
         name = next(iter(morphisms))
     if name not in morphisms:
         raise CdgaError(f"the document does not define morphism {name!r}")
-    phi = morphisms[name]
-    rep = surjection_bounds(Surjection(phi), with_m=not args.no_m,
-                            context={"construction": "morphism",
-                                     "morphism": name})
-    lines = [f"morphism {name} (source cap {phi.source.cap})"]
+    surjection = surjection_of({"construction": "morphism", "morphism": name},
+                               presentations, morphisms)
+    rep = surjection_bounds(surjection, with_m=not args.no_m)
+    lines = [f"morphism {name} (source cap {surjection.morphism.source.cap})"]
     lines += ["  " + b.summary() for b in rep.bounds()]
     lines += [f"  note: {n}" for n in rep.notes]
     return _finish_bounds(args, lines, rep, {"command": "secat", "morphism": name})

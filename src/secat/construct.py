@@ -5,14 +5,15 @@ invariant pipelines build on.
   quasi-iso M -> A whose homology is matched exactly in degrees <= cap; it
   is built by homology.hit_and_kill.  sullivan_model_of returns A itself
   when it is already free Sullivan.
-* A Surjection is the value the bound chain reads: the morphism, plus the
-  ideal generators of its kernel and its pedigree when the construction
-  names them.
+* A Surjection is the value the bound chain reads: the morphism, plus what
+  its construction knows (the ideal generators of its kernel, its pedigree,
+  notes) and what its recipe adds (the recipe itself and the space it is
+  about).  invariants.surjection_of builds every one from its recipe.
 * multiplication_morphism is the n-fold multiplication A^{ox n} -> A, as a
   Surjection with the ideal generators of its kernel.
 * diagonal_model is the surjection A ox M^{ox (n-1)} -> A standing in for
-  the n-fold diagonal, with the ideal generators of its kernel and its
-  pedigree under the same names.
+  the n-fold diagonal, as a Surjection with the ideal generators of its
+  kernel and its pedigree.
 
 Free presentations never lose information, so the constructions prefer to
 carry frees and push caps onto homology requests.
@@ -95,13 +96,18 @@ def sullivan_model_of(A: Presentation, cap: int) -> SullivanModelResult:
 
 
 class Surjection(NamedTuple):
-    """A surjection as its construction knows it.  `kernel_generators`
-    generate the kernel as an ideal, and `pedigree` records why verdicts on
-    it apply to an underlying map; None where the construction does not
-    name them."""
+    """A surjection as its recipe builds it.  `kernel_generators` generate
+    the kernel as an ideal, and `pedigree` records why verdicts on it apply
+    to an underlying map; None where the construction does not name them.
+    `context` is the recipe, `space` the cdga whose invariants the chain
+    bounds (the augmentation's and the diagonal's input, else None), and
+    `notes` what the construction left out."""
     morphism: CdgaMorphism
     kernel_generators: list | None = None
     pedigree: str | None = None
+    context: dict | None = None
+    space: Presentation | None = None
+    notes: tuple[str, ...] = ()
 
 
 def multiplication_morphism(A: Presentation, n: int, *,
@@ -137,26 +143,14 @@ def multiplication_morphism(A: Presentation, n: int, *,
 # the diagonal surjection through a Sullivan model
 
 
-class DiagonalModel(NamedTuple):
-    """Surjection source -> A standing in for the n-fold diagonal.
+def diagonal_model(A: Presentation, n: int, cap: int) -> Surjection:
+    """The surjection source -> A standing in for the n-fold diagonal of A.
 
     source = A ox (Sullivan model)^{ox (n-1)}; the morphism multiplies the
-    A-slot with the images of the model slots.  kernel_generators lists
-    theta(v) - v_i over all model generators v and copies i; they generate the
-    kernel as an ideal.  `pedigree` records why verdicts computed through this
-    surjection apply to the underlying map rather than just this model.
+    A-slot with the images of the model slots.  Its kernel generators are
+    theta(v) - v_i over all model generators v and copies i; they generate
+    the kernel as an ideal.
     """
-    source: Presentation
-    morphism: CdgaMorphism
-    kernel_generators: list
-    n: int
-    pedigree: str
-    model: SullivanModelResult
-    notes: list[str]
-
-
-def diagonal_model(A: Presentation, n: int, cap: int) -> DiagonalModel:
-    """Build the standard surjection used for the n-fold diagonal of A."""
     if n < 2:
         raise CdgaError("diagonal model needs n >= 2")
     model = sullivan_model_of(A, cap if A.is_free else min(cap, A.homology_hi))
@@ -198,13 +192,11 @@ def diagonal_model(A: Presentation, n: int, cap: int) -> DiagonalModel:
             el = lifted - source.gen(rn[g.name])
             if el.terms:
                 kernel_gens.append(el)
-    notes = []
-    if skipped:
-        notes.append(f"{skipped} kernel generators beyond cap omitted")
+    notes = (f"{skipped} kernel generators beyond cap omitted",) if skipped else ()
     for el in kernel_gens:
         if mu.apply(el).terms:
             raise CdgaError("claimed kernel generator does not map to zero")
     pedigree = ("diagonal-tensor" if (A.is_free and A.is_sullivan)
                 else "diagonal-model-substitution")
-    return DiagonalModel(source, mu, kernel_gens, n, pedigree, model, notes)
+    return Surjection(mu, kernel_gens, pedigree, notes=notes)
 

@@ -816,10 +816,6 @@ class Presentation:
     def element(self, spec) -> "AlgebraElement":
         return AlgebraElement(self, self.reduce_raw(self._coerce_terms(spec)))
 
-    def monomial(self, mono) -> "AlgebraElement":
-        sign, m = self._coerce_mono(mono)
-        return AlgebraElement(self, self.reduce_raw({m: sign}))
-
     def from_vector(self, d: int, vec: dict) -> "AlgebraElement":
         """The degree-d element with coordinates `vec`, a dict from basis
         index to coefficient."""

@@ -23,8 +23,10 @@ absolute, RangeExceedsCap when one is range-qualified.
 Certificates are small JSON documents ("secat-cert/1"): a context recipe that
 rebuilds the construction deterministically plus the data needed to re-check
 the claim independently.  Each surjection is a `construct.Surjection` value
-built from its recipe by `_ctx_surjection`: the pipelines, which write the
-recipes, and the verifier, which reads them, build it the same way.
+built from its recipe by `surjection_of`: the pipelines, which write the
+recipes, and the verifier, which reads them, build it the same way, and the
+value carries its recipe, so `surjection_bounds` reads the window, the space
+and the names of the chain's ends off it.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .homology import (HomologyReport, HomologyView, IdealPowers,
                        kernel_ideal_generators, nil_ideal,
                        poincare_duality_check, quotient_kernel)
 from .linalg import Echelon, solve_combo
-from .construct import (DiagonalModel, Surjection, diagonal_model,
-                        multiplication_morphism, sullivan_model_of)
+from .construct import (Surjection, diagonal_model, multiplication_morphism,
+                        sullivan_model_of)
 from .semifree import (UNIT, resolve_and_retract, resolve_quotient,
                        semifree_from_relative, verify_module_retraction)
 from .lang import parse_element, parse_expression
@@ -240,7 +242,6 @@ def homology_kernel_classes(phi: CdgaMorphism, H_src: HomologyReport,
 class SurjectionReport(NamedTuple):
     morphism: CdgaMorphism
     hi: int                              # degrees the verdicts were checked in
-    kernel_generators: list
     h_bound: Bound
     m_bound: Bound | None
     map_bound: Bound
@@ -267,55 +268,67 @@ class SurjectionReport(NamedTuple):
                 if with_notes else None)
 
 
-def _vanishing_power(S: Presentation, gens, hi: int, ctx: dict, claim,
+def _vanishing_power(surjection: Surjection, hi: int, claim,
                      witness_at: int | None = None):
     """(m, powers, certificate): the least m with no nonzero (m+1)-fold
-    product of `gens` in degrees <= hi of S, the powers of their ideal
-    there, and the kernel-power-vanishes certificate of the construction
-    `ctx`, whose claim is claim(m).
+    product of the surjection's kernel generators in degrees <= hi of its
+    source, the powers of their ideal there, and the kernel-power-vanishes
+    certificate of its recipe, whose claim is claim(m).
 
     `witness_at` is a level k that a theorem bounds the nil by: a nonzero
     product of k generators, when IdealPowers.reaches finds one, fixes m = k
     with no level of the powers built.
     """
-    powers = IdealPowers(PresentationView(S, hi), gens)
+    gens = surjection.kernel_generators
+    powers = IdealPowers(PresentationView(surjection.morphism.source, hi), gens)
     if witness_at is not None and powers.reaches(witness_at):
         m = witness_at
     else:
         m = powers.nil()[0]
     return m, powers, Certificate(
-        "kernel-power-vanishes", ctx,
+        "kernel-power-vanishes", surjection.context,
         {"m": m, "hi": hi, "generators": [str(g) for g in gens]}, claim=claim(m))
 
 
-def surjection_bounds(surjection, *, context: dict | None = None,
-                      with_m: bool = True, space=None,
-                      settled_upper: tuple[int, Certificate] | None = None,
-                      names=("h-invariant", "m-invariant", "sectional")
+# the names of the chain's ends h <= m <= map, by construction
+_CHAIN_NAMES = {"augmentation": ("toomer", "mcat", "cat"),
+                "diagonal": ("htc", "mtc", "tc")}
+
+
+def _chain_names(ctx: dict) -> tuple[str, ...]:
+    """The names of the ends of the chain a recipe builds; a diagonal's
+    carry its n when n is not 2."""
+    c = ctx.get("construction")
+    suffix = str(ctx["n"]) if c == "diagonal" and ctx["n"] != 2 else ""
+    return tuple(name + suffix for name in _CHAIN_NAMES.get(
+        c, ("h-invariant", "m-invariant", "sectional")))
+
+
+def surjection_bounds(surjection: Surjection, *, with_m: bool = True,
+                      settled_upper: tuple[int, Certificate] | None = None
                       ) -> SurjectionReport:
     """Run the full chain of bounds for a degree-wise surjection.
 
-    `surjection` is a construct.Surjection, or a value with its three
-    fields, built from the recipe `context`.  Its kernel generators must
-    generate the kernel as an ideal when named; else they are derived
-    degree by degree, which is complete exactly when the source has a
-    certified top degree inside the range.  `names` names the three ends of
-    the chain h <= m <= map in the report.
+    `surjection` is a construct.Surjection; without a recipe it is read as
+    an unnamed morphism.  Its kernel generators must generate the kernel as
+    an ideal when named; else they are derived degree by degree, which is
+    complete exactly when the source has a certified top degree inside the
+    range.  Its recipe names the three ends of the chain h <= m <= map in
+    the report (`_chain_names`).
 
     The window is hi = min(cap, S.cap - 1, B.homology_hi) for the source S
     and target B, where cap is the recipe's cap when it has one: the degree
     up to which its construction is valid.
 
-    `space` is an optional (presentation, label) pair for the space the
-    surjection is about.  When that presentation has a certified top degree
-    t, H(S) vanishes absolutely above n * t, n the recipe's n (1 when it has
-    none), since H(S) is H(space)^{ox n}.  When n * t sits inside the
-    window, injectivity verdicts extend to all degrees: the quotient
-    complexes in degrees <= hi are insensitive to generators above hi, and
-    above n * t the source homology is zero.  When the m-loop runs and t
-    lies inside the space's faithful range, its homology is built up to t;
-    a nondegenerate duality pairing there collapses the m-invariant onto
-    the h-invariant.
+    The surjection's `space` is the cdga it is about, or None.  When that
+    cdga has a certified top degree t, H(S) vanishes absolutely above n * t,
+    n the recipe's n (1 when it has none), since H(S) is H(space)^{ox n}.
+    When n * t sits inside the window, injectivity verdicts extend to all
+    degrees: the quotient complexes in degrees <= hi are insensitive to
+    generators above hi, and above n * t the source homology is zero.  When
+    the m-loop runs and t lies inside the space's faithful range, its
+    homology is built up to t; a nondegenerate duality pairing there
+    collapses the m-invariant onto the h-invariant.
 
     `settled_upper` is an optional (value, certificate) pair: an absolute
     upper end of the map bound that needs no m-search.  The m-loop settles
@@ -332,7 +345,8 @@ def surjection_bounds(surjection, *, context: dict | None = None,
     """
     phi = surjection.morphism
     S, B = phi.source, phi.target
-    ctx = dict(context) if context else {"construction": "morphism"}
+    ctx = surjection.context or {"construction": "morphism"}
+    names = _chain_names(ctx)
     hi = min(ctx.get("cap", S.cap), S.cap - 1, B.homology_hi)
     bad = phi.is_surjective_up_to(hi)
     if bad is not None:
@@ -344,7 +358,9 @@ def surjection_bounds(surjection, *, context: dict | None = None,
     kernel_gens = surjection.kernel_generators
     if kernel_gens is None:
         kernel_gens = kernel_ideal_generators(phi, view_hi)
-    top = space[0].top_degree_if_finite() if space is not None else None
+    surjection = surjection._replace(kernel_generators=kernel_gens, context=ctx)
+    X = surjection.space
+    top = X.top_degree_if_finite() if X is not None else None
     finite_range = (htop is not None and htop <= hi) or \
                    (top is not None and ctx.get("n", 1) * top <= hi)
 
@@ -379,7 +395,7 @@ def surjection_bounds(surjection, *, context: dict | None = None,
 
     # powers of the kernel ideal drive everything else
     nil_k, powers, cert = _vanishing_power(
-        S, kernel_gens, view_hi, ctx,
+        surjection, view_hi,
         lambda m: f"(ker phi)^{m + 1} = 0, so the sectional invariant is <= {m}")
     # the generators are complete: named, or derived through a certified top
     kernel_absolute = htop is not None and htop <= view_hi
@@ -448,12 +464,11 @@ def surjection_bounds(surjection, *, context: dict | None = None,
                 break
 
     # duality collapse: a verified pairing makes the two invariants agree
-    if space is not None and with_m:
-        X, label = space
+    if X is not None and with_m:
         if (top is not None and top <= X.homology_hi
                 and poincare_duality_check(homology(X, 0, top), top).satisfied):
             cert = Certificate(
-                "pd-collapse", {"construction": "presentation", "cdga": label},
+                "pd-collapse", {"construction": "presentation", "cdga": ctx["cdga"]},
                 {"top": top},
                 claim="the duality pairing is nondegenerate, so the "
                       "m-invariant equals the h-invariant")
@@ -462,8 +477,8 @@ def surjection_bounds(surjection, *, context: dict | None = None,
             h_bound.merge_lower(m_bound.lower, m_bound.lower_absolute,
                                 note="duality collapse")
 
-    report = SurjectionReport(phi, hi, list(kernel_gens), h_bound,
-                              m_bound, map_bound, nil_h, nil_k, notes)
+    report = SurjectionReport(phi, hi, h_bound, m_bound, map_bound, nil_h,
+                              nil_k, notes)
     report.settle(with_notes=True)
     return report
 
@@ -493,10 +508,10 @@ _NOT_SIMPLY_CONNECTED = ("the input is not flagged simply connected: verdicts "
 def _input_nil(A: Presentation, htop: int, label: str) -> tuple[int, Certificate]:
     """nil(A+), from the window up to A's certified top degree `htop`, and
     its certificate: A+ is the kernel of the input's augmentation."""
-    ctx = {"construction": "input-augmentation", "cdga": label}
-    aug = _ctx_surjection(ctx, {label: A}, {})
+    aug = surjection_of({"construction": "input-augmentation", "cdga": label},
+                        {label: A}, {})
     m, _, cert = _vanishing_power(
-        A, aug.kernel_generators, htop, ctx,
+        aug, htop,
         lambda m: f"the positive part of the input satisfies (A+)^{m + 1} = 0")
     return m, cert
 
@@ -506,7 +521,7 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
     """Category-style bounds through the augmentation of a minimal model."""
     cap = A.homology_hi
     ctx = {"construction": "augmentation", "cdga": label, "cap": cap}
-    aug = _ctx_surjection(ctx, {label: A}, {})
+    aug = surjection_of(ctx, {label: A}, {})
     M = aug.morphism.source
     htop = A.top_degree_if_finite()
     notes = []
@@ -522,9 +537,7 @@ def cat_bounds(A: Presentation, *, with_m: bool = True,
     input_nil = (_input_nil(A, htop, label)
                  if htop is not None and htop <= A.cap else None)
 
-    rep = surjection_bounds(aug, context=ctx, with_m=with_m, space=(A, label),
-                            settled_upper=input_nil,
-                            names=("toomer", "mcat", "cat"))
+    rep = surjection_bounds(aug, with_m=with_m, settled_upper=input_nil)
     cat = rep.map_bound
 
     # all-odd free minimal models have cat = number of generators
@@ -559,7 +572,7 @@ class TCReport(NamedTuple):
     n: int
     cap: int
     hi: int
-    diagonal: DiagonalModel
+    diagonal: Surjection
     surjection: SurjectionReport
     htc: Bound
     mtc: Bound | None
@@ -580,11 +593,8 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
     maxgen = max((g.degree for g in A.generators), default=1)
     cap = n * htop + maxgen + 1 if htop is not None else A.cap
     ctx = {"construction": "diagonal", "cdga": label, "n": n, "cap": cap}
-    dm = _ctx_surjection(ctx, {label: A}, {})
-
-    suffix = "" if n == 2 else str(n)
-    rep = surjection_bounds(dm, context=ctx, with_m=with_m, space=(A, label),
-                            names=(f"htc{suffix}", f"mtc{suffix}", f"tc{suffix}"))
+    dm = surjection_of(ctx, {label: A}, {})
+    rep = surjection_bounds(dm, with_m=with_m)
     tc = rep.map_bound
     notes = list(dm.notes)
     if not A.simply_connected:
@@ -594,9 +604,8 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
     # multiplication surjection of the input can still certify an absolute
     # upper bound: its source is finite whenever the input is
     if dm.pedigree != "diagonal-tensor" and htop is not None:
-        mctx = {"construction": "multiplication", "cdga": label,
-                "n": n, "cap": cap}
-        mult = _ctx_surjection(mctx, {label: A}, {})
+        mult = surjection_of({"construction": "multiplication", "cdga": label,
+                              "n": n, "cap": cap}, {label: A}, {})
         T = mult.morphism.source
         ttop = T.top_degree_if_finite()
         if ttop is not None:
@@ -606,7 +615,7 @@ def tc_bounds(A: Presentation, n: int = 2, *, with_m: bool = True,
             # product of n.nil(A+) generators fixes the nil with no level built
             k = n * _input_nil(A, htop, label)[0] if htop <= A.cap else None
             nil_mult, _, cert = _vanishing_power(
-                T, mult.kernel_generators, min(T.cap, ttop + 1), mctx,
+                mult, min(T.cap, ttop + 1),
                 lambda m: f"(ker mult)^{m + 1} = 0 with certified top degree {ttop}",
                 witness_at=k)
             tc.merge_upper(nil_mult, True, cert,
@@ -680,7 +689,7 @@ def _check_payload(cert: Certificate, presentations: dict, morphisms: dict):
                 raise CdgaError(f"certificate {part} field {key!r} must be "
                                 f"{typ.rstrip('?')}")
     if c == "morphism":
-        _ctx_surjection(ctx, presentations, morphisms)      # a lookup only
+        surjection_of(ctx, presentations, morphisms)      # a lookup only
     else:
         _ctx_presentation(ctx, presentations)
 
@@ -719,28 +728,32 @@ def _ctx_presentation(ctx: dict, presentations: dict) -> Presentation:
     return presentations[name]
 
 
-def _ctx_surjection(ctx: dict, presentations: dict, morphisms: dict):
-    """The surjection a context recipe builds, as a construct.Surjection (a
-    DiagonalModel for the diagonal): the one construction path of the
-    pipelines and the verifier."""
-    c = ctx.get("construction")
+def surjection_of(context: dict, presentations: dict,
+                  morphisms: dict) -> Surjection:
+    """The surjection a context recipe builds, as a construct.Surjection
+    that carries the recipe: the one construction path of the pipelines and
+    the verifier."""
+    c = context.get("construction")
     if c == "morphism":
-        name = ctx.get("morphism")
+        name = context.get("morphism")
         if not morphisms or name not in morphisms:
             raise CdgaError(f"certificate context needs morphism {name!r}")
-        return Surjection(morphisms[name])
-    P = _ctx_presentation(ctx, presentations)
+        return Surjection(morphisms[name], context=context)
+    P = _ctx_presentation(context, presentations)
     if c == "diagonal":
-        return diagonal_model(P, ctx["n"], ctx["cap"])
+        return diagonal_model(P, context["n"], context["cap"])._replace(
+            context=context, space=P)
     if c == "augmentation":
-        M = sullivan_model_of(P, ctx["cap"]).model
+        M = sullivan_model_of(P, context["cap"]).model
         return Surjection(augmentation_morphism(M),
-                          [M.gen(g.name) for g in M.generators], "augmentation")
+                          [M.gen(g.name) for g in M.generators], "augmentation",
+                          context, P)
     if c == "input-augmentation":
         return Surjection(augmentation_morphism(P),
-                          [P.gen(g.name) for g in P.generators])
+                          [P.gen(g.name) for g in P.generators], context=context)
     if c == "multiplication":
-        return multiplication_morphism(P, ctx["n"], cap=ctx.get("cap"))
+        mult = multiplication_morphism(P, context["n"], cap=context.get("cap"))
+        return mult._replace(context=context)
     raise CdgaError(f"unknown certificate construction {c!r}")
 
 
@@ -846,7 +859,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "nil-witness":
         level, hi = data["level"], data["hi"]
-        phi = _ctx_surjection(ctx, presentations, morphisms).morphism
+        phi = surjection_of(ctx, presentations, morphisms).morphism
         P = phi.source
         gens = _checked_kernel_gens(phi, data["generators"])
         factors = data["factors"]
@@ -871,7 +884,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "rho-noninjectivity-witness":
         m, deg = data["m"], data["degree"]
-        surj = _ctx_surjection(ctx, presentations, morphisms)
+        surj = surjection_of(ctx, presentations, morphisms)
         S = surj.morphism.source
         if deg + 1 > S.cap:
             raise RangeExceedsCap("witness degree does not fit under the cap")
@@ -894,7 +907,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "rho-injectivity-range":
         m, hi = data["m"], data["hi"]
-        surj = _ctx_surjection(ctx, presentations, morphisms)
+        surj = surjection_of(ctx, presentations, morphisms)
         S = surj.morphism.source
         powers = _kernel_powers(surj, None, m, min(S.cap, hi + 1))
         if hi + 1 > S.cap:  # the quotient's homology would be refused
@@ -907,7 +920,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
 
     if kind == "kernel-power-vanishes":
         m, hi = data["m"], data["hi"]
-        surj = _ctx_surjection(ctx, presentations, morphisms)
+        surj = surjection_of(ctx, presentations, morphisms)
         phi = surj.morphism
         S = phi.source
         view = min(S.cap, hi)
@@ -985,7 +998,7 @@ def _verify_rebuilt(cert: Certificate, presentations: dict, morphisms: dict):
                                          min(total.cap, E + 1))
             done = f"the relative extension retracts onto its base up to degree {E}"
         else:
-            surj = _ctx_surjection(ctx, presentations, morphisms)
+            surj = surjection_of(ctx, presentations, morphisms)
             base, m = surj.morphism.source, data["m"]
             powers = _kernel_powers(surj, None, m, min(base.cap, E + 1))
             module = resolve_quotient(base, [p.element for p in powers.level(m + 1)],

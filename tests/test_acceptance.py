@@ -152,7 +152,7 @@ def test_wedge_tc_three_routes(monkeypatch, models):
         patch.setattr(secat.construct, "sullivan_model_of",
                       lambda A, cap: SullivanModelResult(manual, theta, 12))
         dm = diagonal_model(W, 2, 14)
-    src = dm.source
+    src = dm.morphism.source
     a, b, x = src.gen("a"), src.gen("b"), src.gen("x")
     a2, b2, x2, y2 = (src.gen("a_2"), src.gen("b_2"), src.gen("x_2"),
                       src.gen("y_2"))

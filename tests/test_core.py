@@ -136,10 +136,10 @@ def _tc_level_quotient(m):
     (n = 2), built as its m-loop builds a level: the relations of level 1
     have 2 and 4 terms, the one added at level 2 has 7."""
     W = load_model("wedge.cdga")[0]["W"]
-    surj = invariants.tc_bounds(W, 2).surjection
-    S, E = surj.morphism.source, surj.hi
+    rep = invariants.tc_bounds(W, 2)
+    S, E = rep.diagonal.morphism.source, rep.hi
     powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)),
-                         surj.kernel_generators)
+                         rep.diagonal.kernel_generators)
     return quotient_by_ideal(S, [p.element for p in powers.level(m + 1)])[0]
 
 
@@ -182,7 +182,7 @@ def test_differential_at_the_cap_raises_and_results_are_fresh():
     already vanishes at or under the cap.  The memo of reduced images must
     neither hide a raise nor be handed out."""
     T = load_model("truncated_mix.cdga", cap=8)[0]["T"]
-    bx = T.monomial((("b", 1), ("x", 1)))  # d(bx) = -b a^3 in degree 9, nonzero freely
+    bx = T.element({(("b", 1), ("x", 1)): 1})  # d(bx) = -b a^3 in degree 9, nonzero freely
     for _ in range(2):
         with pytest.raises(RangeExceedsCap):
             T.d(bx)
@@ -197,7 +197,7 @@ def test_differential_at_the_cap_raises_and_results_are_fresh():
                      relations=[{(("a", 3),): Fraction(1)}],
                      differentials={"x": {(("a", 2),): Fraction(1)}})
     # d(axy) = a a^2 y: the partial product a^3 is 0 in degree 6, so no raise
-    assert not P.d(P.monomial((("a", 1), ("x", 1), ("y", 1)))).terms
+    assert not P.d(P.element({(("a", 1), ("x", 1), ("y", 1)): 1})).terms
 
 
 def test_differential_vectors_are_d_read_into_the_basis(models):
@@ -207,7 +207,7 @@ def test_differential_vectors_are_d_read_into_the_basis(models):
             _tc_level_quotient(1), _binomial_quotient()]:
         for d in range(P.cap - 1):
             rows = P.differential_vectors(d)
-            want = [P.to_sparse(P.d(P.monomial(m)), d + 1) for m in P.basis(d)]
+            want = [P.to_sparse(P.d(P.element({m: 1})), d + 1) for m in P.basis(d)]
             assert [list(r.items()) for r in rows] == [list(w.items()) for w in want]
     P = Presentation([("a", 2), ("x", 5)], 5, relations=[{(("a", 2),): 1}],
                      differentials={"x": {(("a", 3),): 1}})
@@ -590,7 +590,7 @@ def test_tail_rule_matches_the_word_oracle(spec, data):
     early = [m for d in range(top + 1) for m in orc.free_monomials(old, d)]
     for m in data.draw(st.lists(st.sampled_from(early), max_size=6) if early
                        else st.just([])):
-        P.d(P.monomial(m))
+        P.d(P.element({m: 1}))
     new_diffs = {n: t for n, t in diffs.items() if n not in base_diffs
                  and n not in old_names}
     ext = P.adjoin(gens[split:], new_diffs) if split < len(gens) else P
@@ -598,7 +598,7 @@ def test_tail_rule_matches_the_word_oracle(spec, data):
     words = {n: orc.engine_to_words(t, odd) for n, t in {**base_diffs, **new_diffs}.items()}
     monos = [m for d in range(top + 1) for m in orc.free_monomials(gens, d)]
     for m in data.draw(st.permutations(monos)):
-        x = ext.monomial(m)
+        x = ext.element({m: 1})
         assert as_words(ext.d(x), ext) == orc.differentiate(as_words(x, ext), words, odd)
 
 
@@ -771,7 +771,7 @@ def test_a_product_with_an_even_free_part_has_no_top_before_any_piece(models):
     """The source T (x) M (x) M of tc T --n 3 has T's minimal model M, free
     with even generators, among its parts: top_degree_if_finite answers None
     without building one graded piece, as the window scan over all 30 does."""
-    source = diagonal_model(models["T"], 3, 30).source
+    source = diagonal_model(models["T"], 3, 30).morphism.source
     built = (len(source._table._monomials), len(source._ideal))
     assert source.top_degree_if_finite() is None
     assert (len(source._table._monomials), len(source._ideal)) == built
@@ -787,7 +787,7 @@ def test_tc_n3_builds_the_diagonal_source_only_up_to_degree_14(monkeypatch, caps
 
     def recorded(*args, **kwargs):
         dm = build(*args, **kwargs)
-        sources.append(dm.source)
+        sources.append(dm.morphism.source)
         return dm
 
     monkeypatch.setattr(invariants, "diagonal_model", recorded)
@@ -816,7 +816,7 @@ def test_tc_n4_builds_no_free_monomial_table_and_no_echelon(monkeypatch, models)
     monkeypatch.setattr(invariants, "multiplication_morphism", recorded)
     rep = invariants.tc_bounds(models["T"], 4, label="T")
     [power] = built
-    for P in (rep.diagonal.source, power):
+    for P in (rep.diagonal.morphism.source, power):
         assert set(P._ctx.free._monomials) == {0} and not P._ctx.free._groups
         assert not P._ideal
         assert max(P._table._monomials) > 8
@@ -964,7 +964,7 @@ def _normal_coefficients(P, hi):
         for fm in P.free_monomials(d):
             yield from P.reduce_raw({fm: 1}).values()
         for m in P.basis(d):
-            x = P.monomial(m)
+            x = P.element({m: 1})
             yield from x.terms.values()
             if d < hi and not any(n in P.d_unknown for n, _ in m):
                 dx = P.d(x)
@@ -976,7 +976,7 @@ def _normal_coefficients(P, hi):
                 yield from back.terms.values()
             for e in range(hi - d + 1):
                 for m2 in P.basis(e):
-                    yield from (x * P.monomial(m2)).terms.values()
+                    yield from (x * P.element({m2: 1})).terms.values()
 
 
 def test_integer_models_keep_int_coefficients(models):
@@ -1006,7 +1006,7 @@ def test_an_integral_fraction_is_the_int(models):
     two = W.element({mono: 2})
     assert [type(c) for c in two.terms.values()] == [int]
     for same in (W.element({mono: Fraction(2, 1)}), W.element({mono: Fraction(4, 2)}),
-                 W.monomial(mono) * Fraction(2), Fraction(6, 3) * W.monomial(mono),
+                 W.element({mono: 1}) * Fraction(2), Fraction(6, 3) * W.element({mono: 1}),
                  AlgebraElement(W, {mono: Fraction(2)})):
         assert same == two
         assert format_element(same) == format_element(two) == "2*a*b"

@@ -145,7 +145,7 @@ def _homology_oracle_case(models, name):
                                                 (("a", 1), ("b", 1)): Fraction(-2, 3)})])
         return Q, 0, 12
     if name == "diagonal-source":
-        return diagonal_model(models["T"], 2, 22).source, 0, 21
+        return diagonal_model(models["T"], 2, 22).morphism.source, 0, 21
     T = models["T"]  # the resolution
     return resolve_quotient(T, [T.gen("a"), T.gen("b")], 9).module, 0, 9
 
@@ -226,11 +226,11 @@ def random_complexes(draw):
     hi = cap
     if draw(st.booleans()):
         closed = [m for d in range(1, cap + 1) for m in orc.free_monomials(base, d)]
-        ideal = [P.monomial(m) for m in draw(st.lists(st.sampled_from(closed), max_size=3))]
+        ideal = [P.element({m: 1}) for m in draw(st.lists(st.sampled_from(closed), max_size=3))]
         if draw(st.booleans()):
             start = draw(st.integers(3, cap))
             top = min(start + max(g.degree for g in P.generators) - 1, cap)
-            ideal += [P.monomial(m) for d in range(start, top + 1) for m in P.basis(d)]
+            ideal += [P.element({m: 1}) for d in range(start, top + 1) for m in P.basis(d)]
         P, _ = quotient_by_ideal(P, ideal)
         hi = cap - 1
     lo = draw(st.integers(0, 3))

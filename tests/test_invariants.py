@@ -19,10 +19,10 @@ from secat.homology import HomologyView, IdealPowers, homology, nil_ideal
 from secat.lang import make_presentation, parse_document, realize_document
 from secat.linalg import solve_combo
 from secat.invariants import (
-    Bound, CERT_FORMAT, Certificate, _ctx_surjection, _input_nil,
+    Bound, CERT_FORMAT, Certificate, _chain_names, _input_nil,
     augmentation_morphism, cat_bounds, certificate_from_dict,
-    certificate_from_json, certificate_to_json, surjection_bounds, tc_bounds,
-    verify_certificate,
+    certificate_from_json, certificate_to_json, surjection_bounds,
+    surjection_of, tc_bounds, verify_certificate,
 )
 
 
@@ -233,8 +233,7 @@ def test_input_nil_equals_the_chain_on_the_input_augmentation(models, label):
     input-nil certificate that cat_bounds uses."""
     A = models[label]
     ctx = {"construction": "input-augmentation", "cdga": label}
-    rep = surjection_bounds(_ctx_surjection(ctx, {label: A}, {}),
-                            context=ctx, with_m=False)
+    rep = surjection_bounds(surjection_of(ctx, {label: A}, {}), with_m=False)
     m, cert = _input_nil(A, A.top_degree_if_finite(), label)
     assert cert.data["m"] == m == INPUT_NILS[label]
     assert rep.map_bound.upper == m and rep.map_bound.upper_absolute
@@ -314,8 +313,20 @@ def test_wedge_tc_reproduces_all_three_readings(wedge_tc_report):
     assert len(kp) == 1 and kp[0].data["m"] == 3
 
 
+@pytest.mark.parametrize("n", [None, 2, 3])
+def test_all_three_ends_are_named_by_the_recipe(models, n):
+    """With the m-loop run, cat (n None) and tc of the odd sphere name
+    every end of the chain by the name table's entry for their recipe."""
+    A = models["S3"]
+    rep = cat_bounds(A, label="S3") if n is None else tc_bounds(A, n, label="S3")
+    recipe = rep.surjection.map_bound.certificates[0].context
+    assert tuple(b.name for b in rep.bounds()) == _chain_names(recipe)
+
+
 def test_quotient_surjection_is_model_relative(morphisms):
     rep = surjection_bounds(Surjection(morphisms["q"]))
+    assert [b.name for b in rep.bounds()] == [
+        "h-invariant", "m-invariant", "sectional"]
     assert any(n.startswith("model-relative") for n in rep.notes)
     assert rep.h_bound.lower == 1 and rep.h_bound.lower_absolute
     assert rep.h_bound.upper == 1 and not rep.h_bound.upper_absolute
@@ -340,8 +351,8 @@ def test_a_kernel_class_is_moved_into_the_kernel(monkeypatch):
 
     monkeypatch.setattr(secat.invariants, "solve_combo", counted)
     presentations, morphisms = realize_document(parse_document(ADJUSTED))
-    rep = surjection_bounds(Surjection(morphisms["f"]),
-                            context={"construction": "morphism", "morphism": "f"})
+    rep = surjection_bounds(surjection_of(
+        {"construction": "morphism", "morphism": "f"}, presentations, morphisms))
     assert len(solves) == 2          # the boundary, then its lift to S
     [witness] = [c for c in rep.h_bound.certificates if c.kind == "nil-witness"]
     assert witness.data["generators"] == ["b - a^2"]
@@ -817,8 +828,8 @@ def test_module_retraction_certificate_rejection(models, truncated_tc_report):
 def test_module_retraction_reads_the_whole_kernel(models, morphisms):
     # listing no kernel generators would make the quotient S itself, which
     # retracts at level 0, below the witnessed h-invariant 1
-    rep = surjection_bounds(Surjection(morphisms["q"]),
-                            context={"construction": "morphism", "morphism": "q"})
+    rep = surjection_bounds(surjection_of(
+        {"construction": "morphism", "morphism": "q"}, {}, morphisms))
     good = next(c for c in rep.m_bound.certificates
                 if c.kind == "module-retraction")
     forged = Certificate(good.kind, good.context,

@@ -18,8 +18,9 @@ from secat.core import (AlgebraElement, CdgaError, Presentation, RangeExceedsCap
 from secat.homology import (HomologyView, IdealPowers, PresentationView,
                             homology, kernel_ideal_generators, quotient_kernel)
 from secat.invariants import (
-    Certificate, augmentation_morphism, cat_bounds, certificate_from_json,
-    homology_kernel_classes, tc_bounds, verify_certificate,
+    Certificate, _chain_names, augmentation_morphism, cat_bounds,
+    certificate_from_json, homology_kernel_classes, surjection_bounds,
+    surjection_of, tc_bounds, verify_certificate,
 )
 
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -332,7 +333,7 @@ def test_the_top_rule_needs_every_part_top_certified(models):
     generators, among its parts, and T at cap 10 cannot certify its top 8
     (8 + 5 > 10): neither product records a top, and above 8 + 8 their
     pieces are still built from the relations, as standard monomials."""
-    source = diagonal_model(models["T"], 2, 22).source
+    source = diagonal_model(models["T"], 2, 22).morphism.source
     T10 = load_model("truncated_mix.cdga", cap=10)[0]["T"]
     assert T10.top_degree_if_finite() is None
     for P in (source, tensor(T10, models["S3"], cap=16).pres):
@@ -468,13 +469,40 @@ def _bundled_surjections():
 
 
 @cache
-def _bundled_report(filename, label, n):
-    """The surjection report of the augmentation (n None) or the n-th
-    diagonal of a bundled cdga, h-loop only, with H(source) in its range."""
+def _bundled_run(filename, label, n):
+    """(cdga, report, recipe) of cat (n None) or tc of a bundled cdga, h-loop
+    only.  The recipe is the context of the map bound's first certificate:
+    the kernel power that surjection_bounds merges before any other."""
     A = load_model(filename)[0][label]
-    rep = (cat_bounds(A, with_m=False, label=label) if n is None
-           else tc_bounds(A, n, with_m=False, label=label)).surjection
-    return rep, homology(rep.morphism.source, 0, rep.hi)
+    run = (cat_bounds(A, with_m=False, label=label) if n is None
+           else tc_bounds(A, n, with_m=False, label=label))
+    return A, run, run.surjection.map_bound.certificates[0].context
+
+
+@cache
+def _bundled_report(filename, label, n):
+    """The surjection that recipe builds (surjection_of), its h-loop-only
+    chain report, and H(source) in the report's range."""
+    A, _, recipe = _bundled_run(filename, label, n)
+    surj = surjection_of(recipe, {label: A}, {})
+    rep = surjection_bounds(surj, with_m=False)
+    return surj, rep, homology(surj.morphism.source, 0, rep.hi)
+
+
+BUNDLED_NAMES = {None: ("toomer", "mcat", "cat"), 2: ("htc", "mtc", "tc"),
+                 3: ("htc3", "mtc3", "tc3")}
+
+
+@pytest.mark.parametrize("filename,label,n",
+                         [c[1:] for c in _bundled_surjections()],
+                         ids=[c[0] for c in _bundled_surjections()])
+def test_each_end_is_named_by_its_recipe(filename, label, n):
+    """cat and tc name the ends of their chain by the name table's entry
+    for the recipe they build (without m, which these runs skip)."""
+    _, run, recipe = _bundled_run(filename, label, n)
+    names = _chain_names(recipe)
+    assert names == BUNDLED_NAMES[n]
+    assert [b.name for b in run.bounds()] == [names[0], names[2]]
 
 
 @pytest.mark.parametrize("filename,label,n",
@@ -482,9 +510,9 @@ def _bundled_report(filename, label, n):
                          ids=[c[0] for c in _bundled_surjections()])
 def test_quotient_kernel_matches_the_quotient_on_bundled_surjections(
         filename, label, n):
-    rep, H_S = _bundled_report(filename, label, n)
-    _assert_quotient_kernels_match(rep.morphism.source, H_S,
-                                   rep.kernel_generators, rep.hi)
+    surj, rep, H_S = _bundled_report(filename, label, n)
+    _assert_quotient_kernels_match(surj.morphism.source, H_S,
+                                   surj.kernel_generators, rep.hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -546,12 +574,12 @@ def _assert_kernel_h_generators(phi, H_S, hi):
                          ids=[c[0] for c in _bundled_surjections()])
 def test_kernel_h_generators_and_levels_on_bundled_surjections(
         filename, label, n):
-    rep, H_S = _bundled_report(filename, label, n)
+    surj, rep, H_S = _bundled_report(filename, label, n)
     assert rep.nil_kernel_h.generators == _assert_kernel_h_generators(
         rep.morphism, H_S, rep.hi)
     S = rep.morphism.source
     _assert_levels_match_the_oracle(PresentationView(S, min(S.cap, rep.hi + 1)),
-                                    rep.kernel_generators)
+                                    surj.kernel_generators)
 
 
 @settings(max_examples=60, deadline=None)

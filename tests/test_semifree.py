@@ -14,7 +14,7 @@ from secat.core import (
     CdgaError, DegreeMismatch, Presentation, RangeExceedsCap, sub_presentation,
 )
 from secat.homology import IdealPowers, PresentationView, homology
-from secat.invariants import cat_bounds, tc_bounds
+from secat.invariants import TCReport, cat_bounds, tc_bounds
 from secat.linalg import Echelon
 from secat.semifree import (
     UNIT, RetractionSearch, SemiFreeModule, find_module_retraction, resolve_and_retract,
@@ -205,6 +205,15 @@ def test_resolution_range_guard(models):
         resolve_quotient(models["T"], [models["T"].gen("a")], 14)
 
 
+def _kernel_generators(report):
+    """The kernel generators behind a cat or tc report: the diagonal's, or
+    every generator of the minimal model, which the augmentation kills."""
+    if isinstance(report, TCReport):
+        return report.diagonal.kernel_generators
+    S = report.surjection.morphism.source
+    return [S.gen(g.name) for g in S.generators]
+
+
 def _surjection_cases():
     """(label, n) for the augmentation (n None) and the n = 2 diagonal of
     every bundled cdga, and the n = 3 diagonals of T and W."""
@@ -226,11 +235,12 @@ def test_each_level_resolution_matches_the_one_built_from_degree_one(models,
     nil + 1; at n = 3 they start at the h-invariant's lower end, where the
     m-loop starts, since the lower levels on T take a minute to resolve."""
     A = models[label]
-    surj = (cat_bounds(A, with_m=False) if n is None
-            else tc_bounds(A, n, with_m=False)).surjection
+    report = (cat_bounds(A, with_m=False) if n is None
+              else tc_bounds(A, n, with_m=False))
+    surj = report.surjection
     S, E = surj.morphism.source, surj.hi
     powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)),
-                         surj.kernel_generators)
+                         _kernel_generators(report))
     lowest = {}  # level -> the lowest degree of its ideal, or None
     for m in range(surj.h_bound.lower if n == 3 else 0, surj.nil_kernel + 2):
         elements = [p.element for p in powers.level(m + 1)]
@@ -349,7 +359,7 @@ def test_streamed_search_matches_the_full_solve_at_every_level(models, label,
     surj = report.surjection
     S, E = surj.morphism.source, surj.hi
     powers = IdealPowers(PresentationView(S, min(S.cap, E + 1)),
-                         surj.kernel_generators)
+                         _kernel_generators(report))
     verdicts = {}
     for m in range(surj.nil_kernel + 2):
         elements = [p.element for p in powers.level(m + 1)]

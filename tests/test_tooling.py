@@ -1,19 +1,23 @@
 """Tooling guards: the benchmark's tracer patches secat by dotted names,
 which must resolve, and sizes calls by their arguments, which must read a
-real call; no float may enter the exact arithmetic, every
+real call; the benchmark's queries all pass and their outputs keep their
+pinned digests; no float may enter the exact arithmetic, every
 definition in the package has a caller outside tests, no module imports
 a name it does not use, importing the CLI loads no dataclass machinery,
 and the bound pipeline takes no knob that a construction knows."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 from conftest import load_model
@@ -41,8 +45,10 @@ def test_tracer_target_resolves(name):
     assert callable(owner)
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench(name):
+    """A module of perfbench/, loaded by path without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  TRACER.parent / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,7 +60,7 @@ def test_tracer_size_recorders_read_real_calls(monkeypatch):
     as the homology report calls it (in the degrees below the top with a
     nonzero Betti number, and at the top), solve_sparse on a small system.
     A signature drift that would break `--trace 1` fails here."""
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     assert {name for name, (sizes, _) in tracer.TARGETS.items() if sizes} == {
         "linalg.kernel_combos", "linalg.solve_sparse"}
     traced = tracer.Tracer()
@@ -73,6 +79,32 @@ def test_tracer_size_recorders_read_real_calls(monkeypatch):
     assert stats["linalg.kernel_combos"]["cells"] > 0
     assert dict(stats["linalg.solve_sparse"]) == {"rows": 2, "cols": 2, "nnz": 3,
                                                    "calls": 1}
+
+
+# the combined output digest of each benchmark workload, as perfbench/run.py
+# prints it: a hash of the per-query digests of the reports and verdicts
+BENCH_DIGESTS = {"cat-cap": "9ae306956affbfed", "tc-diagonal": "dbddbb790e5b0d18",
+                 "model-tower": "e6a5535c87acd469",
+                 "verify-corpus": "4fbe92457d031eb2"}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_bench_outputs_keep_their_digests(workload):
+    """Every query of the workload, run once through the worker's own query
+    builder and runner, passes its check, and the outputs combine, as
+    run.py's summarize combines them, to the pinned digest: the reports and
+    certificate verdicts the benchmark times stay byte-identical."""
+    queries, worker = _load_perfbench("queries"), _load_perfbench("worker")
+    args = types.SimpleNamespace(workload=workload, seed=0, query=None,
+                                 wrong_expected=False)
+    digests, problems = {}, {}
+    for qid, runner in worker.build_queries(args, queries):
+        found, digests[qid] = worker.run_query(runner)
+        if found:
+            problems[qid] = found
+    assert problems == {}
+    combined = json.dumps(dict(sorted(digests.items())))
+    assert hashlib.sha256(combined.encode()).hexdigest()[:16] == BENCH_DIGESTS[workload]
 
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "secat"
@@ -107,7 +139,6 @@ ROOT = PACKAGE.parent.parent
 # Definitions kept on purpose although no package, script or benchmark code
 # calls them, each with the reason.
 KEPT_UNCALLED = {
-    "monomial": "Presentation.monomial: the element factory that tests use",
     "tensor": "products of presentations for tests and for the metamorphic "
               "suite of ROADMAP item 3",
 }
@@ -333,9 +364,10 @@ def test_unused_import_scan_sees_plain_from_and_aliased_imports():
 
 
 def test_surjection_bounds_takes_no_knob_a_construction_knows():
-    """The kernel generators, the pedigree, the window and the content top
-    of a surjection come from its value and its recipe; a caller passes
-    only the value, the recipe and its own choices."""
+    """The kernel generators, the pedigree, the window, the content top,
+    the duality space and the names of the ends come from the surjection's
+    value, which carries its recipe; a caller passes only the value and its
+    own two choices."""
     from secat.invariants import surjection_bounds
     assert list(inspect.signature(surjection_bounds).parameters) == [
-        "surjection", "context", "with_m", "space", "settled_upper", "names"]
+        "surjection", "with_m", "settled_upper"]

@@ -22,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import MODELS, ROOT
 
 from secat.cli import main
-from secat.construct import Surjection
 from secat.core import CdgaError, IdealNotClosed, RangeExceedsCap
-from secat.invariants import (Certificate, _ctx_surjection, _data_rejection,
+from secat.invariants import (_SURJECTIONS, Certificate, _data_rejection,
                               _verify_rebuilt, certificate_to_json,
-                              surjection_bounds, verify_certificate)
+                              surjection_bounds, surjection_of,
+                              verify_certificate)
 from secat.lang import parse_document
 
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -49,8 +49,8 @@ def _pool():
                           {"construction": "augmentation", "cdga": "S2", "cap": 10},
                           {"level": 1, "view": "homology", "hi": 8,
                            "generators": ["a"], "factors": [0]})
-    rep = surjection_bounds(Surjection(morphisms["q"]),
-                            context={"construction": "morphism", "morphism": "q"})
+    rep = surjection_bounds(surjection_of(
+        {"construction": "morphism", "morphism": "q"}, {}, morphisms))
     return ([cert for cert, _ in corpus] + [witness]
             + [cert for bound in rep.bounds() for cert in bound.certificates])
 
@@ -242,8 +242,8 @@ def test_a_windowed_kernel_power_over_a_smaller_ideal_is_rejected(morphisms):
     """The Hopf projection q has no certified top, so its kernel-power bound
     is windowed; the verifier derives the kernel up to the window, as the
     producer did, and finds a outside the ideal of a^2."""
-    rep = surjection_bounds(Surjection(morphisms["q"]),
-                            context={"construction": "morphism", "morphism": "q"})
+    rep = surjection_bounds(surjection_of(
+        {"construction": "morphism", "morphism": "q"}, {}, morphisms))
     [pristine] = [c for b in rep.bounds() for c in b.certificates
                   if c.kind == "kernel-power-vanishes"]
     assert pristine.data == {"m": 4, "hi": 16, "generators": ["a"]}
@@ -267,10 +267,23 @@ def test_pedigreed_kernel_powers_list_the_generators_the_verifier_rebuilds():
     for cert, _ in corpus:
         if cert.kind != "kernel-power-vanishes":
             continue
-        named = _ctx_surjection(cert.context, presentations, morphisms).kernel_generators
+        named = surjection_of(cert.context, presentations, morphisms).kernel_generators
         assert cert.data["generators"] == [str(g) for g in named], cert.context
         seen.add(cert.context["construction"])
     assert seen == {"augmentation", "input-augmentation", "diagonal", "multiplication"}
+
+
+def test_every_sweep_recipe_round_trips_through_surjection_of():
+    """Each certificate of the sweep (and of the Hopf projection q's chain)
+    whose construction is a surjection names a recipe that surjection_of
+    rebuilds into a value carrying that same recipe."""
+    presentations, morphisms, _ = _fuzz_corpus()
+    recipes = {json.dumps(cert.context, sort_keys=True): cert.context
+               for cert in _pool()
+               if cert.context.get("construction") in _SURJECTIONS}
+    assert {ctx["construction"] for ctx in recipes.values()} == set(_SURJECTIONS)
+    for ctx in recipes.values():
+        assert surjection_of(ctx, presentations, morphisms).context == ctx
 
 
 def test_a_nil_witness_over_a_presentation_is_refused(models):
